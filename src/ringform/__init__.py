@@ -35,8 +35,7 @@ from .harness import (
     SweepResult,
     auto_stop_window,
     scaled_params,
-    scenario_hexagon,
-    scenario_triangle,
+    scenario_report,
     sensitivity_curves,
     sweep_convergence,
 )

@@ -1,9 +1,10 @@
 """Config ingestion, run orchestration, and file export.
 
 The only process entry point.  A run is described by a YAML mapping whose
-keys mirror RunConfig; every value is validated before any simulation
-starts and the resolved config is echoed next to the outputs together with
-a manifest, so a run can be reproduced from its output directory alone.
+keys are the paths in RunConfig's field table; every value is validated
+before any simulation starts and the resolved config is echoed next to the
+outputs together with a manifest, so a run can be reproduced from its
+output directory alone.
 
 Exit codes: 0 success, 2 config error, 3 divergence, 4 no convergence
 within the horizon (or a failed estimation phase).
@@ -13,10 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,41 +49,162 @@ EXIT_DIVERGED = 3
 EXIT_NOT_CONVERGED = 4
 
 MODES = ("estimate", "form", "pipeline", "sweep", "spectral")
+STRATEGIES = ("S1", "S2")
 
 
 class ConfigError(ValueError):
     """Invalid or missing configuration; reported with its field path."""
 
 
+# --- value parsers: raw YAML value -> typed value, ValueError if malformed --
+
+
+def _int(value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return value
+
+
+def _float(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, got {value!r}")
+    if not math.isfinite(float(value)):
+        raise ValueError(f"must be finite, got {value!r}")
+    return float(value)
+
+
+def _str(value):
+    if not isinstance(value, str):
+        raise ValueError(f"must be a string, got {value!r}")
+    return value
+
+
+def _bool(value):
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _list(value):
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"must be a list, got {value!r}")
+    return value
+
+
+def _pair(value):
+    if len(_list(value)) != 2:
+        raise ValueError(f"must be a pair [x, y], got {value!r}")
+    return (_float(value[0]), _float(value[1]))
+
+
+def _ints(value):
+    return tuple(_int(v) for v in _list(value))
+
+
+def _pairs(value):
+    return [list(_pair(row)) for row in _list(value)]
+
+
+def _opt(path, parse, default=MISSING, check=None, rule=""):
+    """One RunConfig field: YAML ``path``, parser, default and domain.
+
+    A missing or null value takes the default; ``check`` (with ``rule`` as
+    its message) constrains a given value.
+    """
+    return field(default=default, metadata={
+        "path": path, "parse": parse, "check": check, "rule": rule,
+    })
+
+
+def _positive(x):
+    return x > 0
+
+
 @dataclass
 class RunConfig:
-    mode: str
-    alpha: float = 0.5
-    dt: float = 0.01
-    sigma: int = 1
-    strategy: str = "S1"
-    seed: int = 0
-    initial_box: float = 5.0
-    output_dir: str = "out"
-    stride: int = 1
-    max_steps: int = 3000
-    stop_window: int | None = None
-    excitation: tuple[float, float] = (1.0, 0.0)
-    n_total: int | None = None
-    vertex_set: tuple[int, ...] | None = None
-    r_star: list | None = None
-    n_prime: int | None = None
-    estimation: dict = field(default_factory=dict)
-    closure_tolerance: float = 1e-9
-    formation_tolerance: float = 1e-2
-    sweep_n_min: int = 5
-    sweep_n_max: int = 30
-    sweep_reps: int = 5
-    sweep_scale_per_n: bool = False
+    """One run; the field table below is the whole config schema.
+
+    ``est_*`` fields are the phase-1 overrides; None means the top-level
+    value applies (see ``phase1``).
+    """
+
+    mode: str = _opt("mode", _str, MISSING, lambda x: x in MODES, f"must be one of {MODES}")
+    alpha: float = _opt("alpha", _float, 0.5, _positive, "must be positive")
+    dt: float = _opt("dt", _float, 0.01, _positive, "must be positive")
+    sigma: int = _opt("sigma", _int, 1, lambda x: x in (1, 2), "must be 1 or 2")
+    strategy: str = _opt("strategy", _str, "S1", lambda x: x in STRATEGIES,
+                         "must be 'S1' or 'S2'")
+    seed: int = _opt("seed", _int, 0, lambda x: 0 <= x < 2 ** 64,
+                     "must be an unsigned 64-bit integer")
+    initial_box: float = _opt("initial_box", _float, 5.0, lambda x: x >= 0, "must be >= 0")
+    output_dir: str = _opt("output_dir", _str, "out")
+    stride: int = _opt("stride", _int, 1, lambda x: x >= 1, "must be >= 1")
+    max_steps: int = _opt("max_steps", _int, 3000, lambda x: x >= 1, "must be >= 1")
+    stop_window: int | None = _opt("stop_window", _int, None, lambda x: x >= 2, "must be >= 2")
+    excitation: tuple[float, float] = _opt("excitation", _pair, (1.0, 0.0), any,
+                                           "must be non-zero")
+    n_total: int | None = _opt("topology.n_total", _int, None, lambda x: x >= 2, "must be >= 2")
+    vertex_set: tuple[int, ...] | None = _opt("topology.vertex_set", _ints, None)
+    r_star: list | None = _opt("r_star", _pairs, None)
+    n_prime: int | None = _opt("n_prime", _int, None, lambda x: x >= 1, "must be >= 1")
+    est_alpha: float | None = _opt("estimation.alpha", _float, None, _positive,
+                                   "must be positive")
+    est_dt: float | None = _opt("estimation.dt", _float, None, _positive, "must be positive")
+    est_strategy: str | None = _opt("estimation.strategy", _str, None,
+                                    lambda x: x in STRATEGIES, "must be 'S1' or 'S2'")
+    est_max_steps: int | None = _opt("estimation.max_steps", _int, None, lambda x: x >= 1,
+                                     "must be >= 1")
+    est_stop_window: int | None = _opt("estimation.stop_window", _int, None,
+                                       lambda x: x >= 2, "must be >= 2")
+    closure_tolerance: float = _opt("tolerances.closure", _float, 1e-9, lambda x: x >= 0,
+                                    "must be >= 0")
+    formation_tolerance: float = _opt("tolerances.formation_error", _float, 1e-2, _positive,
+                                      "must be positive")
+    sweep_n_min: int = _opt("sweep.n_min", _int, 5, lambda x: x >= 2, "must be >= 2")
+    sweep_n_max: int = _opt("sweep.n_max", _int, 30, lambda x: x >= 2, "must be >= 2")
+    sweep_reps: int = _opt("sweep.reps", _int, 5, lambda x: x >= 1, "must be >= 1")
+    sweep_scale_per_n: bool = _opt("sweep.scale_per_n", _bool, False)
 
     @property
     def params(self) -> EstimationParams:
         return EstimationParams(alpha=self.alpha, dt=self.dt)
+
+    def phase1(self, name: str):
+        """Estimation-phase value of ``name``: ``estimation.<name>`` if set."""
+        value = getattr(self, f"est_{name}")
+        return getattr(self, name) if value is None else value
+
+    def estimator_config(self, n_prime: int) -> EstimatorConfig:
+        """Phase-1 settings; an unset stop window is sized for order ``n_prime``."""
+        params = EstimationParams(alpha=self.phase1("alpha"), dt=self.phase1("dt"))
+        strategy = self.phase1("strategy")
+        window = self.phase1("stop_window")
+        if window is None:
+            window = auto_stop_window(n_prime, params, strategy)
+        return EstimatorConfig(
+            params=params, strategy=strategy, excitation_init=self.excitation,
+            stop_window=window, max_steps=max(self.phase1("max_steps"), window + 1),
+        )
+
+    def polygon(self) -> tuple[RingTopology, PolygonSpec]:
+        return (RingTopology(self.n_total),
+                PolygonSpec(vertex_set=self.vertex_set, r_star=np.array(self.r_star)))
+
+    def pipeline_arguments(self) -> dict:
+        """Keyword arguments of ``run_pipeline`` for this (pipeline) config."""
+        ring, spec = self.polygon()
+        largest = max(seg.cardinality for seg in cut_ring(ring, spec))
+        return dict(
+            ring=ring, spec=spec, est_config=self.estimator_config(largest),
+            form_params=self.params, seed=self.seed, sigma=self.sigma,
+            horizon=self.max_steps, initial_box=self.initial_box,
+            error_tolerance=self.formation_tolerance, stride=self.stride,
+        )
+
+
+# Field table keyed by YAML path, e.g. ("topology", "n_total").
+_FIELDS = {tuple(f.metadata["path"].split(".")): f for f in fields(RunConfig)}
+_SECTIONS = {path[0] for path in _FIELDS if len(path) == 2}
 
 
 def _require(condition, path, message):
@@ -89,134 +212,59 @@ def _require(condition, path, message):
         raise ConfigError(f"{path}: {message}")
 
 
-def _reject_unknown(mapping, allowed, path):
-    unknown = set(mapping) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{path}: unknown fields {sorted(unknown)}")
+def _convert(f, raw):
+    """Parse and domain-check one given value of field ``f``."""
+    path = f.metadata["path"]
+    try:
+        value = f.metadata["parse"](raw)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    check = f.metadata["check"]
+    _require(check is None or check(value), path, f"{f.metadata['rule']}, got {raw!r}")
+    return value
 
 
-_TOP_LEVEL = {
-    "mode", "alpha", "dt", "sigma", "strategy", "seed", "initial_box",
-    "output_dir", "stride", "max_steps", "stop_window", "excitation",
-    "topology", "r_star", "n_prime", "estimation", "tolerances", "sweep",
-}
-_ESTIMATION_KEYS = {"alpha", "dt", "strategy", "max_steps", "stop_window"}
-_TOLERANCE_KEYS = {"closure", "formation_error"}
-_SWEEP_KEYS = {"n_min", "n_max", "reps", "scale_per_n"}
+def _flatten(raw: dict) -> dict:
+    """Raw mapping as {path tuple: value}; unknown fields rejected."""
+    flat = {}
+    for key, value in raw.items():
+        if key in _SECTIONS and value is not None:
+            _require(isinstance(value, dict), key, "must be a mapping")
+            flat.update(((key, sub), v) for sub, v in value.items())
+        else:
+            flat[(key,)] = value
+    unknown = sorted(".".join(map(str, path)) for path in set(flat) - set(_FIELDS))
+    _require(not unknown, "config", f"unknown fields {unknown}")
+    return flat
 
 
 def parse_config(raw: dict) -> RunConfig:
     """Validate a raw mapping into a RunConfig; unknown fields rejected."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    _reject_unknown(raw, _TOP_LEVEL, "config")
-    mode = raw.get("mode")
-    _require(mode in MODES, "mode", f"must be one of {MODES}, got {mode!r}")
-
-    cfg = RunConfig(mode=mode)
-
-    def take(key, cast, path, check=None, message=""):
-        if key in raw and raw[key] is not None:
-            try:
-                value = cast(raw[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}: {exc}") from exc
-            if check is not None and not check(value):
-                raise ConfigError(f"{path}: {message}")
-            setattr(cfg, key, value)
-
-    take("alpha", float, "alpha", lambda x: x > 0, "must be positive")
-    take("dt", float, "dt", lambda x: x > 0, "must be positive")
-    take("sigma", int, "sigma", lambda x: x in (1, 2), "must be 1 or 2")
-    take("strategy", str, "strategy", lambda x: x in ("S1", "S2"),
-         "must be 'S1' or 'S2'")
-    take("seed", int, "seed", lambda x: 0 <= x < 2 ** 64,
-         "must be an unsigned 64-bit integer")
-    take("initial_box", float, "initial_box", lambda x: x >= 0, "must be >= 0")
-    take("output_dir", str, "output_dir")
-    take("stride", int, "stride", lambda x: x >= 1, "must be >= 1")
-    take("max_steps", int, "max_steps", lambda x: x >= 1, "must be >= 1")
-    take("stop_window", int, "stop_window", lambda x: x >= 2, "must be >= 2")
-    take("n_prime", int, "n_prime", lambda x: x >= 1, "must be >= 1")
-
-    if "excitation" in raw and raw["excitation"] is not None:
-        exc_value = raw["excitation"]
-        _require(
-            isinstance(exc_value, (list, tuple)) and len(exc_value) == 2,
-            "excitation", "must be a pair [ex, ey]",
-        )
-        cfg.excitation = (float(exc_value[0]), float(exc_value[1]))
-        _require(any(cfg.excitation), "excitation", "must be non-zero")
-
-    if "topology" in raw and raw["topology"] is not None:
-        topo = raw["topology"]
-        _require(isinstance(topo, dict), "topology", "must be a mapping")
-        _reject_unknown(topo, {"n_total", "vertex_set"}, "topology")
-        if "n_total" in topo:
-            cfg.n_total = int(topo["n_total"])
-            _require(cfg.n_total >= 2, "topology.n_total", "must be >= 2")
-        if "vertex_set" in topo and topo["vertex_set"] is not None:
-            vs = topo["vertex_set"]
-            _require(isinstance(vs, (list, tuple)), "topology.vertex_set",
-                     "must be a list of indices")
-            cfg.vertex_set = tuple(int(v) for v in vs)
-
-    if "r_star" in raw and raw["r_star"] is not None:
-        r = raw["r_star"]
-        _require(
-            isinstance(r, (list, tuple))
-            and all(isinstance(row, (list, tuple)) and len(row) == 2 for row in r),
-            "r_star", "must be a list of [x, y] pairs",
-        )
-        cfg.r_star = [[float(a), float(b)] for a, b in r]
-
-    if "estimation" in raw and raw["estimation"] is not None:
-        est = raw["estimation"]
-        _require(isinstance(est, dict), "estimation", "must be a mapping")
-        _reject_unknown(est, _ESTIMATION_KEYS, "estimation")
-        if "alpha" in est and est["alpha"] is not None:
-            _require(float(est["alpha"]) > 0, "estimation.alpha", "must be positive")
-        if "dt" in est and est["dt"] is not None:
-            _require(float(est["dt"]) > 0, "estimation.dt", "must be positive")
-        if "strategy" in est and est["strategy"] is not None:
-            _require(est["strategy"] in ("S1", "S2"), "estimation.strategy",
-                     "must be 'S1' or 'S2'")
-        cfg.estimation = dict(est)
-
-    if "tolerances" in raw and raw["tolerances"] is not None:
-        tol = raw["tolerances"]
-        _require(isinstance(tol, dict), "tolerances", "must be a mapping")
-        _reject_unknown(tol, _TOLERANCE_KEYS, "tolerances")
-        if "closure" in tol:
-            cfg.closure_tolerance = float(tol["closure"])
-        if "formation_error" in tol:
-            cfg.formation_tolerance = float(tol["formation_error"])
-
-    if "sweep" in raw and raw["sweep"] is not None:
-        sw = raw["sweep"]
-        _require(isinstance(sw, dict), "sweep", "must be a mapping")
-        _reject_unknown(sw, _SWEEP_KEYS, "sweep")
-        if "n_min" in sw:
-            cfg.sweep_n_min = int(sw["n_min"])
-        if "n_max" in sw:
-            cfg.sweep_n_max = int(sw["n_max"])
-        if "reps" in sw:
-            cfg.sweep_reps = int(sw["reps"])
-        if "scale_per_n" in sw:
-            cfg.sweep_scale_per_n = bool(sw["scale_per_n"])
-        _require(cfg.sweep_n_min >= 2, "sweep.n_min", "must be >= 2")
-        _require(cfg.sweep_n_max >= cfg.sweep_n_min, "sweep.n_max",
-                 "must be >= sweep.n_min")
-        _require(cfg.sweep_reps >= 1, "sweep.reps", "must be >= 1")
-
-    _validate_mode_requirements(cfg)
+    _require(isinstance(raw, dict), "config", "root must be a mapping")
+    flat = _flatten(raw)
+    values = {}
+    for path, f in _FIELDS.items():
+        given = flat.get(path)
+        _require(given is not None or f.default is not MISSING, f.metadata["path"],
+                 "is required")
+        values[f.name] = f.default if given is None else _convert(f, given)
+    cfg = RunConfig(**values)
+    _check_rules(cfg)
     return cfg
 
 
-def _validate_mode_requirements(cfg: RunConfig) -> None:
+def _check_rules(cfg: RunConfig) -> None:
+    """Rules that span fields: gains, sweep range, mode needs, polygon closure."""
+    for path, alpha, dt in (("alpha", cfg.alpha, cfg.dt),
+                            ("estimation", cfg.phase1("alpha"), cfg.phase1("dt"))):
+        beta = alpha * dt / 2.0
+        _require(0.0 < beta < 1.0, path,
+                 f"beta = alpha*dt/2 = {beta:.6g} (alpha {alpha}, dt {dt}) "
+                 "must lie in (0, 1)")
+    _require(cfg.sweep_n_max >= cfg.sweep_n_min, "sweep.n_max", "must be >= sweep.n_min")
     if cfg.mode == "estimate":
-        _require(cfg.n_total is not None and cfg.n_total >= 2,
-                 "topology.n_total", "estimate mode needs a chain of >= 2 robots")
+        _require(cfg.n_total is not None, "topology.n_total",
+                 "estimate mode needs a chain of >= 2 robots")
     elif cfg.mode in ("form", "pipeline"):
         _require(cfg.n_total is not None and cfg.n_total >= 3,
                  "topology.n_total", f"{cfg.mode} mode needs a ring of >= 3 robots")
@@ -225,10 +273,11 @@ def _validate_mode_requirements(cfg: RunConfig) -> None:
         _require(cfg.r_star is not None, "r_star",
                  f"{cfg.mode} mode needs the desired displacements")
         try:
-            spec = PolygonSpec(vertex_set=cfg.vertex_set, r_star=np.array(cfg.r_star))
-            cut_ring(RingTopology(cfg.n_total), spec)
+            _, spec = cfg.polygon()
         except ValueError as exc:
             raise ConfigError(f"topology: {exc}") from exc
+        _require(spec.vertex_set[-1] < cfg.n_total, "topology.vertex_set",
+                 f"vertex indices out of range [0, {cfg.n_total})")
         if not validate_polygon_closure(spec, cfg.closure_tolerance):
             residual = spec.r_star.sum(axis=0)
             raise ConfigError(
@@ -238,7 +287,6 @@ def _validate_mode_requirements(cfg: RunConfig) -> None:
     elif cfg.mode == "spectral":
         _require(cfg.n_prime is not None, "n_prime",
                  "spectral mode needs the chain order n_prime")
-    # sweep mode has defaults for everything
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -250,6 +298,18 @@ def load_config(path: str | Path) -> RunConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     return parse_config(raw if raw is not None else {})
+
+
+def _resolved_dict(cfg: RunConfig) -> dict:
+    """Every field at its YAML path, defaults applied; re-parses to ``cfg``."""
+    resolved = {}
+    for path, f in _FIELDS.items():
+        node = resolved
+        for section in path[:-1]:
+            node = node.setdefault(section, {})
+        value = getattr(cfg, f.name)
+        node[path[-1]] = list(value) if isinstance(value, tuple) else value
+    return resolved
 
 
 # --- output writers -------------------------------------------------------
@@ -322,6 +382,12 @@ def write_errors_csv(path: Path, trace: FormationTrace) -> None:
     write_csv(path, ["step", "time", "edge_id", "error"], rows())
 
 
+def write_resolved_config(out_dir: Path, cfg: RunConfig) -> None:
+    (out_dir / "resolved_config.yaml").write_text(
+        yaml.safe_dump(_resolved_dict(cfg), sort_keys=True)
+    )
+
+
 def write_manifest(out_dir: Path, cfg: RunConfig, wall_time: float,
                    outputs: list[str], note: str = "") -> None:
     manifest = {
@@ -340,81 +406,40 @@ def write_manifest(out_dir: Path, cfg: RunConfig, wall_time: float,
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _resolved_dict(cfg: RunConfig) -> dict:
-    resolved = {
-        "mode": cfg.mode,
-        "alpha": cfg.alpha,
-        "dt": cfg.dt,
-        "sigma": cfg.sigma,
-        "strategy": cfg.strategy,
-        "seed": cfg.seed,
-        "initial_box": cfg.initial_box,
-        "output_dir": cfg.output_dir,
-        "stride": cfg.stride,
-        "max_steps": cfg.max_steps,
-        "stop_window": cfg.stop_window,
-        "excitation": list(cfg.excitation),
-        "tolerances": {
-            "closure": cfg.closure_tolerance,
-            "formation_error": cfg.formation_tolerance,
-        },
-    }
-    if cfg.n_total is not None:
-        resolved["topology"] = {
-            "n_total": cfg.n_total,
-            "vertex_set": list(cfg.vertex_set) if cfg.vertex_set else None,
-        }
-    if cfg.r_star is not None:
-        resolved["r_star"] = cfg.r_star
-    if cfg.n_prime is not None:
-        resolved["n_prime"] = cfg.n_prime
-    if cfg.estimation:
-        resolved["estimation"] = cfg.estimation
-    if cfg.mode == "sweep":
-        resolved["sweep"] = {
-            "n_min": cfg.sweep_n_min,
-            "n_max": cfg.sweep_n_max,
-            "reps": cfg.sweep_reps,
-            "scale_per_n": cfg.sweep_scale_per_n,
-        }
-    return resolved
+def _write_estimates(out_dir: Path, outputs: list[str], traces) -> None:
+    write_estimate_csv(out_dir / "estimate.csv", traces)
+    outputs.append("estimate.csv")
+
+
+def _write_formation(out_dir: Path, outputs: list[str], trace: FormationTrace) -> None:
+    write_trace_csv(out_dir / "trace.csv", trace)
+    write_errors_csv(out_dir / "errors.csv", trace)
+    outputs.extend(["trace.csv", "errors.csv"])
+
+
+def _diverged(err: DivergenceError, out_dir: Path, outputs: list[str]) -> int:
+    """Flush the partial trace of whichever phase diverged, then report."""
+    if isinstance(err.partial, EstimateTrace):
+        _write_estimates(out_dir, outputs, [err.partial])
+    elif err.partial is not None:
+        _write_formation(out_dir, outputs, err.partial)
+    print(f"ringform: {err}", file=sys.stderr)
+    return EXIT_DIVERGED
 
 
 # --- mode runners ---------------------------------------------------------
 
 
-def _estimator_config(cfg: RunConfig, n_prime: int) -> EstimatorConfig:
-    est = cfg.estimation
-    alpha = float(est.get("alpha", cfg.alpha))
-    dt = float(est.get("dt", cfg.dt))
-    strategy = est.get("strategy", cfg.strategy)
-    params = EstimationParams(alpha=alpha, dt=dt)
-    window = est.get("stop_window", cfg.stop_window)
-    if window is None:
-        window = auto_stop_window(n_prime, params, strategy)
-    max_steps = int(est.get("max_steps", cfg.max_steps))
-    max_steps = max(max_steps, window + 1)
-    return EstimatorConfig(
-        params=params, strategy=strategy, excitation_init=cfg.excitation,
-        stop_window=int(window), max_steps=max_steps,
-    )
-
-
 def _run_estimate(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
     n_prime = cfg.n_total - 1
-    config = _estimator_config(cfg, n_prime)
     try:
         trace = run_estimation(
-            n_prime, config, seed=cfg.seed, initial_box=cfg.initial_box
+            n_prime, cfg.estimator_config(n_prime), seed=cfg.seed,
+            initial_box=cfg.initial_box,
         )
     except DivergenceError as err:
-        if err.partial is not None:
-            write_estimate_csv(out_dir / "estimate.csv", [err.partial])
-            outputs.append("estimate.csv")
-        print(f"ringform: {err}", file=sys.stderr)
-        return EXIT_DIVERGED
-    write_estimate_csv(out_dir / "estimate.csv", [trace])
-    outputs.append("estimate.csv")
+        return _diverged(err, out_dir, outputs)
+    _write_estimates(out_dir, outputs, [trace])
     if not trace.converged:
         print("ringform: estimation did not converge within max_steps",
               file=sys.stderr)
@@ -424,14 +449,8 @@ def _run_estimate(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
     return EXIT_OK
 
 
-def _formation_pieces(cfg: RunConfig):
-    ring = RingTopology(cfg.n_total)
-    spec = PolygonSpec(vertex_set=cfg.vertex_set, r_star=np.array(cfg.r_star))
-    return ring, spec
-
-
 def _run_form(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
-    ring, spec = _formation_pieces(cfg)
+    ring, spec = cfg.polygon()
     rng = make_generator(cfg.seed, 0)
     initial = SwarmState.at_rest(uniform_box(rng, ring.n_total, cfg.initial_box))
     config = FormationConfig(
@@ -444,15 +463,8 @@ def _run_form(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
             error_tolerance=cfg.formation_tolerance, stride=cfg.stride,
         )
     except DivergenceError as err:
-        if err.partial is not None:
-            write_trace_csv(out_dir / "trace.csv", err.partial)
-            write_errors_csv(out_dir / "errors.csv", err.partial)
-            outputs.extend(["trace.csv", "errors.csv"])
-        print(f"ringform: {err}", file=sys.stderr)
-        return EXIT_DIVERGED
-    write_trace_csv(out_dir / "trace.csv", trace)
-    write_errors_csv(out_dir / "errors.csv", trace)
-    outputs.extend(["trace.csv", "errors.csv"])
+        return _diverged(err, out_dir, outputs)
+    _write_formation(out_dir, outputs, trace)
     final_error = float(trace.errors[-1].max())
     print(f"formation: max edge error {final_error:.3e} after "
           f"{cfg.max_steps} steps (tolerance {cfg.formation_tolerance})")
@@ -460,33 +472,16 @@ def _run_form(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
 
 
 def _run_pipeline(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
-    ring, spec = _formation_pieces(cfg)
-    segments = cut_ring(ring, spec)
-    largest = max(seg.cardinality for seg in segments)
-    est_config = _estimator_config(cfg, largest)
     try:
-        result = run_pipeline(
-            ring, spec, est_config, cfg.params, cfg.seed,
-            sigma=cfg.sigma, horizon=cfg.max_steps,
-            initial_box=cfg.initial_box,
-            error_tolerance=cfg.formation_tolerance, stride=cfg.stride,
-        )
+        result = run_pipeline(**cfg.pipeline_arguments())
     except PipelineEstimationError as err:
-        write_estimate_csv(out_dir / "estimate.csv", err.traces)
-        outputs.append("estimate.csv")
+        _write_estimates(out_dir, outputs, err.traces)
         print(f"ringform: {err}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     except DivergenceError as err:
-        if err.partial is not None:
-            write_trace_csv(out_dir / "trace.csv", err.partial)
-            write_errors_csv(out_dir / "errors.csv", err.partial)
-            outputs.extend(["trace.csv", "errors.csv"])
-        print(f"ringform: {err}", file=sys.stderr)
-        return EXIT_DIVERGED
-    write_estimate_csv(out_dir / "estimate.csv", result.estimate_traces)
-    write_trace_csv(out_dir / "trace.csv", result.formation)
-    write_errors_csv(out_dir / "errors.csv", result.formation)
-    outputs.extend(["estimate.csv", "trace.csv", "errors.csv"])
+        return _diverged(err, out_dir, outputs)
+    _write_estimates(out_dir, outputs, result.estimate_traces)
+    _write_formation(out_dir, outputs, result.formation)
     final_error = float(result.formation.errors[-1].max())
     print(f"pipeline: estimates {result.estimates}, final max edge error "
           f"{final_error:.3e}")
@@ -541,9 +536,7 @@ def execute(cfg: RunConfig) -> int:
     """Run one validated config; writes outputs plus a manifest."""
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved_config.yaml").write_text(
-        yaml.safe_dump(_resolved_dict(cfg), sort_keys=True)
-    )
+    write_resolved_config(out_dir, cfg)
     outputs = ["resolved_config.yaml"]
     started = time.perf_counter()
     runner = {
@@ -583,16 +576,10 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"mode: config says {cfg.mode!r} but subcommand is {args.mode!r}"
             )
-        if args.seed is not None:
-            if not 0 <= args.seed < 2 ** 64:
-                raise ConfigError("seed: must be an unsigned 64-bit integer")
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.output_dir = args.out
-        if args.stride is not None:
-            if args.stride < 1:
-                raise ConfigError("stride: must be >= 1")
-            cfg.stride = args.stride
+        overrides = {"seed": args.seed, "output_dir": args.out, "stride": args.stride}
+        for name, value in overrides.items():
+            if value is not None:
+                setattr(cfg, name, _convert(_FIELDS[(name,)], value))
     except ConfigError as exc:
         print(f"ringform: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

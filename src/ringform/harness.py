@@ -1,5 +1,6 @@
-"""Experiment suite: convergence sweeps, sensitivity curves, and the two
-reference scenarios (hexagon on 120 robots, triangle on 7 robots).
+"""Experiment suite: convergence sweeps, sensitivity curves, and the
+scenario report of a pipeline config (the reference scenarios are the
+hexagon and triangle configs shipped in ``configs/``).
 
 Every run here is reproducible bit for bit from (config, seed): placements
 come from keyed counter-based streams and all aggregation is sorted by
@@ -9,9 +10,7 @@ cell keys before output.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,9 +31,6 @@ from .spectral import (
     stability_bound,
     steady_ratio_closed,
 )
-from .topology import PolygonSpec, RingTopology, cut_ring
-
-THREADS_ENV = "RINGFORM_THREADS"
 
 # The window must out-span the time the raw readout needs to drift across
 # one unit near the end of the transient, otherwise a slowly settling run
@@ -59,16 +55,6 @@ def auto_stop_window(n_prime: int, params: EstimationParams, strategy: str,
     if rho >= 1.0:
         return minimum
     return max(minimum, int(math.ceil(_WINDOW_DECAY / -math.log(rho))))
-
-
-def _thread_count(requested: int | None) -> int:
-    if requested is not None:
-        return max(1, requested)
-    value = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -105,7 +91,6 @@ def sweep_convergence(
     initial_box: float = 5.0,
     max_steps: int = 60000,
     strict: bool = True,
-    threads: int | None = None,
 ) -> SweepResult:
     """Mean steps to convergence over chains of ``n`` robots, both strategies.
 
@@ -167,12 +152,7 @@ def sweep_convergence(
         )
         return row, failures
 
-    workers = _thread_count(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_cell, cells))
-    else:
-        outcomes = [run_cell(cell) for cell in cells]
+    outcomes = [run_cell(cell) for cell in cells]
 
     rows = sorted((row for row, _ in outcomes), key=lambda r: (r.n, r.strategy))
     failures = [
@@ -255,14 +235,7 @@ def sensitivity_curves(
     )
 
 
-# --- reference scenarios --------------------------------------------------
-
-HEXAGON_R_STAR = (
-    (-4.0, -8.0), (-8.0, 0.0), (-4.0, 8.0), (4.0, 8.0), (8.0, 0.0), (4.0, -8.0),
-)
-HEXAGON_VERTICES = (1, 21, 41, 61, 81, 101)
-TRIANGLE_R_STAR = ((1.0, -2.0), (2.0, 2.0), (-3.0, 0.0))
-TRIANGLE_VERTICES = (0, 2, 5)
+# --- scenario report -----------------------------------------------------
 
 
 def _interior_spacing_error(state: SwarmState, config: FormationConfig) -> float:
@@ -288,11 +261,25 @@ class ScenarioReport:
     equilibrium_deviation: float
     first_time_within_tol: float | None
     rho_chain: float
-    extra_estimates: dict[str, list[int]] = field(default_factory=dict)
+    extra_estimates: dict[str, list[int]]
 
 
-def _report_from_pipeline(result: PipelineResult, config: FormationConfig,
-                          snapshot_times: tuple[float, ...]) -> ScenarioReport:
+def scenario_report(cfg, snapshot_times: tuple[float, ...]) -> ScenarioReport:
+    """Pipeline run of a parsed pipeline ``RunConfig`` and its figures.
+
+    Snapshot states are kept at each of ``snapshot_times`` (seconds) that
+    falls on a recorded step.  ``extra_estimates`` maps the other readout
+    strategy to the estimates it gives from the same placement.
+    """
+    arguments = cfg.pipeline_arguments()
+    result = run_pipeline(**arguments)
+    spec = arguments["spec"]
+    initial = result.initial_state.positions
+    config = FormationConfig(
+        ring=arguments["ring"], spec=spec, params=arguments["form_params"],
+        sigma=arguments["sigma"], n_s=tuple(result.estimates),
+        anchor_position=tuple(initial[spec.vertex_set[0]]),
+    )
     trace = result.formation
     dt = config.params.dt
     snapshots = {}
@@ -300,6 +287,15 @@ def _report_from_pipeline(result: PipelineResult, config: FormationConfig,
         step = int(round(t / dt))
         if step in trace.snapshot_steps:
             snapshots[t] = trace.snapshots[trace.snapshot_steps.index(step)]
+
+    other = "S1" if arguments["est_config"].strategy == "S2" else "S2"
+    other_config = replace(cfg, est_strategy=other).estimator_config(max(config.n_s))
+    other_estimates = [
+        run_estimation(seg.cardinality, other_config,
+                       initial[list(seg.members)] - initial[seg.anchor]).estimate
+        for seg in config.segments
+    ]
+
     final = trace.final_state
     vertex_speeds = np.linalg.norm(
         final.velocities[list(config.spec.vertex_set)], axis=1
@@ -321,98 +317,5 @@ def _report_from_pipeline(result: PipelineResult, config: FormationConfig,
         rho_chain=spectral_radius(
             build_formation_matrix(max(config.n_s), config.params).dense
         ),
+        extra_estimates={other: other_estimates},
     )
-
-
-def scenario_hexagon(
-    seed: int,
-    *,
-    horizon_seconds: float = 150.0,
-    initial_box: float = 5.0,
-    stride: int = 50,
-    error_tolerance: float = 1e-2,
-) -> ScenarioReport:
-    """120-robot hexagon: estimation per chain, then formation.
-
-    Formation gains are alpha = 0.5, dt = 0.05; the estimation phase runs
-    at bound-scaled gains so every 20-robot chain is provably stable.
-    Snapshot states are kept at t = 0, 50, 100, 150 s when inside the
-    horizon.  Note the formation chain here has spectral radius about
-    0.9985, so the transient dies out over several hundred simulated
-    seconds; at the default 150 s horizon the report simply records how
-    far the errors got.
-    """
-    ring = RingTopology(120)
-    spec = PolygonSpec(vertex_set=HEXAGON_VERTICES, r_star=np.array(HEXAGON_R_STAR))
-    form_params = EstimationParams(alpha=0.5, dt=0.05)
-    est_params = scaled_params(20, dt=0.05)
-    window = auto_stop_window(20, est_params, "S2")
-    est_config = EstimatorConfig(
-        params=est_params, strategy="S2", stop_window=window,
-        max_steps=window + 40000,
-    )
-    horizon = int(round(horizon_seconds / form_params.dt))
-    result = run_pipeline(
-        ring, spec, est_config, form_params, seed,
-        sigma=1, horizon=horizon, initial_box=initial_box,
-        error_tolerance=error_tolerance, stride=stride,
-    )
-    config = FormationConfig(
-        ring=ring, spec=spec, params=form_params, sigma=1,
-        n_s=tuple(result.estimates),
-        anchor_position=tuple(result.initial_state.positions[spec.vertex_set[0]]),
-    )
-    return _report_from_pipeline(result, config, (0.0, 50.0, 100.0, 150.0))
-
-
-def scenario_triangle(
-    seed: int,
-    *,
-    horizon_seconds: float = 120.0,
-    initial_box: float = 3.0,
-    stride: int = 10,
-    error_tolerance: float = 1e-2,
-) -> ScenarioReport:
-    """7-robot triangle: both estimation strategies, then formation.
-
-    Estimation runs at alpha = 0.1, dt = 1 with each strategy (the lagged
-    one sits above its sufficient bound at the 3-robot chain but remains
-    Schur); formation runs at alpha = 0.3, dt = 0.2.  The pipeline's
-    formation phase uses the S2 estimates; the S1 estimates are recorded
-    alongside for comparison.
-    """
-    ring = RingTopology(7)
-    spec = PolygonSpec(vertex_set=TRIANGLE_VERTICES, r_star=np.array(TRIANGLE_R_STAR))
-    est_params = EstimationParams(alpha=0.1, dt=1.0)
-    form_params = EstimationParams(alpha=0.3, dt=0.2)
-    window = auto_stop_window(3, est_params, "S2")
-    est_s2 = EstimatorConfig(params=est_params, strategy="S2",
-                             stop_window=window, max_steps=20000)
-    horizon = int(round(horizon_seconds / form_params.dt))
-    result = run_pipeline(
-        ring, spec, est_s2, form_params, seed,
-        sigma=1, horizon=horizon, initial_box=initial_box,
-        error_tolerance=error_tolerance, stride=stride,
-    )
-
-    # Rerun phase 1 with the latest-measurement strategy on the same
-    # placement for the side-by-side comparison.
-    window1 = auto_stop_window(3, est_params, "S1")
-    est_s1 = EstimatorConfig(params=est_params, strategy="S1",
-                             stop_window=window1, max_steps=20000)
-    initial_positions = result.initial_state.positions
-    segments = cut_ring(ring, spec)
-    estimates_s1 = []
-    for seg in segments:
-        relative = initial_positions[list(seg.members)] - initial_positions[seg.anchor]
-        trace = run_estimation(seg.cardinality, est_s1, relative)
-        estimates_s1.append(trace.estimate)
-
-    config = FormationConfig(
-        ring=ring, spec=spec, params=form_params, sigma=1,
-        n_s=tuple(result.estimates),
-        anchor_position=tuple(initial_positions[spec.vertex_set[0]]),
-    )
-    report = _report_from_pipeline(result, config, (0.0, 50.0, 100.0))
-    report.extra_estimates["S1"] = estimates_s1
-    return report

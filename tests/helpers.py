@@ -3,10 +3,23 @@
 Everything here recomputes expected values by a route different from the
 library code under test: explicit matrix iterations for the simulators,
 per-mode polynomial roots for spectral radii, and dense inverses for the
-closed-form gains.
+closed-form gains.  ``shipped_config`` loads the scenario configs from
+the repository's ``configs/`` directory.
 """
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
+
+from ringform.cli import load_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def shipped_config(name, **overrides):
+    """``configs/<name>.yaml`` parsed by the CLI loader, fields overridden."""
+    return replace(load_config(CONFIGS / f"{name}.yaml"), **overrides)
 
 
 def iterate_estimator(matrices, initial_positions, excitation, steps):

@@ -20,6 +20,7 @@ from helpers import (
     iterate_formation_chain,
     iterate_lagged_estimator,
     lu_determinant,
+    shipped_config,
 )
 from ringform.cli import EXIT_OK, main
 from ringform.core import SwarmState, make_generator, uniform_box
@@ -33,8 +34,7 @@ from ringform.estimation import (
 from ringform.formation import FormationConfig, step_formation
 from ringform.harness import (
     auto_stop_window,
-    scenario_hexagon,
-    scenario_triangle,
+    scenario_report,
     sensitivity_curves,
     sweep_convergence,
 )
@@ -247,7 +247,9 @@ def test_criterion_06_hexagon_scenario():
     started = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = scenario_hexagon(seed=7, horizon_seconds=150.0)
+        # configs/hexagon.yaml cut to a 150 s horizon
+        report = scenario_report(shipped_config("hexagon", seed=7, max_steps=3000),
+                                 (0.0, 50.0, 100.0, 150.0))
     elapsed = time.perf_counter() - started
     ok = (
         report.pipeline.estimates == [20] * 6
@@ -274,7 +276,7 @@ def test_criterion_07_triangle_scenario():
     with the cascade prediction up to the anchor translation."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = scenario_triangle(seed=13)
+        report = scenario_report(shipped_config("triangle", seed=13), (0.0, 50.0, 100.0))
     prediction = np.array(
         [
             [-0.5, 1.0],

@@ -1,19 +1,26 @@
+import copy
 import json
 import warnings
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
+from helpers import CONFIGS
 from ringform.cli import (
+    _FIELDS,
     ConfigError,
     EXIT_CONFIG,
     EXIT_DIVERGED,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
+    MODES,
+    RunConfig,
     load_config,
     main,
     parse_config,
+    write_resolved_config,
 )
 
 TRIANGLE = {
@@ -35,6 +42,39 @@ def write_config(tmp_path, mapping, name="run.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(mapping))
     return path
+
+
+def with_value(mapping, path, value):
+    """Deep copy of ``mapping`` with the dotted ``path`` set to ``value``."""
+    out = copy.deepcopy(mapping)
+    *sections, key = path.split(".")
+    node = out
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[key] = value
+    return out
+
+
+# (field path, bad value): each must give exit 2 naming the path.
+PROBES = [
+    ("sigma", 1.7),
+    ("sweep.scale_per_n", "no"),
+    ("seed", True),
+    ("max_steps", 1.9),
+    ("topology.n_total", "abc"),
+    ("topology.vertex_set", ["a", 2, 5]),
+    ("topology.vertex_set", [0, 2, 7]),  # index 7 is outside the 7-robot ring
+    ("excitation", ["a", 0]),
+    ("r_star", [["x", -2.0], [2.0, 2.0], [-3.0, 0.0]]),
+    ("tolerances.closure", "x"),
+    ("sweep.n_min", "x"),
+    ("initial_box", float("inf")),
+    ("alpha", 20),  # beta = 20 * 0.2 / 2 = 2
+    ("estimation.alpha", 5),  # estimation beta = 5 * 1.0 / 2 = 2.5
+    ("estimation.stop_window", 1),
+    ("estimation.max_steps", "x"),
+    ("estimation.alpha", "x"),
+]
 
 
 class TestConfigValidation:
@@ -91,6 +131,63 @@ class TestConfigValidation:
         code = main(["estimate", "--config", str(path)])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("path,value", PROBES, ids=[f"{p}={v!r}" for p, v in PROBES])
+    def test_bad_value_exits_with_field_path(self, tmp_path, capsys, path, value):
+        config = write_config(tmp_path, with_value(TRIANGLE, path, value))
+        code = main(["pipeline", "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        # the cross-field gain rule for phase 1 names its section
+        expected = "estimation" if (path, value) == ("estimation.alpha", 5) else path
+        assert f"config error: {expected}:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--stride", "0")])
+    def test_bad_override_is_config_error(self, tmp_path, capsys, flag, value):
+        path = write_config(tmp_path, TRIANGLE)
+        code = main(["pipeline", "--config", str(path), flag, value])
+        assert code == EXIT_CONFIG
+        assert f"config error: {flag[2:]}:" in capsys.readouterr().err
+
+
+def _apply(mapping, changes):
+    for path, value in changes:
+        mapping = with_value(mapping, path, value)
+    return mapping
+
+
+# Every key of the field table, so generated mappings hit real fields,
+# and values at the edges of each parser's domain.
+KEYS = sorted({part for path in _FIELDS for part in path})
+EDGES = (None, True, False, 0, -1, 1, 2, 2 ** 64, 10 ** 400, 0.5, 1e-300, 1e300,
+         float("inf"), float("nan"), "", "x", "S1", "S2") + MODES
+SCALARS = st.sampled_from(EDGES) | st.integers() | st.floats() | st.text(max_size=4)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3),
+                                     inner, max_size=4)),
+    max_leaves=12,
+)
+EDGE_VALUES = st.sampled_from(EDGES) | st.lists(st.sampled_from(EDGES), max_size=3)
+MAPPINGS = st.one_of(
+    st.dictionaries(st.sampled_from(KEYS), VALUES, max_size=8),
+    # the triangle config with up to three fields changed
+    st.lists(st.tuples(st.sampled_from(sorted(".".join(p) for p in _FIELDS)), EDGE_VALUES),
+             max_size=3).map(lambda changes: _apply(TRIANGLE, changes)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MAPPINGS)
+@example({"mode": "sweep", "alpha": 10 ** 400})  # int beyond float range
+@example({"mode": "pipeline", "topology": [7]})
+def test_any_mapping_parses_or_raises_config_error(raw):
+    try:
+        assert isinstance(parse_config(raw), RunConfig)
+    except ConfigError:
+        pass
+
 
 @pytest.fixture(scope="module")
 def triangle_out(tmp_path_factory):
@@ -138,12 +235,13 @@ class TestPipelineRun:
         assert "wall_time_s" in manifest
         assert "estimate.csv" in manifest["outputs"]
 
-    def test_resolved_config_round_trips(self, triangle_out):
-        _, out = triangle_out
-        resolved = yaml.safe_load((out / "resolved_config.yaml").read_text())
-        assert resolved["mode"] == "pipeline"
-        assert resolved["topology"]["vertex_set"] == [0, 2, 5]
-        assert resolved["estimation"]["strategy"] == "S2"
+    @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.yaml")),
+                             ids=lambda path: path.stem)
+    def test_resolved_config_round_trips(self, tmp_path, config):
+        cfg = load_config(config)
+        write_resolved_config(tmp_path, cfg)
+        resolved = (tmp_path / "resolved_config.yaml").read_text()
+        assert parse_config(yaml.safe_load(resolved)) == cfg
 
 
 class TestDeterminism:
@@ -223,6 +321,23 @@ class TestOtherModes:
         lines = (tmp_path / "out" / "estimate.csv").read_text().splitlines()
         assert lines[0].startswith("step,")
         assert len(lines) > 1
+
+    def test_pipeline_estimation_divergence_exit(self, tmp_path, capsys):
+        # beta = 0.95 makes the phase-1 chains blow up; the partial chain
+        # trace lands in estimate.csv and formation never starts.
+        cfg = dict(TRIANGLE, output_dir=str(tmp_path / "out"),
+                   estimation={"alpha": 1.9, "dt": 1.0, "strategy": "S1"})
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["pipeline", "--config", str(path)])
+        assert code == EXIT_DIVERGED
+        assert "diverged" in capsys.readouterr().err
+        lines = (tmp_path / "out" / "estimate.csv").read_text().splitlines()
+        assert lines[0] == "step,chain_id,ratio,estimate_raw,estimate_rounded,converged"
+        steps = [int(line.split(",")[0]) for line in lines[1:]]
+        assert steps == list(range(1, len(steps) + 1)) and steps
+        assert not (tmp_path / "out" / "trace.csv").exists()
 
     def test_spectral_mode(self, tmp_path):
         cfg = {

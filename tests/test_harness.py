@@ -3,11 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import shipped_config
 from ringform.harness import (
     auto_stop_window,
     scaled_params,
-    scenario_hexagon,
-    scenario_triangle,
+    scenario_report,
     sensitivity_curves,
     sweep_convergence,
     SweepError,
@@ -45,17 +45,12 @@ class TestSweep:
         b = sweep_convergence((5, 7), reps=2, scale_per_n=True, seed=5)
         assert a.rows == b.rows
 
-    def test_threads_do_not_change_results(self):
-        serial = sweep_convergence((5, 7), reps=2, scale_per_n=True, seed=2)
-        threaded = sweep_convergence(
-            (5, 7), reps=2, scale_per_n=True, seed=2, threads=4
-        )
-        assert serial.rows == threaded.rows
-
-    def test_threads_env_variable_is_read(self, monkeypatch):
-        monkeypatch.setenv("RINGFORM_THREADS", "2")
-        result = sweep_convergence((5, 6), reps=1, scale_per_n=True, seed=3)
-        assert all(row.all_correct for row in result.rows)
+    def test_cells_reproduce_in_isolation(self):
+        # placements are keyed by (seed, cell, rep), so a cell's row does
+        # not depend on which other cells the sweep runs
+        alone = sweep_convergence((6, 6), reps=2, scale_per_n=True, seed=2)
+        within = sweep_convergence((5, 7), reps=2, scale_per_n=True, seed=2)
+        assert alone.rows == [row for row in within.rows if row.n == 6]
 
     def test_strict_mode_raises_on_miss(self):
         # a max_steps too small for the window guarantees a non-converged cell
@@ -107,11 +102,15 @@ class TestSensitivity:
         assert tv[curve.more_sensitive] >= tv[other]
 
 
+TRIANGLE_TIMES = (0.0, 50.0, 100.0)
+HEXAGON_TIMES = (0.0, 50.0, 100.0, 150.0)
+
+
 class TestTriangleScenario:
     def test_full_story(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            report = scenario_triangle(seed=13)
+            report = scenario_report(shipped_config("triangle", seed=13), TRIANGLE_TIMES)
         assert report.pipeline.estimates == [2, 3, 2]
         assert report.extra_estimates["S1"] == [2, 3, 2]
         assert report.max_error_final < 1e-2
@@ -123,8 +122,9 @@ class TestTriangleScenario:
     def test_determinism(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            a = scenario_triangle(seed=4)
-            b = scenario_triangle(seed=4)
+            cfg = shipped_config("triangle", seed=4)
+            a = scenario_report(cfg, TRIANGLE_TIMES)
+            b = scenario_report(cfg, TRIANGLE_TIMES)
         np.testing.assert_array_equal(
             a.pipeline.formation.final_state.positions,
             b.pipeline.formation.final_state.positions,
@@ -141,7 +141,8 @@ class TestHexagonScenario:
         # enough horizon.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            report = scenario_hexagon(seed=7, horizon_seconds=900.0)
+            # the shipped config's horizon is 900 s
+            report = scenario_report(shipped_config("hexagon", seed=7), HEXAGON_TIMES)
         assert report.pipeline.estimates == [20] * 6
         assert report.max_error_final < 1e-2
         assert report.max_vertex_speed_final < 1e-4
@@ -157,6 +158,7 @@ class TestHexagonScenario:
     def test_snapshots_present_at_reference_times(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            report = scenario_hexagon(seed=3, horizon_seconds=150.0)
+            report = scenario_report(shipped_config("hexagon", seed=3, max_steps=3000),
+                                     HEXAGON_TIMES)
         assert set(report.snapshots) == {0.0, 50.0, 100.0, 150.0}
         assert not report.pipeline.formation.converged
