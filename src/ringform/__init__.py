@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .core import DivergenceError, StabilityWarning, SwarmState, make_generator, uniform_box
 from .estimation import (
-    ChainSimState,
     EstimateTrace,
     EstimatorConfig,
     readout,

@@ -41,7 +41,7 @@ from .harness import (
     SweepError,
 )
 from .spectral import EstimationParams, spectral_report
-from .topology import PolygonSpec, RingTopology, cut_ring, validate_polygon_closure
+from .topology import CLOSURE_TOL, PolygonSpec, RingTopology, cut_ring, validate_polygon_closure
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -156,8 +156,9 @@ class RunConfig:
                                      "must be >= 1")
     est_stop_window: int | None = _opt("estimation.stop_window", _int, None,
                                        lambda x: x >= 2, "must be >= 2")
-    closure_tolerance: float = _opt("tolerances.closure", _float, 1e-9, lambda x: x >= 0,
-                                    "must be >= 0")
+    closure_tolerance: float = _opt("tolerances.closure", _float, CLOSURE_TOL,
+                                    lambda x: 0 <= x <= CLOSURE_TOL,
+                                    f"must lie in [0, {CLOSURE_TOL}]")
     formation_tolerance: float = _opt("tolerances.formation_error", _float, 1e-2, _positive,
                                       "must be positive")
     sweep_n_min: int = _opt("sweep.n_min", _int, 5, lambda x: x >= 2, "must be >= 2")
@@ -294,7 +295,11 @@ def load_config(path: str | Path) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text())
+        text = path.read_text(encoding="utf-8")
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    try:
+        raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     return parse_config(raw if raw is not None else {})
@@ -418,11 +423,14 @@ def _write_formation(out_dir: Path, outputs: list[str], trace: FormationTrace) -
 
 
 def _diverged(err: DivergenceError, out_dir: Path, outputs: list[str]) -> int:
-    """Flush the partial trace of whichever phase diverged, then report."""
-    if isinstance(err.partial, EstimateTrace):
-        _write_estimates(out_dir, outputs, [err.partial])
-    elif err.partial is not None:
-        _write_formation(out_dir, outputs, err.partial)
+    """Flush the partial trace(s) of whichever phase diverged, then report."""
+    partial = err.partial
+    if isinstance(partial, EstimateTrace):
+        partial = [partial]
+    if isinstance(partial, list):
+        _write_estimates(out_dir, outputs, partial)
+    elif partial is not None:
+        _write_formation(out_dir, outputs, partial)
     print(f"ringform: {err}", file=sys.stderr)
     return EXIT_DIVERGED
 

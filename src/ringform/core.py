@@ -58,18 +58,32 @@ def check_finite(values: np.ndarray, step: int, label: str) -> None:
         )
 
 
+def midpoint_law(q: np.ndarray, vlag: np.ndarray, alpha: float) -> np.ndarray:
+    """New velocities of rows 1..-2: chase the neighbours' midpoint, average
+    their (possibly lagged) velocities.
+
+    Rows 0 and -1 of ``q`` and ``vlag`` are only read, as the outer
+    neighbours of rows 1 and -2: the wrapped ring ends, or a chain's anchor
+    and virtual robot.
+    """
+    return 0.5 * alpha * (q[2:] + q[:-2] - 2.0 * q[1:-1]) + 0.5 * (vlag[2:] + vlag[:-2])
+
+
 @dataclass
 class SwarmState:
     """Positions and velocities of every robot at one synchronous step.
 
     ``velocities_prev`` is the one-step-old layer needed by the lagged
-    (sigma = 2) update; it is all zeros at step 0.
+    (sigma = 2, S2) update; it is all zeros at step 0.  An estimator chain
+    (see ``chain``) also carries ``excitation``, the virtual robot's
+    velocity at the current step; its position never leaves the origin.
     """
 
     positions: np.ndarray
     velocities: np.ndarray
     velocities_prev: np.ndarray = field(default=None)  # type: ignore[assignment]
     step: int = 0
+    excitation: np.ndarray | None = None
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
@@ -81,15 +95,27 @@ class SwarmState:
         if self.positions.shape != self.velocities.shape:
             raise ValueError("positions and velocities must have matching shape")
 
+    @property
+    def n_prime(self) -> int:
+        """Chain order: the rows after the anchor (row 0) of a chain state."""
+        return self.positions.shape[0] - 1
+
     @classmethod
     def at_rest(cls, positions: np.ndarray) -> "SwarmState":
         positions = np.asarray(positions, dtype=float)
         return cls(positions=positions, velocities=np.zeros_like(positions))
 
-    def copy(self) -> "SwarmState":
-        return SwarmState(
-            positions=self.positions.copy(),
-            velocities=self.velocities.copy(),
-            velocities_prev=self.velocities_prev.copy(),
-            step=self.step,
-        )
+    @classmethod
+    def chain(cls, n_prime, initial_positions=None, excitation=(1.0, 0.0)) -> "SwarmState":
+        """Estimator chain at rest: anchor at the origin in row 0, then n' robots."""
+        positions = np.zeros((n_prime + 1, 2))
+        if initial_positions is not None:
+            initial_positions = np.asarray(initial_positions, dtype=float)
+            if initial_positions.shape != (n_prime, 2):
+                raise ValueError(
+                    f"initial_positions must have shape ({n_prime}, 2), "
+                    f"got {initial_positions.shape}"
+                )
+            positions[1:] = initial_positions
+        return cls(positions=positions, velocities=np.zeros_like(positions),
+                   excitation=np.array(excitation, dtype=float))

@@ -17,12 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DivergenceError, StabilityWarning, check_finite, make_generator, uniform_box
-from .spectral import (
-    EstimationParams,
-    s1_recursion_roots,
-    stability_bound,
+from .core import (
+    DivergenceError,
+    StabilityWarning,
+    SwarmState,
+    check_finite,
+    make_generator,
+    midpoint_law,
+    uniform_box,
 )
+from .spectral import EstimationParams, s1_readout_frame, stability_bound
 
 
 @dataclass(frozen=True)
@@ -46,82 +50,71 @@ class EstimatorConfig:
             raise ValueError("excitation must be non-zero")
 
 
-@dataclass
-class ChainSimState:
-    """Chain state at one step.
-
-    Index 0 is the anchor, pinned at the origin; rows 1..n' are the movable
-    robots.  ``excitation`` is the virtual robot's velocity at the current
-    step; its position never leaves the origin.
-    """
-
-    positions: np.ndarray
-    velocities: np.ndarray
-    velocities_prev: np.ndarray
-    excitation: np.ndarray
-    step: int = 0
-
-    @property
-    def n_prime(self) -> int:
-        return self.positions.shape[0] - 1
-
-    @classmethod
-    def initial(cls, n_prime, initial_positions=None, excitation=(1.0, 0.0)):
-        positions = np.zeros((n_prime + 1, 2))
-        if initial_positions is not None:
-            initial_positions = np.asarray(initial_positions, dtype=float)
-            if initial_positions.shape != (n_prime, 2):
-                raise ValueError(
-                    f"initial_positions must have shape ({n_prime}, 2), "
-                    f"got {initial_positions.shape}"
-                )
-            positions[1:] = initial_positions
-        return cls(
-            positions=positions,
-            velocities=np.zeros((n_prime + 1, 2)),
-            velocities_prev=np.zeros((n_prime + 1, 2)),
-            excitation=np.asarray(excitation, dtype=float).copy(),
-        )
-
-
-def step_estimator(state: ChainSimState, config: EstimatorConfig) -> ChainSimState:
-    """One synchronous estimator step; returns the successor state.
+def step_estimator(state: SwarmState, config: EstimatorConfig) -> SwarmState:
+    """One synchronous estimator step on a ``SwarmState.chain``; returns the
+    successor state.
 
     All new velocities are computed from the step-k snapshot (S1 reads the
     current neighbour velocities, S2 the one-step-old layer; the excitation
     always enters at its current value), then positions integrate the old
     velocities and the excitation flips sign.
     """
-    alpha = config.params.alpha
-    dt = config.params.dt
     q = state.positions
     v = state.velocities
-    n_prime = state.n_prime
     vlag = v if config.strategy == "S1" else state.velocities_prev
 
-    # Neighbour stacks for movable robots 1..n'; the far end sees the
-    # origin-pinned virtual robot and its excitation velocity.
-    q_next = np.vstack([q[2:], np.zeros((1, 2))])
-    q_prev = q[:-1]
-    v_next = np.vstack([vlag[2:], state.excitation[None, :]])
-    v_prev = vlag[:-1]
-
+    # The far end sees the origin-pinned virtual robot and its excitation.
     new_v = np.zeros_like(v)
-    new_v[1:] = 0.5 * alpha * (q_next + q_prev - 2.0 * q[1:]) + 0.5 * (v_next + v_prev)
+    new_v[1:] = midpoint_law(
+        np.vstack([q, np.zeros((1, 2))]),
+        np.vstack([vlag, state.excitation[None, :]]),
+        config.params.alpha,
+    )
 
     new_q = q.copy()
-    new_q[1:] += dt * v[1:]
+    new_q[1:] += config.params.dt * v[1:]
 
     check_finite(new_q, state.step + 1, "chain positions")
     check_finite(new_v, state.step + 1, "chain velocities")
 
-    return ChainSimState(
+    return SwarmState(
         positions=new_q,
         velocities=new_v,
         velocities_prev=v,
-        excitation=-state.excitation,
         step=state.step + 1,
+        excitation=-state.excitation,
     )
+
+
+def _chain_steps(initial_positions: np.ndarray, config: EstimatorConfig, steps: int):
+    """Run one chain in place; yields ``(step, q, v)`` after each step.
+
+    The buffers have n' + 2 rows: the anchor, the n' movable robots, then
+    the virtual robot, whose position stays the origin and whose velocity
+    row is set to the excitation just before each update.  They are
+    overwritten by the next step.  Positions are checked every 64 steps;
+    callers check whatever else they read.
+    """
+    n = initial_positions.shape[0]
+    alpha = config.params.alpha
+    dt = config.params.dt
+    s1 = config.strategy == "S1"
+    q = np.zeros((n + 2, 2))
+    q[1:n + 1] = initial_positions
+    v = np.zeros((n + 2, 2))
+    v_prev = np.zeros((n + 2, 2))
+    exc = np.asarray(config.excitation_init, dtype=float)
+    for step in range(1, steps + 1):
+        vlag = v if s1 else v_prev
+        vlag[n + 1] = exc
+        new_movable = midpoint_law(q, vlag, alpha)
+        q[1:n + 1] += dt * v[1:n + 1]
+        v_prev, v = v, v_prev
+        v[1:n + 1] = new_movable
+        exc = -exc
+        if step % 64 == 0:
+            check_finite(q[:n + 1], step, "chain positions")
+        yield step, q, v
 
 
 def readout(ratio: float, beta: float, strategy: str) -> float:
@@ -132,11 +125,7 @@ def readout(ratio: float, beta: float, strategy: str) -> float:
     simply means the oscillation has not settled yet.
     """
     if strategy == "S1":
-        rho1, rho2 = s1_recursion_roots(beta)
-        f1 = 1.0 / (1.0 + beta)
-        f2 = (1.0 + beta) / ((1.0 + beta) ** 2 - (1.0 - beta) ** 2 / 4.0)
-        fb1 = (f1 - rho1) / (f1 - rho2)
-        fb2 = (f2 - rho1) / (f2 - rho2)
+        rho1, rho2, fb1, fb2 = s1_readout_frame(beta)
         f = 2.0 * ratio
         den = f - rho2
         if den == 0.0:
@@ -214,22 +203,11 @@ def run_estimation(
                 f"got {initial_positions.shape}"
             )
 
-    # Hot loop on extended buffers (row 0 anchor, rows 1..n' movable, last
-    # row scratch for the virtual robot); arithmetic is expression-for-
-    # expression the one in step_estimator, so the two paths agree bitwise.
     n = n_prime_true
-    alpha = config.params.alpha
-    dt = config.params.dt
     beta = config.params.beta
-    s1 = config.strategy == "S1"
     W = config.stop_window
-
-    q = np.zeros((n + 2, 2))
-    q[1:n + 1] = initial_positions
-    v = np.zeros((n + 2, 2))
-    v_prev = np.zeros((n + 2, 2))
-    exc = np.asarray(config.excitation_init, dtype=float).copy()
-    exc_norm = math.sqrt(exc[0] * exc[0] + exc[1] * exc[1])
+    exc_x, exc_y = (float(e) for e in config.excitation_init)
+    exc_norm = math.sqrt(exc_x * exc_x + exc_y * exc_y)
 
     steps, ratios, raws, roundeds = [], [], [], []
     trace = EstimateTrace(strategy=config.strategy, n_prime_true=n_prime_true)
@@ -244,28 +222,13 @@ def run_estimation(
     streak_length = 0
 
     try:
-        for step in range(1, config.max_steps + 1):
-            vlag = v if s1 else v_prev
-            vlag[n + 1] = exc
-            new_movable = (
-                0.5 * alpha * (q[2:] + q[:-2] - 2.0 * q[1:-1])
-                + 0.5 * (vlag[2:] + vlag[:-2])
-            )
-            q[1:n + 1] += dt * v[1:n + 1]
-            v_prev, v = v, v_prev
-            v[0] = 0.0
-            v[1:n + 1] = new_movable
-            v[n + 1] = 0.0
-            exc = -exc
-
+        for step, q, v in _chain_steps(initial_positions, config, config.max_steps):
             tail_x = v[n, 0]
             tail_y = v[n, 1]
             ratio = math.sqrt(tail_x * tail_x + tail_y * tail_y) / exc_norm
             if not math.isfinite(ratio):
                 check_finite(q[:n + 1], step, "chain positions")
                 check_finite(v[:n + 1], step, "chain velocities")
-            if step % 64 == 0:
-                check_finite(q[:n + 1], step, "chain positions")
             raw = readout(ratio, beta, config.strategy)
             finite = math.isfinite(raw)
             rounded = _round_half_up(raw) if finite else math.nan
@@ -308,17 +271,13 @@ def run_estimation(
                 trace.steps_to_convergence = step
                 break
     except DivergenceError as err:
+        err.partial = trace
+        raise
+    finally:
         trace.steps = np.array(steps, dtype=int)
         trace.ratios = np.array(ratios)
         trace.raw = np.array(raws)
         trace.rounded = np.array(roundeds)
-        err.partial = trace
-        raise
-
-    trace.steps = np.array(steps, dtype=int)
-    trace.ratios = np.array(ratios)
-    trace.raw = np.array(raws)
-    trace.rounded = np.array(roundeds)
     return trace
 
 
@@ -336,13 +295,11 @@ def steady_velocity_ratio(
     per-step ratio change stays below ``settle_tol`` for ``settle_steps``
     consecutive steps.
     """
-    state = ChainSimState.initial(n_prime, None, config.excitation_init)
-    excitation_norm = float(np.linalg.norm(state.excitation))
+    excitation_norm = float(np.linalg.norm(config.excitation_init))
     previous = math.inf
     quiet = 0
-    for _ in range(max_steps):
-        state = step_estimator(state, config)
-        ratio = float(np.linalg.norm(state.velocities[-1])) / excitation_norm
+    for _, _, v in _chain_steps(np.zeros((n_prime, 2)), config, max_steps):
+        ratio = float(np.linalg.norm(v[n_prime])) / excitation_norm
         if abs(ratio - previous) < settle_tol:
             quiet += 1
             if quiet >= settle_steps:
@@ -351,3 +308,4 @@ def steady_velocity_ratio(
             quiet = 0
         previous = ratio
     return previous
+

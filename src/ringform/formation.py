@@ -19,6 +19,7 @@ from .core import (
     SwarmState,
     check_finite,
     make_generator,
+    midpoint_law,
     uniform_box,
 )
 from .estimation import EstimatorConfig, EstimateTrace, run_estimation
@@ -99,25 +100,23 @@ def step_formation(state: SwarmState, config: FormationConfig) -> SwarmState:
     zero velocity, so its position never changes.
     """
     alpha = config.params.alpha
-    dt = config.params.dt
     q = state.positions
     v = state.velocities
     vlag = v if config.sigma == 1 else state.velocities_prev
 
-    q_prev = np.roll(q, 1, axis=0)
-    q_next = np.roll(q, -1, axis=0)
-    v_prev = np.roll(vlag, 1, axis=0)
-    v_next = np.roll(vlag, -1, axis=0)
+    # Wrapped ring: padded row i + 1 is robot i, padded row i its predecessor.
+    q_ring = np.concatenate([q[-1:], q, q[:1]])
+    v_ring = np.concatenate([vlag[-1:], vlag, vlag[:1]])
+    new_v = midpoint_law(q_ring, v_ring, alpha)
 
-    new_v = 0.5 * alpha * (q_next + q_prev - 2.0 * q) + 0.5 * (v_next + v_prev)
-
-    vertices = config.spec.vertex_set
-    for j in range(1, config.spec.m):
-        i = vertices[j]
-        new_v[i] = alpha * (q_prev[i] - q[i] - config.l_star[j - 1]) + v_prev[i]
+    vertices = np.array(config.spec.vertex_set)
+    tracking = vertices[1:]
+    new_v[tracking] = (
+        alpha * (q_ring[tracking] - q[tracking] - config.l_star[:-1]) + v_ring[tracking]
+    )
     new_v[vertices[0]] = 0.0
 
-    new_q = q + dt * v
+    new_q = q + config.params.dt * v
 
     check_finite(new_q, state.step + 1, "ring positions")
     check_finite(new_v, state.step + 1, "ring velocities")
@@ -132,12 +131,9 @@ def step_formation(state: SwarmState, config: FormationConfig) -> SwarmState:
 
 def relative_distance_errors(state: SwarmState, spec: PolygonSpec) -> np.ndarray:
     """Per-edge formation error: ||(q_vertex_i - q_vertex_{i+1}) - r*_i||."""
+    vertices = np.array(spec.vertex_set)
     q = state.positions
-    vertices = spec.vertex_set
-    m = spec.m
-    diffs = np.array(
-        [q[vertices[i]] - q[vertices[(i + 1) % m]] for i in range(m)]
-    )
+    diffs = q[vertices] - q[np.roll(vertices, -1)]
     return np.linalg.norm(diffs - spec.r_star, axis=1)
 
 
@@ -187,7 +183,8 @@ def run_formation(
 ) -> FormationTrace:
     """Run the ring for ``horizon`` steps, recording errors every step.
 
-    Snapshots are kept every ``stride`` steps plus the final step.  The
+    Snapshots, kept every ``stride`` steps plus the final step, are the
+    (never mutated) states themselves, starting with ``initial``.  The
     trace is flagged converged when the largest edge error at the final
     step is below ``error_tolerance``.
     """
@@ -212,7 +209,7 @@ def run_formation(
         )
 
     trace = FormationTrace(dt=config.params.dt, tolerance=error_tolerance)
-    state = initial.copy()
+    state = initial
     error_steps = []
     errors = []
 
@@ -222,7 +219,7 @@ def run_formation(
         errors.append(e)
         if current.step % stride == 0 or current.step == horizon:
             trace.snapshot_steps.append(current.step)
-            trace.snapshots.append(current.copy())
+            trace.snapshots.append(current)
         if trace.first_step_within_tol is None and e.max() < error_tolerance:
             trace.first_step_within_tol = current.step
 
@@ -252,6 +249,7 @@ class PipelineResult:
     estimate_traces: list[EstimateTrace]
     formation: FormationTrace
     initial_state: SwarmState
+    config: FormationConfig
 
 
 def run_pipeline(
@@ -273,7 +271,8 @@ def run_pipeline(
     starting from the actual relative positions of the segment members.
     Phase 2 refuses to start unless every estimate converged to its
     segment's true cardinality, then runs the ring from the same initial
-    placement using the estimated sizes.
+    placement using the estimated sizes.  A ``DivergenceError`` in phase 1
+    carries the traces of every chain run so far as its ``partial`` list.
     """
     rng = make_generator(seed, 0)
     initial_positions = uniform_box(rng, ring.n_total, initial_box)
@@ -284,7 +283,11 @@ def run_pipeline(
     estimates = []
     for seg in segments:
         relative = initial_positions[list(seg.members)] - initial_positions[seg.anchor]
-        trace = run_estimation(seg.cardinality, est_config, relative)
+        try:
+            trace = run_estimation(seg.cardinality, est_config, relative)
+        except DivergenceError as err:
+            err.partial = traces + [err.partial]
+            raise
         traces.append(trace)
         estimates.append(trace.estimate)
 
@@ -317,4 +320,5 @@ def run_pipeline(
         estimate_traces=traces,
         formation=formation,
         initial_state=initial,
+        config=config,
     )

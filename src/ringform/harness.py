@@ -273,13 +273,8 @@ def scenario_report(cfg, snapshot_times: tuple[float, ...]) -> ScenarioReport:
     """
     arguments = cfg.pipeline_arguments()
     result = run_pipeline(**arguments)
-    spec = arguments["spec"]
+    config = result.config
     initial = result.initial_state.positions
-    config = FormationConfig(
-        ring=arguments["ring"], spec=spec, params=arguments["form_params"],
-        sigma=arguments["sigma"], n_s=tuple(result.estimates),
-        anchor_position=tuple(initial[spec.vertex_set[0]]),
-    )
     trace = result.formation
     dt = config.params.dt
     snapshots = {}

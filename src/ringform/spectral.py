@@ -277,6 +277,17 @@ def s1_recursion_roots(beta: float) -> tuple[float, float]:
     return 2.0 / (1.0 - sb) ** 2, 2.0 / (1.0 + sb) ** 2
 
 
+def s1_readout_frame(beta: float) -> tuple[float, float, float, float]:
+    """``(rho1, rho2, fb1, fb2)``: the recursion roots and the root-distance
+    ratios of the S1 gain at orders 1 and 2, the frame of its log readout."""
+    rho1, rho2 = s1_recursion_roots(beta)
+    f1 = 1.0 / (1.0 + beta)
+    f2 = (1.0 + beta) / ((1.0 + beta) ** 2 - (1.0 - beta) ** 2 / 4.0)
+    fb1 = (f1 - rho1) / (f1 - rho2)
+    fb2 = (f2 - rho1) / (f2 - rho2)
+    return rho1, rho2, fb1, fb2
+
+
 def readout_matrix(d: int, beta: float, strategy: str) -> np.ndarray:
     """Order-d steady-state system matrix for the given strategy."""
     _require_strategy(strategy)
@@ -343,11 +354,7 @@ def steady_gain(d: int, beta: float, strategy: str) -> float:
         raise ValueError(f"order must be >= 1, got {d}")
     if strategy == "S2":
         return 2.0 * d / ((d + 1) * (1.0 + beta))
-    rho1, rho2 = s1_recursion_roots(beta)
-    f1 = 1.0 / (1.0 + beta)
-    f2 = (1.0 + beta) / ((1.0 + beta) ** 2 - (1.0 - beta) ** 2 / 4.0)
-    fb1 = (f1 - rho1) / (f1 - rho2)
-    fb2 = (f2 - rho1) / (f2 - rho2)
+    rho1, rho2, fb1, fb2 = s1_readout_frame(beta)
     try:
         fbar = fb1 * (fb2 / fb1) ** (d - 1)
     except OverflowError:

@@ -3,8 +3,9 @@
 Everything here recomputes expected values by a route different from the
 library code under test: explicit matrix iterations for the simulators,
 per-mode polynomial roots for spectral radii, and dense inverses for the
-closed-form gains.  ``shipped_config`` loads the scenario configs from
-the repository's ``configs/`` directory.
+closed-form gains; ``reference_step_formation`` is the ring step written
+with rolled neighbour copies and a per-vertex loop.  ``shipped_config``
+loads the scenario configs from the repository's ``configs/`` directory.
 """
 
 from dataclasses import replace
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ringform.cli import load_config
+from ringform.core import SwarmState
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -20,6 +22,32 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 def shipped_config(name, **overrides):
     """``configs/<name>.yaml`` parsed by the CLI loader, fields overridden."""
     return replace(load_config(CONFIGS / f"{name}.yaml"), **overrides)
+
+
+def reference_step_formation(state, config):
+    """One ring step, rolled-copy form: every robot chases its neighbours'
+    midpoint, then each tracking vertex is overwritten one at a time and
+    the pinned vertex is zeroed."""
+    alpha = config.params.alpha
+    q = state.positions
+    v = state.velocities
+    vlag = v if config.sigma == 1 else state.velocities_prev
+
+    q_prev = np.roll(q, 1, axis=0)
+    q_next = np.roll(q, -1, axis=0)
+    v_prev = np.roll(vlag, 1, axis=0)
+    v_next = np.roll(vlag, -1, axis=0)
+
+    new_v = 0.5 * alpha * (q_next + q_prev - 2.0 * q) + 0.5 * (v_next + v_prev)
+
+    vertices = config.spec.vertex_set
+    for j in range(1, config.spec.m):
+        i = vertices[j]
+        new_v[i] = alpha * (q_prev[i] - q[i] - config.l_star[j - 1]) + v_prev[i]
+    new_v[vertices[0]] = 0.0
+
+    return SwarmState(positions=q + config.params.dt * v, velocities=new_v,
+                      velocities_prev=v, step=state.step + 1)
 
 
 def iterate_estimator(matrices, initial_positions, excitation, steps):

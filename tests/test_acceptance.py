@@ -25,7 +25,6 @@ from helpers import (
 from ringform.cli import EXIT_OK, main
 from ringform.core import SwarmState, make_generator, uniform_box
 from ringform.estimation import (
-    ChainSimState,
     EstimatorConfig,
     readout,
     run_estimation,
@@ -197,7 +196,7 @@ def test_criterion_05_step_vs_matrix_oracle():
         ):
             config = EstimatorConfig(params=params, strategy=strategy)
             expected = iterate(builder(n_prime, params), initial, (1.0, 0.0), 200)
-            state = ChainSimState.initial(n_prime, initial, (1.0, 0.0))
+            state = SwarmState.chain(n_prime, initial, (1.0, 0.0))
             for step_state in expected:
                 state = step_estimator(state, config)
                 if strategy == "S1":

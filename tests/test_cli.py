@@ -67,6 +67,7 @@ PROBES = [
     ("excitation", ["a", 0]),
     ("r_star", [["x", -2.0], [2.0, 2.0], [-3.0, 0.0]]),
     ("tolerances.closure", "x"),
+    ("tolerances.closure", 1e-3),  # looser than the closure check FormationConfig makes
     ("sweep.n_min", "x"),
     ("initial_box", float("inf")),
     ("alpha", 20),  # beta = 20 * 0.2 / 2 = 2
@@ -141,6 +142,16 @@ class TestConfigValidation:
         expected = "estimation" if (path, value) == ("estimation.alpha", 5) else path
         assert f"config error: {expected}:" in err
         assert "Traceback" not in err
+
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys):
+        binary = tmp_path / "binary.yaml"
+        binary.write_bytes(b"mode: pipeline\nseed: \xff\xfe\n")
+        for path in (tmp_path, binary):
+            code = main(["pipeline", "--config", str(path)])
+            err = capsys.readouterr().err
+            assert code == EXIT_CONFIG
+            assert f"config error: cannot read {path}" in err
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--stride", "0")])
     def test_bad_override_is_config_error(self, tmp_path, capsys, flag, value):
@@ -337,6 +348,28 @@ class TestOtherModes:
         assert lines[0] == "step,chain_id,ratio,estimate_raw,estimate_rounded,converged"
         steps = [int(line.split(",")[0]) for line in lines[1:]]
         assert steps == list(range(1, len(steps) + 1)) and steps
+        assert not (tmp_path / "out" / "trace.csv").exists()
+
+    def test_pipeline_divergence_keeps_finished_chains(self, tmp_path):
+        # Chain 0 (2 robots) converges at step 74; chain 1 (5 robots) then
+        # diverges at step 192.  Both chains' rows must reach estimate.csv.
+        cfg = dict(TRIANGLE, seed=1, output_dir=str(tmp_path / "out"),
+                   topology={"n_total": 10, "vertex_set": [0, 2, 7]},
+                   estimation={"alpha": 0.3, "dt": 1.0, "strategy": "S2",
+                               "max_steps": 3000, "stop_window": 50})
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["pipeline", "--config", str(path)])
+        assert code == EXIT_DIVERGED
+        lines = (tmp_path / "out" / "estimate.csv").read_text().splitlines()[1:]
+        rows = [line.split(",") for line in lines]
+        chain0 = [r for r in rows if r[1] == "0"]
+        chain1 = [r for r in rows if r[1] == "1"]
+        assert chain0[-1][5] == "true" and chain0[-1][4] == "2"
+        assert [r[5] for r in chain0[:-1]] == ["false"] * (len(chain0) - 1)
+        assert [int(r[0]) for r in chain1] == list(range(1, len(chain1) + 1))
+        assert len(chain1) > len(chain0)
         assert not (tmp_path / "out" / "trace.csv").exists()
 
     def test_spectral_mode(self, tmp_path):

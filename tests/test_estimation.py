@@ -7,9 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import iterate_estimator, iterate_lagged_estimator
-from ringform.core import DivergenceError, StabilityWarning, make_generator, uniform_box
+from ringform.core import (
+    DivergenceError,
+    StabilityWarning,
+    SwarmState,
+    make_generator,
+    uniform_box,
+)
 from ringform.estimation import (
-    ChainSimState,
     EstimatorConfig,
     readout,
     run_estimation,
@@ -36,7 +41,7 @@ def config_for(n_prime, strategy="S1", dt=0.01, fraction=0.9, **kw):
 class TestStep:
     def test_single_robot_sees_only_the_excitation(self):
         config = EstimatorConfig(params=EstimationParams(alpha=0.5, dt=0.01))
-        state = ChainSimState.initial(1, None, (1.0, 0.0))
+        state = SwarmState.chain(1, None, (1.0, 0.0))
         new = step_estimator(state, config)
         np.testing.assert_allclose(new.velocities[1], [0.5, 0.0])
         np.testing.assert_allclose(new.positions, np.zeros((2, 2)))
@@ -45,7 +50,7 @@ class TestStep:
     def test_anchor_never_moves(self):
         config = config_for(4, "S1")
         rng = make_generator(1, 0)
-        state = ChainSimState.initial(4, uniform_box(rng, 4, 5.0))
+        state = SwarmState.chain(4, uniform_box(rng, 4, 5.0))
         for _ in range(50):
             state = step_estimator(state, config)
             np.testing.assert_allclose(state.positions[0], [0.0, 0.0])
@@ -53,7 +58,7 @@ class TestStep:
 
     def test_excitation_magnitude_constant_alternating(self):
         config = config_for(3, "S2")
-        state = ChainSimState.initial(3, None, (0.3, -0.4))
+        state = SwarmState.chain(3, None, (0.3, -0.4))
         for k in range(10):
             previous = state.excitation.copy()
             state = step_estimator(state, config)
@@ -69,7 +74,7 @@ class TestMatrixOracle:
         config = EstimatorConfig(params=params, strategy="S1")
         mats = build_estimator_matrix(2, params)
         expected = iterate_estimator(mats, None, (1.0, 0.0), 200)
-        state = ChainSimState.initial(2, None, (1.0, 0.0))
+        state = SwarmState.chain(2, None, (1.0, 0.0))
         for step_states in expected:
             state = step_estimator(state, config)
             got = np.vstack([state.positions[1:], state.velocities[1:]])
@@ -80,7 +85,7 @@ class TestMatrixOracle:
         config = EstimatorConfig(params=params, strategy="S2")
         mats = build_lagged_estimator_matrix(2, params)
         expected = iterate_lagged_estimator(mats, None, (1.0, 0.0), 200)
-        state = ChainSimState.initial(2, None, (1.0, 0.0))
+        state = SwarmState.chain(2, None, (1.0, 0.0))
         for step_states in expected:
             state = step_estimator(state, config)
             got = np.vstack(
@@ -102,7 +107,7 @@ class TestMatrixOracle:
         else:
             mats = build_lagged_estimator_matrix(n_prime, params)
             expected = iterate_lagged_estimator(mats, initial, (1.0, 0.0), 200)
-        state = ChainSimState.initial(n_prime, initial, (1.0, 0.0))
+        state = SwarmState.chain(n_prime, initial, (1.0, 0.0))
         for step_states in expected:
             state = step_estimator(state, config)
             if strategy == "S1":
@@ -207,7 +212,7 @@ class TestRunEstimation:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             trace = run_estimation(5, config, initial)
-        state = ChainSimState.initial(5, initial, config.excitation_init)
+        state = SwarmState.chain(5, initial, config.excitation_init)
         exc_norm = math.hypot(*config.excitation_init)
         for i in range(len(trace.steps)):
             state = step_estimator(state, config)
@@ -246,7 +251,7 @@ class TestRunEstimation:
 class TestSteadyState:
     def test_oscillation_constant_magnitude_and_sign_flip(self):
         config = config_for(3, "S1", max_steps=30000)
-        state = ChainSimState.initial(3, None)
+        state = SwarmState.chain(3, None)
         for _ in range(6000):
             state = step_estimator(state, config)
         before = state.velocities.copy()
@@ -257,6 +262,19 @@ class TestSteadyState:
             np.linalg.norm(before, axis=1),
             atol=1e-10,
         )
+
+    @pytest.mark.parametrize("strategy", ["S1", "S2"])
+    def test_steady_ratio_matches_step_estimator_replay(self, strategy):
+        # Same settle rule, stepped through the allocating public step.
+        config = config_for(4, strategy)
+        state = SwarmState.chain(4)
+        previous, quiet = math.inf, 0
+        while quiet < 25:
+            state = step_estimator(state, config)
+            ratio = float(np.linalg.norm(state.velocities[-1]))  # |excitation| = 1
+            quiet = quiet + 1 if abs(ratio - previous) < 1e-12 else 0
+            previous = ratio
+        assert steady_velocity_ratio(4, config) == ratio
 
     @pytest.mark.parametrize("strategy", ["S1", "S2"])
     def test_simulated_ratio_matches_closed_form(self, strategy):
@@ -303,7 +321,7 @@ def test_step_equals_matrix_iteration_property(n_prime, strategy, seed):
     else:
         mats = build_lagged_estimator_matrix(n_prime, params)
         expected = iterate_lagged_estimator(mats, initial, (1.0, 0.0), 50)
-    state = ChainSimState.initial(n_prime, initial, (1.0, 0.0))
+    state = SwarmState.chain(n_prime, initial, (1.0, 0.0))
     for step_states in expected:
         state = step_estimator(state, config)
         got_q = state.positions[1:]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import iterate_formation_chain
+from helpers import iterate_formation_chain, reference_step_formation
 from ringform.core import DivergenceError, SwarmState, make_generator, uniform_box
 from ringform.estimation import EstimatorConfig
 from ringform.formation import (
@@ -87,7 +87,52 @@ class TestPredictedEquilibrium:
         np.testing.assert_allclose(state.positions[2], -r[0] - r[1], atol=1e-12)
 
 
+def unequal_ring(sigma):
+    """11 robots, segments of 3, 4 and 4, pinned vertex at index 1."""
+    r = np.array([[1.5, -2.0], [2.5, 3.0], [-4.0, -1.0]])
+    return FormationConfig(
+        ring=RingTopology(11),
+        spec=PolygonSpec(vertex_set=(1, 4, 8), r_star=r),
+        params=EstimationParams(alpha=0.4, dt=0.1),
+        sigma=sigma,
+    )
+
+
+def moving_start(n, seed):
+    rng = make_generator(seed, 7)
+    return SwarmState(positions=uniform_box(rng, n, 5.0),
+                      velocities=uniform_box(rng, n, 1.0),
+                      velocities_prev=uniform_box(rng, n, 1.0))
+
+
 class TestStep:
+    @pytest.mark.parametrize("sigma", [1, 2])
+    def test_matches_reference_step_bitwise(self, sigma):
+        config = unequal_ring(sigma)
+        state = reference = moving_start(11, sigma)
+        for _ in range(50):
+            state = step_formation(state, config)
+            reference = reference_step_formation(reference, config)
+            assert np.array_equal(state.positions, reference.positions)
+            assert np.array_equal(state.velocities, reference.velocities)
+        assert state.step == reference.step == 50
+
+    @pytest.mark.parametrize("sigma", [1, 2])
+    def test_run_snapshots_equal_step_replay(self, sigma):
+        config = unequal_ring(sigma)
+        initial = moving_start(11, 10 + sigma)
+        trace = run_formation(initial, config, 50, stride=7)
+        state = initial
+        replay = {0: state}
+        for _ in range(50):
+            state = step_formation(state, config)
+            replay[state.step] = state
+        assert trace.snapshot_steps == [0, 7, 14, 21, 28, 35, 42, 49, 50]
+        for step, snapshot in zip(trace.snapshot_steps, trace.snapshots):
+            assert np.array_equal(snapshot.positions, replay[step].positions)
+            assert np.array_equal(snapshot.velocities, replay[step].velocities)
+            assert np.array_equal(snapshot.velocities_prev, replay[step].velocities_prev)
+
     @pytest.mark.parametrize("sigma", [1, 2])
     def test_equilibrium_is_a_fixed_point(self, sigma):
         config = triangle_config(sigma=sigma, anchor=(1.0, 2.0))
