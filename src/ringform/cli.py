@@ -13,6 +13,7 @@ within the horizon (or a failed estimation phase).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -34,12 +35,7 @@ from .formation import (
     run_formation,
     run_pipeline,
 )
-from .harness import (
-    auto_stop_window,
-    sensitivity_curves,
-    sweep_convergence,
-    SweepError,
-)
+from .harness import auto_stop_window, sensitivity_curves, sweep_convergence
 from .spectral import EstimationParams, spectral_report
 from .topology import CLOSURE_TOL, PolygonSpec, RingTopology, cut_ring, validate_polygon_closure
 
@@ -141,8 +137,9 @@ class RunConfig:
     stride: int = _opt("stride", _int, 1, lambda x: x >= 1, "must be >= 1")
     max_steps: int = _opt("max_steps", _int, 3000, lambda x: x >= 1, "must be >= 1")
     stop_window: int | None = _opt("stop_window", _int, None, lambda x: x >= 2, "must be >= 2")
-    excitation: tuple[float, float] = _opt("excitation", _pair, (1.0, 0.0), any,
-                                           "must be non-zero")
+    excitation: tuple[float, float] = _opt("excitation", _pair, (1.0, 0.0),
+                                           lambda e: e[0] * e[0] + e[1] * e[1] > 0,
+                                           "must have x*x + y*y > 0")
     n_total: int | None = _opt("topology.n_total", _int, None, lambda x: x >= 2, "must be >= 2")
     vertex_set: tuple[int, ...] | None = _opt("topology.vertex_set", _ints, None)
     r_star: list | None = _opt("r_star", _pairs, None)
@@ -331,11 +328,14 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    """Rows are flushed per step-block; decimal point, comma, LF contract."""
+    """Rows are flushed once per block sharing a first column (the step);
+    decimal point, comma, LF contract.  Rows stream through the file
+    buffer, which hands whole rows to the OS, so a cut file ends on a row
+    boundary."""
     with open(path, "w", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+        for _, block in itertools.groupby(rows, key=lambda row: row[0]):
+            handle.writelines(",".join(_fmt(v) for v in row) + "\n" for row in block)
             handle.flush()
 
 
@@ -423,14 +423,17 @@ def _write_formation(out_dir: Path, outputs: list[str], trace: FormationTrace) -
 
 
 def _diverged(err: DivergenceError, out_dir: Path, outputs: list[str]) -> int:
-    """Flush the partial trace(s) of whichever phase diverged, then report."""
-    partial = err.partial
-    if isinstance(partial, EstimateTrace):
-        partial = [partial]
-    if isinstance(partial, list):
-        _write_estimates(out_dir, outputs, partial)
-    elif partial is not None:
-        _write_formation(out_dir, outputs, partial)
+    """Flush the partial traces run before the divergence, then report.
+
+    ``err.partial`` is one trace or a list of estimate traces that may end
+    with the formation trace (``run_pipeline``).
+    """
+    partial = err.partial if isinstance(err.partial, list) else [err.partial]
+    estimates = [t for t in partial if isinstance(t, EstimateTrace)]
+    if estimates:
+        _write_estimates(out_dir, outputs, estimates)
+    if isinstance(partial[-1], FormationTrace):
+        _write_formation(out_dir, outputs, partial[-1])
     print(f"ringform: {err}", file=sys.stderr)
     return EXIT_DIVERGED
 
@@ -497,15 +500,11 @@ def _run_pipeline(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
 
 
 def _run_sweep(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
-    try:
-        sweep = sweep_convergence(
-            (cfg.sweep_n_min, cfg.sweep_n_max), cfg.sweep_reps,
-            dt=cfg.dt, scale_per_n=cfg.sweep_scale_per_n, seed=cfg.seed,
-            initial_box=cfg.initial_box, strict=False,
-        )
-    except SweepError as err:
-        print(f"ringform: {err}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+    sweep = sweep_convergence(
+        (cfg.sweep_n_min, cfg.sweep_n_max), cfg.sweep_reps,
+        dt=cfg.dt, scale_per_n=cfg.sweep_scale_per_n, seed=cfg.seed,
+        initial_box=cfg.initial_box,
+    )
     write_csv(
         out_dir / "sweep.csv",
         ["n", "strategy", "reps", "mean_steps", "all_correct"],

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,8 +45,9 @@ class EstimatorConfig:
             raise ValueError("stop_window must be at least 2")
         if self.max_steps <= self.stop_window:
             raise ValueError("max_steps must exceed stop_window")
-        if not np.any(np.asarray(self.excitation_init, dtype=float)):
-            raise ValueError("excitation must be non-zero")
+        x, y = (float(e) for e in self.excitation_init)
+        if not x * x + y * y > 0.0:
+            raise ValueError("excitation must have x*x + y*y > 0")
 
 
 def step_estimator(state: SwarmState, config: EstimatorConfig) -> SwarmState:
@@ -122,7 +122,8 @@ def readout(ratio: float, beta: float, strategy: str) -> float:
 
     Returns NaN while the ratio is outside the formula's domain (log of a
     non-positive quantity for S1, non-positive denominator for S2), which
-    simply means the oscillation has not settled yet.
+    simply means the oscillation has not settled yet, and for an S1 frame
+    that has degenerated (``fb1 == fb2`` at vanishing ``beta``).
     """
     if strategy == "S1":
         rho1, rho2, fb1, fb2 = s1_readout_frame(beta)
@@ -133,7 +134,10 @@ def readout(ratio: float, beta: float, strategy: str) -> float:
         fbar = (f - rho1) / den
         if fbar <= 0.0:
             return math.nan
-        return (math.log(fbar) - math.log(fb1)) / (math.log(fb2) - math.log(fb1)) + 1.0
+        frame = math.log(fb2) - math.log(fb1)
+        if frame == 0.0:
+            return math.nan
+        return (math.log(fbar) - math.log(fb1)) / frame + 1.0
     if strategy == "S2":
         scaled = (1.0 + beta) * ratio
         den = 1.0 - scaled
@@ -175,8 +179,9 @@ def run_estimation(
     """Run one chain until the stop rule fires or ``max_steps`` is hit.
 
     The stop rule realises the finite-time rounding idea: once the last
-    ``stop_window`` raw readouts are all finite, span less than one, and
-    round to the same positive integer, that integer is the estimate.
+    ``stop_window`` raw readouts round to the same positive integer, that
+    integer is the estimate.  This implies that they are finite (a NaN
+    rounding never equals anything) and span less than one.
     Initial positions default to a seeded uniform draw in a square box;
     initial velocities are zero.
     """
@@ -211,14 +216,7 @@ def run_estimation(
 
     steps, ratios, raws, roundeds = [], [], [], []
     trace = EstimateTrace(strategy=config.strategy, n_prime_true=n_prime_true)
-
-    # O(1) sliding-window stop rule: monotonic deques carry the window
-    # extremes, a streak counter tracks the run of equal rounded values,
-    # and any non-finite readout poisons the next W steps.
-    max_dq: deque[tuple[int, float]] = deque()
-    min_dq: deque[tuple[int, float]] = deque()
-    last_invalid = 0
-    streak_value = None
+    streak_value = math.nan
     streak_length = 0
 
     try:
@@ -230,8 +228,7 @@ def run_estimation(
                 check_finite(q[:n + 1], step, "chain positions")
                 check_finite(v[:n + 1], step, "chain velocities")
             raw = readout(ratio, beta, config.strategy)
-            finite = math.isfinite(raw)
-            rounded = _round_half_up(raw) if finite else math.nan
+            rounded = _round_half_up(raw) if math.isfinite(raw) else math.nan
             steps.append(step)
             ratios.append(ratio)
             raws.append(raw)
@@ -239,33 +236,12 @@ def run_estimation(
             if trace.first_correct_step is None and rounded == n_prime_true:
                 trace.first_correct_step = step
 
-            if finite:
-                if rounded == streak_value:
-                    streak_length += 1
-                else:
-                    streak_value = rounded
-                    streak_length = 1
-                while max_dq and max_dq[-1][1] <= raw:
-                    max_dq.pop()
-                max_dq.append((step, raw))
-                while min_dq and min_dq[-1][1] >= raw:
-                    min_dq.pop()
-                min_dq.append((step, raw))
+            if rounded == streak_value:
+                streak_length += 1
             else:
-                last_invalid = step
-                streak_length = 0
-            while max_dq and max_dq[0][0] <= step - W:
-                max_dq.popleft()
-            while min_dq and min_dq[0][0] <= step - W:
-                min_dq.popleft()
-
-            if (
-                step - last_invalid >= W
-                and streak_length >= W
-                and streak_value is not None
-                and streak_value >= 1
-                and max_dq[0][1] - min_dq[0][1] < 1.0
-            ):
+                streak_value = rounded
+                streak_length = 1
+            if streak_length >= W and streak_value >= 1:
                 trace.converged = True
                 trace.estimate = int(streak_value)
                 trace.steps_to_convergence = step
@@ -281,28 +257,26 @@ def run_estimation(
     return trace
 
 
-def steady_velocity_ratio(
-    n_prime: int,
-    config: EstimatorConfig,
-    *,
-    settle_tol: float = 1e-12,
-    settle_steps: int = 25,
-    max_steps: int = 200000,
-) -> float:
+_SETTLE_TOL = 1e-12
+_SETTLE_STEPS = 25
+_SETTLE_MAX = 200000
+
+
+def steady_velocity_ratio(n_prime: int, config: EstimatorConfig) -> float:
     """Simulated steady ratio from a zero initial state.
 
     Starting at rest isolates the forced response; the run stops once the
-    per-step ratio change stays below ``settle_tol`` for ``settle_steps``
-    consecutive steps.
+    per-step ratio change stays below ``_SETTLE_TOL`` for ``_SETTLE_STEPS``
+    consecutive steps, or after ``_SETTLE_MAX`` steps.
     """
     excitation_norm = float(np.linalg.norm(config.excitation_init))
     previous = math.inf
     quiet = 0
-    for _, _, v in _chain_steps(np.zeros((n_prime, 2)), config, max_steps):
+    for _, _, v in _chain_steps(np.zeros((n_prime, 2)), config, _SETTLE_MAX):
         ratio = float(np.linalg.norm(v[n_prime])) / excitation_norm
-        if abs(ratio - previous) < settle_tol:
+        if abs(ratio - previous) < _SETTLE_TOL:
             quiet += 1
-            if quiet >= settle_steps:
+            if quiet >= _SETTLE_STEPS:
                 return ratio
         else:
             quiet = 0

@@ -271,8 +271,9 @@ def run_pipeline(
     starting from the actual relative positions of the segment members.
     Phase 2 refuses to start unless every estimate converged to its
     segment's true cardinality, then runs the ring from the same initial
-    placement using the estimated sizes.  A ``DivergenceError`` in phase 1
-    carries the traces of every chain run so far as its ``partial`` list.
+    placement using the estimated sizes.  A ``DivergenceError`` carries
+    every trace run so far as its ``partial`` list: the chain traces, then
+    the diverging chain's or the formation's partial trace.
     """
     rng = make_generator(seed, 0)
     initial_positions = uniform_box(rng, ring.n_total, initial_box)
@@ -312,9 +313,13 @@ def run_pipeline(
         n_s=tuple(estimates),
         anchor_position=tuple(initial_positions[spec.vertex_set[0]]),
     )
-    formation = run_formation(
-        initial, config, horizon, error_tolerance=error_tolerance, stride=stride
-    )
+    try:
+        formation = run_formation(
+            initial, config, horizon, error_tolerance=error_tolerance, stride=stride
+        )
+    except DivergenceError as err:
+        err.partial = traces + [err.partial]
+        raise
     return PipelineResult(
         estimates=estimates,
         estimate_traces=traces,

@@ -4,10 +4,13 @@ Everything here recomputes expected values by a route different from the
 library code under test: explicit matrix iterations for the simulators,
 per-mode polynomial roots for spectral radii, and dense inverses for the
 closed-form gains; ``reference_step_formation`` is the ring step written
-with rolled neighbour copies and a per-vertex loop.  ``shipped_config``
-loads the scenario configs from the repository's ``configs/`` directory.
+with rolled neighbour copies and a per-vertex loop, and
+``reference_stop_rule`` checks the estimator's stop rule window by window.
+``shipped_config`` loads the scenario configs from the repository's
+``configs/`` directory.
 """
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -48,6 +51,23 @@ def reference_step_formation(state, config):
 
     return SwarmState(positions=q + config.params.dt * v, velocities=new_v,
                       velocities_prev=v, step=state.step + 1)
+
+
+def reference_stop_rule(raws, window):
+    """The documented stop rule, checked window by window in O(window).
+
+    Returns ``(converged, estimate, step)`` for the first step whose last
+    ``window`` raw readouts are finite, span less than one and round half
+    up to one integer r >= 1; steps count from 1.
+    """
+    for step in range(window, len(raws) + 1):
+        last = raws[step - window:step]
+        if not all(math.isfinite(x) for x in last) or max(last) - min(last) >= 1.0:
+            continue
+        rounded = {math.floor(x + 0.5) for x in last}
+        if len(rounded) == 1 and min(rounded) >= 1:
+            return True, rounded.pop(), step
+    return False, None, None
 
 
 def iterate_estimator(matrices, initial_positions, excitation, steps):

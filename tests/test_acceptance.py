@@ -68,9 +68,7 @@ def test_criterion_01_estimation_exactness():
     alpha*dt at 0.9x the tighter bound: every estimate exactly right,
     under 60 s total."""
     started = time.perf_counter()
-    result = sweep_convergence(
-        (5, 30), reps=5, scale_per_n=True, seed=1, strict=False
-    )
+    result = sweep_convergence((5, 30), reps=5, scale_per_n=True, seed=1)
     elapsed = time.perf_counter() - started
     all_correct = all(row.all_correct for row in result.rows)
     check(

@@ -65,6 +65,7 @@ PROBES = [
     ("topology.vertex_set", ["a", 2, 5]),
     ("topology.vertex_set", [0, 2, 7]),  # index 7 is outside the 7-robot ring
     ("excitation", ["a", 0]),
+    ("excitation", [1.0e-170, 0.0]),  # x*x + y*y underflows to 0
     ("r_star", [["x", -2.0], [2.0, 2.0], [-3.0, 0.0]]),
     ("tolerances.closure", "x"),
     ("tolerances.closure", 1e-3),  # looser than the closure check FormationConfig makes
@@ -371,6 +372,45 @@ class TestOtherModes:
         assert [int(r[0]) for r in chain1] == list(range(1, len(chain1) + 1))
         assert len(chain1) > len(chain0)
         assert not (tmp_path / "out" / "trace.csv").exists()
+
+    def test_pipeline_formation_divergence_keeps_estimates(self, tmp_path, capsys):
+        # sigma 2 at alpha 1.5 blows the ring up at step 124, after every
+        # chain converged; phase 1 reads only estimation.*, so estimate.csv
+        # is the shipped triangle's.
+        shipped = tmp_path / "shipped"
+        raw = yaml.safe_load((CONFIGS / "triangle.yaml").read_text())
+        path = write_config(tmp_path, dict(raw, alpha=1.5, sigma=2,
+                                           output_dir=str(tmp_path / "out")))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["pipeline", "--config", str(CONFIGS / "triangle.yaml"),
+                         "--out", str(shipped)]) == EXIT_OK
+            code = main(["pipeline", "--config", str(path)])
+        assert code == EXIT_DIVERGED
+        assert "ring velocities diverged at step 124" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert (out / "estimate.csv").read_bytes() == (shipped / "estimate.csv").read_bytes()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["resolved_config.yaml", "estimate.csv",
+                                       "trace.csv", "errors.csv"]
+        # the errors end at the last step before the divergence
+        assert (out / "errors.csv").read_text().splitlines()[-1].startswith("123,")
+
+    def test_degenerate_s1_frame_does_not_converge(self, tmp_path, capsys):
+        # At beta = 5e-303 the S1 readout frame degenerates (fb1 == fb2):
+        # every readout is NaN, so the run uses up max_steps.
+        cfg = {
+            "mode": "estimate", "alpha": 1.0e-300, "dt": 0.01, "strategy": "S1",
+            "output_dir": str(tmp_path / "out"), "topology": {"n_total": 5},
+        }
+        path = write_config(tmp_path, cfg)
+        code = main(["estimate", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_NOT_CONVERGED
+        assert "Traceback" not in err
+        lines = (tmp_path / "out" / "estimate.csv").read_text().splitlines()
+        assert len(lines) == 1 + 3000
+        assert lines[-1].split(",")[3:] == ["nan", "nan", "false"]
 
     def test_spectral_mode(self, tmp_path):
         cfg = {

@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import iterate_estimator, iterate_lagged_estimator
+import ringform.estimation
+from helpers import iterate_estimator, iterate_lagged_estimator, reference_stop_rule
 from ringform.core import (
     DivergenceError,
     StabilityWarning,
@@ -301,6 +302,8 @@ class TestConfigValidation:
         params = EstimationParams(alpha=0.5, dt=0.01)
         with pytest.raises(ValueError):
             EstimatorConfig(params=params, excitation_init=(0.0, 0.0))
+        with pytest.raises(ValueError):  # x*x + y*y underflows to 0
+            EstimatorConfig(params=params, excitation_init=(1.0e-170, 0.0))
 
 
 @settings(max_examples=20, deadline=None)
@@ -329,3 +332,41 @@ def test_step_equals_matrix_iteration_property(n_prime, strategy, seed):
         np.testing.assert_allclose(
             state.velocities[1:], step_states[-n_prime:], atol=1e-12
         )
+
+
+def _near(r):
+    """Raw readouts around integer ``r``: r itself, r +- 0.5, and one ulp
+    either side of each rounding edge."""
+    edges = (r - 0.5, r + 0.5)
+    across = (float(np.nextafter(e, d)) for e in edges for d in (-math.inf, math.inf))
+    return [float(r), *edges, *across]
+
+
+# r = 1, 2, 4, 8 and large r, non-positive r, and non-finite readouts
+RAW_RUNS = st.one_of(
+    st.sampled_from((-1, 0, 1, 2, 4, 8, 2 ** 20, 2 ** 51 + 1)).flatmap(
+        lambda r: st.lists(st.sampled_from(_near(r)), min_size=1, max_size=8)),
+    st.lists(st.sampled_from((math.nan, math.inf, -math.inf, -0.3)), min_size=1, max_size=3),
+)
+RAW_SEQUENCES = st.lists(RAW_RUNS, min_size=1, max_size=8).map(
+    lambda runs: [x for run in runs for x in run])
+
+
+@settings(max_examples=300, deadline=None)
+@given(raws=RAW_SEQUENCES, window=st.integers(min_value=2, max_value=6))
+# the r = 1 span edge: 0.5 - 2^-54 and 1.5 - 2^-52 both round to 1
+@example(raws=[float(np.nextafter(0.5, 0.0)), float(np.nextafter(1.5, 0.0))], window=2)
+@example(raws=[3.0, math.nan, 3.0, 3.2, 2.7], window=3)
+def test_stop_rule_matches_documented_rule(raws, window):
+    # The readout is scripted, so the rule sees exactly ``raws``; a short
+    # script is padded with NaN to exceed the window.
+    raws = raws + [math.nan] * (window + 1 - len(raws))
+    feed = iter(raws)
+    config = EstimatorConfig(params=EstimationParams(alpha=0.5, dt=0.01),
+                             stop_window=window, max_steps=len(raws))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ringform.estimation, "readout", lambda *_: next(feed))
+        trace = run_estimation(1, config, seed=0)
+    expected = reference_stop_rule(raws, window)
+    assert (trace.converged, trace.estimate, trace.steps_to_convergence) == expected
+    np.testing.assert_array_equal(trace.raw, raws[:len(trace.raw)])
