@@ -13,7 +13,6 @@ within the horizon (or a failed estimation phase).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -26,7 +25,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .core import DivergenceError, SwarmState, make_generator, uniform_box
+from .core import DivergenceError
 from .estimation import EstimateTrace, EstimatorConfig, run_estimation
 from .formation import (
     FormationConfig,
@@ -34,6 +33,7 @@ from .formation import (
     PipelineEstimationError,
     run_formation,
     run_pipeline,
+    seeded_placement,
 )
 from .harness import auto_stop_window, sensitivity_curves, sweep_convergence
 from .spectral import EstimationParams, spectral_report
@@ -173,15 +173,22 @@ class RunConfig:
         return getattr(self, name) if value is None else value
 
     def estimator_config(self, n_prime: int) -> EstimatorConfig:
-        """Phase-1 settings; an unset stop window is sized for order ``n_prime``."""
+        """Phase-1 settings; an unset stop window is sized for order ``n_prime``.
+
+        The stop window must be below the phase-1 ``max_steps``; otherwise
+        it is a ConfigError naming the window.
+        """
         params = EstimationParams(alpha=self.phase1("alpha"), dt=self.phase1("dt"))
         strategy = self.phase1("strategy")
         window = self.phase1("stop_window")
         if window is None:
             window = auto_stop_window(n_prime, params, strategy)
+        max_steps = self.phase1("max_steps")
+        _require(window < max_steps, "estimation.max_steps",
+                 f"must exceed the stop window of {window} steps, got {max_steps}")
         return EstimatorConfig(
             params=params, strategy=strategy, excitation_init=self.excitation,
-            stop_window=window, max_steps=max(self.phase1("max_steps"), window + 1),
+            stop_window=window, max_steps=max_steps,
         )
 
     def polygon(self) -> tuple[RingTopology, PolygonSpec]:
@@ -315,76 +322,62 @@ def _resolved_dict(cfg: RunConfig) -> dict:
 
 
 # --- output writers -------------------------------------------------------
+#
+# Each writer formats its rows with one f-string: floats as shortest
+# round-trip ``repr`` of Python floats (NaN reads ``nan``), booleans as
+# ``true``/``false``, integers in decimal.
+
+_BOOL = {True: "true", False: "false"}
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, float) and not np.isfinite(value):
-        return "nan"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def write_csv(path: Path, header: list[str], rows) -> None:
-    """Rows are flushed once per block sharing a first column (the step);
-    decimal point, comma, LF contract.  Rows stream through the file
-    buffer, which hands whole rows to the OS, so a cut file ends on a row
-    boundary."""
+def write_csv(path: Path, header: list[str], blocks) -> None:
+    """Write the header, then each block of LF-terminated lines (one step's
+    rows) with one flush per block; decimal point, comma, LF contract.
+    Lines stream through the file buffer, which hands whole lines to the
+    OS, so a cut file ends on a row boundary."""
     with open(path, "w", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for _, block in itertools.groupby(rows, key=lambda row: row[0]):
-            handle.writelines(",".join(_fmt(v) for v in row) + "\n" for row in block)
+        for block in blocks:
+            handle.writelines(block)
             handle.flush()
 
 
-def estimate_rows(traces: list[EstimateTrace]):
-    """One row per step per chain, ordered by step then chain id."""
-    max_len = max((len(t.steps) for t in traces), default=0)
-    for pos in range(max_len):
-        for chain_id, trace in enumerate(traces):
-            if pos < len(trace.steps):
-                converged_here = (
-                    trace.converged and trace.steps[pos] == trace.steps_to_convergence
-                )
-                rounded = trace.rounded[pos]
-                if np.isfinite(rounded):
-                    rounded = int(rounded)
-                yield (
-                    trace.steps[pos], chain_id, trace.ratios[pos],
-                    trace.raw[pos], rounded, converged_here,
-                )
-
-
 def write_estimate_csv(path: Path, traces: list[EstimateTrace]) -> None:
-    write_csv(
-        path,
-        ["step", "chain_id", "ratio", "estimate_raw", "estimate_rounded", "converged"],
-        estimate_rows(traces),
-    )
+    """One row per step per chain, ordered by step then chain id;
+    ``converged`` is true only on the row where the stop rule fired."""
+    def block(pos):
+        for chain_id, t in enumerate(traces):
+            if pos < len(t.steps):
+                step = int(t.steps[pos])
+                rounded = t.rounded[pos]
+                yield (f"{step},{chain_id},{float(t.ratios[pos])!r},{float(t.raw[pos])!r},"
+                       f"{'nan' if math.isnan(rounded) else int(rounded)},"
+                       f"{_BOOL[step == t.steps_to_convergence]}\n")
+
+    steps = max((len(t.steps) for t in traces), default=0)
+    write_csv(path, ["step", "chain_id", "ratio", "estimate_raw", "estimate_rounded",
+                     "converged"], (block(pos) for pos in range(steps)))
 
 
 def write_trace_csv(path: Path, trace: FormationTrace) -> None:
-    def rows():
-        for step, state in zip(trace.snapshot_steps, trace.snapshots):
-            t = step * trace.dt
-            for robot_id in range(state.positions.shape[0]):
-                px, py = state.positions[robot_id]
-                vx, vy = state.velocities[robot_id]
-                yield (step, t, robot_id, px, py, vx, vy)
+    def block(step, state):
+        t = step * trace.dt
+        for robot_id, (q, v) in enumerate(zip(state.positions, state.velocities)):
+            px, py = q.tolist()
+            vx, vy = v.tolist()
+            yield f"{step},{t!r},{robot_id},{px!r},{py!r},{vx!r},{vy!r}\n"
 
-    write_csv(path, ["step", "time", "robot_id", "px", "py", "vx", "vy"], rows())
+    write_csv(path, ["step", "time", "robot_id", "px", "py", "vx", "vy"],
+              (block(step, state) for step, state in zip(trace.snapshot_steps, trace.snapshots)))
 
 
 def write_errors_csv(path: Path, trace: FormationTrace) -> None:
-    def rows():
-        for i, step in enumerate(trace.error_steps):
-            t = step * trace.dt
-            for edge_id in range(trace.errors.shape[1]):
-                yield (step, t, edge_id, trace.errors[i, edge_id])
+    def block(step, errors):
+        t = step * trace.dt
+        return [f"{step},{t!r},{edge_id},{e!r}\n" for edge_id, e in enumerate(errors.tolist())]
 
-    write_csv(path, ["step", "time", "edge_id", "error"], rows())
+    write_csv(path, ["step", "time", "edge_id", "error"],
+              (block(int(step), errors) for step, errors in zip(trace.error_steps, trace.errors)))
 
 
 def write_resolved_config(out_dir: Path, cfg: RunConfig) -> None:
@@ -394,7 +387,7 @@ def write_resolved_config(out_dir: Path, cfg: RunConfig) -> None:
 
 
 def write_manifest(out_dir: Path, cfg: RunConfig, wall_time: float,
-                   outputs: list[str], note: str = "") -> None:
+                   outputs: list[str]) -> None:
     manifest = {
         "package": "ringform",
         "version": __version__,
@@ -406,8 +399,6 @@ def write_manifest(out_dir: Path, cfg: RunConfig, wall_time: float,
         "outputs": outputs,
         "wall_time_s": wall_time,
     }
-    if note:
-        manifest["note"] = note
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
@@ -443,13 +434,9 @@ def _diverged(err: DivergenceError, out_dir: Path, outputs: list[str]) -> int:
 
 def _run_estimate(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
     n_prime = cfg.n_total - 1
-    try:
-        trace = run_estimation(
-            n_prime, cfg.estimator_config(n_prime), seed=cfg.seed,
-            initial_box=cfg.initial_box,
-        )
-    except DivergenceError as err:
-        return _diverged(err, out_dir, outputs)
+    trace = run_estimation(
+        n_prime, cfg.estimator_config(n_prime), seed=cfg.seed, initial_box=cfg.initial_box,
+    )
     _write_estimates(out_dir, outputs, [trace])
     if not trace.converged:
         print("ringform: estimation did not converge within max_steps",
@@ -462,19 +449,11 @@ def _run_estimate(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
 
 def _run_form(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
     ring, spec = cfg.polygon()
-    rng = make_generator(cfg.seed, 0)
-    initial = SwarmState.at_rest(uniform_box(rng, ring.n_total, cfg.initial_box))
-    config = FormationConfig(
-        ring=ring, spec=spec, params=cfg.params, sigma=cfg.sigma,
-        anchor_position=tuple(initial.positions[spec.vertex_set[0]]),
-    )
-    try:
-        trace = run_formation(
-            initial, config, cfg.max_steps,
-            error_tolerance=cfg.formation_tolerance, stride=cfg.stride,
-        )
-    except DivergenceError as err:
-        return _diverged(err, out_dir, outputs)
+    initial, anchor = seeded_placement(ring, spec, cfg.seed, cfg.initial_box)
+    config = FormationConfig(ring=ring, spec=spec, params=cfg.params, sigma=cfg.sigma,
+                             anchor_position=anchor)
+    trace = run_formation(initial, config, cfg.max_steps,
+                          error_tolerance=cfg.formation_tolerance, stride=cfg.stride)
     _write_formation(out_dir, outputs, trace)
     final_error = float(trace.errors[-1].max())
     print(f"formation: max edge error {final_error:.3e} after "
@@ -489,8 +468,6 @@ def _run_pipeline(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
         _write_estimates(out_dir, outputs, err.traces)
         print(f"ringform: {err}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
-    except DivergenceError as err:
-        return _diverged(err, out_dir, outputs)
     _write_estimates(out_dir, outputs, result.estimate_traces)
     _write_formation(out_dir, outputs, result.formation)
     final_error = float(result.formation.errors[-1].max())
@@ -508,7 +485,8 @@ def _run_sweep(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
     write_csv(
         out_dir / "sweep.csv",
         ["n", "strategy", "reps", "mean_steps", "all_correct"],
-        ((r.n, r.strategy, r.reps, r.mean_steps, r.all_correct) for r in sweep.rows),
+        [[f"{r.n},{r.strategy},{r.reps},{r.mean_steps!r},{_BOOL[r.all_correct]}\n"
+          for r in sweep.rows]],
     )
     outputs.append("sweep.csv")
     curve = sensitivity_curves((max(cfg.sweep_n_min - 1, 1), cfg.sweep_n_max - 1),
@@ -517,8 +495,8 @@ def _run_sweep(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
         out_dir / "sensitivity.csv",
         ["n_prime", "ratio_s1_closed", "ratio_s2_closed", "ratio_s1_sim",
          "ratio_s2_sim"],
-        ((r.n_prime, r.ratio_s1_closed, r.ratio_s2_closed, r.ratio_s1_sim,
-          r.ratio_s2_sim) for r in curve.rows),
+        [[f"{r.n_prime},{r.ratio_s1_closed!r},{r.ratio_s2_closed!r},{r.ratio_s1_sim!r},"
+          f"{r.ratio_s2_sim!r}\n" for r in curve.rows]],
     )
     outputs.append("sensitivity.csv")
     bad = [r for r in sweep.rows if not r.all_correct]
@@ -540,7 +518,11 @@ def _run_spectral(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
 
 
 def execute(cfg: RunConfig) -> int:
-    """Run one validated config; writes outputs plus a manifest."""
+    """Run one validated config; writes outputs plus a manifest.
+
+    A divergence writes the partial traces and exits 3; a config error
+    found only when the run starts (the stop window) exits 2.
+    """
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_resolved_config(out_dir, cfg)
@@ -555,7 +537,13 @@ def execute(cfg: RunConfig) -> int:
     }[cfg.mode]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = runner(cfg, out_dir, outputs)
+        try:
+            code = runner(cfg, out_dir, outputs)
+        except DivergenceError as err:
+            code = _diverged(err, out_dir, outputs)
+        except ConfigError as exc:
+            print(f"ringform: config error: {exc}", file=sys.stderr)
+            code = EXIT_CONFIG
     for entry in caught:
         print(f"ringform: warning: {entry.message}", file=sys.stderr)
     write_manifest(out_dir, cfg, time.perf_counter() - started, outputs)

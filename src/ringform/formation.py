@@ -243,6 +243,15 @@ def run_formation(
     return trace
 
 
+def seeded_placement(
+    ring: RingTopology, spec: PolygonSpec, seed: int, initial_box: float
+) -> tuple[SwarmState, tuple[float, float]]:
+    """A run's start: the ring at rest, placed uniformly in the box from
+    stream ``(seed, 0)``, and the pinned vertex's position as the anchor."""
+    initial = SwarmState.at_rest(uniform_box(make_generator(seed, 0), ring.n_total, initial_box))
+    return initial, tuple(initial.positions[spec.vertex_set[0]])
+
+
 @dataclass
 class PipelineResult:
     estimates: list[int]
@@ -275,15 +284,12 @@ def run_pipeline(
     every trace run so far as its ``partial`` list: the chain traces, then
     the diverging chain's or the formation's partial trace.
     """
-    rng = make_generator(seed, 0)
-    initial_positions = uniform_box(rng, ring.n_total, initial_box)
-    initial = SwarmState.at_rest(initial_positions)
-
+    initial, anchor = seeded_placement(ring, spec, seed, initial_box)
     segments = cut_ring(ring, spec)
     traces = []
     estimates = []
     for seg in segments:
-        relative = initial_positions[list(seg.members)] - initial_positions[seg.anchor]
+        relative = initial.positions[list(seg.members)] - initial.positions[seg.anchor]
         try:
             trace = run_estimation(seg.cardinality, est_config, relative)
         except DivergenceError as err:
@@ -311,7 +317,7 @@ def run_pipeline(
         params=form_params,
         sigma=sigma,
         n_s=tuple(estimates),
-        anchor_position=tuple(initial_positions[spec.vertex_set[0]]),
+        anchor_position=anchor,
     )
     try:
         formation = run_formation(

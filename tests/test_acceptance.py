@@ -1,11 +1,15 @@
 """Acceptance suite: one test per release criterion, each printing a
 single pass/fail line (run with ``pytest -s tests/test_acceptance.py``).
 
-Criterion 6 is expected to fail: at the reference hexagon gains the
-20-robot formation chain has spectral radius ~0.9985 regardless of the
-gain product, so centimetre-level errors within 150 simulated seconds are
-out of reach from any metre-scale random start.  The test asserts the
-stated thresholds anyway and reports the measured values.
+Criterion 6 is expected to fail at the shipped hexagon's dt = 0.05.  The
+20-robot formation chain has spectral radius ~0.9985 per step at any
+sampling interval, because its velocity average is a per-step consensus,
+so the decay per second is -ln(rho) / dt.  At dt = 0.05 the 3000 steps of
+150 s shrink the slow mode by only ~1e-2, and the cascade's transient
+growth from a metre-scale random start pushes centimetre errors to
+t ~ 650 s.  The same run at dt = 0.01 meets every threshold (see
+tests/test_harness.py).  The test asserts the stated thresholds anyway and
+reports the measured values.
 """
 
 import time
@@ -239,8 +243,8 @@ def test_criterion_05_step_vs_matrix_oracle():
 def test_criterion_06_hexagon_scenario():
     """120-robot hexagon at alpha=0.5, dt=0.05 from a seeded random start:
     centimetre edge errors by t=150 s, resting vertices, millimetre
-    interior spacing.  Expected to fail: the chain mode at these gains
-    decays too slowly for the 150 s deadline (see notes in the report)."""
+    interior spacing.  Expected to fail: at dt = 0.05 the 150 s are too
+    few steps for the chain mode's per-step decay (see the module notes)."""
     started = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -263,8 +267,9 @@ def test_criterion_06_hexagon_scenario():
         f"max_vertex_speed={report.max_vertex_speed_final:.3e} m/s, "
         f"spacing_err={report.interior_spacing_error:.3e} m, "
         f"rho_chain={report.rho_chain:.6f}, elapsed={elapsed:.1f}s; "
-        "the chain mode 0.9985^3000 ~ 1e-2 bounds the achievable decay, "
-        "convergence lands near t~650 s instead",
+        "rho_chain is per step, so 150 s at dt=0.05 (3000 steps) decay the "
+        "slow mode by only ~1e-2 and convergence lands near t~650 s; at "
+        "dt=0.01 the same run is within 1 cm from t=100.07 s",
     )
 
 

@@ -7,7 +7,10 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
+import numpy as np
+
 from helpers import CONFIGS
+from ringform import cli
 from ringform.cli import (
     _FIELDS,
     ConfigError,
@@ -20,8 +23,15 @@ from ringform.cli import (
     load_config,
     main,
     parse_config,
+    write_errors_csv,
+    write_estimate_csv,
     write_resolved_config,
+    write_trace_csv,
 )
+from ringform.core import SwarmState, make_generator, uniform_box
+from ringform.estimation import EstimateTrace
+from ringform.formation import FormationTrace
+from ringform.harness import SensitivityCurve, SensitivityRow, SweepResult, SweepRow
 
 TRIANGLE = {
     "mode": "pipeline",
@@ -396,6 +406,52 @@ class TestOtherModes:
         # the errors end at the last step before the divergence
         assert (out / "errors.csv").read_text().splitlines()[-1].startswith("123,")
 
+    def test_form_divergence_matches_pipeline(self, tmp_path, capsys):
+        # form mode starts the ring from the same seeded placement as
+        # pipeline mode, so with the same (correctly estimated) chain sizes
+        # its divergence leaves the same partial trace.csv and errors.csv.
+        raw = dict(yaml.safe_load((CONFIGS / "triangle.yaml").read_text()),
+                   alpha=1.5, sigma=2)
+        pipeline = write_config(tmp_path, dict(raw, output_dir=str(tmp_path / "pipeline")),
+                                "pipeline.yaml")
+        form = write_config(tmp_path, dict(raw, mode="form", output_dir=str(tmp_path / "form")),
+                            "form.yaml")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["pipeline", "--config", str(pipeline)]) == EXIT_DIVERGED
+            capsys.readouterr()
+            code = main(["form", "--config", str(form)])
+        assert code == EXIT_DIVERGED
+        assert "ring velocities diverged at step 124" in capsys.readouterr().err
+        out = tmp_path / "form"
+        for name in ("trace.csv", "errors.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "pipeline" / name).read_bytes()
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == \
+            ["resolved_config.yaml", "trace.csv", "errors.csv"]
+        assert (out / "errors.csv").read_text().splitlines()[-1].startswith("123,")
+        # the step-0 rows are stream (seed, 0) of the documented placement
+        rows = [line.split(",") for line in (out / "trace.csv").read_text().splitlines()[1:]
+                if line.startswith("0,")]
+        start = uniform_box(make_generator(raw["seed"], 0), 7, raw["initial_box"])
+        assert [[float(r[3]), float(r[4])] for r in rows] == start.tolist()
+
+    @pytest.mark.parametrize("extra,window", [({}, 460517020), ({"stop_window": 3000}, 3000)],
+                             ids=["automatic", "given"])
+    def test_stop_window_not_below_max_steps_is_config_error(self, tmp_path, capsys,
+                                                             extra, window):
+        # At alpha = 1e-6 the automatic S1 window is 460 517 020 steps; a
+        # window at or past max_steps (3000 by default) is refused at once.
+        cfg = dict({"mode": "estimate", "alpha": 1.0e-6, "dt": 0.01, "strategy": "S1",
+                    "output_dir": str(tmp_path / "out"), "topology": {"n_total": 5}},
+                   **extra)
+        code = main(["estimate", "--config", str(write_config(tmp_path, cfg))])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert (f"config error: estimation.max_steps: must exceed the stop window of "
+                f"{window} steps, got 3000") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "estimate.csv").exists()
+
     def test_degenerate_s1_frame_does_not_converge(self, tmp_path, capsys):
         # At beta = 5e-303 the S1 readout frame degenerates (fb1 == fb2):
         # every readout is NaN, so the run uses up max_steps.
@@ -451,3 +507,86 @@ class TestOtherModes:
         lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()[1:]
         steps = sorted({int(line.split(",")[0]) for line in lines})
         assert steps == [0, 50, 100]
+
+
+NAN = float("nan")
+
+
+class TestValueFormats:
+    """Each writer's text against rows spelled out with ``repr``: shortest
+    round-trip floats, ``nan``, integer rounded estimates, true/false."""
+
+    def test_estimate_csv(self, tmp_path):
+        chain0 = EstimateTrace(
+            strategy="S1", n_prime_true=2, steps=np.array([1, 2, 3]),
+            ratios=np.array([0.1 + 0.2, -0.0, 5e-324]), raw=np.array([NAN, 1e16, 2.4]),
+            rounded=np.array([NAN, 1e16, 2.0]), converged=True, estimate=2,
+            steps_to_convergence=3, first_correct_step=3,
+        )
+        chain1 = EstimateTrace(
+            strategy="S1", n_prime_true=5, steps=np.array([1, 2]),
+            ratios=np.array([1e16, 0.5]), raw=np.array([4.6, 5.25]),
+            rounded=np.array([5, 5]),
+        )
+        path = tmp_path / "estimate.csv"
+        write_estimate_csv(path, [chain0, chain1])
+        assert path.read_text() == "".join(line + "\n" for line in [
+            "step,chain_id,ratio,estimate_raw,estimate_rounded,converged",
+            f"1,0,{0.1 + 0.2!r},nan,nan,false",
+            f"1,1,{1e16!r},{4.6!r},5,false",
+            f"2,0,{-0.0!r},{1e16!r},10000000000000000,false",
+            f"2,1,{0.5!r},{5.25!r},5,false",
+            f"3,0,{5e-324!r},{2.4!r},2,true",
+        ])
+
+    def test_trace_and_errors_csv(self, tmp_path):
+        first = SwarmState(positions=[[-0.0, 5e-324], [1e16, 0.1 + 0.2]],
+                           velocities=[[NAN, 1.5], [0.0, -2.0]])
+        last = SwarmState(positions=[[1.0, 2.0], [3.0, 4.0]],
+                          velocities=[[0.1, 0.2], [0.3, 0.4]], step=3)
+        trace = FormationTrace(dt=0.1, tolerance=1e-2, snapshot_steps=[0, 3],
+                               snapshots=[first, last], error_steps=np.array([0, 3]),
+                               errors=np.array([[1e16, -0.0], [5e-324, NAN]]))
+        write_trace_csv(tmp_path / "trace.csv", trace)
+        write_errors_csv(tmp_path / "errors.csv", trace)
+        t3 = 3 * 0.1
+        assert (tmp_path / "trace.csv").read_text() == "".join(line + "\n" for line in [
+            "step,time,robot_id,px,py,vx,vy",
+            f"0,{0.0!r},0,{-0.0!r},{5e-324!r},nan,{1.5!r}",
+            f"0,{0.0!r},1,{1e16!r},{0.1 + 0.2!r},{0.0!r},{-2.0!r}",
+            f"3,{t3!r},0,{1.0!r},{2.0!r},{0.1!r},{0.2!r}",
+            f"3,{t3!r},1,{3.0!r},{4.0!r},{0.3!r},{0.4!r}",
+        ])
+        assert (tmp_path / "errors.csv").read_text() == "".join(line + "\n" for line in [
+            "step,time,edge_id,error",
+            f"0,{0.0!r},0,{1e16!r}",
+            f"0,{0.0!r},1,{-0.0!r}",
+            f"3,{t3!r},0,{5e-324!r}",
+            f"3,{t3!r},1,nan",
+        ])
+
+    def test_sweep_and_sensitivity_csv(self, tmp_path, monkeypatch):
+        sweep = SweepResult(rows=[SweepRow(n=5, strategy="S1", reps=2, mean_steps=0.1 + 0.2,
+                                           all_correct=True),
+                                  SweepRow(n=5, strategy="S2", reps=2, mean_steps=1e16,
+                                           all_correct=False)])
+        curve = SensitivityCurve(
+            rows=[SensitivityRow(n_prime=4, beta=0.0025, ratio_s1_closed=-0.0,
+                                 ratio_s2_closed=5e-324, ratio_s1_sim=NAN,
+                                 ratio_s2_sim=1e16)],
+            total_variation_s1=0.0, total_variation_s2=0.0, more_sensitive="S1",
+        )
+        monkeypatch.setattr(cli, "sweep_convergence", lambda *args, **kwargs: sweep)
+        monkeypatch.setattr(cli, "sensitivity_curves", lambda *args, **kwargs: curve)
+        out = tmp_path / "out"
+        config = write_config(tmp_path, {"mode": "sweep", "output_dir": str(out)})
+        assert main(["sweep", "--config", str(config)]) == EXIT_NOT_CONVERGED
+        assert (out / "sweep.csv").read_text() == "".join(line + "\n" for line in [
+            "n,strategy,reps,mean_steps,all_correct",
+            f"5,S1,2,{0.1 + 0.2!r},true",
+            f"5,S2,2,{1e16!r},false",
+        ])
+        assert (out / "sensitivity.csv").read_text() == "".join(line + "\n" for line in [
+            "n_prime,ratio_s1_closed,ratio_s2_closed,ratio_s1_sim,ratio_s2_sim",
+            f"4,{-0.0!r},{5e-324!r},nan,{1e16!r}",
+        ])
