@@ -230,12 +230,13 @@ def _convert(f, raw):
 
 
 def _flatten(raw: dict) -> dict:
-    """Raw mapping as {path tuple: value}; unknown fields rejected."""
+    """Raw mapping as {path tuple: value}; unknown fields rejected.  A null
+    section leaves every field of it at its default."""
     flat = {}
     for key, value in raw.items():
-        if key in _SECTIONS and value is not None:
-            _require(isinstance(value, dict), key, "must be a mapping")
-            flat.update(((key, sub), v) for sub, v in value.items())
+        if key in _SECTIONS:
+            _require(isinstance(value, (dict, type(None))), key, "must be a mapping")
+            flat.update(((key, sub), v) for sub, v in (value or {}).items())
         else:
             flat[(key,)] = value
     unknown = sorted(".".join(map(str, path)) for path in set(flat) - set(_FIELDS))

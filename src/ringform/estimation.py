@@ -86,35 +86,70 @@ def step_estimator(state: SwarmState, config: EstimatorConfig) -> SwarmState:
     )
 
 
-def _chain_steps(initial_positions: np.ndarray, config: EstimatorConfig, steps: int):
-    """Run one chain in place; yields ``(step, q, v)`` after each step.
+def _per_column(values):
+    """One value per chain: a float when all chains share it, which is
+    cheaper to broadcast than an array and gives the same bits."""
+    values = np.array(values, dtype=float)
+    return float(values[0]) if (values == values[0]).all() else values
 
-    The buffers have n' + 2 rows: the anchor, the n' movable robots, then
-    the virtual robot, whose position stays the origin and whose velocity
-    row is set to the excitation just before each update.  They are
-    overwritten by the next step.  Positions are checked every 64 steps;
-    callers check whatever else they read.
+
+def _chain_steps(starts, configs, steps: int):
+    """Run B chains in lock step, in place; yields ``(step, q, v)`` after each step.
+
+    Column b is the chain of ``len(starts[b])`` movable robots placed at
+    ``starts[b]`` and stepped with ``configs[b]``.  The ``(N + 2, 2, B)``
+    buffers, N the longest chain, are right-aligned: row N + 1 is every
+    chain's virtual robot, whose position stays the origin and whose
+    velocity row is set to the excitation just before each update, and
+    row N every chain's tail robot.  A shorter chain's anchor, row
+    N - n_b, and the rows above it stay at rest because a live mask, 1.0
+    on the movable rows, multiplies the new velocities; multiplying by 1.0
+    is exact, and a masked row may hold -0.0, which can flip the sign of a
+    zero velocity but never changes a ratio.
+    Sending a list of columns to the generator freezes those chains from
+    the next step on.  The buffers are overwritten by the next step;
+    callers check whatever they read.
     """
-    n = initial_positions.shape[0]
-    alpha = config.params.alpha
-    dt = config.params.dt
-    s1 = config.strategy == "S1"
-    q = np.zeros((n + 2, 2))
-    q[1:n + 1] = initial_positions
-    v = np.zeros((n + 2, 2))
-    v_prev = np.zeros((n + 2, 2))
-    exc = np.asarray(config.excitation_init, dtype=float)
+    n_rows = max(len(start) for start in starts)
+    columns = len(starts)
+    alpha = _per_column([c.params.alpha for c in configs])
+    dt = _per_column([c.params.dt for c in configs])
+    s1 = np.array([c.strategy == "S1" for c in configs])
+    lag_s1 = bool(s1[0])
+    exc = np.array([c.excitation_init for c in configs], dtype=float).T
+    q = np.zeros((n_rows + 2, 2, columns))
+    live = np.zeros((n_rows, 1, columns))
+    for b, start in enumerate(starts):
+        q[n_rows + 1 - len(start):n_rows + 1, :, b] = start
+        live[n_rows - len(start):, 0, b] = 1.0
+    v = np.zeros_like(q)
+    v_prev = np.zeros_like(q)
+    mixed = s1.any() and not s1.all()
     for step in range(1, steps + 1):
-        vlag = v if s1 else v_prev
-        vlag[n + 1] = exc
+        if mixed:
+            vlag = np.where(s1, v, v_prev)
+        else:
+            vlag = v if lag_s1 else v_prev
+        vlag[-1] = exc
         new_movable = midpoint_law(q, vlag, alpha)
-        q[1:n + 1] += dt * v[1:n + 1]
+        q[1:-1] += dt * v[1:-1]
         v_prev, v = v, v_prev
-        v[1:n + 1] = new_movable
+        np.multiply(new_movable, live, out=v[1:-1])
         exc = -exc
-        if step % 64 == 0:
-            check_finite(q[:n + 1], step, "chain positions")
-        yield step, q, v
+        frozen = yield step, q, v
+        if frozen is not None:
+            live[..., frozen] = 0.0
+
+
+def _check_columns(values, step: int, label: str, names, columns) -> None:
+    """``check_finite`` on the listed columns of a ``(rows, 2, B)`` buffer;
+    a failing column is reported as ``"<label> of <names[b]>"``."""
+    try:
+        check_finite(values[..., columns], step, label)
+    except DivergenceError:
+        for b in columns:
+            check_finite(values[..., b], step, f"{label} of {names[b]}")
+        raise
 
 
 def readout(ratio: float, beta: float, strategy: str) -> float:
@@ -145,6 +180,46 @@ def readout(ratio: float, beta: float, strategy: str) -> float:
             return math.nan
         return scaled / den
     raise ValueError(f"strategy must be 'S1' or 'S2', got {strategy!r}")
+
+
+def readouts(betas, strategies):
+    """``readout`` for a row of chains at once: returns a function mapping
+    one ratio per chain to the chains' raw readouts, bit for bit equal to
+    ``readout(ratio, beta, strategy)`` (every NaN reads ``math.nan``).
+
+    The S1 logs go through ``math.log`` one value at a time, because
+    ``np.log`` differs from it in the last bit on some inputs.
+    """
+    frames = []
+    for beta, strategy in zip(betas, strategies):
+        if strategy == "S1":
+            rho1, rho2, fb1, fb2 = s1_readout_frame(beta)
+            frames.append((rho1, rho2, math.log(fb1), math.log(fb2) - math.log(fb1)))
+        elif strategy == "S2":
+            frames.append((math.nan,) * 4)
+        else:
+            raise ValueError(f"strategy must be 'S1' or 'S2', got {strategy!r}")
+    rho1, rho2, log_fb1, frame = np.array(frames).reshape(-1, 4).T
+    s2 = np.array([strategy == "S2" for strategy in strategies])
+    s1 = ~s2 & (frame != 0.0)
+    gain = 1.0 + np.asarray(betas, dtype=float)
+
+    def read(ratios):
+        raw = np.full(ratios.shape, math.nan)
+        with np.errstate(all="ignore"):
+            f = 2.0 * ratios
+            den = f - rho2
+            fbar = (f - rho1) / den
+            ok = s1 & (den != 0.0) & (fbar > 0.0)
+            logs = np.array([math.log(x) for x in fbar[ok].tolist()])
+            raw[ok] = (logs - log_fb1[ok]) / frame[ok] + 1.0
+            scaled = gain * ratios
+            den = 1.0 - scaled
+            ok = s2 & (den > 0.0)
+            raw[ok] = scaled[ok] / den[ok]
+        return raw
+
+    return read
 
 
 def _round_half_up(x: float) -> float:
@@ -220,13 +295,15 @@ def run_estimation(
     streak_length = 0
 
     try:
-        for step, q, v in _chain_steps(initial_positions, config, config.max_steps):
-            tail_x = v[n, 0]
-            tail_y = v[n, 1]
+        for step, q, v in _chain_steps([initial_positions], [config], config.max_steps):
+            if step % 64 == 0:
+                check_finite(q[:-1, :, 0], step, "chain positions")
+            tail_x = v[n, 0, 0]
+            tail_y = v[n, 1, 0]
             ratio = math.sqrt(tail_x * tail_x + tail_y * tail_y) / exc_norm
             if not math.isfinite(ratio):
-                check_finite(q[:n + 1], step, "chain positions")
-                check_finite(v[:n + 1], step, "chain velocities")
+                check_finite(q[:-1, :, 0], step, "chain positions")
+                check_finite(v[:-1, :, 0], step, "chain velocities")
             raw = readout(ratio, beta, config.strategy)
             rounded = _round_half_up(raw) if math.isfinite(raw) else math.nan
             steps.append(step)
@@ -257,29 +334,95 @@ def run_estimation(
     return trace
 
 
+def _norms(configs) -> np.ndarray:
+    """Excitation magnitude of each chain, as ``sqrt(x*x + y*y)``."""
+    return np.array([math.sqrt(x * x + y * y)
+                     for x, y in (map(float, c.excitation_init) for c in configs)])
+
+
+def estimate_chains(starts, configs, names) -> list[tuple[int | None, int | None]]:
+    """``run_estimation``'s stop rule on many chains in lock step, keeping no
+    per-step record.
+
+    Chain b starts at ``starts[b]`` (its movable robots' positions) and runs
+    with ``configs[b]`` until its own stop rule fires or its own
+    ``max_steps`` is used up; a finished chain is frozen and never checked
+    again.  A divergence names the chain ``names[b]`` and the step.
+    Returns ``(estimate, steps_to_convergence)`` per chain, ``(None, None)``
+    for a chain that did not converge.
+    """
+    chains = _chain_steps(starts, configs, max(c.max_steps for c in configs))
+    read = readouts([c.params.beta for c in configs], [c.strategy for c in configs])
+    norms = _norms(configs)
+    windows = np.array([c.stop_window for c in configs])
+    limits = np.array([c.max_steps for c in configs])
+    results: list[tuple[int | None, int | None]] = [(None, None)] * len(starts)
+    running = np.ones(len(starts), dtype=bool)
+    streak_value = np.full(len(starts), math.nan)
+    streak_length = np.zeros(len(starts), dtype=int)
+    step, q, v = next(chains)
+    while True:
+        if step % 64 == 0:
+            _check_columns(q[:-1], step, "chain positions", names, np.flatnonzero(running))
+        tail_x, tail_y = v[-2]
+        ratios = np.sqrt(tail_x * tail_x + tail_y * tail_y) / norms
+        for b in np.flatnonzero(running & ~np.isfinite(ratios)):
+            _check_columns(q[:-1], step, "chain positions", names, [b])
+            _check_columns(v[:-1], step, "chain velocities", names, [b])
+        ratios[~running] = math.nan  # spares the finished chains' logs
+        raw = read(ratios)
+        rounded = np.where(np.isfinite(raw), np.floor(raw + 0.5), math.nan)
+        streak_length = np.where(rounded == streak_value, streak_length + 1, 1)
+        streak_value = rounded
+        converged = running & (streak_length >= windows) & (streak_value >= 1)
+        for b in np.flatnonzero(converged):
+            results[b] = (int(streak_value[b]), step)
+        stopped = np.flatnonzero(running & (converged | (step >= limits)))
+        if stopped.size:
+            running[stopped] = False
+            if not running.any():
+                return results
+        step, q, v = chains.send(stopped if stopped.size else None)
+
+
 _SETTLE_TOL = 1e-12
 _SETTLE_STEPS = 25
 _SETTLE_MAX = 200000
 
 
-def steady_velocity_ratio(n_prime: int, config: EstimatorConfig) -> float:
-    """Simulated steady ratio from a zero initial state.
+def steady_velocity_ratios(orders, configs) -> list[float]:
+    """Simulated steady ratios of many chains from rest, in lock step.
 
-    Starting at rest isolates the forced response; the run stops once the
-    per-step ratio change stays below ``_SETTLE_TOL`` for ``_SETTLE_STEPS``
-    consecutive steps, or after ``_SETTLE_MAX`` steps.
+    Starting at rest isolates the forced response.  Each chain stops once
+    its per-step ratio change stays below ``_SETTLE_TOL`` for
+    ``_SETTLE_STEPS`` consecutive steps, or after ``_SETTLE_MAX`` steps,
+    and is then frozen and never checked again.
     """
-    excitation_norm = float(np.linalg.norm(config.excitation_init))
-    previous = math.inf
-    quiet = 0
-    for _, _, v in _chain_steps(np.zeros((n_prime, 2)), config, _SETTLE_MAX):
-        ratio = float(np.linalg.norm(v[n_prime])) / excitation_norm
-        if abs(ratio - previous) < _SETTLE_TOL:
-            quiet += 1
-            if quiet >= _SETTLE_STEPS:
-                return ratio
-        else:
-            quiet = 0
-        previous = ratio
-    return previous
+    names = [f"chain order {n} {c.strategy}" for n, c in zip(orders, configs)]
+    chains = _chain_steps([np.zeros((n, 2)) for n in orders], configs, _SETTLE_MAX)
+    norms = _norms(configs)
+    results = np.full(len(orders), math.nan)
+    running = np.ones(len(orders), dtype=bool)
+    previous = np.full(len(orders), math.inf)
+    quiet = np.zeros(len(orders), dtype=int)
+    step, q, v = next(chains)
+    while True:
+        if step % 64 == 0:
+            _check_columns(q[:-1], step, "chain positions", names, np.flatnonzero(running))
+        tail_x, tail_y = v[-2]
+        ratios = np.sqrt(tail_x * tail_x + tail_y * tail_y) / norms
+        quiet = np.where(np.abs(ratios - previous) < _SETTLE_TOL, quiet + 1, 0)
+        settled = np.flatnonzero(running & (quiet >= _SETTLE_STEPS))
+        results[settled] = ratios[settled]
+        running[settled] = False
+        previous = ratios
+        if not running.any() or step == _SETTLE_MAX:
+            break
+        step, q, v = chains.send(settled if settled.size else None)
+    results[running] = previous[running]
+    return results.tolist()
 
+
+def steady_velocity_ratio(n_prime: int, config: EstimatorConfig) -> float:
+    """Simulated steady ratio of one chain from rest (``steady_velocity_ratios``)."""
+    return steady_velocity_ratios([n_prime], [config])[0]

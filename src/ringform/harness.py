@@ -13,8 +13,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SwarmState
-from .estimation import EstimatorConfig, run_estimation, steady_velocity_ratio
+from .core import SwarmState, make_generator, uniform_box
+from .estimation import (
+    EstimatorConfig,
+    estimate_chains,
+    run_estimation,
+    steady_velocity_ratios,
+)
 from .formation import (
     FormationConfig,
     PipelineResult,
@@ -101,7 +106,7 @@ def sweep_convergence(
     if n_lo < 2 or n_hi < n_lo:
         raise ValueError(f"bad n_range {n_range}; chains need n >= 2")
 
-    rows = []
+    cells, starts, configs, names = [], [], [], []
     for n in range(n_lo, n_hi + 1):
         n_prime = n - 1
         for strat_idx, strategy in enumerate(("S1", "S2")):
@@ -111,17 +116,21 @@ def sweep_convergence(
                 params=p, strategy=strategy, stop_window=window,
                 max_steps=max(max_steps, window + 1),
             )
-            steps, correct = [], True
+            cells.append((n, strategy))
             for rep in range(reps):
-                trace = run_estimation(
-                    n_prime, config, seed=seed,
-                    seed_stream=n * 1000 + strat_idx * 100 + rep,
-                    initial_box=initial_box,
-                )
-                correct = correct and trace.converged and trace.estimate == n_prime
-                steps.append(trace.steps_to_convergence or max_steps)
-            rows.append(SweepRow(n=n, strategy=strategy, reps=reps,
-                                 mean_steps=float(np.mean(steps)), all_correct=correct))
+                rng = make_generator(seed, n * 1000 + strat_idx * 100 + rep)
+                starts.append(uniform_box(rng, n_prime, initial_box))
+                configs.append(config)
+                names.append(f"sweep cell n={n} {strategy} rep {rep}")
+    outcomes = estimate_chains(starts, configs, names)
+
+    rows = []
+    for i, (n, strategy) in enumerate(cells):
+        cell = outcomes[i * reps:(i + 1) * reps]
+        steps = [stop or max_steps for _, stop in cell]
+        rows.append(SweepRow(n=n, strategy=strategy, reps=reps,
+                             mean_steps=float(np.mean(steps)),
+                             all_correct=all(estimate == n - 1 for estimate, _ in cell)))
     return SweepResult(rows=rows)
 
 
@@ -160,27 +169,28 @@ def sensitivity_curves(
     lo, hi = n_range
     if lo < 1 or hi < lo:
         raise ValueError(f"bad n_prime range {n_range}")
-    rows = []
+    orders, params, configs = [], [], []
     for n_prime in range(lo, hi + 1):
         if beta is None:
             p = scaled_params(n_prime, dt)
         else:
             p = EstimationParams(alpha=2.0 * beta / dt, dt=dt)
-        b = p.beta
-        sims = {}
+        params.append(p)
         for strategy in ("S1", "S2"):
-            config = EstimatorConfig(params=p, strategy=strategy)
-            sims[strategy] = steady_velocity_ratio(n_prime, config)
-        rows.append(
-            SensitivityRow(
-                n_prime=n_prime,
-                beta=b,
-                ratio_s1_closed=steady_ratio_closed(n_prime, b, "S1"),
-                ratio_s2_closed=steady_ratio_closed(n_prime, b, "S2"),
-                ratio_s1_sim=sims["S1"],
-                ratio_s2_sim=sims["S2"],
-            )
+            orders.append(n_prime)
+            configs.append(EstimatorConfig(params=p, strategy=strategy))
+    sims = steady_velocity_ratios(orders, configs)
+    rows = [
+        SensitivityRow(
+            n_prime=n_prime,
+            beta=p.beta,
+            ratio_s1_closed=steady_ratio_closed(n_prime, p.beta, "S1"),
+            ratio_s2_closed=steady_ratio_closed(n_prime, p.beta, "S2"),
+            ratio_s1_sim=sims[2 * i],
+            ratio_s2_sim=sims[2 * i + 1],
         )
+        for i, (n_prime, p) in enumerate(zip(range(lo, hi + 1), params))
+    ]
     tv1 = float(sum(abs(b.ratio_s1_closed - a.ratio_s1_closed) for a, b in zip(rows, rows[1:])))
     tv2 = float(sum(abs(b.ratio_s2_closed - a.ratio_s2_closed) for a, b in zip(rows, rows[1:])))
     return SensitivityCurve(

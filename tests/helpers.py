@@ -5,8 +5,9 @@ library code under test: explicit matrix iterations for the simulators,
 per-mode polynomial roots for spectral radii, and dense inverses for the
 closed-form gains; ``reference_step_formation`` is the ring step written
 with rolled neighbour copies and a per-vertex loop, and
-``reference_stop_rule`` checks the estimator's stop rule window by window.
-``shipped_config`` loads the scenario configs from the repository's
+``reference_stop_rule`` checks the estimator's stop rule window by window;
+``reference_sweep`` runs the convergence sweep one chain at a time through
+``run_estimation``.  ``shipped_config`` loads the scenario configs from the repository's
 ``configs/`` directory.
 """
 
@@ -18,6 +19,8 @@ import numpy as np
 
 from ringform.cli import load_config
 from ringform.core import SwarmState
+from ringform.estimation import EstimatorConfig, run_estimation
+from ringform.harness import SweepRow, auto_stop_window, scaled_params
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -68,6 +71,31 @@ def reference_stop_rule(raws, window):
         if len(rounded) == 1 and min(rounded) >= 1:
             return True, rounded.pop(), step
     return False, None, None
+
+
+def reference_sweep(n_range, reps, *, dt=0.01, scale_per_n=False, seed=0,
+                    initial_box=5.0, max_steps=60000):
+    """``sweep_convergence`` rows, one chain at a time: every (n, strategy,
+    rep) chain is a ``run_estimation`` call on its own keyed placement."""
+    n_lo, n_hi = n_range
+    rows = []
+    for n in range(n_lo, n_hi + 1):
+        n_prime = n - 1
+        for strat_idx, strategy in enumerate(("S1", "S2")):
+            p = scaled_params(n_prime if scale_per_n else n_hi - 1, dt)
+            window = auto_stop_window(n_prime, p, strategy)
+            config = EstimatorConfig(params=p, strategy=strategy, stop_window=window,
+                                     max_steps=max(max_steps, window + 1))
+            steps, correct = [], True
+            for rep in range(reps):
+                trace = run_estimation(n_prime, config, seed=seed,
+                                       seed_stream=n * 1000 + strat_idx * 100 + rep,
+                                       initial_box=initial_box)
+                correct = correct and trace.converged and trace.estimate == n_prime
+                steps.append(trace.steps_to_convergence or max_steps)
+            rows.append(SweepRow(n=n, strategy=strategy, reps=reps,
+                                 mean_steps=float(np.mean(steps)), all_correct=correct))
+    return rows
 
 
 def iterate_estimator(matrices, initial_positions, excitation, steps):

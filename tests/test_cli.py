@@ -154,6 +154,13 @@ class TestConfigValidation:
         assert f"config error: {expected}:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("section", ["estimation", "topology", "tolerances", "sweep"])
+    def test_null_section_means_defaults(self, tmp_path, section):
+        # yaml.safe_dump writes a None section as ``section: null``
+        path = write_config(tmp_path, {"mode": "sweep", section: None})
+        assert f"{section}: null" in path.read_text()
+        assert load_config(path) == parse_config({"mode": "sweep"})
+
     def test_unreadable_config_is_config_error(self, tmp_path, capsys):
         binary = tmp_path / "binary.yaml"
         binary.write_bytes(b"mode: pipeline\nseed: \xff\xfe\n")
@@ -497,6 +504,23 @@ class TestOtherModes:
         sens = (tmp_path / "out" / "sensitivity.csv").read_text().splitlines()
         assert sens[0] == \
             "n_prime,ratio_s1_closed,ratio_s2_closed,ratio_s1_sim,ratio_s2_sim"
+
+    def test_sweep_divergence_names_step_and_cell(self, tmp_path, capsys):
+        # Placements in a 1e7 box: at the step-64 position check the
+        # lock-step batch finds n=7 S1 rep 0 first (in cell order) beyond
+        # the 1e6 limit.  No chain trace is kept, so no estimate.csv.
+        out = tmp_path / "out"
+        path = write_config(tmp_path, {
+            "mode": "sweep", "initial_box": 1.0e7, "output_dir": str(out),
+            "sweep": {"n_min": 5, "n_max": 8, "reps": 2, "scale_per_n": True},
+        })
+        code = main(["sweep", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DIVERGED
+        assert err == ("ringform: chain positions of sweep cell n=7 S1 rep 0 diverged at "
+                       "step 64: max magnitude 1.191e+06 exceeds 1e+06\n")
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json",
+                                                        "resolved_config.yaml"]
 
     def test_stride_override(self, tmp_path):
         cfg = dict(TRIANGLE, output_dir=str(tmp_path / "out"), max_steps=100)

@@ -17,7 +17,9 @@ from ringform.core import (
 )
 from ringform.estimation import (
     EstimatorConfig,
+    estimate_chains,
     readout,
+    readouts,
     run_estimation,
     steady_velocity_ratio,
     step_estimator,
@@ -26,6 +28,7 @@ from ringform.spectral import (
     EstimationParams,
     build_estimator_matrix,
     build_lagged_estimator_matrix,
+    s1_readout_frame,
     stability_bound,
     steady_gain,
     steady_ratio_closed,
@@ -153,6 +156,31 @@ class TestReadout:
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ValueError):
             readout(0.5, 0.05, "S3")
+        with pytest.raises(ValueError):
+            readouts([0.05], ["S3"])
+
+    def test_batched_readout_is_bitwise_scalar_readout(self):
+        # One column per (beta, strategy, ratio): the S1 poles (den == 0),
+        # the gap between its roots (fbar <= 0), non-finite ratios, the
+        # degenerate S1 frame at beta = 5e-303 and the S2 pole.
+        columns = []
+        for beta in (0.05, 0.0025, 0.3, 0.999, 5e-303):
+            rho1, rho2, _, _ = s1_readout_frame(beta)
+            special = [0.0, -0.0, 0.9, 5.0, -1.0, rho1 / 2.0, rho2 / 2.0,
+                       float(np.nextafter(rho2 / 2.0, 1.0)), 1.0 / (1.0 + beta),
+                       math.nan, math.inf, -math.inf, 1e-300, 1e300]
+            closed = [steady_ratio_closed(n, beta, s) for n in (1, 2, 7, 30)
+                      for s in ("S1", "S2") if beta > 1e-200]
+            spread = make_generator(7, 0).random(1000) * 1.2
+            for strategy in ("S1", "S2"):
+                columns += [(beta, strategy, r) for r in [*special, *closed, *spread.tolist()]]
+        betas, strategies, ratios = zip(*columns)
+        got = readouts(betas, strategies)(np.array(ratios))
+        expected = np.array([readout(r, b, s) for b, s, r in columns])
+        assert np.array_equal(np.isnan(got), np.isnan(expected))
+        finite = ~np.isnan(expected)
+        assert finite.sum() > 100 and (~finite).sum() > 50
+        assert np.array_equal(got[finite].view(np.int64), expected[finite].view(np.int64))
 
 
 class TestRunEstimation:
@@ -247,6 +275,28 @@ class TestRunEstimation:
         assert not trace.converged
         assert trace.estimate is None
         assert len(trace.steps) == 60
+
+
+class TestEstimateChains:
+    def test_finished_chain_is_frozen(self):
+        # beta = 0.95 is unstable at n' = 10; that chain uses up its 60 steps
+        # before the step-64 position check, then must stop moving while the
+        # stable chain runs on (unfrozen, it overflows within ~3000 steps).
+        unstable = EstimatorConfig(params=EstimationParams(alpha=1.9, dt=1.0),
+                                   stop_window=50, max_steps=60)
+        stable = config_for(4, "S2", stop_window=2000, max_steps=6000)
+        starts = [uniform_box(make_generator(0, 0), 10, 5.0),
+                  uniform_box(make_generator(0, 1), 4, 5.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = estimate_chains(starts, [unstable, stable], ["unstable", "stable"])
+        alone = []
+        for start, config in zip(starts, [unstable, stable]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", StabilityWarning)
+                trace = run_estimation(len(start), config, start)
+            alone.append((trace.estimate, trace.steps_to_convergence))
+        assert batch == alone == [(None, None), (4, alone[1][1])]
 
 
 class TestSteadyState:
@@ -353,20 +403,36 @@ RAW_SEQUENCES = st.lists(RAW_RUNS, min_size=1, max_size=8).map(
 
 
 @settings(max_examples=300, deadline=None)
-@given(raws=RAW_SEQUENCES, window=st.integers(min_value=2, max_value=6))
+@given(columns=st.lists(st.tuples(RAW_SEQUENCES, st.integers(min_value=2, max_value=6)),
+                        min_size=1, max_size=4))
 # the r = 1 span edge: 0.5 - 2^-54 and 1.5 - 2^-52 both round to 1
-@example(raws=[float(np.nextafter(0.5, 0.0)), float(np.nextafter(1.5, 0.0))], window=2)
-@example(raws=[3.0, math.nan, 3.0, 3.2, 2.7], window=3)
-def test_stop_rule_matches_documented_rule(raws, window):
-    # The readout is scripted, so the rule sees exactly ``raws``; a short
-    # script is padded with NaN to exceed the window.
-    raws = raws + [math.nan] * (window + 1 - len(raws))
-    feed = iter(raws)
-    config = EstimatorConfig(params=EstimationParams(alpha=0.5, dt=0.01),
-                             stop_window=window, max_steps=len(raws))
+@example(columns=[([float(np.nextafter(0.5, 0.0)), float(np.nextafter(1.5, 0.0))], 2)])
+@example(columns=[([3.0, math.nan, 3.0, 3.2, 2.7], 3), ([2.0] * 9, 4), ([5.0, 5.2], 6)])
+def test_stop_rule_matches_documented_rule(columns):
+    # The readout is scripted, so the rule sees exactly the given raw
+    # readouts; a short script is padded with NaN to exceed its window.
+    # Each column runs alone through run_estimation, then all of them
+    # together, each with its own window and max_steps, through the
+    # lock-step estimate_chains.
+    scripts = [raws + [math.nan] * (window + 1 - len(raws)) for raws, window in columns]
+    configs = [EstimatorConfig(params=EstimationParams(alpha=0.5, dt=0.01),
+                               stop_window=window, max_steps=len(raws))
+               for raws, (_, window) in zip(scripts, columns)]
+    expected = [reference_stop_rule(raws, window)
+                for raws, (_, window) in zip(scripts, columns)]
+    for raws, config, want in zip(scripts, configs, expected):
+        feed = iter(raws)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ringform.estimation, "readout", lambda *_: next(feed))
+            trace = run_estimation(1, config, seed=0)
+        assert (trace.converged, trace.estimate, trace.steps_to_convergence) == want
+        np.testing.assert_array_equal(trace.raw, raws[:len(trace.raw)])
+
+    longest = max(len(raws) for raws in scripts)
+    padded = np.array([raws + [math.nan] * (longest - len(raws)) for raws in scripts])
+    feed = iter(padded.T)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ringform.estimation, "readout", lambda *_: next(feed))
-        trace = run_estimation(1, config, seed=0)
-    expected = reference_stop_rule(raws, window)
-    assert (trace.converged, trace.estimate, trace.steps_to_convergence) == expected
-    np.testing.assert_array_equal(trace.raw, raws[:len(trace.raw)])
+        patch.setattr(ringform.estimation, "readouts", lambda *_: lambda ratios: next(feed))
+        batch = estimate_chains([np.zeros((1, 2))] * len(scripts), configs,
+                                [f"column {b}" for b in range(len(scripts))])
+    assert [(stop is not None, estimate, stop) for estimate, stop in batch] == expected

@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import shipped_config
+from helpers import reference_sweep, shipped_config
+from ringform.estimation import EstimatorConfig, steady_velocity_ratio
 from ringform.harness import (
     auto_stop_window,
     scaled_params,
@@ -66,6 +67,20 @@ class TestSweep:
             )
         assert [(row.n, row.all_correct) for row in result.rows] == [(5, False)] * 2
 
+    @pytest.mark.parametrize("n_range,scale_per_n,max_steps", [
+        ((2, 9), True, 60000),
+        ((2, 9), False, 60000),
+        ((5, 6), True, 60),  # starved: every chain stops at its own max_steps
+    ])
+    def test_batch_equals_one_chain_at_a_time(self, n_range, scale_per_n, max_steps):
+        # The lock-step batch must give the rows of the per-chain loop exactly:
+        # orders 1..8 share one padded buffer with both strategies mixed.
+        kwargs = dict(scale_per_n=scale_per_n, seed=11, max_steps=max_steps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = reference_sweep(n_range, 3, **kwargs)
+        assert sweep_convergence(n_range, 3, **kwargs).rows == expected
+
 
 class TestSensitivity:
     def test_simulated_matches_closed_forms(self):
@@ -73,6 +88,19 @@ class TestSensitivity:
         for row in curve.rows:
             assert row.ratio_s1_sim == pytest.approx(row.ratio_s1_closed, abs=1e-6)
             assert row.ratio_s2_sim == pytest.approx(row.ratio_s2_closed, abs=1e-6)
+
+    @pytest.mark.parametrize("n_range,beta", [((1, 8), None), ((2, 9), 0.0025)])
+    def test_batch_equals_one_order_at_a_time(self, n_range, beta):
+        curve = sensitivity_curves(n_range, beta)
+        assert [row.n_prime for row in curve.rows] == list(range(n_range[0], n_range[1] + 1))
+        for row in curve.rows:
+            p = scaled_params(row.n_prime) if beta is None else EstimationParams(
+                alpha=2.0 * beta / 0.01, dt=0.01)
+            for strategy, sim in (("S1", row.ratio_s1_sim), ("S2", row.ratio_s2_sim)):
+                config = EstimatorConfig(params=p, strategy=strategy)
+                alone = steady_velocity_ratio(row.n_prime, config)
+                assert type(sim) is float
+                assert sim == alone
 
     def test_fixed_beta_mode(self):
         beta = 0.0025
