@@ -46,16 +46,22 @@ def uniform_box(rng: np.random.Generator, count: int, half_width: float) -> np.n
 
 
 def check_finite(values: np.ndarray, step: int, label: str) -> None:
-    """Abort loudly on non-finite or absurdly large state values."""
-    finite = np.isfinite(values)
-    if not finite.all():
+    """Abort loudly on non-finite or absurdly large state values.
+
+    One reduction decides the common case: the peak magnitude is NaN or
+    inf as soon as any value is, and neither passes ``<= POSITION_LIMIT``.
+    Only a failing array is scanned again, so a non-finite value is named
+    before a large one.
+    """
+    peak = np.abs(values).max() if values.size else 0.0
+    if peak <= POSITION_LIMIT:
+        return
+    if not np.isfinite(values).all():
         raise DivergenceError(f"{label} contains non-finite values at step {step}")
-    peak = float(np.max(np.abs(values))) if values.size else 0.0
-    if peak > POSITION_LIMIT:
-        raise DivergenceError(
-            f"{label} diverged at step {step}: max magnitude {peak:.3e} "
-            f"exceeds {POSITION_LIMIT:.0e}"
-        )
+    raise DivergenceError(
+        f"{label} diverged at step {step}: max magnitude {float(peak):.3e} "
+        f"exceeds {POSITION_LIMIT:.0e}"
+    )
 
 
 def midpoint_law(q: np.ndarray, vlag: np.ndarray, alpha: float) -> np.ndarray:

@@ -79,6 +79,9 @@ class FormationConfig:
         l_star = self.spec.r_star / np.array(self.n_s, dtype=float)[:, None]
         l_star.setflags(write=False)
         object.__setattr__(self, "_l_star", l_star)
+        vertices = np.array(self.spec.vertex_set)
+        vertices.setflags(write=False)
+        object.__setattr__(self, "_vertices", vertices)
         anchor = np.asarray(self.anchor_position, dtype=float)
         object.__setattr__(self, "anchor_position", (float(anchor[0]), float(anchor[1])))
 
@@ -90,6 +93,11 @@ class FormationConfig:
     def l_star(self) -> np.ndarray:
         """Per-link spacing targets, one row per segment (r*_i / n^s_i)."""
         return self._l_star
+
+    @property
+    def vertices(self) -> np.ndarray:
+        """The vertex robots' indices, pinned vertex first."""
+        return self._vertices
 
 
 def step_formation(state: SwarmState, config: FormationConfig) -> SwarmState:
@@ -109,7 +117,7 @@ def step_formation(state: SwarmState, config: FormationConfig) -> SwarmState:
     v_ring = np.concatenate([vlag[-1:], vlag, vlag[:1]])
     new_v = midpoint_law(q_ring, v_ring, alpha)
 
-    vertices = np.array(config.spec.vertex_set)
+    vertices = config.vertices
     tracking = vertices[1:]
     new_v[tracking] = (
         alpha * (q_ring[tracking] - q[tracking] - config.l_star[:-1]) + v_ring[tracking]
@@ -129,12 +137,24 @@ def step_formation(state: SwarmState, config: FormationConfig) -> SwarmState:
     )
 
 
+def _edge_errors(corners: np.ndarray, r_star: np.ndarray) -> np.ndarray:
+    """Per-edge formation error ||(c_i - c_{i+1}) - r*_i|| of vertex
+    positions ``corners`` shaped (..., m, 2), edges cyclic.
+
+    Computed in one rolled copy of ``corners``, in the operation order of
+    ``np.linalg.norm(..., axis=-1)``, so the bits match it.
+    """
+    diffs = np.roll(corners, -1, axis=-2)
+    np.subtract(corners, diffs, out=diffs)
+    diffs -= r_star
+    diffs *= diffs
+    errors = np.add.reduce(diffs, axis=-1)
+    return np.sqrt(errors, out=errors)
+
+
 def relative_distance_errors(state: SwarmState, spec: PolygonSpec) -> np.ndarray:
     """Per-edge formation error: ||(q_vertex_i - q_vertex_{i+1}) - r*_i||."""
-    vertices = np.array(spec.vertex_set)
-    q = state.positions
-    diffs = q[vertices] - q[np.roll(vertices, -1)]
-    return np.linalg.norm(diffs - spec.r_star, axis=1)
+    return _edge_errors(state.positions[list(spec.vertex_set)], spec.r_star)
 
 
 def predicted_equilibrium(config: FormationConfig) -> SwarmState:
@@ -209,38 +229,38 @@ def run_formation(
         )
 
     trace = FormationTrace(dt=config.params.dt, tolerance=error_tolerance)
+    # Row r holds the vertex positions r steps after ``initial``.
+    corners = np.empty((horizon + 1, config.spec.m, 2))
     state = initial
-    error_steps = []
-    errors = []
-
-    def record(current: SwarmState):
-        e = relative_distance_errors(current, config.spec)
-        error_steps.append(current.step)
-        errors.append(e)
-        if current.step % stride == 0 or current.step == horizon:
-            trace.snapshot_steps.append(current.step)
-            trace.snapshots.append(current)
-        if trace.first_step_within_tol is None and e.max() < error_tolerance:
-            trace.first_step_within_tol = current.step
-
-    def finalize(last: SwarmState):
-        trace.error_steps = np.array(error_steps, dtype=int)
-        trace.errors = np.array(errors)
-        trace.final_state = last
-        trace.converged = bool(trace.errors[-1].max() < error_tolerance)
-
-    record(state)
     try:
-        for _ in range(horizon):
-            state = step_formation(state, config)
-            record(state)
+        for row in range(horizon + 1):
+            if row:
+                state = step_formation(state, config)
+            # The indices are in range (checked by ``cut_ring``), so "clip"
+            # only spares numpy the buffered copy its default mode makes.
+            state.positions.take(config.vertices, axis=0, out=corners[row], mode="clip")
+            if state.step % stride == 0 or state.step == horizon:
+                trace.snapshot_steps.append(state.step)
+                trace.snapshots.append(state)
     except DivergenceError as err:
-        finalize(state)
+        _finish(trace, corners[:row], initial.step, state, config.spec.r_star)
         err.partial = trace
         raise
 
-    finalize(state)
+    _finish(trace, corners, initial.step, state, config.spec.r_star)
     return trace
+
+
+def _finish(trace: FormationTrace, corners: np.ndarray, first_step: int,
+            last: SwarmState, r_star: np.ndarray) -> None:
+    """Fill ``trace``'s errors and verdict from the recorded vertex rows."""
+    trace.errors = _edge_errors(corners, r_star)
+    trace.error_steps = np.arange(first_step, first_step + len(corners))
+    within = np.flatnonzero(trace.errors.max(axis=1) < trace.tolerance)
+    if within.size:
+        trace.first_step_within_tol = int(trace.error_steps[within[0]])
+    trace.final_state = last
+    trace.converged = bool(trace.errors[-1].max() < trace.tolerance)
 
 
 def seeded_placement(

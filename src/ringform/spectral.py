@@ -361,6 +361,10 @@ def steady_gain(d: int, beta: float, strategy: str) -> float:
         return rho2
     if not math.isfinite(fbar):
         return rho2
+    if fbar == 1.0:
+        # Degenerate frame (beta so small that both roots round to 2 and
+        # both ratios to 1): the closed form reads 0/0, the recursion not.
+        return steady_gain_recursive(d, beta, "S1")
     return (rho1 - rho2 * fbar) / (1.0 - fbar)
 
 

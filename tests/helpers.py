@@ -4,7 +4,8 @@ Everything here recomputes expected values by a route different from the
 library code under test: explicit matrix iterations for the simulators,
 per-mode polynomial roots for spectral radii, and dense inverses for the
 closed-form gains; ``reference_step_formation`` is the ring step written
-with rolled neighbour copies and a per-vertex loop, and
+with rolled neighbour copies and a per-vertex loop;
+``reference_run_formation`` records a formation trace state by state, and
 ``reference_stop_rule`` checks the estimator's stop rule window by window;
 ``reference_sweep`` runs the convergence sweep one chain at a time through
 ``run_estimation``.  ``shipped_config`` loads the scenario configs from the repository's
@@ -18,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from ringform.cli import load_config
-from ringform.core import SwarmState
+from ringform.core import DivergenceError, SwarmState
 from ringform.estimation import EstimatorConfig, run_estimation
+from ringform.formation import FormationTrace, step_formation
 from ringform.harness import SweepRow, auto_stop_window, scaled_params
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -54,6 +56,47 @@ def reference_step_formation(state, config):
 
     return SwarmState(positions=q + config.params.dt * v, velocities=new_v,
                       velocities_prev=v, step=state.step + 1)
+
+
+def reference_run_formation(initial, config, horizon, *, error_tolerance=1e-2, stride=1):
+    """``run_formation``'s trace, recorded as each state is reached: its
+    edge errors from rolled vertex indices and ``np.linalg.norm``, its
+    snapshot, and the first step within tolerance.  A divergence re-raises
+    with the trace so far as ``partial``."""
+    trace = FormationTrace(dt=config.params.dt, tolerance=error_tolerance)
+    vertices = np.array(config.spec.vertex_set)
+    error_steps, errors = [], []
+
+    def record(current):
+        q = current.positions
+        e = np.linalg.norm(q[vertices] - q[np.roll(vertices, -1)] - config.spec.r_star,
+                           axis=1)
+        error_steps.append(current.step)
+        errors.append(e)
+        if current.step % stride == 0 or current.step == horizon:
+            trace.snapshot_steps.append(current.step)
+            trace.snapshots.append(current)
+        if trace.first_step_within_tol is None and e.max() < error_tolerance:
+            trace.first_step_within_tol = current.step
+
+    def finalize(last):
+        trace.error_steps = np.array(error_steps, dtype=int)
+        trace.errors = np.array(errors)
+        trace.final_state = last
+        trace.converged = bool(trace.errors[-1].max() < error_tolerance)
+
+    state = initial
+    record(state)
+    try:
+        for _ in range(horizon):
+            state = step_formation(state, config)
+            record(state)
+    except DivergenceError as err:
+        finalize(state)
+        err.partial = trace
+        raise
+    finalize(state)
+    return trace
 
 
 def reference_stop_rule(raws, window):

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import iterate_formation_chain, reference_step_formation
+from helpers import (
+    iterate_formation_chain,
+    reference_run_formation,
+    reference_step_formation,
+    shipped_config,
+)
 from ringform.core import DivergenceError, SwarmState, make_generator, uniform_box
 from ringform.estimation import EstimatorConfig
 from ringform.formation import (
@@ -15,6 +20,7 @@ from ringform.formation import (
     relative_distance_errors,
     run_formation,
     run_pipeline,
+    seeded_placement,
     step_formation,
 )
 from ringform.spectral import EstimationParams, build_formation_matrix
@@ -287,6 +293,92 @@ class TestRunFormation:
         config = triangle_config()
         with pytest.raises(ValueError):
             run_formation(SwarmState.at_rest(np.zeros((6, 2))), config, 10)
+
+
+def shipped_formation(name, **overrides):
+    """The start, ring config and horizon a ``form`` run of a shipped config uses."""
+    cfg = shipped_config(name, **overrides)
+    ring, spec = cfg.polygon()
+    initial, anchor = seeded_placement(ring, spec, cfg.seed, cfg.initial_box)
+    config = FormationConfig(ring=ring, spec=spec, params=cfg.params, sigma=cfg.sigma,
+                             anchor_position=anchor)
+    return initial, config, cfg.max_steps
+
+
+def unequal_formation(sigma):
+    """An 11-robot square cut into segments of 2, 4, 1 and 4 robots."""
+    config = FormationConfig(
+        ring=RingTopology(11),
+        spec=PolygonSpec(vertex_set=(1, 3, 7, 8),
+                         r_star=[[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0]]),
+        params=TRI_PARAMS,
+        sigma=sigma,
+    )
+    start = uniform_box(make_generator(11, 0), 11, 3.0)
+    return SwarmState.at_rest(start), config, 400
+
+
+def trace_outcome(run, initial, config, horizon, stride):
+    """``(trace, message)``: the trace, or a divergence's partial trace and text."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return run(initial, config, horizon, stride=stride), None
+        except DivergenceError as err:
+            return err.partial, str(err)
+
+
+def bits(array):
+    return array.dtype, array.shape, array.tobytes()
+
+
+def state_bits(state):
+    return (state.step, bits(state.positions), bits(state.velocities),
+            bits(state.velocities_prev))
+
+
+class TestTraceEquivalence:
+    """``run_formation`` against a loop that records every state as it is reached."""
+
+    CASES = {
+        "triangle-sigma1": (lambda: shipped_formation("triangle", sigma=1), 1),
+        "triangle-sigma2": (lambda: shipped_formation("triangle", sigma=2), 1),
+        "triangle-stride7": (lambda: shipped_formation("triangle", max_steps=80), 7),
+        "unequal-sigma1": (lambda: unequal_formation(1), 7),
+        "unequal-sigma2": (lambda: unequal_formation(2), 1),
+        "triangle-diverges": (lambda: shipped_formation("triangle", alpha=1.5, sigma=2), 1),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_trace_is_bitwise_the_recorded_one(self, case):
+        make, stride = self.CASES[case]
+        initial, config, horizon = make()
+        got, got_message = trace_outcome(run_formation, initial, config, horizon, stride)
+        want, want_message = trace_outcome(reference_run_formation, initial, config,
+                                           horizon, stride)
+        assert got_message == want_message
+        assert bits(got.errors) == bits(want.errors)
+        assert bits(got.error_steps) == bits(want.error_steps)
+        assert got.first_step_within_tol == want.first_step_within_tol
+        assert got.converged is want.converged
+        assert got.snapshot_steps == want.snapshot_steps
+        assert [state_bits(s) for s in got.snapshots] == [state_bits(s) for s in want.snapshots]
+        assert state_bits(got.final_state) == state_bits(want.final_state)
+
+    def test_cases_cover_convergence_strides_and_divergence(self):
+        def outcome(case):
+            make, stride = self.CASES[case]
+            return trace_outcome(run_formation, *make(), stride)
+
+        assert outcome("triangle-sigma1")[0].first_step_within_tol is not None
+        short, _ = outcome("triangle-stride7")
+        assert short.snapshot_steps[-2:] == [77, 80]
+        assert not short.converged
+        assert unequal_formation(1)[1].n_s == (2, 4, 1, 4)
+        partial, message = outcome("triangle-diverges")
+        assert "step 124" in message
+        assert partial.error_steps[-1] == 123
+        assert partial.errors.shape == (124, 3)
 
 
 class TestTranslationEquivariance:

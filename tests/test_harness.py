@@ -114,6 +114,13 @@ class TestSensitivity:
                 steady_ratio_closed(row.n_prime, beta, "S1")
             )
 
+    def test_degenerate_s1_frame_reports_the_recursion_gain(self):
+        curve = sensitivity_curves((1, 3), beta=5e-303)
+        for row in curve.rows:
+            # at beta -> 0 both strategies' gains tend to 2d / (d + 1)
+            assert row.ratio_s1_closed == pytest.approx(row.n_prime / (row.n_prime + 1), rel=1e-15)
+            assert row.ratio_s1_sim == pytest.approx(row.ratio_s1_closed, abs=1e-6)
+
     def test_curves_increase_with_chain_order_at_fixed_beta(self):
         curve = sensitivity_curves((2, 12), beta=0.0025)
         s1 = [row.ratio_s1_closed for row in curve.rows]

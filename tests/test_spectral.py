@@ -21,6 +21,7 @@ from ringform.spectral import (
     chain_equilibrium,
     readout_determinant,
     readout_matrix,
+    s1_readout_frame,
     spectral_radius,
     spectral_report,
     stability_bound,
@@ -224,6 +225,15 @@ class TestSteadyGains:
         value = steady_gain(5000, beta, "S1")
         rho2 = 2.0 / (1.0 + math.sqrt(beta)) ** 2
         assert value == pytest.approx(rho2, rel=1e-12)
+
+    def test_s1_degenerate_frame_falls_back_to_recursion(self):
+        # beta = 5e-303 rounds both frame ratios to 1, so the closed form is 0/0
+        beta = 5e-303
+        assert s1_readout_frame(beta)[2:] == (1.0, 1.0)
+        for d, gain in zip((1, 2, 3), (1.0, 4.0 / 3.0, 1.5)):
+            got = steady_gain(d, beta, "S1")
+            assert got == steady_gain_recursive(d, beta, "S1")
+            assert got == pytest.approx(gain, rel=1e-15)
 
     def test_rejects_out_of_domain_beta(self):
         for bad in (0.0, 1.0, -0.2, 1.5):
