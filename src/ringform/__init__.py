@@ -2,7 +2,7 @@
 
 Distributed chain-cardinality estimation on cut ring segments, the
 self-organized polygon formation law driven by those estimates, and the
-dense spectral toolkit that verifies the stability conditions and
+spectral toolkit that verifies the stability conditions and
 closed-form readouts both rest on.
 """
 
@@ -46,7 +46,9 @@ from .spectral import (
     build_estimator_matrix,
     build_formation_matrix,
     build_lagged_estimator_matrix,
+    build_lagged_formation_matrix,
     chain_equilibrium,
+    chain_modes,
     readout_determinant,
     readout_matrix,
     spectral_radius,

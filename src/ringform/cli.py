@@ -47,6 +47,10 @@ EXIT_NOT_CONVERGED = 4
 MODES = ("estimate", "form", "pipeline", "sweep", "spectral")
 STRATEGIES = ("S1", "S2")
 
+# A formation run keeps every step's vertex positions, (max_steps + 1) x m
+# x 2 doubles, in memory; a longer horizon is a config error.
+MAX_VERTEX_RECORD_BYTES = 256 * 2 ** 20
+
 
 class ConfigError(ValueError):
     """Invalid or missing configuration; reported with its field path."""
@@ -284,6 +288,11 @@ def _check_rules(cfg: RunConfig) -> None:
             raise ConfigError(f"topology: {exc}") from exc
         _require(spec.vertex_set[-1] < cfg.n_total, "topology.vertex_set",
                  f"vertex indices out of range [0, {cfg.n_total})")
+        record = (cfg.max_steps + 1) * spec.m * 2 * 8
+        _require(record <= MAX_VERTEX_RECORD_BYTES, "max_steps",
+                 f"the formation keeps (max_steps + 1) x {spec.m} vertex positions in "
+                 f"memory, {record / 2 ** 20:.1f} MiB, over the "
+                 f"{MAX_VERTEX_RECORD_BYTES // 2 ** 20} MiB cap; got {cfg.max_steps}")
         if not validate_polygon_closure(spec, cfg.closure_tolerance):
             residual = spec.r_star.sum(axis=0)
             raise ConfigError(
@@ -362,11 +371,13 @@ def write_estimate_csv(path: Path, traces: list[EstimateTrace]) -> None:
 
 def write_trace_csv(path: Path, trace: FormationTrace) -> None:
     def block(step, state):
-        t = step * trace.dt
+        prefix = f"{step},{step * trace.dt!r},"
+        # One row at a time: a whole-state tolist() of a 12 000-robot ring
+        # raises the run's peak RSS by ~3 MiB.
         for robot_id, (q, v) in enumerate(zip(state.positions, state.velocities)):
             px, py = q.tolist()
             vx, vy = v.tolist()
-            yield f"{step},{t!r},{robot_id},{px!r},{py!r},{vx!r},{vy!r}\n"
+            yield f"{prefix}{robot_id},{px!r},{py!r},{vx!r},{vy!r}\n"
 
     write_csv(path, ["step", "time", "robot_id", "px", "py", "vx", "vy"],
               (block(step, state) for step, state in zip(trace.snapshot_steps, trace.snapshots)))
@@ -374,8 +385,8 @@ def write_trace_csv(path: Path, trace: FormationTrace) -> None:
 
 def write_errors_csv(path: Path, trace: FormationTrace) -> None:
     def block(step, errors):
-        t = step * trace.dt
-        return [f"{step},{t!r},{edge_id},{e!r}\n" for edge_id, e in enumerate(errors.tolist())]
+        prefix = f"{step},{step * trace.dt!r},"
+        return [f"{prefix}{edge_id},{e!r}\n" for edge_id, e in enumerate(errors.tolist())]
 
     write_csv(path, ["step", "time", "edge_id", "error"],
               (block(int(step), errors) for step, errors in zip(trace.error_steps, trace.errors)))

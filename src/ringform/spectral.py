@@ -5,6 +5,9 @@ Conventions used throughout:
 * A chain of order d stacks positions above velocities, one column per
   planar axis.  The estimator state matrix is 2d x 2d; the lagged variant
   inserts a layer of one-step-old velocities and is 3d x 3d.
+* The dense builders are the reference the step functions are checked
+  against; radii come from ``chain_modes``, which splits a chain matrix
+  into d small blocks with the same eigenvalues.
 * ``beta = alpha * dt / 2`` is the single dimensionless parameter all the
   closed forms depend on.  The readout algebra needs beta in (0, 1): at 0
   the geometric-recursion roots collide, at 1 denominators vanish.
@@ -58,9 +61,10 @@ class SystemMatrices:
     """A dense state matrix together with its input map.
 
     ``kind`` is one of "estimator", "lagged_estimator", "formation",
-    "cascade".  ``order`` is the chain order the blocks were built for;
-    ``input_matrix`` is the excitation column for the estimators and the
-    anchor/spacing input map for the formation chain (None for cascades).
+    "lagged_formation", "cascade".  ``order`` is the chain order the blocks
+    were built for; ``input_matrix`` is the excitation column for the
+    estimators and the anchor/spacing input map for the formation chains
+    (None for cascades).
     """
 
     kind: str
@@ -183,6 +187,34 @@ def build_formation_matrix(n: int, params: EstimationParams) -> SystemMatrices:
     )
 
 
+def build_lagged_formation_matrix(n: int, params: EstimationParams) -> SystemMatrices:
+    """State matrix of one formation chain under the lagged (sigma = 2) law.
+
+    Equals the lagged estimator matrix plus the vertex correction of
+    ``build_formation_matrix`` in the last row, read from the stale layer:
+    alpha * (q_{n-1} - q_n) + v_{n-1}(k-1).  The input map feeds the
+    anchor position and (lagged) anchor velocity to the first robot and
+    the spacing target to the vertex.
+    """
+    if n < 2:
+        raise ValueError(f"formation chain needs n >= 2 robots, got {n}")
+    base = build_lagged_estimator_matrix(n, params)
+    dense = base.dense.copy()
+    dense[3 * n - 1, n - 2] += 0.5 * params.alpha
+    dense[3 * n - 1, 2 * n - 2] += 0.5
+    input_matrix = np.zeros((3 * n, 3))
+    input_matrix[2 * n, 0] = 0.5 * params.alpha
+    input_matrix[2 * n, 1] = 0.5
+    input_matrix[3 * n - 1, 2] = -params.alpha
+    return SystemMatrices(
+        kind="lagged_formation",
+        order=n,
+        dense=dense,
+        params=params,
+        input_matrix=input_matrix,
+    )
+
+
 def build_cascade_matrix(n: int, chains: int, params: EstimationParams) -> SystemMatrices:
     """Block lower-triangular matrix of ``chains`` equal formation chains.
 
@@ -210,16 +242,60 @@ def build_cascade_matrix(n: int, chains: int, params: EstimationParams) -> Syste
     )
 
 
-def spectral_radius(matrix: np.ndarray) -> float:
-    """max |lambda| over the (complex) eigenvalues of a square real matrix.
+_MODE_KINDS = ("estimator", "lagged_estimator", "formation", "lagged_formation")
 
-    Dense LAPACK Hessenberg/QR iteration; adequate at the desk scale this
-    package targets (orders up to a few hundred).  Non-convergence raises
-    numpy's LinAlgError rather than returning garbage.
+
+def chain_modes(order: int, params: EstimationParams, kind: str) -> np.ndarray:
+    """The chain matrix of ``kind`` split into its ``order`` modal blocks.
+
+    Every block of a chain matrix is a polynomial in one matrix K, half the
+    path adjacency (with the vertex correction for the formation kinds),
+    so they share K's eigenvectors.  In the mode of K's eigenvalue mu_k
+    the 2d x 2d matrix acts as [[1, dt], [alpha (mu_k - 1), mu_k]] and the
+    3d x 3d lagged one as [[1, 0, dt], [0, 0, 1], [alpha (mu_k - 1), mu_k, 0]];
+    the dense matrix has exactly the eigenvalues of its blocks.  An
+    estimator chain ends at a free robot, mu_k = cos(k pi / (d + 1)).  A
+    formation chain's vertex tracks its predecessor as if it had a
+    mirrored neighbour q_{n+1} = q_{n-1}, mu_k = cos((2k - 1) pi / (2n)).
+
+    Returns an ``(order, 2, 2)`` stack, ``(order, 3, 3)`` for the lagged
+    kinds.
+    """
+    if kind not in _MODE_KINDS:
+        raise ValueError(f"kind must be one of {_MODE_KINDS}, got {kind!r}")
+    k = np.arange(1, order + 1)
+    if kind.endswith("formation"):
+        if order < 2:
+            raise ValueError(f"formation chain needs n >= 2 robots, got {order}")
+        mu = np.cos((2 * k - 1) * np.pi / (2 * order))
+    else:
+        if order < 1:
+            raise ValueError(f"chain order must be >= 1, got {order}")
+        mu = np.cos(k * np.pi / (order + 1))
+    size = 3 if kind.startswith("lagged") else 2
+    blocks = np.zeros((order, size, size))
+    blocks[:, 0, 0] = 1.0
+    blocks[:, 0, -1] = params.dt
+    blocks[:, -1, 0] = params.alpha * (mu - 1.0)
+    blocks[:, -1, 1] = mu
+    if size == 3:
+        blocks[:, 1, 2] = 1.0
+    return blocks
+
+
+def spectral_radius(matrix: np.ndarray) -> float:
+    """max |lambda| over the (complex) eigenvalues of a square real matrix,
+    or of every matrix in a stack of shape ``(..., k, k)``.
+
+    One batched LAPACK Hessenberg/QR call (``np.linalg.eigvals``).  A dense
+    matrix of order N costs O(N^3); the ``chain_modes`` stack of a chain
+    gives the same radius at O(d) cost.  Non-convergence raises numpy's
+    LinAlgError rather than returning garbage.
     """
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {matrix.shape}")
+    if matrix.ndim < 2 or matrix.shape[-2] != matrix.shape[-1]:
+        raise ValueError(f"matrix must be square or a stack of square matrices, "
+                         f"got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix contains non-finite entries")
     return float(np.max(np.abs(np.linalg.eigvals(matrix))))
@@ -410,7 +486,13 @@ def chain_equilibrium(
 
 
 def spectral_report(n_prime: int, params: EstimationParams) -> dict:
-    """Stability summary for one chain order and parameter pair."""
+    """Stability summary for one chain order and parameter pair.
+
+    The radii come from the modal blocks (``chain_modes``): the estimator
+    chain ``rho_A``, its lagged variant ``rho_Ar``, and the formation chain
+    of n_prime robots under the sigma = 1 and sigma = 2 laws, ``rho_Af`` and
+    ``rho_Af_lagged`` (None at order 1).
+    """
     alpha_dt = params.alpha * params.dt
     bounds = stability_bounds(n_prime)
     report = {
@@ -420,10 +502,15 @@ def spectral_report(n_prime: int, params: EstimationParams) -> dict:
         "beta": params.beta,
         "bound_s1": bounds.s1,
         "bound_s2": bounds.s2,
-        "rho_A": spectral_radius(build_estimator_matrix(n_prime, params).dense),
-        "rho_Ar": spectral_radius(build_lagged_estimator_matrix(n_prime, params).dense),
+        "rho_A": spectral_radius(chain_modes(n_prime, params, "estimator")),
+        "rho_Ar": spectral_radius(chain_modes(n_prime, params, "lagged_estimator")),
         "rho_Af": (
-            spectral_radius(build_formation_matrix(n_prime, params).dense)
+            spectral_radius(chain_modes(n_prime, params, "formation"))
+            if n_prime >= 2
+            else None
+        ),
+        "rho_Af_lagged": (
+            spectral_radius(chain_modes(n_prime, params, "lagged_formation"))
             if n_prime >= 2
             else None
         ),

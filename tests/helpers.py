@@ -181,14 +181,21 @@ def iterate_lagged_estimator(matrices, initial_positions, excitation, steps):
 
 
 def iterate_formation_chain(matrices, initial_positions, initial_velocities,
-                            anchor_position, anchor_velocity, l_star, steps):
-    """Reference iteration s(t+1) = A_f s(t) + B_f u_f for one chain."""
+                            anchor_position, anchor_velocity, l_star, steps,
+                            initial_velocities_prev=None):
+    """Reference iteration s(t+1) = A_f s(t) + B_f u_f for one chain.
+
+    A lagged chain (layout [q, v_old, v], 3n rows) starts its stale layer
+    at ``initial_velocities_prev``, zero if not given.
+    """
     n = matrices.order
     A = matrices.dense
     B = matrices.input_matrix
-    s = np.zeros((2 * n, 2))
+    s = np.zeros((A.shape[0], 2))
     s[:n] = initial_positions
-    s[n:] = initial_velocities
+    s[-n:] = initial_velocities
+    if initial_velocities_prev is not None:
+        s[n:2 * n] = initial_velocities_prev
     u = np.column_stack([anchor_position, anchor_velocity, l_star]).T  # (3, 2)
     out = []
     for _ in range(steps):

@@ -18,6 +18,7 @@ from ringform.cli import (
     EXIT_DIVERGED,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
+    MAX_VERTEX_RECORD_BYTES,
     MODES,
     RunConfig,
     load_config,
@@ -71,6 +72,7 @@ PROBES = [
     ("sweep.scale_per_n", "no"),
     ("seed", True),
     ("max_steps", 1.9),
+    ("max_steps", 1_000_000_000),  # a 44.7 GiB vertex record
     ("topology.n_total", "abc"),
     ("topology.vertex_set", ["a", 2, 5]),
     ("topology.vertex_set", [0, 2, 7]),  # index 7 is outside the 7-robot ring
@@ -131,6 +133,14 @@ class TestConfigValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.yaml")
+
+    def test_vertex_record_cap_boundary(self):
+        # The triangle's record holds (max_steps + 1) x 3 x 2 doubles.
+        longest = MAX_VERTEX_RECORD_BYTES // (3 * 2 * 8) - 1
+        form = dict(TRIANGLE, mode="form")
+        assert parse_config(dict(form, max_steps=longest)).max_steps == longest
+        with pytest.raises(ConfigError, match=r"^max_steps: .* 256 MiB cap"):
+            parse_config(dict(form, max_steps=longest + 1))
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = write_config(tmp_path, dict(TRIANGLE, sigma=9))
@@ -488,6 +498,8 @@ class TestOtherModes:
         assert report["satisfies_s2"] is False
         assert report["rho_A"] < 1.0
         assert report["rho_Ar"] < 1.0
+        assert report["rho_Af"] < 1.0
+        assert report["rho_Af_lagged"] > 1.0
 
     def test_sweep_mode(self, tmp_path):
         cfg = {

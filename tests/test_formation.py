@@ -23,7 +23,12 @@ from ringform.formation import (
     seeded_placement,
     step_formation,
 )
-from ringform.spectral import EstimationParams, build_formation_matrix
+from ringform.spectral import (
+    EstimationParams,
+    build_formation_matrix,
+    build_lagged_formation_matrix,
+    stability_bound,
+)
 from ringform.topology import PolygonSpec, RingTopology, cut_ring
 
 TRI_R = np.array([[1.0, -2.0], [2.0, 2.0], [-3.0, 0.0]])
@@ -173,6 +178,36 @@ class TestStep:
             state = step_formation(state, config)
             got = np.vstack([state.positions[1:3], state.velocities[1:3]])
             np.testing.assert_allclose(got, step_states, atol=1e-12)
+
+    def test_lagged_chain_matches_lagged_matrix_iteration(self):
+        # criterion 5's check for sigma = 2: the first chain of a 3n ring,
+        # here with non-zero current and stale velocities, follows the
+        # dense lagged formation matrix entrywise for 200 steps.
+        worst = 0.0
+        for n in range(2, 11):
+            params = EstimationParams(alpha=0.9 * stability_bound(n, "S2") / 0.05, dt=0.05)
+            config = FormationConfig(
+                ring=RingTopology(3 * n),
+                spec=PolygonSpec(vertex_set=(0, n, 2 * n), r_star=TRI_R),
+                params=params, sigma=2,
+            )
+            rng = make_generator(n, 52)
+            q, v, v_old = (uniform_box(rng, 3 * n, 2.0) for _ in range(3))
+            q[0] = v[0] = v_old[0] = 0.0
+            state = SwarmState(positions=q, velocities=v, velocities_prev=v_old, step=0)
+            expected = iterate_formation_chain(
+                build_lagged_formation_matrix(n, params),
+                q[1:n + 1], v[1:n + 1],
+                anchor_position=np.zeros(2), anchor_velocity=np.zeros(2),
+                l_star=config.l_star[0], steps=200,
+                initial_velocities_prev=v_old[1:n + 1],
+            )
+            for step_state in expected:
+                state = step_formation(state, config)
+                got = np.vstack([state.positions[1:n + 1], state.velocities_prev[1:n + 1],
+                                 state.velocities[1:n + 1]])
+                worst = max(worst, float(np.max(np.abs(got - step_state))))
+        assert worst < 1e-12
 
     def test_pinned_vertex_never_moves(self):
         config = triangle_config(anchor=(0.7, -0.3))

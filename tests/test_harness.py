@@ -15,6 +15,7 @@ from ringform.harness import (
 from ringform.spectral import (
     EstimationParams,
     build_formation_matrix,
+    build_lagged_formation_matrix,
     spectral_radius,
     stability_bound,
     steady_ratio_closed,
@@ -158,6 +159,17 @@ class TestTriangleScenario:
         assert report.interior_spacing_error < 1e-3
         assert report.equilibrium_deviation < 1e-2
         assert report.rho_chain < 1.0
+
+    def test_rho_chain_follows_the_velocity_lag(self):
+        # the triangle's largest chain has 3 robots
+        params = EstimationParams(alpha=0.3, dt=0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for sigma, builder in ((1, build_formation_matrix),
+                                   (2, build_lagged_formation_matrix)):
+                report = scenario_report(shipped_config("triangle", seed=13, sigma=sigma), ())
+                dense = spectral_radius(builder(3, params).dense)
+                assert report.rho_chain == pytest.approx(dense, rel=1e-12)
 
     def test_determinism(self):
         with warnings.catch_warnings():

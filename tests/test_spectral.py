@@ -18,7 +18,9 @@ from ringform.spectral import (
     build_estimator_matrix,
     build_formation_matrix,
     build_lagged_estimator_matrix,
+    build_lagged_formation_matrix,
     chain_equilibrium,
+    chain_modes,
     readout_determinant,
     readout_matrix,
     s1_readout_frame,
@@ -117,6 +119,24 @@ class TestBuilders:
     def test_formation_rejects_single_robot(self):
         with pytest.raises(ValueError):
             build_formation_matrix(1, P)
+        with pytest.raises(ValueError):
+            build_lagged_formation_matrix(1, P)
+
+    def test_lagged_formation_differs_from_lagged_estimator_in_vertex_row(self):
+        params = EstimationParams(alpha=0.3, dt=0.2)
+        base = build_lagged_estimator_matrix(3, params).dense
+        mats = build_lagged_formation_matrix(3, params)
+        delta = mats.dense - base
+        assert np.count_nonzero(delta) == 2
+        # alpha (q_{n-1} - q_n) + v_{n-1}(k-1): the velocity term is stale
+        np.testing.assert_allclose(mats.dense[-1, :3], [0.0, 0.3, -0.3])
+        np.testing.assert_allclose(mats.dense[-1, 3:6], [0.0, 1.0, 0.0])
+        np.testing.assert_allclose(mats.dense[-1, 6:], np.zeros(3))
+        B = mats.input_matrix
+        assert B.shape == (9, 3)
+        np.testing.assert_allclose(B[6], [0.15, 0.5, 0.0])
+        np.testing.assert_allclose(B[8], [0.0, 0.0, -0.3])
+        assert np.count_nonzero(B) == 3
 
 
 class TestSpectralRadius:
@@ -131,6 +151,21 @@ class TestSpectralRadius:
             spectral_radius(np.ones((2, 3)))
         with pytest.raises(ValueError):
             spectral_radius(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+    def test_stack_is_the_largest_radius_of_its_matrices(self):
+        stack = np.array([np.diag([0.5, -0.25]), [[0.0, 1.0], [-0.81, 0.0]], np.eye(2) * 0.1])
+        assert spectral_radius(stack) == pytest.approx(0.9)
+        assert spectral_radius(stack.reshape(3, 1, 2, 2)) == pytest.approx(0.9)
+
+    def test_stack_rejects_nonsquare_and_nonfinite(self):
+        with pytest.raises(ValueError, match="square"):
+            spectral_radius(np.ones((4, 2, 3)))
+        with pytest.raises(ValueError, match="square"):
+            spectral_radius(np.ones(3))
+        stack = np.tile(np.eye(2), (3, 1, 1))
+        stack[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            spectral_radius(stack)
 
     def test_matches_per_mode_quadratic_oracle(self):
         for d in (1, 2, 5, 19, 30):
@@ -157,6 +192,78 @@ class TestSpectralRadius:
         assert rho_a < 1.0
         assert rho_ar < 1.0
         assert params.alpha * params.dt > stability_bound(19, "S2")
+
+
+DENSE = {
+    "estimator": build_estimator_matrix,
+    "lagged_estimator": build_lagged_estimator_matrix,
+    "formation": build_formation_matrix,
+    "lagged_formation": build_lagged_formation_matrix,
+}
+
+
+class TestChainModes:
+    @pytest.mark.parametrize("kind", sorted(DENSE))
+    def test_block_radius_equals_dense_radius(self, kind):
+        # alpha*dt from well inside the bounds to far outside them; at
+        # 1.5 every kind and order tested has rho > 1.22.
+        first = 2 if kind.endswith("formation") else 1
+        worst = 0.0
+        for order in list(range(first, 41)) + [97, 200]:
+            for alpha_dt in (1e-3, 0.02, 0.3, 1.5):
+                params = EstimationParams(alpha=alpha_dt / 0.05, dt=0.05)
+                block = spectral_radius(chain_modes(order, params, kind))
+                dense = spectral_radius(DENSE[kind](order, params).dense)
+                worst = max(worst, abs(block - dense) / dense)
+                assert alpha_dt < 1.5 or block > 1.0
+        assert worst < 1e-12
+
+    @pytest.mark.parametrize("kind,size", [("estimator", 2), ("lagged_estimator", 3),
+                                           ("formation", 2), ("lagged_formation", 3)])
+    def test_stack_shape(self, kind, size):
+        assert chain_modes(7, P, kind).shape == (7, size, size)
+
+    def test_order_one_blocks_are_the_dense_matrices(self):
+        params = EstimationParams(alpha=0.7, dt=0.2)
+        for kind in ("estimator", "lagged_estimator"):
+            np.testing.assert_allclose(chain_modes(1, params, kind)[0],
+                                       DENSE[kind](1, params).dense, atol=1e-15)
+
+    def test_mode_eigenvalues_are_the_dense_spectrum(self):
+        params = EstimationParams(alpha=0.3, dt=0.2)
+        for kind in DENSE:
+            blocks = np.sort_complex(np.linalg.eigvals(chain_modes(6, params, kind)).ravel())
+            dense = np.sort_complex(np.linalg.eigvals(DENSE[kind](6, params).dense))
+            np.testing.assert_allclose(blocks, dense, atol=1e-9)
+
+    def test_rejects_bad_kind_and_order(self):
+        with pytest.raises(ValueError, match="kind"):
+            chain_modes(3, P, "cascade")
+        with pytest.raises(ValueError):
+            chain_modes(0, P, "estimator")
+        with pytest.raises(ValueError):
+            chain_modes(1, P, "lagged_formation")
+
+    def test_cascade_radius_is_the_chain_block_radius(self):
+        # Hexagon gains: six chains of 20 robots.  The cascade is block
+        # triangular with the chain matrix on its diagonal, so its radius
+        # is the chain's.  Dense eigvals on the 240 x 240 cascade returns
+        # 0.998522 instead: each eigenvalue is six-fold and defective, so
+        # the eigensolver resolves it only to about eps**(1/6).
+        params = EstimationParams(alpha=0.5, dt=0.05)
+        rho = spectral_radius(chain_modes(20, params, "formation"))
+        assert rho == pytest.approx(0.998496, abs=5e-7)
+        assert rho == pytest.approx(spectral_radius(build_formation_matrix(20, params).dense),
+                                    rel=1e-12)
+
+    @pytest.mark.parametrize("dt,rho", [(0.05, 1.0111735), (0.01, 1.0009630)])
+    def test_lagged_formation_radius(self, dt, rho):
+        # sigma = 2 is unstable for 20-robot chains at alpha = 0.5
+        params = EstimationParams(alpha=0.5, dt=dt)
+        block = spectral_radius(chain_modes(20, params, "lagged_formation"))
+        dense = spectral_radius(build_lagged_formation_matrix(20, params).dense)
+        assert block == pytest.approx(rho, abs=5e-8)
+        assert block == pytest.approx(dense, rel=1e-12)
 
 
 class TestStabilityBounds:
@@ -415,6 +522,18 @@ class TestReport:
     def test_report_order_one_has_no_formation_entry(self):
         report = spectral_report(1, EstimationParams(alpha=0.1, dt=0.1))
         assert report["rho_Af"] is None
+        assert report["rho_Af_lagged"] is None
+
+    def test_report_radii_are_the_dense_radii(self):
+        params = EstimationParams(alpha=0.5, dt=0.05)
+        report = spectral_report(20, params)
+        for key, builder in (("rho_A", build_estimator_matrix),
+                             ("rho_Ar", build_lagged_estimator_matrix),
+                             ("rho_Af", build_formation_matrix),
+                             ("rho_Af_lagged", build_lagged_formation_matrix)):
+            dense = spectral_radius(builder(20, params).dense)
+            assert report[key] == pytest.approx(dense, rel=1e-12)
+        assert report["rho_Af_lagged"] == pytest.approx(1.0111735, abs=5e-8)
 
 
 @settings(max_examples=40, deadline=None)
