@@ -100,23 +100,39 @@ class FormationConfig:
         return self._vertices
 
 
-def step_formation(state: SwarmState, config: FormationConfig) -> SwarmState:
+def _wrap(values: np.ndarray) -> np.ndarray:
+    """``values`` as a wrapped ring: row i + 1 is robot i, rows 0 and -1
+    repeat the last and the first robot."""
+    return np.concatenate([values[-1:], values, values[:1]])
+
+
+def step_formation(state: SwarmState, config: FormationConfig, rings=None) -> SwarmState:
     """One synchronous ring step; returns the successor state.
 
     Every robot computes its next velocity from the same snapshot, then
     positions integrate the pre-update velocities.  The pinned vertex keeps
     zero velocity, so its position never changes.
+
+    ``rings`` is ``(q_ring, vlag_ring, next_q_ring, next_v_ring)``, four
+    wrapped (n + 2, 2) arrays.  The first two hold ``state``'s positions
+    and the velocities the law reads (``velocities`` at sigma = 1,
+    ``velocities_prev`` at sigma = 2); the step writes the successor into
+    the last two, whose rows 1..n become its positions and velocities.
+    Without ``rings`` the first two are wrapped copies and the last two
+    fresh arrays.  ``state`` itself is only read.
     """
     alpha = config.params.alpha
     q = state.positions
     v = state.velocities
-    vlag = v if config.sigma == 1 else state.velocities_prev
+    if rings is None:
+        vlag = v if config.sigma == 1 else state.velocities_prev
+        rings = (_wrap(q), _wrap(vlag), np.empty((len(q) + 2, 2)), np.empty((len(q) + 2, 2)))
+    q_ring, v_ring, next_q, next_v = rings
+    new_q = next_q[1:-1]
+    new_v = next_v[1:-1]
 
-    # Wrapped ring: padded row i + 1 is robot i, padded row i its predecessor.
-    q_ring = np.concatenate([q[-1:], q, q[:1]])
-    v_ring = np.concatenate([vlag[-1:], vlag, vlag[:1]])
-    new_v = midpoint_law(q_ring, v_ring, alpha)
-
+    # ``new_q`` is free scratch until the positions integrate below.
+    midpoint_law(q_ring, v_ring, alpha, out=new_v, scratch=new_q)
     vertices = config.vertices
     tracking = vertices[1:]
     new_v[tracking] = (
@@ -124,7 +140,13 @@ def step_formation(state: SwarmState, config: FormationConfig) -> SwarmState:
     )
     new_v[vertices[0]] = 0.0
 
-    new_q = q + config.params.dt * v
+    np.multiply(config.params.dt, v, out=new_q)
+    np.add(q, new_q, out=new_q)
+
+    next_q[0] = new_q[-1]
+    next_q[-1] = new_q[0]
+    next_v[0] = new_v[-1]
+    next_v[-1] = new_v[0]
 
     check_finite(new_q, state.step + 1, "ring positions")
     check_finite(new_v, state.step + 1, "ring velocities")
@@ -203,8 +225,14 @@ def run_formation(
 ) -> FormationTrace:
     """Run the ring for ``horizon`` steps, recording errors every step.
 
-    Snapshots, kept every ``stride`` steps plus the final step, are the
-    (never mutated) states themselves, starting with ``initial``.  The
+    Snapshots are kept every ``stride`` steps plus the final step, starting
+    with ``initial`` itself.  The loop steps in wrapped rings (see
+    ``step_formation``) that it reuses: two for positions and three for
+    velocities, since sigma = 2 reads the layer before the current one.
+    A snapshot between ``initial`` and the last step holds copies of its
+    state's arrays, since later steps overwrite the rings; so no snapshot
+    is mutated or shares memory with another.  ``final_state`` is the
+    last state reached, the last snapshot when that state was kept.  The
     trace is flagged converged when the largest edge error at the final
     step is below ``error_tolerance``.
     """
@@ -231,23 +259,38 @@ def run_formation(
     trace = FormationTrace(dt=config.params.dt, tolerance=error_tolerance)
     # Row r holds the vertex positions r steps after ``initial``.
     corners = np.empty((horizon + 1, config.spec.m, 2))
-    state = initial
+    # The state at step k lives in q_cur, v_cur and v_old (its
+    # ``velocities_prev``); step k + 1 is written into q_new and v_new.
+    q_cur, q_new = _wrap(initial.positions), np.empty((config.ring.n_total + 2, 2))
+    v_old, v_cur = _wrap(initial.velocities_prev), _wrap(initial.velocities)
+    v_new = np.empty_like(q_new)
+    lagged = config.sigma == 2
+    state = SwarmState(q_cur[1:-1], v_cur[1:-1], v_old[1:-1], initial.step)
+    # ``last`` becomes ``final_state``: the last state reached, or its
+    # snapshot.
+    last = initial
     try:
         for row in range(horizon + 1):
             if row:
-                state = step_formation(state, config)
+                state = last = step_formation(state, config,
+                                              (q_cur, v_old if lagged else v_cur, q_new, v_new))
+                q_cur, q_new = q_new, q_cur
+                v_old, v_cur, v_new = v_cur, v_new, v_old
             # The indices are in range (checked by ``cut_ring``), so "clip"
             # only spares numpy the buffered copy its default mode makes.
             state.positions.take(config.vertices, axis=0, out=corners[row], mode="clip")
             if state.step % stride == 0 or state.step == horizon:
-                trace.snapshot_steps.append(state.step)
-                trace.snapshots.append(state)
+                if 0 < row < horizon:
+                    last = SwarmState(state.positions.copy(), state.velocities.copy(),
+                                      state.velocities_prev.copy(), state.step)
+                trace.snapshot_steps.append(last.step)
+                trace.snapshots.append(last)
     except DivergenceError as err:
-        _finish(trace, corners[:row], initial.step, state, config.spec.r_star)
+        _finish(trace, corners[:row], initial.step, last, config.spec.r_star)
         err.partial = trace
         raise
 
-    _finish(trace, corners, initial.step, state, config.spec.r_star)
+    _finish(trace, corners, initial.step, last, config.spec.r_star)
     return trace
 
 

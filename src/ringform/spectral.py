@@ -485,17 +485,34 @@ def chain_equilibrium(
     return positions, velocities
 
 
+def _decay_seconds(rho: float | None, dt: float) -> float | None:
+    """Seconds a mode of per-step radius ``rho`` takes to decay by 1e-2,
+    ``ln(100) dt / -ln(rho)``; None when there is no radius or it is not
+    below 1."""
+    if rho is None or rho >= 1.0:
+        return None
+    return math.log(100.0) * dt / -math.log(rho)
+
+
 def spectral_report(n_prime: int, params: EstimationParams) -> dict:
     """Stability summary for one chain order and parameter pair.
 
     The radii come from the modal blocks (``chain_modes``): the estimator
     chain ``rho_A``, its lagged variant ``rho_Ar``, and the formation chain
     of n_prime robots under the sigma = 1 and sigma = 2 laws, ``rho_Af`` and
-    ``rho_Af_lagged`` (None at order 1).
+    ``rho_Af_lagged`` (None at order 1).  ``decay_s_Af`` and
+    ``decay_s_Af_lagged`` turn the formation radii into seconds to decay
+    by 1e-2, None when the radius is None or not below 1.
     """
     alpha_dt = params.alpha * params.dt
     bounds = stability_bounds(n_prime)
-    report = {
+    rho_af, rho_af_lagged = (
+        (spectral_radius(chain_modes(n_prime, params, "formation")),
+         spectral_radius(chain_modes(n_prime, params, "lagged_formation")))
+        if n_prime >= 2
+        else (None, None)
+    )
+    return {
         "n_prime": n_prime,
         "alpha": params.alpha,
         "dt": params.dt,
@@ -504,17 +521,10 @@ def spectral_report(n_prime: int, params: EstimationParams) -> dict:
         "bound_s2": bounds.s2,
         "rho_A": spectral_radius(chain_modes(n_prime, params, "estimator")),
         "rho_Ar": spectral_radius(chain_modes(n_prime, params, "lagged_estimator")),
-        "rho_Af": (
-            spectral_radius(chain_modes(n_prime, params, "formation"))
-            if n_prime >= 2
-            else None
-        ),
-        "rho_Af_lagged": (
-            spectral_radius(chain_modes(n_prime, params, "lagged_formation"))
-            if n_prime >= 2
-            else None
-        ),
+        "rho_Af": rho_af,
+        "rho_Af_lagged": rho_af_lagged,
+        "decay_s_Af": _decay_seconds(rho_af, params.dt),
+        "decay_s_Af_lagged": _decay_seconds(rho_af_lagged, params.dt),
         "satisfies_s1": alpha_dt < bounds.s1,
         "satisfies_s2": alpha_dt < bounds.s2,
     }
-    return report

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -382,6 +383,8 @@ class TestTraceEquivalence:
         "unequal-sigma1": (lambda: unequal_formation(1), 7),
         "unequal-sigma2": (lambda: unequal_formation(2), 1),
         "triangle-diverges": (lambda: shipped_formation("triangle", alpha=1.5, sigma=2), 1),
+        "triangle-diverges-stride7": (
+            lambda: shipped_formation("triangle", alpha=1.5, sigma=2), 7),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -414,6 +417,72 @@ class TestTraceEquivalence:
         assert "step 124" in message
         assert partial.error_steps[-1] == 123
         assert partial.errors.shape == (124, 3)
+
+
+def wrapped(values):
+    """``values`` with the last row prepended and the first appended."""
+    return np.concatenate([values[-1:], values, values[:1]])
+
+
+class TestReusedBuffers:
+    """``step_formation`` into caller-owned rings, and what ``run_formation``
+    hands out from the rings it reuses."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           sigma=st.sampled_from([1, 2]),
+           ring=st.sampled_from(["unequal", "triangle"]))
+    def test_step_into_rings_is_the_plain_step(self, seed, sigma, ring):
+        config = unequal_ring(sigma) if ring == "unequal" else triangle_config(sigma)
+        n = config.ring.n_total
+        state = moving_start(n, seed)
+        state.step = seed % 1000
+        before = state_bits(state)
+        want = step_formation(state, config)
+        vlag = state.velocities if sigma == 1 else state.velocities_prev
+        rings = (wrapped(state.positions), wrapped(vlag),
+                 np.full((n + 2, 2), np.nan), np.full((n + 2, 2), np.nan))
+        read = [bits(a) for a in rings[:2]]
+        got = step_formation(state, config, rings)
+        assert state_bits(got) == state_bits(want)
+        assert state_bits(state) == before
+        assert [bits(a) for a in rings[:2]] == read
+        assert bits(rings[2]) == bits(wrapped(got.positions))
+        assert bits(rings[3]) == bits(wrapped(got.velocities))
+        assert np.shares_memory(got.positions, rings[2])
+        assert np.shares_memory(got.velocities, rings[3])
+
+    def test_step_into_rings_allocates_no_state_array(self):
+        config = FormationConfig(
+            ring=RingTopology(6000),
+            spec=PolygonSpec(vertex_set=(0, 2000, 4000), r_star=TRI_R),
+            params=TRI_PARAMS,
+            sigma=2,
+        )
+        state = moving_start(6000, 5)
+        rings = (wrapped(state.positions), wrapped(state.velocities_prev),
+                 np.empty((6002, 2)), np.empty((6002, 2)))
+        tracemalloc.start()
+        try:
+            step_formation(state, config, rings)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < state.positions.nbytes // 8
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("case,horizon", [("triangle-sigma1", 43), ("triangle-sigma2", 43),
+                                              ("unequal-sigma2", 43), ("triangle-diverges", None)])
+    def test_snapshots_share_no_memory(self, case, horizon, stride):
+        initial, config, full = TestTraceEquivalence.CASES[case][0]()
+        trace, message = trace_outcome(run_formation, initial, config, horizon or full, stride)
+        assert (message is None) is (case != "triangle-diverges")
+        kept = {id(s): s for s in trace.snapshots + [trace.final_state]}
+        assert len(kept) == len(trace.snapshots) + (trace.final_state is not trace.snapshots[-1])
+        arrays = [a for s in kept.values() for a in (s.positions, s.velocities, s.velocities_prev)]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
 
 
 class TestTranslationEquivariance:

@@ -14,6 +14,7 @@ from helpers import (
 )
 from ringform.spectral import (
     EstimationParams,
+    _decay_seconds,
     build_cascade_matrix,
     build_estimator_matrix,
     build_formation_matrix,
@@ -523,6 +524,20 @@ class TestReport:
         report = spectral_report(1, EstimationParams(alpha=0.1, dt=0.1))
         assert report["rho_Af"] is None
         assert report["rho_Af_lagged"] is None
+        assert report["decay_s_Af"] is None
+        assert report["decay_s_Af_lagged"] is None
+
+    def test_report_decay_seconds(self):
+        # hexagon gains: the stable sigma = 1 chain decays by 1e-2 in ~153 s
+        # at dt = 0.05 and ~30 s at dt = 0.01; sigma = 2 grows (rho > 1).
+        for dt, seconds in ((0.05, 152.989), (0.01, 29.982)):
+            report = spectral_report(20, EstimationParams(alpha=0.5, dt=dt))
+            assert report["decay_s_Af"] == math.log(100.0) * dt / -math.log(report["rho_Af"])
+            assert report["decay_s_Af"] == pytest.approx(seconds, abs=1e-3)
+            assert report["rho_Af_lagged"] > 1.0
+            assert report["decay_s_Af_lagged"] is None
+        assert _decay_seconds(1.0, 0.05) is None
+        assert _decay_seconds(np.nextafter(1.0, 0.0), 0.05) > 0.0
 
     def test_report_radii_are_the_dense_radii(self):
         params = EstimationParams(alpha=0.5, dt=0.05)
