@@ -18,6 +18,7 @@ import math
 import sys
 import time
 import warnings
+from contextlib import ExitStack, closing
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -25,7 +26,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .core import DivergenceError
+from .core import DivergenceError, SwarmState
 from .estimation import EstimateTrace, EstimatorConfig, run_estimation
 from .formation import (
     FormationConfig,
@@ -46,10 +47,6 @@ EXIT_NOT_CONVERGED = 4
 
 MODES = ("estimate", "form", "pipeline", "sweep", "spectral")
 STRATEGIES = ("S1", "S2")
-
-# A formation run keeps every step's vertex positions, (max_steps + 1) x m
-# x 2 doubles, in memory; a longer horizon is a config error.
-MAX_VERTEX_RECORD_BYTES = 256 * 2 ** 20
 
 
 class ConfigError(ValueError):
@@ -288,11 +285,6 @@ def _check_rules(cfg: RunConfig) -> None:
             raise ConfigError(f"topology: {exc}") from exc
         _require(spec.vertex_set[-1] < cfg.n_total, "topology.vertex_set",
                  f"vertex indices out of range [0, {cfg.n_total})")
-        record = (cfg.max_steps + 1) * spec.m * 2 * 8
-        _require(record <= MAX_VERTEX_RECORD_BYTES, "max_steps",
-                 f"the formation keeps (max_steps + 1) x {spec.m} vertex positions in "
-                 f"memory, {record / 2 ** 20:.1f} MiB, over the "
-                 f"{MAX_VERTEX_RECORD_BYTES // 2 ** 20} MiB cap; got {cfg.max_steps}")
         if not validate_polygon_closure(spec, cfg.closure_tolerance):
             residual = spec.r_star.sum(axis=0)
             raise ConfigError(
@@ -340,16 +332,29 @@ def _resolved_dict(cfg: RunConfig) -> dict:
 _BOOL = {True: "true", False: "false"}
 
 
-def write_csv(path: Path, header: list[str], blocks) -> None:
-    """Write the header, then each block of LF-terminated lines (one step's
-    rows) with one flush per block; decimal point, comma, LF contract.
-    Lines stream through the file buffer, which hands whole lines to the
-    OS, so a cut file ends on a row boundary."""
-    with open(path, "w", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
+def write_csv(path: Path, header: list[str], blocks=()):
+    """Create ``path`` with the header line and each of ``blocks``, and
+    return the file, still open for more blocks until it is closed.
+
+    A block is an iterable of LF-terminated lines; it is flushed as a
+    whole (``_write_block``).  Decimal point, comma, LF.  Lines stream
+    through the file buffer, which hands whole lines to the OS, so a cut
+    file ends on a row boundary.
+    """
+    out = open(path, "w", newline="\n")
+    try:
+        out.write(",".join(header) + "\n")
         for block in blocks:
-            handle.writelines(block)
-            handle.flush()
+            _write_block(out, block)
+    except BaseException:
+        out.close()
+        raise
+    return out
+
+
+def _write_block(out, lines) -> None:
+    out.writelines(lines)
+    out.flush()
 
 
 def write_estimate_csv(path: Path, traces: list[EstimateTrace]) -> None:
@@ -366,12 +371,18 @@ def write_estimate_csv(path: Path, traces: list[EstimateTrace]) -> None:
 
     steps = max((len(t.steps) for t in traces), default=0)
     write_csv(path, ["step", "chain_id", "ratio", "estimate_raw", "estimate_rounded",
-                     "converged"], (block(pos) for pos in range(steps)))
+                     "converged"], (block(pos) for pos in range(steps))).close()
 
 
-def write_trace_csv(path: Path, trace: FormationTrace) -> None:
-    def block(step, state):
-        prefix = f"{step},{step * trace.dt!r},"
+TRACE_HEADER = ["step", "time", "robot_id", "px", "py", "vx", "vy"]
+ERRORS_HEADER = ["step", "time", "edge_id", "error"]
+
+
+def write_trace_csv(out, state: SwarmState, dt: float) -> None:
+    """Add one snapshot to the open ``trace.csv`` file ``out``: a row per
+    robot, flushed together."""
+    def rows():
+        prefix = f"{state.step},{state.step * dt!r},"
         # One row at a time: a whole-state tolist() of a 12 000-robot ring
         # raises the run's peak RSS by ~3 MiB.
         for robot_id, (q, v) in enumerate(zip(state.positions, state.velocities)):
@@ -379,17 +390,38 @@ def write_trace_csv(path: Path, trace: FormationTrace) -> None:
             vx, vy = v.tolist()
             yield f"{prefix}{robot_id},{px!r},{py!r},{vx!r},{vy!r}\n"
 
-    write_csv(path, ["step", "time", "robot_id", "px", "py", "vx", "vy"],
-              (block(step, state) for step, state in zip(trace.snapshot_steps, trace.snapshots)))
+    _write_block(out, rows())
 
 
-def write_errors_csv(path: Path, trace: FormationTrace) -> None:
-    def block(step, errors):
-        prefix = f"{step},{step * trace.dt!r},"
-        return [f"{prefix}{edge_id},{e!r}\n" for edge_id, e in enumerate(errors.tolist())]
+def write_errors_csv(out, steps: np.ndarray, errors: np.ndarray, dt: float) -> None:
+    """Add a block of steps to the open ``errors.csv`` file ``out``: a row
+    per step and edge, ``errors[i]`` at step ``steps[i]``, flushed once."""
+    for step, row in zip(steps.tolist(), errors):
+        prefix = f"{step},{step * dt!r},"
+        out.writelines([f"{prefix}{edge_id},{e!r}\n" for edge_id, e in enumerate(row.tolist())])
+    out.flush()
 
-    write_csv(path, ["step", "time", "edge_id", "error"],
-              (block(int(step), errors) for step, errors in zip(trace.error_steps, trace.errors)))
+
+class _FormationFiles:
+    """The CLI's formation sink: ``trace.csv`` and ``errors.csv``, open for
+    the whole run and written as ``run_formation`` hands its output over."""
+
+    def __init__(self, out_dir: Path, outputs: list[str], dt: float):
+        self.dt = dt
+        self.trace = write_csv(out_dir / "trace.csv", TRACE_HEADER)
+        outputs.append("trace.csv")
+        self.errors = write_csv(out_dir / "errors.csv", ERRORS_HEADER)
+        outputs.append("errors.csv")
+
+    def add_snapshot(self, state: SwarmState) -> None:
+        write_trace_csv(self.trace, state, self.dt)
+
+    def add_errors(self, steps: np.ndarray, errors: np.ndarray) -> None:
+        write_errors_csv(self.errors, steps, errors, self.dt)
+
+    def close(self) -> None:
+        self.trace.close()
+        self.errors.close()
 
 
 def write_resolved_config(out_dir: Path, cfg: RunConfig) -> None:
@@ -419,24 +451,17 @@ def _write_estimates(out_dir: Path, outputs: list[str], traces) -> None:
     outputs.append("estimate.csv")
 
 
-def _write_formation(out_dir: Path, outputs: list[str], trace: FormationTrace) -> None:
-    write_trace_csv(out_dir / "trace.csv", trace)
-    write_errors_csv(out_dir / "errors.csv", trace)
-    outputs.extend(["trace.csv", "errors.csv"])
-
-
 def _diverged(err: DivergenceError, out_dir: Path, outputs: list[str]) -> int:
-    """Flush the partial traces run before the divergence, then report.
+    """Write the estimate traces run before the divergence, then report.
 
     ``err.partial`` is one trace or a list of estimate traces that may end
-    with the formation trace (``run_pipeline``).
+    with the formation trace (``run_pipeline``).  A formation's output,
+    with every estimate before it, is on disk already.
     """
     partial = err.partial if isinstance(err.partial, list) else [err.partial]
     estimates = [t for t in partial if isinstance(t, EstimateTrace)]
-    if estimates:
+    if estimates and not isinstance(partial[-1], FormationTrace):
         _write_estimates(out_dir, outputs, estimates)
-    if isinstance(partial[-1], FormationTrace):
-        _write_formation(out_dir, outputs, partial[-1])
     print(f"ringform: {err}", file=sys.stderr)
     return EXIT_DIVERGED
 
@@ -464,25 +489,29 @@ def _run_form(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
     initial, anchor = seeded_placement(ring, spec, cfg.seed, cfg.initial_box)
     config = FormationConfig(ring=ring, spec=spec, params=cfg.params, sigma=cfg.sigma,
                              anchor_position=anchor)
-    trace = run_formation(initial, config, cfg.max_steps,
-                          error_tolerance=cfg.formation_tolerance, stride=cfg.stride)
-    _write_formation(out_dir, outputs, trace)
-    final_error = float(trace.errors[-1].max())
+    with closing(_FormationFiles(out_dir, outputs, cfg.dt)) as files:
+        trace = run_formation(initial, config, cfg.max_steps, sink=files,
+                              error_tolerance=cfg.formation_tolerance, stride=cfg.stride)
+    final_error = float(trace.final_errors.max())
     print(f"formation: max edge error {final_error:.3e} after "
           f"{cfg.max_steps} steps (tolerance {cfg.formation_tolerance})")
     return EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
 
 
 def _run_pipeline(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
-    try:
-        result = run_pipeline(**cfg.pipeline_arguments())
-    except PipelineEstimationError as err:
-        _write_estimates(out_dir, outputs, err.traces)
-        print(f"ringform: {err}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    _write_estimates(out_dir, outputs, result.estimate_traces)
-    _write_formation(out_dir, outputs, result.formation)
-    final_error = float(result.formation.errors[-1].max())
+    with ExitStack() as files:
+        def open_sink(traces):
+            # estimate.csv is complete before the formation starts.
+            _write_estimates(out_dir, outputs, traces)
+            return files.enter_context(closing(_FormationFiles(out_dir, outputs, cfg.dt)))
+
+        try:
+            result = run_pipeline(**cfg.pipeline_arguments(), open_sink=open_sink)
+        except PipelineEstimationError as err:
+            _write_estimates(out_dir, outputs, err.traces)
+            print(f"ringform: {err}", file=sys.stderr)
+            return EXIT_NOT_CONVERGED
+    final_error = float(result.formation.final_errors.max())
     print(f"pipeline: estimates {result.estimates}, final max edge error "
           f"{final_error:.3e}")
     return EXIT_OK if result.formation.converged else EXIT_NOT_CONVERGED
@@ -499,7 +528,7 @@ def _run_sweep(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
         ["n", "strategy", "reps", "mean_steps", "all_correct"],
         [[f"{r.n},{r.strategy},{r.reps},{r.mean_steps!r},{_BOOL[r.all_correct]}\n"
           for r in sweep.rows]],
-    )
+    ).close()
     outputs.append("sweep.csv")
     curve = sensitivity_curves((max(cfg.sweep_n_min - 1, 1), cfg.sweep_n_max - 1),
                                dt=cfg.dt)
@@ -509,7 +538,7 @@ def _run_sweep(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
          "ratio_s2_sim"],
         [[f"{r.n_prime},{r.ratio_s1_closed!r},{r.ratio_s2_closed!r},{r.ratio_s1_sim!r},"
           f"{r.ratio_s2_sim!r}\n" for r in curve.rows]],
-    )
+    ).close()
     outputs.append("sensitivity.csv")
     bad = [r for r in sweep.rows if not r.all_correct]
     if bad:

@@ -197,9 +197,24 @@ def predicted_equilibrium(config: FormationConfig) -> SwarmState:
     return SwarmState.at_rest(positions)
 
 
+# Steps per output block.  The loop keeps one block of vertex rows, and
+# computes and hands over one block of edge errors at a time, so a run's
+# memory does not grow with its horizon.  On the hexagon, blocks of 64 to
+# 18 001 steps time the same within noise; 1 024 keeps the block arrays
+# near 250 KiB there and errors.csv at 18 flushes.
+BLOCK_STEPS = 1024
+
+
 @dataclass
 class FormationTrace:
-    """Recorded snapshots, per-step errors, and the convergence verdict."""
+    """A formation run's verdict, and its whole record when it was kept.
+
+    ``run_formation`` always fills ``final_state``, ``final_errors`` (the
+    edge errors of the last step reached), ``converged`` and
+    ``first_step_within_tol``.  Run without a ``sink``, it also fills the
+    snapshots with their steps and every step's edge errors, row i of
+    ``errors`` at step ``error_steps[i]``.
+    """
 
     dt: float
     tolerance: float
@@ -208,11 +223,35 @@ class FormationTrace:
     error_steps: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     errors: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     final_state: SwarmState | None = None
+    final_errors: np.ndarray | None = None
     converged: bool = False
     first_step_within_tol: int | None = None
 
     def times(self) -> np.ndarray:
         return self.error_steps * self.dt
+
+
+class _Collector:
+    """``run_formation``'s default consumer: keeps every snapshot and error
+    block, then fills the trace with them."""
+
+    def __init__(self):
+        self.snapshots = []
+        self.steps = []
+        self.errors = []
+
+    def add_snapshot(self, state: SwarmState) -> None:
+        self.snapshots.append(state)
+
+    def add_errors(self, steps: np.ndarray, errors: np.ndarray) -> None:
+        self.steps.append(steps)
+        self.errors.append(errors)
+
+    def fill(self, trace: FormationTrace) -> None:
+        trace.snapshot_steps = [state.step for state in self.snapshots]
+        trace.snapshots = self.snapshots
+        trace.error_steps = np.concatenate(self.steps)
+        trace.errors = np.concatenate(self.errors)
 
 
 def run_formation(
@@ -222,19 +261,28 @@ def run_formation(
     *,
     error_tolerance: float = 1e-2,
     stride: int = 1,
+    sink=None,
 ) -> FormationTrace:
-    """Run the ring for ``horizon`` steps, recording errors every step.
+    """Run the ring for ``horizon`` steps, handing its output to ``sink``.
 
-    Snapshots are kept every ``stride`` steps plus the final step, starting
-    with ``initial`` itself.  The loop steps in wrapped rings (see
-    ``step_formation``) that it reuses: two for positions and three for
-    velocities, since sigma = 2 reads the layer before the current one.
-    A snapshot between ``initial`` and the last step holds copies of its
-    state's arrays, since later steps overwrite the rings; so no snapshot
-    is mutated or shares memory with another.  ``final_state`` is the
-    last state reached, the last snapshot when that state was kept.  The
-    trace is flagged converged when the largest edge error at the final
-    step is below ``error_tolerance``.
+    ``sink.add_snapshot(state)`` receives each state, ``initial``
+    included, whose step is a multiple of ``stride`` or equals
+    ``horizon``, when it is reached.  ``sink.add_errors(steps, errors)``
+    receives the per-edge errors of every step, ``errors[i]`` those of
+    step ``steps[i]``, in blocks of ``BLOCK_STEPS`` steps; the last block
+    ends with the run, or with the step before a divergence.  The
+    ``DivergenceError`` carries the trace so far as ``partial``.  Without
+    ``sink`` the returned trace collects both.
+
+    The loop steps in wrapped rings (see ``step_formation``) that it
+    reuses: two for positions and three for velocities, since sigma = 2
+    reads the layer before the current one.  A snapshot between
+    ``initial`` and the last step holds copies of its state's arrays,
+    since later steps overwrite the rings; so no snapshot is mutated or
+    shares memory with another.  ``final_state`` is the last state
+    reached, the last snapshot when that state was kept.  The trace is
+    flagged converged when the largest edge error at the final step is
+    below ``error_tolerance``.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least one step")
@@ -257,8 +305,12 @@ def run_formation(
         )
 
     trace = FormationTrace(dt=config.params.dt, tolerance=error_tolerance)
-    # Row r holds the vertex positions r steps after ``initial``.
-    corners = np.empty((horizon + 1, config.spec.m, 2))
+    collector = None
+    if sink is None:
+        sink = collector = _Collector()
+    # Row r holds the vertex positions of step ``first + r``.
+    corners = np.empty((min(horizon + 1, BLOCK_STEPS), config.spec.m, 2))
+    first = initial.step
     # The state at step k lives in q_cur, v_cur and v_old (its
     # ``velocities_prev``); step k + 1 is written into q_new and v_new.
     q_cur, q_new = _wrap(initial.positions), np.empty((config.ring.n_total + 2, 2))
@@ -269,9 +321,10 @@ def run_formation(
     # ``last`` becomes ``final_state``: the last state reached, or its
     # snapshot.
     last = initial
+    row = 0
     try:
-        for row in range(horizon + 1):
-            if row:
+        for count in range(horizon + 1):
+            if count:
                 state = last = step_formation(state, config,
                                               (q_cur, v_old if lagged else v_cur, q_new, v_new))
                 q_cur, q_new = q_new, q_cur
@@ -279,31 +332,46 @@ def run_formation(
             # The indices are in range (checked by ``cut_ring``), so "clip"
             # only spares numpy the buffered copy its default mode makes.
             state.positions.take(config.vertices, axis=0, out=corners[row], mode="clip")
+            row += 1
             if state.step % stride == 0 or state.step == horizon:
-                if 0 < row < horizon:
+                if 0 < count < horizon:
                     last = SwarmState(state.positions.copy(), state.velocities.copy(),
                                       state.velocities_prev.copy(), state.step)
-                trace.snapshot_steps.append(last.step)
-                trace.snapshots.append(last)
+                sink.add_snapshot(last)
+            if row == len(corners) or count == horizon:
+                _hand_over(trace, sink, corners[:row], first, config.spec.r_star)
+                first += row
+                row = 0
     except DivergenceError as err:
-        _finish(trace, corners[:row], initial.step, last, config.spec.r_star)
-        err.partial = trace
+        _hand_over(trace, sink, corners[:row], first, config.spec.r_star)
+        err.partial = _finish(trace, collector, last)
         raise
-
-    _finish(trace, corners, initial.step, last, config.spec.r_star)
-    return trace
+    return _finish(trace, collector, last)
 
 
-def _finish(trace: FormationTrace, corners: np.ndarray, first_step: int,
-            last: SwarmState, r_star: np.ndarray) -> None:
-    """Fill ``trace``'s errors and verdict from the recorded vertex rows."""
-    trace.errors = _edge_errors(corners, r_star)
-    trace.error_steps = np.arange(first_step, first_step + len(corners))
-    within = np.flatnonzero(trace.errors.max(axis=1) < trace.tolerance)
-    if within.size:
-        trace.first_step_within_tol = int(trace.error_steps[within[0]])
+def _hand_over(trace: FormationTrace, sink, corners: np.ndarray, first: int,
+               r_star: np.ndarray) -> None:
+    """Pass the edge errors of the vertex rows ``corners``, steps ``first``
+    onwards, to ``sink``, and bring ``trace``'s verdict up to them."""
+    if not len(corners):
+        return
+    errors = _edge_errors(corners, r_star)
+    steps = np.arange(first, first + len(corners))
+    if trace.first_step_within_tol is None:
+        within = np.flatnonzero(errors.max(axis=1) < trace.tolerance)
+        if within.size:
+            trace.first_step_within_tol = int(steps[within[0]])
+    trace.final_errors = errors[-1].copy()
+    trace.converged = bool(trace.final_errors.max() < trace.tolerance)
+    sink.add_errors(steps, errors)
+
+
+def _finish(trace: FormationTrace, collector: _Collector | None,
+            last: SwarmState) -> FormationTrace:
     trace.final_state = last
-    trace.converged = bool(trace.errors[-1].max() < trace.tolerance)
+    if collector is not None:
+        collector.fill(trace)
+    return trace
 
 
 def seeded_placement(
@@ -336,6 +404,7 @@ def run_pipeline(
     initial_box: float = 5.0,
     error_tolerance: float = 1e-2,
     stride: int = 1,
+    open_sink=None,
 ) -> PipelineResult:
     """Estimation phase followed by formation, from one seeded placement.
 
@@ -346,6 +415,10 @@ def run_pipeline(
     placement using the estimated sizes.  A ``DivergenceError`` carries
     every trace run so far as its ``partial`` list: the chain traces, then
     the diverging chain's or the formation's partial trace.
+
+    ``open_sink``, when given, is called with the chain traces once phase
+    1 has succeeded, and returns the formation's ``sink`` (see
+    ``run_formation``).
     """
     initial, anchor = seeded_placement(ring, spec, seed, initial_box)
     segments = cut_ring(ring, spec)
@@ -382,9 +455,11 @@ def run_pipeline(
         n_s=tuple(estimates),
         anchor_position=anchor,
     )
+    sink = None if open_sink is None else open_sink(traces)
     try:
         formation = run_formation(
-            initial, config, horizon, error_tolerance=error_tolerance, stride=stride
+            initial, config, horizon, error_tolerance=error_tolerance, stride=stride,
+            sink=sink,
         )
     except DivergenceError as err:
         err.partial = traces + [err.partial]

@@ -5,7 +5,8 @@ library code under test: explicit matrix iterations for the simulators,
 per-mode polynomial roots for spectral radii, and dense inverses for the
 closed-form gains; ``reference_step_formation`` is the ring step written
 with rolled neighbour copies and a per-vertex loop;
-``reference_run_formation`` records a formation trace state by state, and
+``reference_run_formation`` records a formation trace state by state,
+``reference_formation_csvs`` writes a collected trace out row by row, and
 ``reference_stop_rule`` checks the estimator's stop rule window by window;
 ``reference_sweep`` runs the convergence sweep one chain at a time through
 ``run_estimation``.  ``shipped_config`` loads the scenario configs from the repository's
@@ -97,6 +98,23 @@ def reference_run_formation(initial, config, horizon, *, error_tolerance=1e-2, s
         raise
     finalize(state)
     return trace
+
+
+def reference_formation_csvs(trace):
+    """``trace.csv`` and ``errors.csv`` text of a collected formation trace,
+    written as the CLI wrote it before it streamed: whole snapshots, then
+    every row of the error array."""
+    trace_rows = ["step,time,robot_id,px,py,vx,vy\n"]
+    for step, state in zip(trace.snapshot_steps, trace.snapshots):
+        for robot_id, (q, v) in enumerate(zip(state.positions.tolist(),
+                                               state.velocities.tolist())):
+            trace_rows.append(f"{step},{step * trace.dt!r},{robot_id},"
+                              f"{q[0]!r},{q[1]!r},{v[0]!r},{v[1]!r}\n")
+    error_rows = ["step,time,edge_id,error\n"]
+    for step, errors in zip(trace.error_steps.tolist(), trace.errors.tolist()):
+        error_rows += [f"{step},{step * trace.dt!r},{edge_id},{e!r}\n"
+                       for edge_id, e in enumerate(errors)]
+    return "".join(trace_rows), "".join(error_rows)
 
 
 def reference_stop_rule(raws, window):

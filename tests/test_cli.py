@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -9,29 +10,32 @@ from hypothesis import example, given, settings, strategies as st
 
 import numpy as np
 
-from helpers import CONFIGS
-from ringform import cli
+from helpers import CONFIGS, reference_formation_csvs
+from ringform import cli, formation
 from ringform.cli import (
     _FIELDS,
+    ERRORS_HEADER,
+    TRACE_HEADER,
     ConfigError,
     EXIT_CONFIG,
     EXIT_DIVERGED,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
-    MAX_VERTEX_RECORD_BYTES,
     MODES,
     RunConfig,
+    execute,
     load_config,
     main,
     parse_config,
+    write_csv,
     write_errors_csv,
     write_estimate_csv,
     write_resolved_config,
     write_trace_csv,
 )
-from ringform.core import SwarmState, make_generator, uniform_box
+from ringform.core import DivergenceError, SwarmState, make_generator, uniform_box
 from ringform.estimation import EstimateTrace
-from ringform.formation import FormationTrace
+from ringform.formation import FormationConfig, run_formation, seeded_placement
 from ringform.harness import SensitivityCurve, SensitivityRow, SweepResult, SweepRow
 
 TRIANGLE = {
@@ -72,7 +76,7 @@ PROBES = [
     ("sweep.scale_per_n", "no"),
     ("seed", True),
     ("max_steps", 1.9),
-    ("max_steps", 1_000_000_000),  # a 44.7 GiB vertex record
+    ("max_steps", 0),
     ("topology.n_total", "abc"),
     ("topology.vertex_set", ["a", 2, 5]),
     ("topology.vertex_set", [0, 2, 7]),  # index 7 is outside the 7-robot ring
@@ -133,14 +137,6 @@ class TestConfigValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.yaml")
-
-    def test_vertex_record_cap_boundary(self):
-        # The triangle's record holds (max_steps + 1) x 3 x 2 doubles.
-        longest = MAX_VERTEX_RECORD_BYTES // (3 * 2 * 8) - 1
-        form = dict(TRIANGLE, mode="form")
-        assert parse_config(dict(form, max_steps=longest)).max_steps == longest
-        with pytest.raises(ConfigError, match=r"^max_steps: .* 256 MiB cap"):
-            parse_config(dict(form, max_steps=longest + 1))
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = write_config(tmp_path, dict(TRIANGLE, sigma=9))
@@ -580,11 +576,12 @@ class TestValueFormats:
                            velocities=[[NAN, 1.5], [0.0, -2.0]])
         last = SwarmState(positions=[[1.0, 2.0], [3.0, 4.0]],
                           velocities=[[0.1, 0.2], [0.3, 0.4]], step=3)
-        trace = FormationTrace(dt=0.1, tolerance=1e-2, snapshot_steps=[0, 3],
-                               snapshots=[first, last], error_steps=np.array([0, 3]),
-                               errors=np.array([[1e16, -0.0], [5e-324, NAN]]))
-        write_trace_csv(tmp_path / "trace.csv", trace)
-        write_errors_csv(tmp_path / "errors.csv", trace)
+        with write_csv(tmp_path / "trace.csv", TRACE_HEADER) as out:
+            write_trace_csv(out, first, 0.1)
+            write_trace_csv(out, last, 0.1)
+        with write_csv(tmp_path / "errors.csv", ERRORS_HEADER) as out:
+            write_errors_csv(out, np.array([0, 3]), np.array([[1e16, -0.0], [5e-324, NAN]]),
+                             0.1)
         t3 = 3 * 0.1
         assert (tmp_path / "trace.csv").read_text() == "".join(line + "\n" for line in [
             "step,time,robot_id,px,py,vx,vy",
@@ -626,3 +623,95 @@ class TestValueFormats:
             "n_prime,ratio_s1_closed,ratio_s2_closed,ratio_s1_sim,ratio_s2_sim",
             f"4,{-0.0!r},{5e-324!r},nan,{1e16!r}",
         ])
+
+
+FORM = dict(TRIANGLE, mode="form")
+
+
+def execute_form(out, **changes):
+    """Run the triangle ``form`` config with ``changes`` into ``out``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return execute(parse_config(dict(FORM, output_dir=str(out), **changes)))
+
+
+class TestStreamedOutputs:
+    """``trace.csv`` and ``errors.csv`` are written while the ring runs."""
+
+    def test_any_abort_leaves_the_rows_written_so_far(self, tmp_path, monkeypatch):
+        block = formation.BLOCK_STEPS
+        horizon, stride, failing_step = 2 * block + 500, 100, 2 * block + 200
+        assert execute_form(tmp_path / "full", max_steps=horizon, stride=stride) == EXIT_OK
+        step_formation = formation.step_formation
+        names = ("errors.csv", "trace.csv")
+        on_disk = {}
+
+        def fail_part_way(state, config, rings=None):
+            if state.step + 1 == failing_step:
+                on_disk.update((name, (tmp_path / "cut" / name).read_text()) for name in names)
+                raise RuntimeError("power cut")
+            return step_formation(state, config, rings)
+
+        monkeypatch.setattr(formation, "step_formation", fail_part_way)
+        with pytest.raises(RuntimeError, match="power cut"):
+            execute_form(tmp_path / "cut", max_steps=horizon, stride=stride)
+        steps = {}
+        for name, fields in zip(names, (4, 7)):
+            # the rows were flushed before the raise; closing adds none
+            text = on_disk[name]
+            assert (tmp_path / "cut" / name).read_text() == text
+            assert text.endswith("\n")
+            rows = [row.split(",") for row in text.splitlines()[1:]]
+            assert {len(row) for row in rows} == {fields}
+            steps[name] = sorted({int(row[0]) for row in rows})
+            # a prefix of the complete run's file
+            assert (tmp_path / "full" / name).read_text().startswith(text)
+        # errors.csv ends with the last finished block, trace.csv with the
+        # last snapshot taken.
+        assert steps["errors.csv"] == list(range(2 * block))
+        assert steps["trace.csv"] == list(range(0, failing_step, stride))
+
+    def test_memory_does_not_grow_with_the_horizon(self, tmp_path):
+        def peak(horizon):
+            tracemalloc.start()
+            try:
+                execute_form(tmp_path / str(horizon), max_steps=horizon, stride=horizon)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        horizon = formation.BLOCK_STEPS + 76
+        peak(horizon)  # first-call allocations (caches, lazy imports)
+        short, long = peak(horizon), peak(10 * horizon)
+        # One block of the triangle's vertex rows and edge errors; a record
+        # of every step would add 9 * horizon * 3 * 16 bytes.
+        one_block = formation.BLOCK_STEPS * 3 * (2 + 1) * 8
+        assert abs(long - short) < one_block
+
+    @pytest.mark.parametrize("block", [7, None], ids=["block7", "default-block"])
+    @pytest.mark.parametrize("stride,changes", [(1, {}), (7, {}),
+                                                (1, {"alpha": 1.5, "sigma": 2})],
+                             ids=["stride1", "stride7", "diverges"])
+    def test_streamed_files_are_the_collected_trace_written_out(self, tmp_path, monkeypatch,
+                                                                block, stride, changes):
+        if block is not None:
+            monkeypatch.setattr(formation, "BLOCK_STEPS", block)
+        raw = dict(yaml.safe_load((CONFIGS / "triangle.yaml").read_text()), mode="form",
+                   stride=stride, **changes)
+        cfg = parse_config(dict(raw, output_dir=str(tmp_path)))
+        ring, spec = cfg.polygon()
+        initial, anchor = seeded_placement(ring, spec, cfg.seed, cfg.initial_box)
+        config = FormationConfig(ring=ring, spec=spec, params=cfg.params, sigma=cfg.sigma,
+                                 anchor_position=anchor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = execute(cfg)
+            try:
+                trace = run_formation(initial, config, cfg.max_steps, stride=stride,
+                                      error_tolerance=cfg.formation_tolerance)
+            except DivergenceError as err:
+                trace = err.partial
+        assert code == (EXIT_DIVERGED if changes else EXIT_OK)
+        want_trace, want_errors = reference_formation_csvs(trace)
+        assert (tmp_path / "trace.csv").read_bytes() == want_trace.encode()
+        assert (tmp_path / "errors.csv").read_bytes() == want_errors.encode()

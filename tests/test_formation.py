@@ -12,6 +12,7 @@ from helpers import (
     reference_step_formation,
     shipped_config,
 )
+from ringform import formation
 from ringform.core import DivergenceError, SwarmState, make_generator, uniform_box
 from ringform.estimation import EstimatorConfig
 from ringform.formation import (
@@ -389,6 +390,15 @@ class TestTraceEquivalence:
 
     @pytest.mark.parametrize("case", CASES)
     def test_trace_is_bitwise_the_recorded_one(self, case):
+        self.assert_bitwise_the_recorded_one(case)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("case", CASES)
+    def test_block_size_changes_no_bit(self, case, block, monkeypatch):
+        monkeypatch.setattr(formation, "BLOCK_STEPS", block)
+        self.assert_bitwise_the_recorded_one(case)
+
+    def assert_bitwise_the_recorded_one(self, case):
         make, stride = self.CASES[case]
         initial, config, horizon = make()
         got, got_message = trace_outcome(run_formation, initial, config, horizon, stride)
@@ -417,6 +427,58 @@ class TestTraceEquivalence:
         assert "step 124" in message
         assert partial.error_steps[-1] == 123
         assert partial.errors.shape == (124, 3)
+
+
+class RecordingSink:
+    """Every call a formation sink receives, in order."""
+
+    def __init__(self):
+        self.calls = []
+
+    def add_snapshot(self, state):
+        self.calls.append(("snapshot", state.step))
+
+    def add_errors(self, steps, errors):
+        self.calls.append(("errors", steps.tolist(), errors.copy()))
+
+
+class TestSink:
+    """What ``run_formation`` hands a ``sink`` and what it returns then."""
+
+    @pytest.mark.parametrize("case", ["triangle-stride7", "triangle-diverges"])
+    def test_blocks_and_snapshots_arrive_as_reached(self, case, monkeypatch):
+        monkeypatch.setattr(formation, "BLOCK_STEPS", 16)
+        make, stride = TestTraceEquivalence.CASES[case]
+        collected, message = trace_outcome(run_formation, *make(), stride)
+        sink = RecordingSink()
+        initial, config, horizon = make()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                verdict = run_formation(initial, config, horizon, stride=stride, sink=sink)
+            except DivergenceError as err:
+                assert str(err) == message
+                verdict = err.partial
+        blocks = [call for call in sink.calls if call[0] == "errors"]
+        steps = [step for _, block_steps, _ in blocks for step in block_steps]
+        assert steps == collected.error_steps.tolist()
+        assert [len(b[1]) for b in blocks[:-1]] == [16] * (len(blocks) - 1)
+        assert bits(np.concatenate([b[2] for b in blocks])) == bits(collected.errors)
+        # each snapshot arrives before the block holding its step is done
+        done = -1
+        for call in sink.calls:
+            if call[0] == "errors":
+                done = call[1][-1]
+            else:
+                assert call[1] > done
+        assert [c[1] for c in sink.calls if c[0] == "snapshot"] == collected.snapshot_steps
+        # the verdict is kept either way; the record only when collected
+        assert verdict.snapshots == [] and verdict.errors.size == 0
+        assert verdict.first_step_within_tol == collected.first_step_within_tol
+        assert verdict.converged is collected.converged
+        assert bits(verdict.final_errors) == bits(collected.errors[-1])
+        assert bits(collected.final_errors) == bits(collected.errors[-1])
+        assert state_bits(verdict.final_state) == state_bits(collected.final_state)
 
 
 def wrapped(values):
