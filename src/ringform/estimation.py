@@ -27,6 +27,10 @@ from .core import (
 )
 from .spectral import EstimationParams, s1_readout_frame, stability_bound
 
+# Steps per block of the lock-step loop: the stop rules are read once per
+# block, and positions are checked at block ends that are its multiples.
+BLOCK = 64
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -93,100 +97,164 @@ def _per_column(values):
     return float(values[0]) if (values == values[0]).all() else values
 
 
-def _chain_steps(starts, configs, steps: int):
-    """Run B chains in lock step, in place; yields ``(step, q, v)`` after each step.
-
-    Column b is the chain of ``len(starts[b])`` movable robots placed at
-    ``starts[b]`` and stepped with ``configs[b]``.  The ``(N + 2, 2, B)``
-    buffers, N the longest chain, are right-aligned: row N + 1 is every
-    chain's virtual robot, whose position stays the origin and whose
-    velocity row is set to the excitation just before each update, and
-    row N every chain's tail robot.  A shorter chain's anchor, row
-    N - n_b, and the rows above it stay at rest because a live mask, 1.0
-    on the movable rows, multiplies the new velocities; multiplying by 1.0
-    is exact, and a masked row may hold -0.0, which can flip the sign of a
-    zero velocity but never changes a ratio.
-    Sending a list of columns to the generator freezes those chains from
-    the next step on.  The buffers are overwritten by the next step;
-    callers check whatever they read.
-    """
-    n_rows = max(len(start) for start in starts)
-    columns = len(starts)
-    alpha = _per_column([c.params.alpha for c in configs])
-    dt = _per_column([c.params.dt for c in configs])
-    s1 = np.array([c.strategy == "S1" for c in configs])
-    lag_s1 = bool(s1[0])
-    exc = np.array([c.excitation_init for c in configs], dtype=float).T
-    q = np.zeros((n_rows + 2, 2, columns))
-    live = np.zeros((n_rows, 1, columns))
-    for b, start in enumerate(starts):
-        q[n_rows + 1 - len(start):n_rows + 1, :, b] = start
-        live[n_rows - len(start):, 0, b] = 1.0
-    v = np.zeros_like(q)
-    v_prev = np.zeros_like(q)
-    mixed = s1.any() and not s1.all()
-    for step in range(1, steps + 1):
-        if mixed:
-            vlag = np.where(s1, v, v_prev)
-        else:
-            vlag = v if lag_s1 else v_prev
-        vlag[-1] = exc
-        new_movable = midpoint_law(q, vlag, alpha)
-        q[1:-1] += dt * v[1:-1]
-        v_prev, v = v, v_prev
-        np.multiply(new_movable, live, out=v[1:-1])
-        exc = -exc
-        frozen = yield step, q, v
-        if frozen is not None:
-            live[..., frozen] = 0.0
-
-
 def _check_columns(values, step: int, label: str, names, columns) -> None:
-    """``check_finite`` on the listed columns of a ``(rows, 2, B)`` buffer;
-    a failing column is reported as ``"<label> of <names[b]>"``."""
+    """``check_finite`` on columns of a ``(rows, 2, B)`` buffer; names a failing one."""
     try:
         check_finite(values[..., columns], step, label)
     except DivergenceError:
-        for b in columns:
-            check_finite(values[..., b], step, f"{label} of {names[b]}")
+        if names is not None:
+            for b in columns:
+                check_finite(values[..., b], step, f"{label} of {names[b]}")
         raise
 
 
-def readout(ratio: float, beta: float, strategy: str) -> float:
-    """Invert a steady velocity-magnitude ratio into a real-valued chain order.
+def _lock_step(starts, configs, names, limits, rule, record=None):
+    """Run B chains in lock step until each stops; returns arrays of each
+    column's stop step, its ``values[0]`` there and whether it settled.
 
-    Returns NaN while the ratio is outside the formula's domain (log of a
-    non-positive quantity for S1, non-positive denominator for S2), which
-    simply means the oscillation has not settled yet, and for an S1 frame
-    that has degenerated (``fb1 == fb2`` at vanishing ``beta``).
+    Column b is the chain of ``len(starts[b])`` movable robots placed at
+    ``starts[b]`` and stepped with ``configs[b]``.  In the ``(N + 2, 2, B)``
+    buffers, N the longest chain, row N is every tail robot and row N + 1
+    every virtual robot.  The two velocity buffers swap and the excitation
+    flips sign every step, so each holds in row N + 1, once for all, the
+    excitation it is read with.  A live mask, 1.0 on each chain's movable
+    rows, multiplies the new velocities: exact, and the rows above a
+    shorter chain stay at rest (a masked -0.0 never changes a ratio).
+
+    The chains step to the next multiple of ``BLOCK`` or the nearest
+    running limit, keeping the tail velocities; ``rule`` maps the block's
+    ``(k, B)`` ratios, NaN in finished columns, to ``(k, B)`` arrays
+    ``(settled, values)``.  Column b stops at its first settled step or at
+    ``limits[b]``, and is frozen at the end of the block.  A one-chain
+    ``record`` list receives each block's ratios and ``values`` up to the
+    last step kept.
+
+    The checks are a step-at-a-time loop's: running chains' positions at
+    each multiple of ``BLOCK``, and their positions then velocities at a
+    non-finite ratio (only a velocity beyond the limit gives one).  Blocks
+    step with floating-point warnings off; on a failure the chains step
+    again from the start, finished ones at rest and warnings on, to the
+    failing step, where the checks raise and name the chain ``names[b]``.
     """
-    if strategy == "S1":
-        rho1, rho2, fb1, fb2 = s1_readout_frame(beta)
-        f = 2.0 * ratio
-        den = f - rho2
-        if den == 0.0:
-            return math.nan
-        fbar = (f - rho1) / den
-        if fbar <= 0.0:
-            return math.nan
-        frame = math.log(fb2) - math.log(fb1)
-        if frame == 0.0:
-            return math.nan
-        return (math.log(fbar) - math.log(fb1)) / frame + 1.0
-    if strategy == "S2":
-        scaled = (1.0 + beta) * ratio
-        den = 1.0 - scaled
-        if den <= 0.0:
-            return math.nan
-        return scaled / den
-    raise ValueError(f"strategy must be 'S1' or 'S2', got {strategy!r}")
+    n_rows, columns = max(len(start) for start in starts), len(starts)
+    alpha = _per_column([c.params.alpha for c in configs])
+    dt = _per_column([c.params.dt for c in configs])
+    s1 = np.array([c.strategy == "S1" for c in configs])
+    mixed = s1.any() and not s1.all()
+    lag_s1 = bool(s1[0])
+    norms = np.array([math.sqrt(x * x + y * y)
+                      for x, y in (map(float, c.excitation_init) for c in configs)])
+    live = np.zeros((n_rows, 1, columns))
+    for b, start in enumerate(starts):
+        live[n_rows - len(start):, 0, b] = 1.0
+    tails = np.empty((BLOCK, 2, columns))
+
+    def at_rest():
+        q = np.zeros((n_rows + 2, 2, columns))
+        for b, start in enumerate(starts):
+            q[n_rows + 1 - len(start):n_rows + 1, :, b] = start
+        v, v_prev = np.zeros((2, *q.shape))
+        v[-1] = np.where(s1, 1.0, -1.0) * np.array([c.excitation_init for c in configs]).T
+        v_prev[-1] = -v[-1]
+        return q, v, v_prev
+
+    def advance(q, v, v_prev, steps):
+        for i in range(steps):
+            if mixed:
+                vlag = np.where(s1, v, v_prev)
+            else:
+                vlag = v if lag_s1 else v_prev
+            new_movable = midpoint_law(q, vlag, alpha)
+            q[1:-1] += dt * v[1:-1]
+            v_prev, v = v, v_prev
+            np.multiply(new_movable, live, out=v[1:-1])
+            tails[i % BLOCK] = v[-2]
+        return v, v_prev
+
+    def ratios_of(tail):
+        """|tail velocity| / |excitation|, computed in the x row of ``tail``."""
+        ratios, tail_y = tail[..., 0, :], tail[..., 1, :]
+        np.multiply(ratios, ratios, out=ratios)
+        ratios += np.multiply(tail_y, tail_y, out=tail_y)
+        np.sqrt(ratios, out=ratios)
+        ratios /= norms
+        return ratios
+
+    q, v, v_prev = at_rest()
+    running = np.ones(columns, dtype=bool)
+    stops = np.zeros(columns, dtype=int)
+    stop_values = np.full(columns, math.nan)
+    settled_at = np.zeros(columns, dtype=bool)
+    step = 0
+    while running.any():
+        end = min(step - step % BLOCK + BLOCK, int(limits[running].min()))
+        k = end - step
+        with np.errstate(all="ignore"):
+            v, v_prev = advance(q, v, v_prev, k)
+            ratios = ratios_of(tails[:k])
+            ratios[:, ~running] = math.nan
+            settled, values = rule(ratios)
+        # Each column's stop row: k runs on, -1 had stopped before.
+        rows = np.arange(k)[:, None]
+        last = np.where(settled, rows, np.where(limits == end, k - 1, k)).min(axis=0)
+        last[~running] = -1
+        alive = rows <= last
+        bad = np.flatnonzero((alive & ~np.isfinite(ratios)).any(axis=1))
+        kept = bad[0] if bad.size else k  # the steps that pass the checks
+        if kept == k and end % BLOCK == 0:
+            try:
+                _check_columns(q[:-1], end, "chain positions", names, np.flatnonzero(alive[-1]))
+            except DivergenceError:
+                kept = k - 1
+        if record is not None:
+            record.append([a[:min(kept, last.max() + 1)].copy() for a in (ratios, *values)])
+        if kept < k:
+            failing = step + kept + 1
+            checked = np.flatnonzero(alive[kept])
+            q, v, v_prev = at_rest()
+            v, _ = advance(q, v, v_prev, failing)
+            if failing % BLOCK == 0:
+                _check_columns(q[:-1], failing, "chain positions", names, checked)
+            for b in checked[~np.isfinite(ratios_of(tails[(failing - 1) % BLOCK])[checked])]:
+                _check_columns(q[:-1], failing, "chain positions", names, [b])
+                _check_columns(v[:-1], failing, "chain velocities", names, [b])
+        stopped = np.flatnonzero((last >= 0) & (last < k))
+        stops[stopped] = step + last[stopped] + 1
+        stop_values[stopped] = values[0][last[stopped], stopped]
+        settled_at[stopped] = settled[last[stopped], stopped]
+        running[stopped] = False
+        live[..., stopped] = 0.0
+        step = end
+        del settled, values  # let the next block's arrays reuse their memory
+    return stops, stop_values, settled_at
+
+
+def _streaks(first, same):
+    """Maps each block's ``(k, B)`` values to the steps since ``same(value,
+    value before)`` was last false, 0 there; ``first`` precedes block one.
+    The counts carry over through a running maximum of the reset steps."""
+    previous, count = first, 0
+
+    def counts(values):
+        nonlocal previous, count
+        rows = np.arange(len(values))[:, None]
+        last = np.where(same(values, np.vstack([previous, values[:-1]])), -1 - count, rows)
+        np.maximum.accumulate(last, axis=0, out=last)
+        np.subtract(rows, last, out=last)
+        previous, count = values[-1].copy(), last[-1].copy()
+        return last
+
+    return counts
 
 
 def readouts(betas, strategies):
-    """``readout`` for a row of chains at once: returns a function mapping
-    one ratio per chain to the chains' raw readouts, bit for bit equal to
-    ``readout(ratio, beta, strategy)`` (every NaN reads ``math.nan``).
+    """Returns a function inverting steady velocity-magnitude ratios, one
+    per chain along the last axis, into the chains' real-valued orders.
 
+    A readout is NaN while its ratio is outside the formula's domain (log
+    of a non-positive quantity for S1, non-positive denominator for S2),
+    which simply means the oscillation has not settled yet, and for an S1
+    frame that has degenerated (``fb1 == fb2`` at vanishing ``beta``).
     The S1 logs go through ``math.log`` one value at a time, because
     ``np.log`` differs from it in the last bit on some inputs.
     """
@@ -205,16 +273,19 @@ def readouts(betas, strategies):
     gain = 1.0 + np.asarray(betas, dtype=float)
 
     def read(ratios):
-        raw = np.full(ratios.shape, math.nan)
         with np.errstate(all="ignore"):
             f = 2.0 * ratios
             den = f - rho2
-            fbar = (f - rho1) / den
-            ok = s1 & (den != 0.0) & (fbar > 0.0)
-            logs = np.array([math.log(x) for x in fbar[ok].tolist()])
-            raw[ok] = (logs - log_fb1[ok]) / frame[ok] + 1.0
-            scaled = gain * ratios
-            den = 1.0 - scaled
+            f -= rho1
+            f /= den  # fbar
+            ok = s1 & (den != 0.0) & (f > 0.0)
+            raw = np.full(ratios.shape, math.nan)
+            raw[ok] = np.fromiter(map(math.log, f[ok].data), float)
+            raw -= log_fb1
+            raw /= frame
+            raw += 1.0
+            scaled = np.multiply(gain, ratios, out=f)
+            den = np.subtract(1.0, scaled, out=den)
             ok = s2 & (den > 0.0)
             raw[ok] = scaled[ok] / den[ok]
         return raw
@@ -222,8 +293,9 @@ def readouts(betas, strategies):
     return read
 
 
-def _round_half_up(x: float) -> float:
-    return math.floor(x + 0.5)
+def readout(ratio: float, beta: float, strategy: str) -> float:
+    """``readouts`` of one chain and one ratio."""
+    return float(readouts([beta], [strategy])(np.array([ratio]))[0])
 
 
 @dataclass
@@ -258,7 +330,8 @@ def run_estimation(
     integer is the estimate.  This implies that they are finite (a NaN
     rounding never equals anything) and span less than one.
     Initial positions default to a seeded uniform draw in a square box;
-    initial velocities are zero.
+    initial velocities are zero.  A divergence carries the trace up to
+    the step before it as ``partial``.
     """
     if n_prime_true < 1:
         raise ValueError("chain must contain at least one movable robot")
@@ -283,106 +356,48 @@ def run_estimation(
                 f"got {initial_positions.shape}"
             )
 
-    n = n_prime_true
-    beta = config.params.beta
-    W = config.stop_window
-    exc_x, exc_y = (float(e) for e in config.excitation_init)
-    exc_norm = math.sqrt(exc_x * exc_x + exc_y * exc_y)
-
-    steps, ratios, raws, roundeds = [], [], [], []
     trace = EstimateTrace(strategy=config.strategy, n_prime_true=n_prime_true)
-    streak_value = math.nan
-    streak_length = 0
-
+    record = [(np.empty((0, 1)),) * 3]
     try:
-        for step, q, v in _chain_steps([initial_positions], [config], config.max_steps):
-            if step % 64 == 0:
-                check_finite(q[:-1, :, 0], step, "chain positions")
-            tail_x = v[n, 0, 0]
-            tail_y = v[n, 1, 0]
-            ratio = math.sqrt(tail_x * tail_x + tail_y * tail_y) / exc_norm
-            if not math.isfinite(ratio):
-                check_finite(q[:-1, :, 0], step, "chain positions")
-                check_finite(v[:-1, :, 0], step, "chain velocities")
-            raw = readout(ratio, beta, config.strategy)
-            rounded = _round_half_up(raw) if math.isfinite(raw) else math.nan
-            steps.append(step)
-            ratios.append(ratio)
-            raws.append(raw)
-            roundeds.append(rounded)
-            if trace.first_correct_step is None and rounded == n_prime_true:
-                trace.first_correct_step = step
-
-            if rounded == streak_value:
-                streak_length += 1
-            else:
-                streak_value = rounded
-                streak_length = 1
-            if streak_length >= W and streak_value >= 1:
-                trace.converged = True
-                trace.estimate = int(streak_value)
-                trace.steps_to_convergence = step
-                break
+        ((trace.estimate, trace.steps_to_convergence),) = estimate_chains(
+            [initial_positions], [config], None, record)
     except DivergenceError as err:
         err.partial = trace
         raise
     finally:
-        trace.steps = np.array(steps, dtype=int)
-        trace.ratios = np.array(ratios)
-        trace.raw = np.array(raws)
-        trace.rounded = np.array(roundeds)
+        trace.ratios, trace.rounded, trace.raw = (np.concatenate(rows)[:, 0]
+                                                  for rows in zip(*record))
+        trace.steps = np.arange(1, len(trace.ratios) + 1)
+        correct = trace.steps[trace.rounded == n_prime_true]
+        trace.first_correct_step = int(correct[0]) if correct.size else None
+    trace.converged = trace.estimate is not None
     return trace
 
 
-def _norms(configs) -> np.ndarray:
-    """Excitation magnitude of each chain, as ``sqrt(x*x + y*y)``."""
-    return np.array([math.sqrt(x * x + y * y)
-                     for x, y in (map(float, c.excitation_init) for c in configs)])
-
-
-def estimate_chains(starts, configs, names) -> list[tuple[int | None, int | None]]:
-    """``run_estimation``'s stop rule on many chains in lock step, keeping no
-    per-step record.
+def estimate_chains(starts, configs, names, record=None) -> list[tuple[int | None, int | None]]:
+    """``run_estimation``'s stop rule on many chains in lock step.
 
     Chain b starts at ``starts[b]`` (its movable robots' positions) and runs
-    with ``configs[b]`` until its own stop rule fires or its own
-    ``max_steps`` is used up; a finished chain is frozen and never checked
-    again.  A divergence names the chain ``names[b]`` and the step.
-    Returns ``(estimate, steps_to_convergence)`` per chain, ``(None, None)``
-    for a chain that did not converge.
+    with ``configs[b]`` until its stop rule fires or its ``max_steps`` is
+    used up; a finished chain is frozen and never checked again.  A
+    divergence names ``names[b]``.  A one-chain ``record`` list receives
+    per block the ratios, rounded and raw readouts up to the stop.
+    Returns ``(estimate, steps_to_convergence)`` per chain, ``(None, None)`` if unconverged.
     """
-    chains = _chain_steps(starts, configs, max(c.max_steps for c in configs))
     read = readouts([c.params.beta for c in configs], [c.strategy for c in configs])
-    norms = _norms(configs)
-    windows = np.array([c.stop_window for c in configs])
-    limits = np.array([c.max_steps for c in configs])
-    results: list[tuple[int | None, int | None]] = [(None, None)] * len(starts)
-    running = np.ones(len(starts), dtype=bool)
-    streak_value = np.full(len(starts), math.nan)
-    streak_length = np.zeros(len(starts), dtype=int)
-    step, q, v = next(chains)
-    while True:
-        if step % 64 == 0:
-            _check_columns(q[:-1], step, "chain positions", names, np.flatnonzero(running))
-        tail_x, tail_y = v[-2]
-        ratios = np.sqrt(tail_x * tail_x + tail_y * tail_y) / norms
-        for b in np.flatnonzero(running & ~np.isfinite(ratios)):
-            _check_columns(q[:-1], step, "chain positions", names, [b])
-            _check_columns(v[:-1], step, "chain velocities", names, [b])
-        ratios[~running] = math.nan  # spares the finished chains' logs
+    windows = np.array([c.stop_window for c in configs]) - 1
+    streaks = _streaks(np.full(len(configs), math.nan), np.equal)
+
+    def rule(ratios):
         raw = read(ratios)
-        rounded = np.where(np.isfinite(raw), np.floor(raw + 0.5), math.nan)
-        streak_length = np.where(rounded == streak_value, streak_length + 1, 1)
-        streak_value = rounded
-        converged = running & (streak_length >= windows) & (streak_value >= 1)
-        for b in np.flatnonzero(converged):
-            results[b] = (int(streak_value[b]), step)
-        stopped = np.flatnonzero(running & (converged | (step >= limits)))
-        if stopped.size:
-            running[stopped] = False
-            if not running.any():
-                return results
-        step, q, v = chains.send(stopped if stopped.size else None)
+        rounded = np.floor(raw + 0.5)
+        rounded[~np.isfinite(raw)] = math.nan
+        return (streaks(rounded) >= windows) & (rounded >= 1), (rounded, raw)
+
+    stops, estimates, converged = _lock_step(
+        starts, configs, names, np.array([c.max_steps for c in configs]), rule, record)
+    return [(int(estimate), int(stop)) if ok else (None, None)
+            for stop, estimate, ok in zip(stops, estimates, converged)]
 
 
 _SETTLE_TOL = 1e-12
@@ -399,28 +414,12 @@ def steady_velocity_ratios(orders, configs) -> list[float]:
     and is then frozen and never checked again.
     """
     names = [f"chain order {n} {c.strategy}" for n, c in zip(orders, configs)]
-    chains = _chain_steps([np.zeros((n, 2)) for n in orders], configs, _SETTLE_MAX)
-    norms = _norms(configs)
-    results = np.full(len(orders), math.nan)
-    running = np.ones(len(orders), dtype=bool)
-    previous = np.full(len(orders), math.inf)
-    quiet = np.zeros(len(orders), dtype=int)
-    step, q, v = next(chains)
-    while True:
-        if step % 64 == 0:
-            _check_columns(q[:-1], step, "chain positions", names, np.flatnonzero(running))
-        tail_x, tail_y = v[-2]
-        ratios = np.sqrt(tail_x * tail_x + tail_y * tail_y) / norms
-        quiet = np.where(np.abs(ratios - previous) < _SETTLE_TOL, quiet + 1, 0)
-        settled = np.flatnonzero(running & (quiet >= _SETTLE_STEPS))
-        results[settled] = ratios[settled]
-        running[settled] = False
-        previous = ratios
-        if not running.any() or step == _SETTLE_MAX:
-            break
-        step, q, v = chains.send(settled if settled.size else None)
-    results[running] = previous[running]
-    return results.tolist()
+    quiet = _streaks(np.full(len(orders), math.inf),
+                     lambda ratio, before: np.abs(ratio - before) < _SETTLE_TOL)
+    _, ratios, _ = _lock_step([np.zeros((n, 2)) for n in orders], configs, names,
+                              np.full(len(orders), _SETTLE_MAX),
+                              lambda ratios: (quiet(ratios) >= _SETTLE_STEPS, (ratios,)))
+    return ratios.tolist()
 
 
 def steady_velocity_ratio(n_prime: int, config: EstimatorConfig) -> float:

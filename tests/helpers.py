@@ -6,24 +6,29 @@ per-mode polynomial roots for spectral radii, and dense inverses for the
 closed-form gains; ``reference_step_formation`` is the ring step written
 with rolled neighbour copies and a per-vertex loop;
 ``reference_run_formation`` records a formation trace state by state,
-``reference_formation_csvs`` writes a collected trace out row by row, and
-``reference_stop_rule`` checks the estimator's stop rule window by window;
-``reference_sweep`` runs the convergence sweep one chain at a time through
-``run_estimation``.  ``shipped_config`` loads the scenario configs from the repository's
-``configs/`` directory.
+``reference_formation_csvs`` writes a collected trace out row by row,
+``reference_stop_rule`` checks the estimator's stop rule window by window,
+``reference_readout`` inverts one ratio with scalar arithmetic, and
+``reference_estimation`` and ``reference_steady_ratio`` step one chain at a
+time through ``step_estimator``; ``reference_sweep`` runs the convergence
+sweep one chain at a time through ``run_estimation``.  ``shipped_config``
+loads the scenario configs from the repository's ``configs/`` directory.
 """
 
 import math
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
+import ringform.estimation
 from ringform.cli import load_config
-from ringform.core import DivergenceError, SwarmState
-from ringform.estimation import EstimatorConfig, run_estimation
+from ringform.core import DivergenceError, SwarmState, check_finite
+from ringform.estimation import EstimatorConfig, run_estimation, step_estimator
 from ringform.formation import FormationTrace, step_formation
 from ringform.harness import SweepRow, auto_stop_window, scaled_params
+from ringform.spectral import s1_readout_frame
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -132,6 +137,82 @@ def reference_stop_rule(raws, window):
         if len(rounded) == 1 and min(rounded) >= 1:
             return True, rounded.pop(), step
     return False, None, None
+
+
+def reference_readout(ratio, beta, strategy):
+    """The readout formulas for one ratio in scalar arithmetic: NaN outside
+    their domain and for a degenerate S1 frame."""
+    if strategy == "S1":
+        rho1, rho2, fb1, fb2 = s1_readout_frame(beta)
+        f = 2.0 * ratio
+        den = f - rho2
+        if den == 0.0:
+            return math.nan
+        fbar = (f - rho1) / den
+        if fbar <= 0.0:
+            return math.nan
+        frame = math.log(fb2) - math.log(fb1)
+        if frame == 0.0:
+            return math.nan
+        return (math.log(fbar) - math.log(fb1)) / frame + 1.0
+    scaled = (1.0 + beta) * ratio
+    den = 1.0 - scaled
+    return scaled / den if den > 0.0 else math.nan
+
+
+def _chain_ratio(state, config):
+    x, y = (float(e) for e in config.excitation_init)
+    vx, vy = state.velocities[-1]
+    return math.sqrt(vx * vx + vy * vy) / math.sqrt(x * x + y * y)
+
+
+def reference_estimation(n_prime, config, initial):
+    """``run_estimation`` one step at a time: ``step_estimator`` with its
+    own checks off, ``reference_readout`` and ``reference_stop_rule``.
+
+    The checks are the estimator loop's: positions at every 64th step, and
+    positions then velocities at a step whose ratio is not finite.  Returns
+    ``(ratios, raws, (converged, estimate, stop))`` up to the stop, or
+    raises the ``DivergenceError`` with ``(ratios, raws)`` before its step
+    as ``partial``.
+    """
+    state = SwarmState.chain(n_prime, initial, config.excitation_init)
+    ratios, raws, failure = [], [], None
+    with mock.patch.object(ringform.estimation, "check_finite", lambda *args: None):
+        for step in range(1, config.max_steps + 1):
+            state = step_estimator(state, config)
+            ratio = _chain_ratio(state, config)
+            try:
+                if step % 64 == 0:
+                    check_finite(state.positions, step, "chain positions")
+                if not math.isfinite(ratio):
+                    check_finite(state.positions, step, "chain positions")
+                    check_finite(state.velocities, step, "chain velocities")
+            except DivergenceError as err:
+                failure = err
+                break
+            ratios.append(ratio)
+            raws.append(reference_readout(ratio, config.params.beta, config.strategy))
+    outcome = reference_stop_rule(raws, config.stop_window)
+    if outcome[0]:
+        return ratios[:outcome[2]], raws[:outcome[2]], outcome
+    if failure is not None:
+        failure.partial = (ratios, raws)
+        raise failure
+    return ratios, raws, outcome
+
+
+def reference_steady_ratio(n_prime, config):
+    """``steady_velocity_ratios``' settle rule one step at a time from rest:
+    returns the ratio and the step at which it settled."""
+    state = SwarmState.chain(n_prime, None, config.excitation_init)
+    previous, quiet = math.inf, 0
+    while quiet < 25:
+        state = step_estimator(state, config)
+        ratio = _chain_ratio(state, config)
+        quiet = quiet + 1 if abs(ratio - previous) < 1e-12 else 0
+        previous = ratio
+    return ratio, state.step
 
 
 def reference_sweep(n_range, reps, *, dt=0.01, scale_per_n=False, seed=0,

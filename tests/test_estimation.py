@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ringform.estimation
-from helpers import iterate_estimator, iterate_lagged_estimator, reference_stop_rule
+from helpers import (
+    iterate_estimator,
+    iterate_lagged_estimator,
+    reference_estimation,
+    reference_readout,
+    reference_steady_ratio,
+    reference_stop_rule,
+)
 from ringform.core import (
     DivergenceError,
     StabilityWarning,
@@ -22,6 +30,7 @@ from ringform.estimation import (
     readouts,
     run_estimation,
     steady_velocity_ratio,
+    steady_velocity_ratios,
     step_estimator,
 )
 from ringform.spectral import (
@@ -162,7 +171,8 @@ class TestReadout:
     def test_batched_readout_is_bitwise_scalar_readout(self):
         # One column per (beta, strategy, ratio): the S1 poles (den == 0),
         # the gap between its roots (fbar <= 0), non-finite ratios, the
-        # degenerate S1 frame at beta = 5e-303 and the S2 pole.
+        # degenerate S1 frame at beta = 5e-303 and the S2 pole; a second
+        # row takes the ratios in reverse order.
         columns = []
         for beta in (0.05, 0.0025, 0.3, 0.999, 5e-303):
             rho1, rho2, _, _ = s1_readout_frame(beta)
@@ -175,12 +185,17 @@ class TestReadout:
             for strategy in ("S1", "S2"):
                 columns += [(beta, strategy, r) for r in [*special, *closed, *spread.tolist()]]
         betas, strategies, ratios = zip(*columns)
-        got = readouts(betas, strategies)(np.array(ratios))
-        expected = np.array([readout(r, b, s) for b, s, r in columns])
+        rows = np.array([ratios, ratios[::-1]])
+        got = readouts(betas, strategies)(rows)
+        expected = np.array([[reference_readout(r, b, s)
+                              for b, s, r in zip(betas, strategies, row)]
+                             for row in rows.tolist()])
         assert np.array_equal(np.isnan(got), np.isnan(expected))
         finite = ~np.isnan(expected)
         assert finite.sum() > 100 and (~finite).sum() > 50
         assert np.array_equal(got[finite].view(np.int64), expected[finite].view(np.int64))
+        one = np.array([readout(r, b, s) for b, s, r in columns])
+        assert np.array_equal(one, got[0], equal_nan=True)
 
 
 class TestRunEstimation:
@@ -282,21 +297,139 @@ class TestEstimateChains:
         # beta = 0.95 is unstable at n' = 10; that chain uses up its 60 steps
         # before the step-64 position check, then must stop moving while the
         # stable chain runs on (unfrozen, it overflows within ~3000 steps).
+        # The beta = 0.6 chain is unstable too, but its readout settles on 1
+        # at step 8, inside the first block: it is frozen at the block's end
+        # and never checked (alone, with a long window, it diverges).
         unstable = EstimatorConfig(params=EstimationParams(alpha=1.9, dt=1.0),
                                    stop_window=50, max_steps=60)
+        transient = EstimatorConfig(params=EstimationParams(alpha=1.2, dt=1.0),
+                                    stop_window=2, max_steps=6000)
         stable = config_for(4, "S2", stop_window=2000, max_steps=6000)
+        configs = [unstable, transient, stable]
         starts = [uniform_box(make_generator(0, 0), 10, 5.0),
+                  uniform_box(make_generator(0, 0), 10, 0.1),
                   uniform_box(make_generator(0, 1), 4, 5.0)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            batch = estimate_chains(starts, [unstable, stable], ["unstable", "stable"])
+            batch = estimate_chains(starts, configs, ["unstable", "transient", "stable"])
         alone = []
-        for start, config in zip(starts, [unstable, stable]):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", StabilityWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StabilityWarning)
+            for start, config in zip(starts, configs):
                 trace = run_estimation(len(start), config, start)
-            alone.append((trace.estimate, trace.steps_to_convergence))
-        assert batch == alone == [(None, None), (4, alone[1][1])]
+                alone.append((trace.estimate, trace.steps_to_convergence))
+            with pytest.raises(DivergenceError):
+                run_estimation(10, replace(transient, stop_window=2000), starts[1])
+        assert batch == alone == [(None, None), (1, 8), (4, alone[2][1])]
+
+
+def _block_cases():
+    """Chains of orders 1-12, S1 and S2 alternating, windows 2-80, and
+    max_steps below 64, at multiples of 64 and one step either side."""
+    windows = [2, 3, 5, 8, 13, 21, 34, 55, 80]
+    limits = [40, 63, 64, 65, 127, 128, 129, 191, 192, 193, 255, 256, 257]
+    cases = []
+    for i in range(36):
+        n_prime, window = 1 + i % 12, windows[i % len(windows)]
+        max_steps = max(limits[i * 5 % len(limits)], window + 1 + i % 3)
+        params = EstimationParams(alpha=0.9 * stability_bound(n_prime, "S2") / 0.05, dt=0.05)
+        config = EstimatorConfig(params=params, strategy=("S1", "S2")[i % 2],
+                                 stop_window=window, max_steps=max_steps)
+        cases.append((n_prime, config, uniform_box(make_generator(i, 0), n_prime, 5.0)))
+    return cases
+
+
+class TestBlockedLoop:
+    """The 64-step blocks against one step at a time."""
+
+    def test_matches_step_at_a_time_reference(self):
+        cases = _block_cases()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StabilityWarning)
+            expected = [reference_estimation(*case) for case in cases]
+            traces = [run_estimation(*case) for case in cases]
+        stops = [stop for _, _, (_, _, stop) in expected]
+        limits = {config.max_steps for (_, config, _), stop in zip(cases, stops) if stop is None}
+        assert {63, 64, 65, 127, 129, 191, 193, 256}.issubset(limits)
+        assert any(0 < stop < 64 for stop in stops if stop)
+        assert any(stop > 64 for stop in stops if stop)
+        for trace, (ratios, raws, outcome) in zip(traces, expected):
+            assert (trace.converged, trace.estimate, trace.steps_to_convergence) == outcome
+            assert trace.steps.tolist() == list(range(1, len(ratios) + 1))
+            assert np.array_equal(trace.ratios.view(np.int64), np.array(ratios).view(np.int64))
+            raws = np.array(raws)
+            finite = ~np.isnan(raws)
+            rounded = np.floor(raws[finite] + 0.5)
+            assert np.array_equal(np.isnan(trace.raw), ~finite)
+            assert np.array_equal(np.isnan(trace.rounded), ~finite)
+            assert np.array_equal(trace.raw[finite].view(np.int64), raws[finite].view(np.int64))
+            assert np.array_equal(trace.rounded[finite].view(np.int64), rounded.view(np.int64))
+        batch = estimate_chains([start for _, _, start in cases], [c for _, c, _ in cases],
+                                [f"case {i}" for i in range(len(cases))])
+        assert batch == [(estimate, stop) for _, _, (_, estimate, stop) in expected]
+
+    def test_divergence_inside_a_block(self):
+        # dt = 1e-150 makes every velocity ~1e150 times its position
+        # change: the tail velocity overflows the ratio at step 70, inside
+        # the second block, while the positions pass the step-64 check.
+        params = EstimationParams(alpha=1.9e150, dt=1e-150)
+        diverging = EstimatorConfig(params=params, stop_window=40, max_steps=400)
+        start = uniform_box(make_generator(1, 0), 6, 1e-10)
+        with warnings.catch_warnings(record=True) as alone_warnings:
+            warnings.simplefilter("always")
+            with pytest.raises(DivergenceError) as reference:
+                reference_estimation(6, diverging, start)
+            del alone_warnings[:]
+            with pytest.raises(DivergenceError) as alone:
+                run_estimation(6, diverging, start)
+        message = str(reference.value)
+        assert message.startswith("chain velocities diverged at step 70: ")
+        assert str(alone.value) == message
+        ratios, raws = reference.value.partial
+        partial = alone.value.partial
+        assert partial.steps.tolist() == list(range(1, 70))
+        assert partial.ratios.tolist() == ratios
+        # Next to it: chains stopped by their max_steps at steps 10 and 65,
+        # one that settles at step 22 and one that runs on.  The chain
+        # stopped at step 10 would overflow by step 70; stepped again at
+        # rest, it adds no warning to the diverging chain's.
+        cases = _block_cases()
+        starts = [start, uniform_box(make_generator(1, 0), 6, 1e-5), cases[11][2],
+                  cases[12][2], uniform_box(make_generator(0, 1), 4, 5.0)]
+        configs = [diverging, EstimatorConfig(params=params, stop_window=2, max_steps=10),
+                   cases[11][1], cases[12][1],
+                   config_for(4, "S2", stop_window=2000, max_steps=6000)]
+        with warnings.catch_warnings(record=True) as batch_warnings:
+            warnings.simplefilter("always")
+            with pytest.raises(DivergenceError) as batch:
+                estimate_chains(starts, configs, ["far chain"] + ["other"] * 4)
+        named = message.replace("chain velocities", "chain velocities of far chain")
+        assert str(batch.value) == named
+        runtime = [[str(w.message) for w in caught if w.category is RuntimeWarning]
+                   for caught in (alone_warnings, batch_warnings)]
+        assert runtime[0] and runtime[1] == runtime[0]
+
+    def test_checks_fall_on_block_multiples(self):
+        # Scripted readouts; the far chain starts beyond the position limit.
+        # Running, it is caught at step 64, not at the end of the near
+        # chain's 40 steps; stopped at step 2, it is never checked.
+        far = uniform_box(make_generator(0, 0), 3, 1e7)
+        near = uniform_box(make_generator(0, 1), 3, 1.0)
+        config = EstimatorConfig(params=EstimationParams(alpha=0.5, dt=0.01),
+                                 stop_window=2, max_steps=200)
+
+        def scripted(raw):
+            return lambda *_: lambda ratios: np.broadcast_to(raw, ratios.shape).copy()
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ringform.estimation, "readouts", scripted([math.nan, math.nan]))
+            with pytest.raises(DivergenceError,
+                               match="^chain positions of far diverged at step 64: "):
+                estimate_chains([far, near], [config, replace(config, max_steps=40)],
+                                ["far", "near"])
+            patch.setattr(ringform.estimation, "readouts", scripted([3.0, math.nan]))
+            assert estimate_chains([far, near], [config, config],
+                                   ["far", "near"]) == [(3, 2), (None, None)]
 
 
 class TestSteadyState:
@@ -316,16 +449,14 @@ class TestSteadyState:
 
     @pytest.mark.parametrize("strategy", ["S1", "S2"])
     def test_steady_ratio_matches_step_estimator_replay(self, strategy):
-        # Same settle rule, stepped through the allocating public step.
-        config = config_for(4, strategy)
-        state = SwarmState.chain(4)
-        previous, quiet = math.inf, 0
-        while quiet < 25:
-            state = step_estimator(state, config)
-            ratio = float(np.linalg.norm(state.velocities[-1]))  # |excitation| = 1
-            quiet = quiet + 1 if abs(ratio - previous) < 1e-12 else 0
-            previous = ratio
-        assert steady_velocity_ratio(4, config) == ratio
+        # Same settle rule, stepped through the allocating public step; the
+        # lock-step batch settles its chains inside blocks.
+        orders = [1, 2, 4, 7]
+        configs = [config_for(n, strategy) for n in orders]
+        expected = [reference_steady_ratio(n, c) for n, c in zip(orders, configs)]
+        assert all(step % 64 for _, step in expected)
+        assert steady_velocity_ratios(orders, configs) == [ratio for ratio, _ in expected]
+        assert steady_velocity_ratio(4, configs[2]) == expected[2][0]
 
     @pytest.mark.parametrize("strategy", ["S1", "S2"])
     def test_simulated_ratio_matches_closed_form(self, strategy):
@@ -409,30 +540,33 @@ RAW_SEQUENCES = st.lists(RAW_RUNS, min_size=1, max_size=8).map(
 @example(columns=[([float(np.nextafter(0.5, 0.0)), float(np.nextafter(1.5, 0.0))], 2)])
 @example(columns=[([3.0, math.nan, 3.0, 3.2, 2.7], 3), ([2.0] * 9, 4), ([5.0, 5.2], 6)])
 def test_stop_rule_matches_documented_rule(columns):
-    # The readout is scripted, so the rule sees exactly the given raw
-    # readouts; a short script is padded with NaN to exceed its window.
-    # Each column runs alone through run_estimation, then all of them
-    # together, each with its own window and max_steps, through the
-    # lock-step estimate_chains.
+    # The readouts are scripted, so the rule sees exactly the given raw
+    # readouts, one block of rows per call; a short script is padded with
+    # NaN to exceed its window.  Each column runs alone through
+    # run_estimation, then all of them together, each with its own window
+    # and max_steps, through the lock-step estimate_chains.
     scripts = [raws + [math.nan] * (window + 1 - len(raws)) for raws, window in columns]
     configs = [EstimatorConfig(params=EstimationParams(alpha=0.5, dt=0.01),
                                stop_window=window, max_steps=len(raws))
                for raws, (_, window) in zip(scripts, columns)]
     expected = [reference_stop_rule(raws, window)
                 for raws, (_, window) in zip(scripts, columns)]
+
+    def scripted(rows):
+        feed = iter(rows)
+        return lambda *_: lambda ratios: np.array([next(feed) for _ in ratios])
+
     for raws, config, want in zip(scripts, configs, expected):
-        feed = iter(raws)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ringform.estimation, "readout", lambda *_: next(feed))
+            patch.setattr(ringform.estimation, "readouts", scripted([[x] for x in raws]))
             trace = run_estimation(1, config, seed=0)
         assert (trace.converged, trace.estimate, trace.steps_to_convergence) == want
         np.testing.assert_array_equal(trace.raw, raws[:len(trace.raw)])
 
     longest = max(len(raws) for raws in scripts)
     padded = np.array([raws + [math.nan] * (longest - len(raws)) for raws in scripts])
-    feed = iter(padded.T)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ringform.estimation, "readouts", lambda *_: lambda ratios: next(feed))
+        patch.setattr(ringform.estimation, "readouts", scripted(padded.T))
         batch = estimate_chains([np.zeros((1, 2))] * len(scripts), configs,
                                 [f"column {b}" for b in range(len(scripts))])
     assert [(stop is not None, estimate, stop) for estimate, stop in batch] == expected
