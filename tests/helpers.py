@@ -10,7 +10,8 @@ with rolled neighbour copies and a per-vertex loop;
 ``reference_stop_rule`` checks the estimator's stop rule window by window,
 ``reference_readout`` inverts one ratio with scalar arithmetic, and
 ``reference_estimation`` and ``reference_steady_ratio`` step one chain at a
-time through ``step_estimator``; ``reference_sweep`` runs the convergence
+time through ``step_estimator``; ``trace_bits`` is an estimate trace's
+fields for a bitwise comparison; ``reference_sweep`` runs the convergence
 sweep one chain at a time through ``run_estimation``.  ``shipped_config``
 loads the scenario configs from the repository's ``configs/`` directory.
 """
@@ -200,6 +201,15 @@ def reference_estimation(n_prime, config, initial):
         failure.partial = (ratios, raws)
         raise failure
     return ratios, raws, outcome
+
+
+def trace_bits(trace):
+    """Every field of an ``EstimateTrace``, its arrays as dtype and bytes,
+    so that two traces compare equal only bit for bit, NaNs included."""
+    return (trace.strategy, trace.n_prime_true, trace.converged, trace.estimate,
+            trace.steps_to_convergence, trace.first_correct_step,
+            *((a.dtype.str, a.tobytes())
+              for a in (trace.steps, trace.ratios, trace.raw, trace.rounded)))
 
 
 def reference_steady_ratio(n_prime, config):

@@ -82,6 +82,7 @@ PROBES = [
     ("topology.vertex_set", [0, 2, 7]),  # index 7 is outside the 7-robot ring
     ("excitation", ["a", 0]),
     ("excitation", [1.0e-170, 0.0]),  # x*x + y*y underflows to 0
+    ("excitation", [1.0e300, 0.0]),  # x*x + y*y overflows to inf
     ("r_star", [["x", -2.0], [2.0, 2.0], [-3.0, 0.0]]),
     ("tolerances.closure", "x"),
     ("tolerances.closure", 1e-3),  # looser than the closure check FormationConfig makes
@@ -358,8 +359,10 @@ class TestOtherModes:
         assert len(lines) > 1
 
     def test_pipeline_estimation_divergence_exit(self, tmp_path, capsys):
-        # beta = 0.95 makes the phase-1 chains blow up; the partial chain
-        # trace lands in estimate.csv and formation never starts.
+        # beta = 0.95 makes the phase-1 chains blow up; the three chains
+        # run as one batch, so each one's partial trace lands in
+        # estimate.csv, all ending at the step before the divergence, and
+        # formation never starts.
         cfg = dict(TRIANGLE, output_dir=str(tmp_path / "out"),
                    estimation={"alpha": 1.9, "dt": 1.0, "strategy": "S1"})
         path = write_config(tmp_path, cfg)
@@ -367,16 +370,22 @@ class TestOtherModes:
             warnings.simplefilter("ignore")
             code = main(["pipeline", "--config", str(path)])
         assert code == EXIT_DIVERGED
-        assert "diverged" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "diverged" in err
+        assert "of segment" in err
         lines = (tmp_path / "out" / "estimate.csv").read_text().splitlines()
         assert lines[0] == "step,chain_id,ratio,estimate_raw,estimate_rounded,converged"
-        steps = [int(line.split(",")[0]) for line in lines[1:]]
-        assert steps == list(range(1, len(steps) + 1)) and steps
+        rows = [tuple(map(int, line.split(",")[:2])) for line in lines[1:]]
+        last = rows[-1][0] if rows else 0
+        assert last >= 1
+        assert rows == [(step, chain) for step in range(1, last + 1) for chain in range(3)]
         assert not (tmp_path / "out" / "trace.csv").exists()
 
-    def test_pipeline_divergence_keeps_finished_chains(self, tmp_path):
+    def test_pipeline_divergence_keeps_finished_chains(self, tmp_path, capsys):
         # Chain 0 (2 robots) converges at step 74; chain 1 (5 robots) then
         # diverges at step 192.  Both chains' rows must reach estimate.csv.
+        # Chain 2 (3 robots) runs in the same batch: it is partial at the
+        # divergence, and every chain's stability warning comes out.
         cfg = dict(TRIANGLE, seed=1, output_dir=str(tmp_path / "out"),
                    topology={"n_total": 10, "vertex_set": [0, 2, 7]},
                    estimation={"alpha": 0.3, "dt": 1.0, "strategy": "S2",
@@ -386,6 +395,11 @@ class TestOtherModes:
             warnings.simplefilter("ignore")
             code = main(["pipeline", "--config", str(path)])
         assert code == EXIT_DIVERGED
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("ringform: chain positions of segment 1 diverged at step 192: ")
+        assert [line.split(" at chain order ")[1][0] for line in err[1:]] == ["2", "5", "3"]
+        assert all(line.startswith("ringform: warning: alpha*dt = 0.3 >= sufficient bound")
+                   for line in err[1:])
         lines = (tmp_path / "out" / "estimate.csv").read_text().splitlines()[1:]
         rows = [line.split(",") for line in lines]
         chain0 = [r for r in rows if r[1] == "0"]
@@ -395,6 +409,33 @@ class TestOtherModes:
         assert [int(r[0]) for r in chain1] == list(range(1, len(chain1) + 1))
         assert len(chain1) > len(chain0)
         assert not (tmp_path / "out" / "trace.csv").exists()
+        chain2 = [r for r in rows if r[1] == "2"]
+        assert [int(r[0]) for r in chain2] == list(range(1, 192))
+        assert [int(r[0]) for r in chain1] == list(range(1, 192))
+        assert "true" not in {r[5] for r in chain1 + chain2}
+        assert len(rows) == len(chain0) + len(chain1) + len(chain2)
+        # the same divergence through the API: every chain's trace as partial
+        raw = dict(cfg, output_dir=str(tmp_path / "api"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(DivergenceError) as diverged:
+                formation.run_pipeline(**parse_config(raw).pipeline_arguments())
+        partial = diverged.value.partial
+        assert all(isinstance(trace, EstimateTrace) for trace in partial)
+        assert [len(trace.steps) for trace in partial] == [len(chain0), 191, 191]
+        assert [trace.steps_to_convergence for trace in partial] == [len(chain0), None, None]
+
+    def test_overflowing_excitation_is_a_config_error(self, tmp_path, capsys):
+        # x*x overflows to inf: a run from it would read every ratio as 0
+        # or NaN and stop at step 1 with overflow warnings.
+        cfg = {"mode": "estimate", "excitation": [1.0e300, 0.0],
+               "output_dir": str(tmp_path / "out"), "topology": {"n_total": 5}}
+        path = write_config(tmp_path, cfg)
+        code = main(["estimate", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("ringform: config error: excitation: must have finite x*x + y*y > 0")
+        assert "warning" not in err and "diverged" not in err
 
     def test_pipeline_formation_divergence_keeps_estimates(self, tmp_path, capsys):
         # sigma 2 at alpha 1.5 blows the ring up at step 124, after every

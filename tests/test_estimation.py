@@ -15,6 +15,7 @@ from helpers import (
     reference_readout,
     reference_steady_ratio,
     reference_stop_rule,
+    trace_bits,
 )
 from ringform.core import (
     DivergenceError,
@@ -24,7 +25,9 @@ from ringform.core import (
     uniform_box,
 )
 from ringform.estimation import (
+    ChainBatch,
     EstimatorConfig,
+    chain_traces,
     estimate_chains,
     readout,
     readouts,
@@ -213,9 +216,11 @@ class TestRunEstimation:
         # exact integer.
         params = EstimationParams(alpha=0.1, dt=1.0)
         config = EstimatorConfig(params=params, strategy="S2")
-        with pytest.warns(StabilityWarning):
+        with pytest.warns(StabilityWarning) as caught:
             trace = run_estimation(3, config, seed=5)
         assert trace.estimate == 3
+        # reported at the caller's line, not inside the package
+        assert [w.filename for w in caught] == [__file__]
 
     def test_two_robot_chain_s2(self):
         params = EstimationParams(alpha=0.1, dt=1.0)
@@ -353,8 +358,11 @@ class TestBlockedLoop:
         assert {63, 64, 65, 127, 129, 191, 193, 256}.issubset(limits)
         assert any(0 < stop < 64 for stop in stops if stop)
         assert any(stop > 64 for stop in stops if stop)
-        for trace, (ratios, raws, outcome) in zip(traces, expected):
+        for trace, (n_prime, _, _), (ratios, raws, outcome) in zip(traces, cases, expected):
             assert (trace.converged, trace.estimate, trace.steps_to_convergence) == outcome
+            correct = [step for step, raw in enumerate(raws, 1)
+                       if not math.isnan(raw) and math.floor(raw + 0.5) == n_prime]
+            assert trace.first_correct_step == (correct[0] if correct else None)
             assert trace.steps.tolist() == list(range(1, len(ratios) + 1))
             assert np.array_equal(trace.ratios.view(np.int64), np.array(ratios).view(np.int64))
             raws = np.array(raws)
@@ -367,6 +375,35 @@ class TestBlockedLoop:
         batch = estimate_chains([start for _, _, start in cases], [c for _, c, _ in cases],
                                 [f"case {i}" for i in range(len(cases))])
         assert batch == [(estimate, stop) for _, _, (_, estimate, stop) in expected]
+        # The same 36 chains as one batch, cut into traces: each column ends
+        # at its own stop, inside a block or at a block edge.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StabilityWarning)
+            cut = chain_traces([start for _, _, start in cases], [c for _, c, _ in cases])
+        assert [trace_bits(t) for t in cut] == [trace_bits(t) for t in traces]
+
+    def test_batch_columns_through_run_estimation(self):
+        # the last chain is above its sufficient bound, yet settles on 3
+        paper_gains = EstimatorConfig(params=EstimationParams(alpha=0.1, dt=1.0),
+                                      strategy="S2")
+        cases = _block_cases()[:6] + [(3, paper_gains, uniform_box(make_generator(5, 0), 3, 5.0))]
+        starts, configs = [start for _, _, start in cases], [c for _, c, _ in cases]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            batch = ChainBatch(starts, configs)
+        expected = [w for w in caught if w.category is StabilityWarning]
+        assert [w.filename for w in expected] == [__file__]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            traces = [run_estimation(n, c, batch=batch, column=b)
+                      for b, (n, c, _) in enumerate(cases)]
+            cut = chain_traces(starts, configs)
+        assert not caught  # the batch warned once, at its construction
+        assert traces == batch.traces  # run once, at the first call
+        assert [trace_bits(t) for t in traces] == [trace_bits(t) for t in cut]
+        assert traces[-1].estimate == 3
+        with pytest.raises(ValueError, match="column 1 of the batch is another chain"):
+            run_estimation(cases[0][0], configs[0], batch=batch, column=1)
 
     def test_divergence_inside_a_block(self):
         # dt = 1e-150 makes every velocity ~1e150 times its position
@@ -399,15 +436,35 @@ class TestBlockedLoop:
         configs = [diverging, EstimatorConfig(params=params, stop_window=2, max_steps=10),
                    cases[11][1], cases[12][1],
                    config_for(4, "S2", stop_window=2000, max_steps=6000)]
+        names = ["far chain"] + ["other"] * 4
         with warnings.catch_warnings(record=True) as batch_warnings:
             warnings.simplefilter("always")
             with pytest.raises(DivergenceError) as batch:
-                estimate_chains(starts, configs, ["far chain"] + ["other"] * 4)
+                estimate_chains(starts, configs, names)
         named = message.replace("chain velocities", "chain velocities of far chain")
         assert str(batch.value) == named
         runtime = [[str(w.message) for w in caught if w.category is RuntimeWarning]
                    for caught in (alone_warnings, batch_warnings)]
         assert runtime[0] and runtime[1] == runtime[0]
+        # Cut into traces, the partial is every chain's: the finished ones
+        # whole, the running ones up to the step before the divergence.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(DivergenceError) as traced:
+                chain_traces(starts, configs, names)
+            alone_traces = [run_estimation(len(s), c, s) for s, c in zip(starts[1:], configs[1:])]
+        assert str(traced.value) == named
+        partial = traced.value.partial
+        assert [len(t.steps) for t in partial] == [69, 10, 65, 22, 69]
+        assert [t.converged for t in partial] == [False, False, False, True, False]
+        assert trace_bits(partial[0]) == trace_bits(alone.value.partial)
+        assert ([trace_bits(t) for t in partial[1:4]]
+                == [trace_bits(t) for t in alone_traces[:3]])
+        running = alone_traces[3]  # alone, it settles at step 2 136
+        assert running.steps_to_convergence == 2136
+        for name in ("steps", "ratios", "raw", "rounded"):
+            assert (getattr(partial[4], name).tobytes()
+                    == getattr(running, name)[:69].tobytes())
 
     def test_checks_fall_on_block_multiples(self):
         # Scripted readouts; the far chain starts beyond the position limit.
@@ -485,6 +542,13 @@ class TestConfigValidation:
             EstimatorConfig(params=params, excitation_init=(0.0, 0.0))
         with pytest.raises(ValueError):  # x*x + y*y underflows to 0
             EstimatorConfig(params=params, excitation_init=(1.0e-170, 0.0))
+
+    def test_overflowing_excitation_rejected(self):
+        params = EstimationParams(alpha=0.5, dt=0.01)
+        for excitation in [(1.0e300, 0.0), (0.0, -1.0e200), (math.inf, 0.0)]:
+            with pytest.raises(ValueError, match="finite x\\*x \\+ y\\*y"):
+                EstimatorConfig(params=params, excitation_init=excitation)
+        EstimatorConfig(params=params, excitation_init=(1.0e154, 0.0))
 
 
 @settings(max_examples=20, deadline=None)

@@ -11,10 +11,11 @@ from helpers import (
     reference_run_formation,
     reference_step_formation,
     shipped_config,
+    trace_bits,
 )
 from ringform import formation
 from ringform.core import DivergenceError, SwarmState, make_generator, uniform_box
-from ringform.estimation import EstimatorConfig
+from ringform.estimation import EstimatorConfig, run_estimation
 from ringform.formation import (
     FormationConfig,
     PipelineEstimationError,
@@ -668,3 +669,66 @@ class TestPipeline:
             a.formation.final_state.positions, b.formation.final_state.positions
         )
         assert np.array_equal(a.initial_state.positions, b.initial_state.positions)
+
+
+class _PhaseOneDone(Exception):
+    """Raised by ``open_sink`` to stop a pipeline before its formation."""
+
+
+def _warned(run):
+    """``run()`` and the messages of the warnings it gave, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run()
+    return result, [str(w.message) for w in caught]
+
+
+def batched_phase_one(cfg):
+    """``run_pipeline``'s chain traces, the formation never started."""
+    def open_sink(traces):
+        raise _PhaseOneDone(traces)
+
+    try:
+        run_pipeline(**cfg.pipeline_arguments(), open_sink=open_sink)
+    except _PhaseOneDone as done:
+        return done.args[0]
+    except PipelineEstimationError as failed:
+        return failed.traces
+
+
+def chain_loop(cfg):
+    """The same chains, one ``run_estimation`` at a time."""
+    args = cfg.pipeline_arguments()
+    initial, _ = seeded_placement(args["ring"], args["spec"], args["seed"], args["initial_box"])
+    return [run_estimation(seg.cardinality, args["est_config"],
+                           initial.positions[list(seg.members)] - initial.positions[seg.anchor])
+            for seg in cut_ring(args["ring"], args["spec"])]
+
+
+UNEQUAL = dict(n_total=10, vertex_set=(0, 2, 7))  # segments of 2, 5 and 3 robots
+
+
+class TestBatchedPhaseOne:
+    """Phase 1 as one lock-step batch against the per-chain loop."""
+
+    @pytest.mark.parametrize("name, overrides, outcomes", [
+        ("hexagon", {}, [(20, 2950), (20, 2627), (20, 3235),
+                         (20, 2729), (20, 3119), (20, 3241)]),
+        ("triangle", {}, [(2, 72), (3, 77), (2, 75)]),
+        # right-aligned shorter columns in the batch buffers
+        ("triangle", UNEQUAL, [(2, 256), (5, 295), (3, 260)]),
+        # the 5-robot chain runs to max_steps unconverged
+        ("triangle", dict(UNEQUAL, est_max_steps=270), [(2, 256), (None, None), (3, 260)]),
+        # the 2-robot chain settles on its last allowed step
+        ("triangle", dict(UNEQUAL, est_max_steps=256), [(2, 256), (None, None), (None, None)]),
+    ], ids=["hexagon", "triangle", "unequal", "unconverged", "settles-at-limit"])
+    def test_batch_is_the_chain_loop_bit_for_bit(self, name, overrides, outcomes):
+        cfg = shipped_config(name, **overrides)
+        batch, batch_warnings = _warned(lambda: batched_phase_one(cfg))
+        loop, loop_warnings = _warned(lambda: chain_loop(cfg))
+        assert [(t.estimate, t.steps_to_convergence) for t in batch] == outcomes
+        assert [trace_bits(t) for t in batch] == [trace_bits(t) for t in loop]
+        limit = cfg.phase1("max_steps")
+        assert all(len(t.steps) == limit for t in batch if not t.converged)
+        # one stability warning per chain, in segment order, as the loop gives
+        assert batch_warnings == loop_warnings
