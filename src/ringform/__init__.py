@@ -12,7 +12,6 @@ from .core import DivergenceError, StabilityWarning, SwarmState, make_generator,
 from .estimation import (
     EstimateTrace,
     EstimatorConfig,
-    readout,
     run_estimation,
     steady_velocity_ratio,
     step_estimator,
@@ -40,7 +39,6 @@ from .harness import (
 )
 from .spectral import (
     EstimationParams,
-    StabilityBound,
     SystemMatrices,
     build_cascade_matrix,
     build_estimator_matrix,
@@ -54,7 +52,6 @@ from .spectral import (
     spectral_radius,
     spectral_report,
     stability_bound,
-    stability_bounds,
     steady_gain,
     steady_gain_recursive,
     steady_ratio_closed,

@@ -37,7 +37,7 @@ from .formation import (
     seeded_placement,
 )
 from .harness import auto_stop_window, sensitivity_curves, sweep_convergence
-from .spectral import EstimationParams, spectral_report
+from .spectral import STRATEGIES, EstimationParams, spectral_report
 from .topology import CLOSURE_TOL, PolygonSpec, RingTopology, cut_ring, validate_polygon_closure
 
 EXIT_OK = 0
@@ -46,7 +46,6 @@ EXIT_DIVERGED = 3
 EXIT_NOT_CONVERGED = 4
 
 MODES = ("estimate", "form", "pipeline", "sweep", "spectral")
-STRATEGIES = ("S1", "S2")
 
 
 class ConfigError(ValueError):
@@ -562,19 +561,21 @@ def execute(cfg: RunConfig) -> int:
     """Run one validated config; writes outputs plus a manifest.
 
     A divergence writes the partial traces and exits 3; a config error
-    found only when the run starts (the stop window) exits 2.
+    found only when the run starts (the stop window, or a size whose
+    arrays cannot be allocated) exits 2.
     """
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_resolved_config(out_dir, cfg)
     outputs = ["resolved_config.yaml"]
     started = time.perf_counter()
-    runner = {
-        "estimate": _run_estimate,
-        "form": _run_form,
-        "pipeline": _run_pipeline,
-        "sweep": _run_sweep,
-        "spectral": _run_spectral,
+    # Each mode's runner and the field that sizes its arrays.
+    runner, size_field = {
+        "estimate": (_run_estimate, "topology.n_total"),
+        "form": (_run_form, "topology.n_total"),
+        "pipeline": (_run_pipeline, "topology.n_total"),
+        "sweep": (_run_sweep, "sweep.n_max"),
+        "spectral": (_run_spectral, "n_prime"),
     }[cfg.mode]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -584,6 +585,10 @@ def execute(cfg: RunConfig) -> int:
             code = _diverged(err, out_dir, outputs)
         except ConfigError as exc:
             print(f"ringform: config error: {exc}", file=sys.stderr)
+            code = EXIT_CONFIG
+        except MemoryError as exc:
+            print(f"ringform: config error: {size_field}: too large to allocate: "
+                  f"{str(exc) or 'out of memory'}", file=sys.stderr)
             code = EXIT_CONFIG
     for entry in caught:
         print(f"ringform: warning: {entry.message}", file=sys.stderr)

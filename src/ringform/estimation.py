@@ -294,11 +294,6 @@ def readouts(betas, strategies):
     return read
 
 
-def readout(ratio: float, beta: float, strategy: str) -> float:
-    """``readouts`` of one chain and one ratio."""
-    return float(readouts([beta], [strategy])(np.array([ratio]))[0])
-
-
 @dataclass
 class EstimateTrace:
     """Per-step readout record of one estimation run."""
@@ -315,20 +310,28 @@ class EstimateTrace:
     first_correct_step: int | None = None
 
 
-def _warn_unstable(n_prime: int, config: EstimatorConfig) -> None:
-    """``StabilityWarning`` when ``alpha*dt`` is not below the sufficient
-    bound of a chain of ``n_prime`` movable robots, reported at the line
-    that called this function's caller."""
-    alpha_dt = config.params.alpha * config.params.dt
-    bound = stability_bound(n_prime, config.strategy)
+def warn_unstable(params: EstimationParams, order: int, strategy: str, subject: str,
+                  stacklevel: int) -> None:
+    """``StabilityWarning`` when ``alpha*dt`` is not below
+    ``stability_bound(order, strategy)``.  ``subject`` names the chain in
+    the message; ``stacklevel`` counts from the caller, as in
+    ``warnings.warn``."""
+    alpha_dt = params.alpha * params.dt
+    bound = stability_bound(order, strategy)
     if alpha_dt >= bound:
         warnings.warn(
-            f"alpha*dt = {alpha_dt:.6g} >= sufficient bound {bound:.6g} for "
-            f"{config.strategy} at chain order {n_prime}; convergence "
-            "is not guaranteed",
+            f"alpha*dt = {alpha_dt:.6g} >= sufficient bound {bound:.6g} for {subject}; "
+            "convergence is not guaranteed",
             StabilityWarning,
-            stacklevel=3,
+            stacklevel=stacklevel + 1,
         )
+
+
+def _warn_unstable(n_prime: int, config: EstimatorConfig) -> None:
+    """``warn_unstable`` for a chain of ``n_prime`` movable robots, reported
+    at the line that called this function's caller."""
+    warn_unstable(config.params, n_prime, config.strategy,
+                  f"{config.strategy} at chain order {n_prime}", stacklevel=3)
 
 
 class ChainBatch:

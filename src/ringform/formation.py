@@ -8,22 +8,26 @@ The pinned vertex never moves and anchors the whole pattern in the plane.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
     DivergenceError,
-    StabilityWarning,
     SwarmState,
     check_finite,
     make_generator,
     midpoint_law,
     uniform_box,
 )
-from .estimation import ChainBatch, EstimatorConfig, EstimateTrace, run_estimation
-from .spectral import EstimationParams, stability_bound
+from .estimation import (
+    ChainBatch,
+    EstimatorConfig,
+    EstimateTrace,
+    run_estimation,
+    warn_unstable,
+)
+from .spectral import EstimationParams
 from .topology import (
     ChainSegment,
     PolygonSpec,
@@ -227,9 +231,6 @@ class FormationTrace:
     converged: bool = False
     first_step_within_tol: int | None = None
 
-    def times(self) -> np.ndarray:
-        return self.error_steps * self.dt
-
 
 class _Collector:
     """``run_formation``'s default consumer: keeps every snapshot and error
@@ -293,16 +294,9 @@ def run_formation(
             f"initial state has {initial.positions.shape[0]} robots, "
             f"ring expects {config.ring.n_total}"
         )
-    alpha_dt = config.params.alpha * config.params.dt
     largest = max(config.n_s)
-    bound = stability_bound(largest, "S1" if config.sigma == 1 else "S2")
-    if alpha_dt >= bound:
-        warnings.warn(
-            f"alpha*dt = {alpha_dt:.6g} >= sufficient bound {bound:.6g} for the "
-            f"largest segment ({largest} robots); convergence is not guaranteed",
-            StabilityWarning,
-            stacklevel=2,
-        )
+    warn_unstable(config.params, largest, "S1" if config.sigma == 1 else "S2",
+                  f"the largest segment ({largest} robots)", stacklevel=2)
 
     trace = FormationTrace(dt=config.params.dt, tolerance=error_tolerance)
     collector = None

@@ -5,9 +5,12 @@ Conventions used throughout:
 * A chain of order d stacks positions above velocities, one column per
   planar axis.  The estimator state matrix is 2d x 2d; the lagged variant
   inserts a layer of one-step-old velocities and is 3d x 3d.
-* The dense builders are the reference the step functions are checked
-  against; radii come from ``chain_modes``, which splits a chain matrix
-  into d small blocks with the same eigenvalues.
+* The four chain matrices (estimator, lagged estimator, formation,
+  lagged formation) are one assembly, ``_chain_matrix``: they differ only
+  in the stale-velocity layer and the vertex's row.  These dense
+  matrices are the reference the step functions are checked against;
+  radii come from ``chain_modes``, which splits a chain matrix into d
+  small blocks with the same eigenvalues.
 * ``beta = alpha * dt / 2`` is the single dimensionless parameter all the
   closed forms depend on.  The readout algebra needs beta in (0, 1): at 0
   the geometric-recursion roots collide, at 1 denominators vanish.
@@ -70,7 +73,6 @@ class SystemMatrices:
     kind: str
     order: int
     dense: np.ndarray
-    params: EstimationParams
     input_matrix: np.ndarray | None = None
 
 
@@ -83,136 +85,85 @@ def _sym_tridiagonal(n: int, diag: float, off: float) -> np.ndarray:
     return m
 
 
-def position_coupling(n: int) -> np.ndarray:
-    """Chain Laplacian-like block: -1 on the diagonal, 0.5 on the off-diagonals.
+# Chain kind -> (stacked layers, smallest order, message for a smaller one).
+_KINDS = {
+    "estimator": (2, 1, "chain order must be >= 1, got {}"),
+    "lagged_estimator": (3, 1, "chain order must be >= 1, got {}"),
+    "formation": (2, 2, "formation chain needs n >= 2 robots, got {}"),
+    "lagged_formation": (3, 2, "formation chain needs n >= 2 robots, got {}"),
+}
 
-    Scaled by alpha it maps stacked positions to the midpoint-seeking part
-    of the velocity update (fixed anchor and origin-pinned virtual robot
-    absorb the boundary terms).
+
+def _chain_layers(kind: str, order: int) -> int:
+    """Layers of a chain matrix of ``kind``; ValueError for an unknown kind
+    or an order below the kind's smallest."""
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be one of {tuple(_KINDS)}, got {kind!r}")
+    layers, smallest, message = _KINDS[kind]
+    if order < smallest:
+        raise ValueError(message.format(order))
+    return layers
+
+
+def _chain_matrix(kind: str, order: int, params: EstimationParams) -> SystemMatrices:
+    """Dense state matrix and input map of one chain of ``kind``.
+
+    The layout is [q, v] or, lagged, [q(k), v(k-1), v(k)], d = ``order``
+    rows per layer.  Positions integrate the current velocities; the
+    velocity update applies alpha times the position coupling (-1 on the
+    diagonal, 1/2 off it: the fixed anchor and the origin-pinned virtual
+    robot absorb the boundary terms) plus the neighbour average (1/2 off
+    the diagonal) of the current layer, or of the stale one the lagged
+    layout shifts the current velocities into.
+
+    An estimator's input is its excitation, halved into the last row.  A
+    formation chain's terminal vertex leaves midpoint-seeking for
+    full-gain tracking of its predecessor, alpha (q_{n-1} - q_n) +
+    v_{n-1}, which adds two entries to the last row; its input map carries
+    the anchor position and velocity into the first robot's velocity row
+    and the spacing target into the vertex's.
     """
-    return _sym_tridiagonal(n, -1.0, 0.5)
-
-
-def velocity_coupling(n: int) -> np.ndarray:
-    """Neighbour velocity averaging block: zero diagonal, 0.5 off-diagonals."""
-    return _sym_tridiagonal(n, 0.0, 0.5)
-
-
-def excitation_column(size: int) -> np.ndarray:
-    """Input column: the excitation feeds only the last velocity row, halved."""
-    b = np.zeros((size, 1))
-    b[-1, 0] = 0.5
-    return b
+    layers = _chain_layers(kind, order)
+    d, size = order, layers * order
+    eye = np.eye(d)
+    update = [params.alpha * _sym_tridiagonal(d, -1.0, 0.5), _sym_tridiagonal(d, 0.0, 0.5)]
+    if layers == 2:
+        dense = np.block([[eye, params.dt * eye], update])
+    else:
+        zero = np.zeros((d, d))
+        dense = np.block([[eye, zero, params.dt * eye], [zero, zero, eye], update + [zero]])
+    if kind.endswith("formation"):
+        dense[-1, d - 2] += 0.5 * params.alpha
+        dense[-1, 2 * d - 2] += 0.5  # v_{n-1}: current layer, or the lagged stale one
+        input_matrix = np.zeros((size, 3))
+        input_matrix[size - d, 0] = 0.5 * params.alpha  # anchor position -> first robot
+        input_matrix[size - d, 1] = 0.5                 # anchor velocity -> first robot
+        input_matrix[-1, 2] = -params.alpha             # spacing target -> vertex
+    else:
+        input_matrix = np.zeros((size, 1))
+        input_matrix[-1, 0] = 0.5
+    return SystemMatrices(kind=kind, order=d, dense=dense, input_matrix=input_matrix)
 
 
 def build_estimator_matrix(n_prime: int, params: EstimationParams) -> SystemMatrices:
-    """State matrix of the latest-measurement estimator chain.
-
-    Layout [q_1..q_d, v_1..v_d]; top row integrates positions explicitly,
-    bottom row applies alpha-scaled position coupling plus velocity
-    averaging of the current step.
-    """
-    if n_prime < 1:
-        raise ValueError(f"chain order must be >= 1, got {n_prime}")
-    d = n_prime
-    eye = np.eye(d)
-    dense = np.block(
-        [
-            [eye, params.dt * eye],
-            [params.alpha * position_coupling(d), velocity_coupling(d)],
-        ]
-    )
-    return SystemMatrices(
-        kind="estimator",
-        order=d,
-        dense=dense,
-        params=params,
-        input_matrix=excitation_column(2 * d),
-    )
+    """State matrix of the latest-measurement estimator chain, [q, v]."""
+    return _chain_matrix("estimator", n_prime, params)
 
 
 def build_lagged_estimator_matrix(n_prime: int, params: EstimationParams) -> SystemMatrices:
-    """State matrix of the two-instant estimator chain.
-
-    Layout [q(k), v(k-1), v(k)]: the middle block just shifts the current
-    velocities into the stale layer, and the velocity update reads the
-    stale layer instead of the fresh one.
-    """
-    if n_prime < 1:
-        raise ValueError(f"chain order must be >= 1, got {n_prime}")
-    d = n_prime
-    eye = np.eye(d)
-    zero = np.zeros((d, d))
-    dense = np.block(
-        [
-            [eye, zero, params.dt * eye],
-            [zero, zero, eye],
-            [params.alpha * position_coupling(d), velocity_coupling(d), zero],
-        ]
-    )
-    return SystemMatrices(
-        kind="lagged_estimator",
-        order=d,
-        dense=dense,
-        params=params,
-        input_matrix=excitation_column(3 * d),
-    )
+    """State matrix of the two-instant estimator chain, [q(k), v(k-1), v(k)]."""
+    return _chain_matrix("lagged_estimator", n_prime, params)
 
 
 def build_formation_matrix(n: int, params: EstimationParams) -> SystemMatrices:
-    """State matrix of one formation chain (n movable robots, vertex last).
-
-    Equals the estimator matrix plus two entries in the last velocity row:
-    the terminal vertex abandons midpoint-seeking for full-gain tracking of
-    its predecessor, alpha * (q_{n-1} - q_n) + v_{n-1}.  The input map
-    carries the anchor position, anchor velocity, and the desired spacing
-    into the first and last velocity rows.
-    """
-    if n < 2:
-        raise ValueError(f"formation chain needs n >= 2 robots, got {n}")
-    base = build_estimator_matrix(n, params)
-    dense = base.dense.copy()
-    dense[2 * n - 1, n - 2] += 0.5 * params.alpha
-    dense[2 * n - 1, 2 * n - 2] += 0.5
-    input_matrix = np.zeros((2 * n, 3))
-    input_matrix[n, 0] = 0.5 * params.alpha  # anchor position -> first robot
-    input_matrix[n, 1] = 0.5                 # anchor velocity -> first robot
-    input_matrix[2 * n - 1, 2] = -params.alpha  # spacing target -> vertex
-    return SystemMatrices(
-        kind="formation",
-        order=n,
-        dense=dense,
-        params=params,
-        input_matrix=input_matrix,
-    )
+    """State matrix of one formation chain (n movable robots, vertex last)."""
+    return _chain_matrix("formation", n, params)
 
 
 def build_lagged_formation_matrix(n: int, params: EstimationParams) -> SystemMatrices:
-    """State matrix of one formation chain under the lagged (sigma = 2) law.
-
-    Equals the lagged estimator matrix plus the vertex correction of
-    ``build_formation_matrix`` in the last row, read from the stale layer:
-    alpha * (q_{n-1} - q_n) + v_{n-1}(k-1).  The input map feeds the
-    anchor position and (lagged) anchor velocity to the first robot and
-    the spacing target to the vertex.
-    """
-    if n < 2:
-        raise ValueError(f"formation chain needs n >= 2 robots, got {n}")
-    base = build_lagged_estimator_matrix(n, params)
-    dense = base.dense.copy()
-    dense[3 * n - 1, n - 2] += 0.5 * params.alpha
-    dense[3 * n - 1, 2 * n - 2] += 0.5
-    input_matrix = np.zeros((3 * n, 3))
-    input_matrix[2 * n, 0] = 0.5 * params.alpha
-    input_matrix[2 * n, 1] = 0.5
-    input_matrix[3 * n - 1, 2] = -params.alpha
-    return SystemMatrices(
-        kind="lagged_formation",
-        order=n,
-        dense=dense,
-        params=params,
-        input_matrix=input_matrix,
-    )
+    """State matrix of one formation chain under the lagged (sigma = 2) law,
+    whose vertex reads its predecessor's stale velocity."""
+    return _chain_matrix("lagged_formation", n, params)
 
 
 def build_cascade_matrix(n: int, chains: int, params: EstimationParams) -> SystemMatrices:
@@ -237,12 +188,7 @@ def build_cascade_matrix(n: int, chains: int, params: EstimationParams) -> Syste
         dense[lo:lo + size, lo:lo + size] = chain.dense
         if c > 0:
             dense[lo:lo + size, lo - size:lo] = coupling
-    return SystemMatrices(
-        kind="cascade", order=n, dense=dense, params=params, input_matrix=None
-    )
-
-
-_MODE_KINDS = ("estimator", "lagged_estimator", "formation", "lagged_formation")
+    return SystemMatrices(kind="cascade", order=n, dense=dense)
 
 
 def chain_modes(order: int, params: EstimationParams, kind: str) -> np.ndarray:
@@ -261,18 +207,12 @@ def chain_modes(order: int, params: EstimationParams, kind: str) -> np.ndarray:
     Returns an ``(order, 2, 2)`` stack, ``(order, 3, 3)`` for the lagged
     kinds.
     """
-    if kind not in _MODE_KINDS:
-        raise ValueError(f"kind must be one of {_MODE_KINDS}, got {kind!r}")
+    size = _chain_layers(kind, order)
     k = np.arange(1, order + 1)
     if kind.endswith("formation"):
-        if order < 2:
-            raise ValueError(f"formation chain needs n >= 2 robots, got {order}")
         mu = np.cos((2 * k - 1) * np.pi / (2 * order))
     else:
-        if order < 1:
-            raise ValueError(f"chain order must be >= 1, got {order}")
         mu = np.cos(k * np.pi / (order + 1))
-    size = 3 if kind.startswith("lagged") else 2
     blocks = np.zeros((order, size, size))
     blocks[:, 0, 0] = 1.0
     blocks[:, 0, -1] = params.dt
@@ -316,20 +256,6 @@ def stability_bound(n_prime: int, strategy: str) -> float:
         return (1.0 - c2) / (3.0 - c2)
     return (1.0 - c2) / (5.0 + c2)
 
-
-@dataclass(frozen=True)
-class StabilityBound:
-    n_prime: int
-    s1: float
-    s2: float
-
-
-def stability_bounds(n_prime: int) -> StabilityBound:
-    return StabilityBound(
-        n_prime=n_prime,
-        s1=stability_bound(n_prime, "S1"),
-        s2=stability_bound(n_prime, "S2"),
-    )
 
 
 # --- steady-state readout algebra ---------------------------------------
@@ -505,7 +431,7 @@ def spectral_report(n_prime: int, params: EstimationParams) -> dict:
     by 1e-2, None when the radius is None or not below 1.
     """
     alpha_dt = params.alpha * params.dt
-    bounds = stability_bounds(n_prime)
+    bound_s1, bound_s2 = stability_bound(n_prime, "S1"), stability_bound(n_prime, "S2")
     rho_af, rho_af_lagged = (
         (spectral_radius(chain_modes(n_prime, params, "formation")),
          spectral_radius(chain_modes(n_prime, params, "lagged_formation")))
@@ -517,14 +443,14 @@ def spectral_report(n_prime: int, params: EstimationParams) -> dict:
         "alpha": params.alpha,
         "dt": params.dt,
         "beta": params.beta,
-        "bound_s1": bounds.s1,
-        "bound_s2": bounds.s2,
+        "bound_s1": bound_s1,
+        "bound_s2": bound_s2,
         "rho_A": spectral_radius(chain_modes(n_prime, params, "estimator")),
         "rho_Ar": spectral_radius(chain_modes(n_prime, params, "lagged_estimator")),
         "rho_Af": rho_af,
         "rho_Af_lagged": rho_af_lagged,
         "decay_s_Af": _decay_seconds(rho_af, params.dt),
         "decay_s_Af_lagged": _decay_seconds(rho_af_lagged, params.dt),
-        "satisfies_s1": alpha_dt < bounds.s1,
-        "satisfies_s2": alpha_dt < bounds.s2,
+        "satisfies_s1": alpha_dt < bound_s1,
+        "satisfies_s2": alpha_dt < bound_s2,
     }

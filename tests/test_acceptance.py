@@ -30,7 +30,7 @@ from ringform.cli import EXIT_OK, main
 from ringform.core import SwarmState, make_generator, uniform_box
 from ringform.estimation import (
     EstimatorConfig,
-    readout,
+    readouts,
     run_estimation,
     step_estimator,
 )
@@ -314,14 +314,12 @@ def test_criterion_07_triangle_scenario():
 def test_criterion_08_readout_round_trips():
     """Feeding analytic steady ratios into the readouts returns the chain
     order within 1e-6 before rounding, for orders up to 30."""
-    worst = 0.0
-    for n_prime in range(1, 31):
-        betas = (0.45 * stability_bound(n_prime, "S1"), 0.0025)
-        for beta in betas:
-            for strategy in ("S1", "S2"):
-                ratio = steady_ratio_closed(n_prime, beta, strategy)
-                value = readout(ratio, beta, strategy)
-                worst = max(worst, abs(value - n_prime))
+    cells = [(n_prime, beta, strategy) for n_prime in range(1, 31)
+             for beta in (0.45 * stability_bound(n_prime, "S1"), 0.0025)
+             for strategy in ("S1", "S2")]
+    orders, betas, strategies = zip(*cells)
+    ratios = np.array([steady_ratio_closed(*cell) for cell in cells])
+    worst = float(np.max(np.abs(readouts(betas, strategies)(ratios) - orders)))
     check(
         "criterion 8: readout round trips for n' <= 30",
         worst < 1e-6,

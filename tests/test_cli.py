@@ -571,6 +571,27 @@ class TestOtherModes:
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json",
                                                         "resolved_config.yaml"]
 
+    @pytest.mark.parametrize("mode,size,mapping", [
+        ("spectral", "n_prime", {"n_prime": 10 ** 15}),
+        ("form", "topology.n_total", {
+            "topology": {"n_total": 10 ** 14, "vertex_set": [0, 1, 2]},
+            "r_star": [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
+        }),
+    ], ids=["spectral", "form"])
+    def test_size_past_the_address_space_is_a_config_error(self, tmp_path, capsys, mode,
+                                                            size, mapping):
+        # Petabytes of arrays, more than a 64-bit process can address: numpy
+        # refuses them at once, before any memory is touched.
+        out = tmp_path / "out"
+        path = write_config(tmp_path, dict(mapping, mode=mode, output_dir=str(out)))
+        code = main([mode, "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"ringform: config error: {size}: too large to allocate: ")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json",
+                                                        "resolved_config.yaml"]
+
     def test_stride_override(self, tmp_path):
         cfg = dict(TRIANGLE, output_dir=str(tmp_path / "out"), max_steps=100)
         path = write_config(tmp_path, cfg)

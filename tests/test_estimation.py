@@ -29,7 +29,6 @@ from ringform.estimation import (
     EstimatorConfig,
     chain_traces,
     estimate_chains,
-    readout,
     readouts,
     run_estimation,
     steady_velocity_ratio,
@@ -140,34 +139,32 @@ class TestReadout:
     def test_s2_examples(self):
         beta = 0.05
         # analytic steady ratios n' / ((n' + 1)(1 + beta)) invert exactly
-        assert readout(3.0 / (4.0 * 1.05), beta, "S2") == pytest.approx(3.0, abs=1e-9)
-        assert readout(1.0 / (2.0 * 1.05), beta, "S2") == pytest.approx(1.0, abs=1e-9)
+        got = readouts([beta, beta], ["S2", "S2"])(np.array([3.0 / (4.0 * 1.05),
+                                                             1.0 / (2.0 * 1.05)]))
+        np.testing.assert_allclose(got, [3.0, 1.0], atol=1e-9)
 
     def test_s1_round_trip_example(self):
         beta = 0.05
         ratio = steady_gain(4, beta, "S1") / 2.0
-        assert readout(ratio, beta, "S1") == pytest.approx(4.0, abs=1e-9)
+        assert readouts([beta], ["S1"])(np.array([ratio]))[0] == pytest.approx(4.0, abs=1e-9)
 
     @pytest.mark.parametrize("strategy", ["S1", "S2"])
     def test_round_trip_all_orders(self, strategy):
-        for n_prime in range(1, 31):
-            beta = 0.45 * stability_bound(n_prime, "S1")
-            ratio = steady_ratio_closed(n_prime, beta, strategy)
-            assert readout(ratio, beta, strategy) == pytest.approx(
-                n_prime, abs=1e-9
-            )
+        orders = np.arange(1, 31)
+        betas = [0.45 * stability_bound(n_prime, "S1") for n_prime in orders]
+        ratios = np.array([steady_ratio_closed(n_prime, beta, strategy)
+                           for n_prime, beta in zip(orders, betas)])
+        got = readouts(betas, [strategy] * len(orders))(ratios)
+        np.testing.assert_allclose(got, orders, rtol=0, atol=1e-9)
 
     def test_out_of_domain_signals_nan(self):
         beta = 0.05
-        # S2: denominator closes at ratio = 1 / (1 + beta)
-        assert math.isnan(readout(1.0 / (1.0 + beta), beta, "S2"))
-        assert math.isnan(readout(5.0, beta, "S2"))
-        # S1: gain between the recursion roots has no log solution
-        assert math.isnan(readout(0.9, beta, "S1"))
+        # S2: the denominator closes at ratio = 1 / (1 + beta), and is negative
+        # past it; S1: a gain between the recursion roots has no log solution
+        got = readouts([beta] * 3, ["S2", "S2", "S1"])(np.array([1.0 / (1.0 + beta), 5.0, 0.9]))
+        assert np.isnan(got).all()
 
     def test_rejects_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            readout(0.5, 0.05, "S3")
         with pytest.raises(ValueError):
             readouts([0.05], ["S3"])
 
@@ -197,7 +194,7 @@ class TestReadout:
         finite = ~np.isnan(expected)
         assert finite.sum() > 100 and (~finite).sum() > 50
         assert np.array_equal(got[finite].view(np.int64), expected[finite].view(np.int64))
-        one = np.array([readout(r, b, s) for b, s, r in columns])
+        one = np.array([readouts([b], [s])(np.array([r]))[0] for b, s, r in columns])
         assert np.array_equal(one, got[0], equal_nan=True)
 
 
@@ -219,6 +216,9 @@ class TestRunEstimation:
         with pytest.warns(StabilityWarning) as caught:
             trace = run_estimation(3, config, seed=5)
         assert trace.estimate == 3
+        assert [str(w.message) for w in caught] == [
+            "alpha*dt = 0.1 >= sufficient bound 0.0909091 for S2 at chain order 3; "
+            "convergence is not guaranteed"]
         # reported at the caller's line, not inside the package
         assert [w.filename for w in caught] == [__file__]
 

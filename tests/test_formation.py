@@ -14,7 +14,13 @@ from helpers import (
     trace_bits,
 )
 from ringform import formation
-from ringform.core import DivergenceError, SwarmState, make_generator, uniform_box
+from ringform.core import (
+    DivergenceError,
+    StabilityWarning,
+    SwarmState,
+    make_generator,
+    uniform_box,
+)
 from ringform.estimation import EstimatorConfig, run_estimation
 from ringform.formation import (
     FormationConfig,
@@ -326,6 +332,21 @@ class TestRunFormation:
                 run_formation(SwarmState.at_rest(start), config, 5000)
         assert err.value.partial is not None
         assert len(err.value.partial.error_steps) > 1
+
+    def test_stability_warning_names_the_largest_segment_at_the_callers_line(self):
+        # alpha*dt = 0.5 is above the S1 bound 0.2 of the 3-robot segment
+        config = FormationConfig(
+            ring=RingTopology(7),
+            spec=PolygonSpec(vertex_set=(0, 2, 5), r_star=TRI_R),
+            params=EstimationParams(alpha=1.0, dt=0.5),
+        )
+        start = uniform_box(make_generator(5, 0), 7, 3.0)
+        with pytest.warns(StabilityWarning) as caught:
+            run_formation(SwarmState.at_rest(start), config, 3)
+        assert [str(w.message) for w in caught] == [
+            "alpha*dt = 0.5 >= sufficient bound 0.2 for the largest segment (3 robots); "
+            "convergence is not guaranteed"]
+        assert [w.filename for w in caught] == [__file__]
 
     def test_wrong_robot_count_rejected(self):
         config = triangle_config()

@@ -36,6 +36,14 @@ class TestScaledParams:
         assert small >= 50
         assert large > small
 
+    def test_shipped_automatic_stop_windows(self):
+        # the windows the shipped pipeline and estimate configs leave unset
+        windows = {name: shipped_config(name).pipeline_arguments()["est_config"].stop_window
+                   for name in ("hexagon", "triangle")}
+        estimate20 = shipped_config("estimate20")
+        windows["estimate20"] = estimate20.estimator_config(estimate20.n_total - 1).stop_window
+        assert windows == {"hexagon": 1643, "triangle": 57, "estimate20": 917}
+
 
 class TestSweep:
     def test_small_sweep_all_exact(self):

@@ -28,7 +28,6 @@ from ringform.spectral import (
     spectral_radius,
     spectral_report,
     stability_bound,
-    stability_bounds,
     steady_gain,
     steady_gain_recursive,
     steady_ratio_closed,
@@ -50,6 +49,98 @@ class TestParams:
             EstimationParams(alpha=2.0, dt=1.0)  # beta = 1
         with pytest.raises(ValueError):
             EstimationParams(alpha=3.0, dt=1.0)  # beta > 1
+
+
+DENSE = {
+    "estimator": build_estimator_matrix,
+    "lagged_estimator": build_lagged_estimator_matrix,
+    "formation": build_formation_matrix,
+    "lagged_formation": build_lagged_formation_matrix,
+}
+
+
+A, H, T = 0.5, 0.25, 0.125  # alpha, alpha / 2 and dt, all exact in binary
+
+# Every chain matrix at orders 2 and 3 written out, (dense, input map):
+# rows are positions, (stale velocities,) velocities.
+LAYOUTS = {
+    ("estimator", 2): (
+        [[1, 0, T, 0],
+         [0, 1, 0, T],
+         [-A, H, 0, .5],
+         [H, -A, .5, 0]],
+        [[0], [0], [0], [.5]]),
+    ("estimator", 3): (
+        [[1, 0, 0, T, 0, 0],
+         [0, 1, 0, 0, T, 0],
+         [0, 0, 1, 0, 0, T],
+         [-A, H, 0, 0, .5, 0],
+         [H, -A, H, .5, 0, .5],
+         [0, H, -A, 0, .5, 0]],
+        [[0], [0], [0], [0], [0], [.5]]),
+    ("formation", 2): (
+        [[1, 0, T, 0],
+         [0, 1, 0, T],
+         [-A, H, 0, .5],
+         [A, -A, 1, 0]],
+        [[0, 0, 0], [0, 0, 0], [H, .5, 0], [0, 0, -A]]),
+    ("formation", 3): (
+        [[1, 0, 0, T, 0, 0],
+         [0, 1, 0, 0, T, 0],
+         [0, 0, 1, 0, 0, T],
+         [-A, H, 0, 0, .5, 0],
+         [H, -A, H, .5, 0, .5],
+         [0, A, -A, 0, 1, 0]],
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0], [H, .5, 0], [0, 0, 0], [0, 0, -A]]),
+    ("lagged_estimator", 2): (
+        [[1, 0, 0, 0, T, 0],
+         [0, 1, 0, 0, 0, T],
+         [0, 0, 0, 0, 1, 0],
+         [0, 0, 0, 0, 0, 1],
+         [-A, H, 0, .5, 0, 0],
+         [H, -A, .5, 0, 0, 0]],
+        [[0], [0], [0], [0], [0], [.5]]),
+    ("lagged_estimator", 3): (
+        [[1, 0, 0, 0, 0, 0, T, 0, 0],
+         [0, 1, 0, 0, 0, 0, 0, T, 0],
+         [0, 0, 1, 0, 0, 0, 0, 0, T],
+         [0, 0, 0, 0, 0, 0, 1, 0, 0],
+         [0, 0, 0, 0, 0, 0, 0, 1, 0],
+         [0, 0, 0, 0, 0, 0, 0, 0, 1],
+         [-A, H, 0, 0, .5, 0, 0, 0, 0],
+         [H, -A, H, .5, 0, .5, 0, 0, 0],
+         [0, H, -A, 0, .5, 0, 0, 0, 0]],
+        [[0], [0], [0], [0], [0], [0], [0], [0], [.5]]),
+    ("lagged_formation", 2): (
+        [[1, 0, 0, 0, T, 0],
+         [0, 1, 0, 0, 0, T],
+         [0, 0, 0, 0, 1, 0],
+         [0, 0, 0, 0, 0, 1],
+         [-A, H, 0, .5, 0, 0],
+         [A, -A, 1, 0, 0, 0]],
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0], [H, .5, 0], [0, 0, -A]]),
+    ("lagged_formation", 3): (
+        [[1, 0, 0, 0, 0, 0, T, 0, 0],
+         [0, 1, 0, 0, 0, 0, 0, T, 0],
+         [0, 0, 1, 0, 0, 0, 0, 0, T],
+         [0, 0, 0, 0, 0, 0, 1, 0, 0],
+         [0, 0, 0, 0, 0, 0, 0, 1, 0],
+         [0, 0, 0, 0, 0, 0, 0, 0, 1],
+         [-A, H, 0, 0, .5, 0, 0, 0, 0],
+         [H, -A, H, .5, 0, .5, 0, 0, 0],
+         [0, A, -A, 0, 1, 0, 0, 0, 0]],
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0],
+         [H, .5, 0], [0, 0, 0], [0, 0, -A]]),
+}
+
+
+@pytest.mark.parametrize("kind,order", sorted(LAYOUTS))
+def test_builder_is_the_written_out_layout(kind, order):
+    dense, input_matrix = LAYOUTS[kind, order]
+    mats = DENSE[kind](order, EstimationParams(alpha=A, dt=T))
+    assert (mats.kind, mats.order) == (kind, order)
+    np.testing.assert_array_equal(mats.dense, np.array(dense, dtype=float))
+    np.testing.assert_array_equal(mats.input_matrix, np.array(input_matrix, dtype=float))
 
 
 class TestBuilders:
@@ -195,14 +286,6 @@ class TestSpectralRadius:
         assert params.alpha * params.dt > stability_bound(19, "S2")
 
 
-DENSE = {
-    "estimator": build_estimator_matrix,
-    "lagged_estimator": build_lagged_estimator_matrix,
-    "formation": build_formation_matrix,
-    "lagged_formation": build_lagged_formation_matrix,
-}
-
-
 class TestChainModes:
     @pytest.mark.parametrize("kind", sorted(DENSE))
     def test_block_radius_equals_dense_radius(self, kind):
@@ -245,6 +328,21 @@ class TestChainModes:
         with pytest.raises(ValueError):
             chain_modes(1, P, "lagged_formation")
 
+    @pytest.mark.parametrize("kind", sorted(DENSE))
+    def test_modes_and_builder_reject_the_same_orders(self, kind):
+        def message(build):
+            try:
+                build()
+            except ValueError as err:
+                return str(err)
+            return None
+
+        least = 2 if kind.endswith("formation") else 1
+        for order in (-1, 0, 1, 2):
+            rejected = message(lambda: DENSE[kind](order, P))
+            assert rejected == message(lambda: chain_modes(order, P, kind))
+            assert (rejected is None) == (order >= least)
+
     def test_cascade_radius_is_the_chain_block_radius(self):
         # Hexagon gains: six chains of 20 robots.  The cascade is block
         # triangular with the chain matrix on its diagonal, so its radius
@@ -283,12 +381,12 @@ class TestStabilityBounds:
     def test_monotone_decreasing_and_ordered(self):
         previous = None
         for d in range(1, 31):
-            b = stability_bounds(d)
-            assert 0.0 < b.s2 < b.s1 < 1.0 / 3.0 or (d == 1 and b.s1 == pytest.approx(1 / 3))
+            s1, s2 = stability_bound(d, "S1"), stability_bound(d, "S2")
+            assert 0.0 < s2 < s1 < 1.0 / 3.0 or (d == 1 and s1 == pytest.approx(1 / 3))
             if previous is not None:
-                assert b.s1 < previous.s1
-                assert b.s2 < previous.s2
-            previous = b
+                assert s1 < previous[0]
+                assert s2 < previous[1]
+            previous = s1, s2
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
