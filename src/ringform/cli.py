@@ -38,7 +38,7 @@ from .formation import (
 )
 from .harness import auto_stop_window, sensitivity_curves, sweep_convergence
 from .spectral import STRATEGIES, EstimationParams, spectral_report
-from .topology import CLOSURE_TOL, PolygonSpec, RingTopology, cut_ring, validate_polygon_closure
+from .topology import CLOSURE_TOL, PolygonSpec, RingTopology, validate_polygon_closure
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -195,14 +195,18 @@ class RunConfig:
         return (RingTopology(self.n_total),
                 PolygonSpec(vertex_set=self.vertex_set, r_star=np.array(self.r_star)))
 
-    def pipeline_arguments(self) -> dict:
-        """Keyword arguments of ``run_pipeline`` for this (pipeline) config."""
+    def formation_config(self) -> FormationConfig:
+        """The run's ring, polygon and formation law: the one ring cut."""
         ring, spec = self.polygon()
-        largest = max(seg.cardinality for seg in cut_ring(ring, spec))
+        return FormationConfig(ring=ring, spec=spec, params=self.params, sigma=self.sigma)
+
+    def pipeline_arguments(self) -> dict:
+        """Keyword arguments of ``run_pipeline`` for this (pipeline) config;
+        the stop window is sized for the largest chain."""
+        config = self.formation_config()
         return dict(
-            ring=ring, spec=spec, est_config=self.estimator_config(largest),
-            form_params=self.params, seed=self.seed, sigma=self.sigma,
-            horizon=self.max_steps, initial_box=self.initial_box,
+            config=config, est_config=self.estimator_config(max(config.n_s)),
+            seed=self.seed, horizon=self.max_steps, initial_box=self.initial_box,
             error_tolerance=self.formation_tolerance, stride=self.stride,
         )
 
@@ -484,10 +488,8 @@ def _run_estimate(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
 
 
 def _run_form(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
-    ring, spec = cfg.polygon()
-    initial, anchor = seeded_placement(ring, spec, cfg.seed, cfg.initial_box)
-    config = FormationConfig(ring=ring, spec=spec, params=cfg.params, sigma=cfg.sigma,
-                             anchor_position=anchor)
+    config = cfg.formation_config()
+    initial = seeded_placement(config.ring, cfg.seed, cfg.initial_box)
     with closing(_FormationFiles(out_dir, outputs, cfg.dt)) as files:
         trace = run_formation(initial, config, cfg.max_steps, sink=files,
                               error_tolerance=cfg.formation_tolerance, stride=cfg.stride)

@@ -49,59 +49,48 @@ class PipelineEstimationError(RuntimeError):
 class FormationConfig:
     """Everything a formation run needs besides the initial state.
 
-    ``n_s`` are the per-segment cardinalities (ground truth or estimated);
-    they must reproduce the segment sizes the ring cut yields.  ``sigma``
-    selects the velocity measurement lag: 1 reads current neighbour
-    velocities, 2 reads the one-step-old layer.  ``anchor_position`` is
-    where the pinned vertex sits, used by the equilibrium predictor.
+    The ring is cut into its chains once, here (``cut_ring``): ``segments``
+    are the chains and ``n_s`` their sizes, which phase 1 of a pipeline
+    must estimate exactly; ``l_star`` holds the per-link spacing targets,
+    one row per segment (r*_i / n^s_i), and ``vertices`` the vertex
+    robots' indices, pinned vertex first.  ``sigma`` selects the velocity
+    measurement lag: 1 reads current neighbour velocities, 2 reads the
+    one-step-old layer.
     """
 
     ring: RingTopology
     spec: PolygonSpec
     params: EstimationParams
     sigma: int = 1
-    n_s: tuple[int, ...] | None = None
-    anchor_position: tuple[float, float] = (0.0, 0.0)
+    segments: tuple[ChainSegment, ...] = field(init=False)
+    n_s: tuple[int, ...] = field(init=False)
+    l_star: np.ndarray = field(init=False)
+    vertices: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.sigma not in (1, 2):
             raise ValueError(f"sigma must be 1 or 2, got {self.sigma}")
         if not validate_polygon_closure(self.spec):
             raise ValueError("polygon does not close: desired displacements must sum to 0")
-        segments = cut_ring(self.ring, self.spec)
-        cardinalities = tuple(seg.cardinality for seg in segments)
-        if self.n_s is None:
-            object.__setattr__(self, "n_s", cardinalities)
-        else:
-            given = tuple(int(x) for x in self.n_s)
-            if given != cardinalities:
-                raise ValueError(
-                    f"n_s {given} does not match ring cut cardinalities {cardinalities}"
-                )
-            object.__setattr__(self, "n_s", given)
-        object.__setattr__(self, "_segments", segments)
+        segments = tuple(cut_ring(self.ring, self.spec))
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "n_s", tuple(seg.cardinality for seg in segments))
         l_star = self.spec.r_star / np.array(self.n_s, dtype=float)[:, None]
         l_star.setflags(write=False)
-        object.__setattr__(self, "_l_star", l_star)
+        object.__setattr__(self, "l_star", l_star)
         vertices = np.array(self.spec.vertex_set)
         vertices.setflags(write=False)
-        object.__setattr__(self, "_vertices", vertices)
-        anchor = np.asarray(self.anchor_position, dtype=float)
-        object.__setattr__(self, "anchor_position", (float(anchor[0]), float(anchor[1])))
+        object.__setattr__(self, "vertices", vertices)
 
-    @property
-    def segments(self) -> list[ChainSegment]:
-        return list(self._segments)
-
-    @property
-    def l_star(self) -> np.ndarray:
-        """Per-link spacing targets, one row per segment (r*_i / n^s_i)."""
-        return self._l_star
-
-    @property
-    def vertices(self) -> np.ndarray:
-        """The vertex robots' indices, pinned vertex first."""
-        return self._vertices
+    def chain_batch(self, positions: np.ndarray, est_config: EstimatorConfig) -> ChainBatch:
+        """Phase-1 chains of the placement ``positions``: each segment's
+        members in its anchor's frame, run under ``est_config`` and named
+        ``segment <id>``."""
+        return ChainBatch(
+            [positions[list(seg.members)] - positions[seg.anchor] for seg in self.segments],
+            [est_config] * len(self.segments),
+            [f"segment {seg.segment_id}" for seg in self.segments],
+        )
 
 
 def _wrap(values: np.ndarray) -> np.ndarray:
@@ -183,15 +172,17 @@ def relative_distance_errors(state: SwarmState, spec: PolygonSpec) -> np.ndarray
     return _edge_errors(state.positions[list(spec.vertex_set)], spec.r_star)
 
 
-def predicted_equilibrium(config: FormationConfig) -> SwarmState:
+def predicted_equilibrium(config: FormationConfig,
+                          anchor: np.ndarray = (0.0, 0.0)) -> SwarmState:
     """Cascade fixed point: segment i robots at anchor_i - j * l*_i.
 
-    Segment anchors accumulate the desired displacements, so the terminal
-    of the last segment lands back on the pinned vertex (closure makes the
+    ``anchor`` is where the pinned vertex sits; the formation never moves
+    it, so a run's equilibrium has it at its initial position.  Segment
+    anchors accumulate the desired displacements, so the terminal of the
+    last segment lands back on the pinned vertex (closure makes the
     cascade consistent with the ring).  All velocities are zero.
     """
     positions = np.zeros((config.ring.n_total, 2))
-    anchor = np.asarray(config.anchor_position, dtype=float)
     positions[config.spec.vertex_set[0]] = anchor
     for seg in config.segments:
         spacing = config.l_star[seg.segment_id]
@@ -368,13 +359,10 @@ def _finish(trace: FormationTrace, collector: _Collector | None,
     return trace
 
 
-def seeded_placement(
-    ring: RingTopology, spec: PolygonSpec, seed: int, initial_box: float
-) -> tuple[SwarmState, tuple[float, float]]:
+def seeded_placement(ring: RingTopology, seed: int, initial_box: float) -> SwarmState:
     """A run's start: the ring at rest, placed uniformly in the box from
-    stream ``(seed, 0)``, and the pinned vertex's position as the anchor."""
-    initial = SwarmState.at_rest(uniform_box(make_generator(seed, 0), ring.n_total, initial_box))
-    return initial, tuple(initial.positions[spec.vertex_set[0]])
+    stream ``(seed, 0)``."""
+    return SwarmState.at_rest(uniform_box(make_generator(seed, 0), ring.n_total, initial_box))
 
 
 @dataclass
@@ -383,17 +371,13 @@ class PipelineResult:
     estimate_traces: list[EstimateTrace]
     formation: FormationTrace
     initial_state: SwarmState
-    config: FormationConfig
 
 
 def run_pipeline(
-    ring: RingTopology,
-    spec: PolygonSpec,
+    config: FormationConfig,
     est_config: EstimatorConfig,
-    form_params: EstimationParams,
     seed: int,
     *,
-    sigma: int = 1,
     horizon: int = 2000,
     initial_box: float = 5.0,
     error_tolerance: float = 1e-2,
@@ -402,57 +386,41 @@ def run_pipeline(
 ) -> PipelineResult:
     """Estimation phase followed by formation, from one seeded placement.
 
-    Phase 1 runs one estimator chain per segment in its anchor's frame,
-    starting from the actual relative positions of the segment members:
-    all segments' chains as one ``ChainBatch``, which the first of the
-    per-segment ``run_estimation`` calls runs.  Phase 2 refuses
-    to start unless every estimate converged to its segment's true
-    cardinality, then runs the ring from the same initial placement using
-    the estimated sizes.  A ``DivergenceError`` carries every trace run so
-    far as its ``partial`` list: in phase 1 every chain's trace, the
-    chains still running at the divergence ending the step before it; in
-    phase 2 the chain traces, then the formation's partial trace.  A
-    phase-1 divergence names the segment, ``segment <id>``.
+    Phase 1 runs one estimator chain per segment of ``config`` in its
+    anchor's frame, starting from the actual relative positions of the
+    segment members: all segments' chains as one ``ChainBatch``
+    (``FormationConfig.chain_batch``), which the first of the per-segment
+    ``run_estimation`` calls runs.  Phase 2 refuses to start unless every
+    estimate converged to its segment's size in ``config.n_s``, then runs
+    the ring under ``config`` from the same initial placement.  A
+    ``DivergenceError`` carries every trace run so far as its ``partial``
+    list: in phase 1 every chain's trace, the chains still running at the
+    divergence ending the step before it; in phase 2 the chain traces,
+    then the formation's partial trace.  A phase-1 divergence names the
+    segment, ``segment <id>``.
 
     ``open_sink``, when given, is called with the chain traces once phase
     1 has succeeded, and returns the formation's ``sink`` (see
     ``run_formation``).
     """
-    initial, anchor = seeded_placement(ring, spec, seed, initial_box)
-    segments = cut_ring(ring, spec)
-    batch = ChainBatch(
-        [initial.positions[list(seg.members)] - initial.positions[seg.anchor]
-         for seg in segments],
-        [est_config] * len(segments),
-        [f"segment {seg.segment_id}" for seg in segments],
-    )
+    initial = seeded_placement(config.ring, seed, initial_box)
+    batch = config.chain_batch(initial.positions, est_config)
     # Still one run_estimation call per chain, the calls perfbench's
     # tracer counts; the first one steps the whole batch.
-    traces = [run_estimation(seg.cardinality, est_config, batch=batch, column=b)
-              for b, seg in enumerate(segments)]
+    traces = [run_estimation(n, est_config, batch=batch, column=b)
+              for b, n in enumerate(config.n_s)]
     estimates = [trace.estimate for trace in traces]
 
-    failures = [
-        (seg.segment_id, est, seg.cardinality)
-        for seg, est in zip(segments, estimates)
-        if est != seg.cardinality
-    ]
-    if failures:
-        detail = ", ".join(
-            f"segment {sid}: got {est}, expected {true}" for sid, est, true in failures
-        )
+    detail = ", ".join(
+        f"segment {sid}: got {est}, expected {true}"
+        for sid, (est, true) in enumerate(zip(estimates, config.n_s))
+        if est != true
+    )
+    if detail:
         raise PipelineEstimationError(
             f"estimation phase failed ({detail}); formation not started", traces
         )
 
-    config = FormationConfig(
-        ring=ring,
-        spec=spec,
-        params=form_params,
-        sigma=sigma,
-        n_s=tuple(estimates),
-        anchor_position=anchor,
-    )
     sink = None if open_sink is None else open_sink(traces)
     try:
         formation = run_formation(
@@ -467,5 +435,4 @@ def run_pipeline(
         estimate_traces=traces,
         formation=formation,
         initial_state=initial,
-        config=config,
     )

@@ -15,7 +15,6 @@ import numpy as np
 
 from .core import SwarmState, make_generator, uniform_box
 from .estimation import (
-    ChainBatch,
     EstimatorConfig,
     estimate_chains,
     run_estimation,
@@ -32,17 +31,11 @@ from .spectral import (
     build_estimator_matrix,
     build_lagged_estimator_matrix,
     chain_modes,
+    decay_seconds,
     spectral_radius,
     stability_bound,
     steady_ratio_closed,
 )
-
-# The window must out-span the time the raw readout needs to drift across
-# one unit near the end of the transient, otherwise a slowly settling run
-# can freeze one integer too early.  ln(100) of decay per window keeps a
-# comfortable margin at every tested order.
-_WINDOW_DECAY = math.log(100.0)
-
 
 # alpha*dt of the scaled gains, as a fraction of the tighter sufficient bound.
 _SAFETY = 0.9
@@ -63,9 +56,13 @@ def auto_stop_window(n_prime: int, params: EstimationParams, strategy: str) -> i
         rho = spectral_radius(build_estimator_matrix(n_prime, params).dense)
     else:
         rho = spectral_radius(build_lagged_estimator_matrix(n_prime, params).dense)
-    if rho >= 1.0:
-        return _MIN_WINDOW
-    return max(_MIN_WINDOW, int(math.ceil(_WINDOW_DECAY / -math.log(rho))))
+    # The window must out-span the time the raw readout needs to drift across
+    # one unit near the end of the transient, otherwise a slowly settling run
+    # can freeze one integer too early.  ln(100) of decay per window keeps a
+    # comfortable margin at every tested order; at dt = 1 the decay time
+    # counts steps.
+    steps = decay_seconds(rho, 1.0)
+    return _MIN_WINDOW if steps is None else max(_MIN_WINDOW, math.ceil(steps))
 
 
 @dataclass(frozen=True)
@@ -221,7 +218,6 @@ def _interior_spacing_error(state: SwarmState, config: FormationConfig) -> float
 @dataclass
 class ScenarioReport:
     pipeline: PipelineResult
-    config: FormationConfig
     snapshots: dict[float, SwarmState]
     max_error_final: float
     max_vertex_speed_final: float
@@ -243,8 +239,8 @@ def scenario_report(cfg, snapshot_times: tuple[float, ...]) -> ScenarioReport:
     velocity lag ``sigma``.
     """
     arguments = cfg.pipeline_arguments()
+    config = arguments["config"]
     result = run_pipeline(**arguments)
-    config = result.config
     initial = result.initial_state.positions
     trace = result.formation
     dt = config.params.dt
@@ -256,28 +252,23 @@ def scenario_report(cfg, snapshot_times: tuple[float, ...]) -> ScenarioReport:
 
     other = "S1" if arguments["est_config"].strategy == "S2" else "S2"
     other_config = replace(cfg, est_strategy=other).estimator_config(max(config.n_s))
-    batch = ChainBatch(
-        [initial[list(seg.members)] - initial[seg.anchor] for seg in config.segments],
-        [other_config] * len(config.segments),
-        [f"segment {seg.segment_id}" for seg in config.segments],
-    )
+    batch = config.chain_batch(initial, other_config)
     other_estimates = [
-        run_estimation(seg.cardinality, other_config, batch=batch, column=b).estimate
-        for b, seg in enumerate(config.segments)
+        run_estimation(n, other_config, batch=batch, column=b).estimate
+        for b, n in enumerate(config.n_s)
     ]
 
     final = trace.final_state
     vertex_speeds = np.linalg.norm(
         final.velocities[list(config.spec.vertex_set)], axis=1
     )
-    predicted = predicted_equilibrium(config)
+    predicted = predicted_equilibrium(config, initial[config.vertices[0]])
     deviation = float(
         np.max(np.linalg.norm(final.positions - predicted.positions, axis=1))
     )
     first = trace.first_step_within_tol
     return ScenarioReport(
         pipeline=result,
-        config=config,
         snapshots=snapshots,
         max_error_final=float(trace.errors[-1].max()),
         max_vertex_speed_final=float(vertex_speeds.max()),

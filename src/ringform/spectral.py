@@ -121,11 +121,15 @@ def _chain_matrix(kind: str, order: int, params: EstimationParams) -> SystemMatr
     full-gain tracking of its predecessor, alpha (q_{n-1} - q_n) +
     v_{n-1}, which adds two entries to the last row; its input map carries
     the anchor position and velocity into the first robot's velocity row
-    and the spacing target into the vertex's.
+    and the spacing target into the vertex's.  An order too large for
+    numpy to size its arrays is a ``MemoryError``.
     """
     layers = _chain_layers(kind, order)
     d, size = order, layers * order
-    eye = np.eye(d)
+    try:
+        eye = np.eye(d)
+    except ValueError as exc:  # "array is too big", raised before allocating
+        raise MemoryError(str(exc)) from exc
     update = [params.alpha * _sym_tridiagonal(d, -1.0, 0.5), _sym_tridiagonal(d, 0.0, 0.5)]
     if layers == 2:
         dense = np.block([[eye, params.dt * eye], update])
@@ -411,7 +415,7 @@ def chain_equilibrium(
     return positions, velocities
 
 
-def _decay_seconds(rho: float | None, dt: float) -> float | None:
+def decay_seconds(rho: float | None, dt: float) -> float | None:
     """Seconds a mode of per-step radius ``rho`` takes to decay by 1e-2,
     ``ln(100) dt / -ln(rho)``; None when there is no radius or it is not
     below 1."""
@@ -449,8 +453,8 @@ def spectral_report(n_prime: int, params: EstimationParams) -> dict:
         "rho_Ar": spectral_radius(chain_modes(n_prime, params, "lagged_estimator")),
         "rho_Af": rho_af,
         "rho_Af_lagged": rho_af_lagged,
-        "decay_s_Af": _decay_seconds(rho_af, params.dt),
-        "decay_s_Af_lagged": _decay_seconds(rho_af_lagged, params.dt),
+        "decay_s_Af": decay_seconds(rho_af, params.dt),
+        "decay_s_Af_lagged": decay_seconds(rho_af_lagged, params.dt),
         "satisfies_s1": alpha_dt < bound_s1,
         "satisfies_s2": alpha_dt < bound_s2,
     }

@@ -67,14 +67,20 @@ class PolygonSpec:
 @dataclass(frozen=True)
 class ChainSegment:
     """One cut segment: everything after ``anchor`` up to and including
-    ``terminal``.  ``cardinality`` robots move; the anchor belongs to the
-    previous segment."""
+    ``terminal`` on a ring of ``n_total`` robots.  ``cardinality`` robots
+    move; the anchor belongs to the previous segment."""
 
     segment_id: int
     anchor: int
     terminal: int
-    members: tuple[int, ...]
     cardinality: int
+    n_total: int
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        """The moving robots in ring order, built when read: a segment
+        costs O(1) memory whatever its size."""
+        return tuple((self.anchor + t) % self.n_total for t in range(1, self.cardinality + 1))
 
 
 def validate_polygon_closure(spec: PolygonSpec, tol: float = CLOSURE_TOL) -> bool:
@@ -87,7 +93,8 @@ def cut_ring(ring: RingTopology, spec: PolygonSpec) -> list[ChainSegment]:
 
     Segment i runs from vertex i (exclusive) to vertex i+1 (inclusive),
     wrapping modulo n_total; the wrapping segment is the last one.  Every
-    robot appears in exactly one segment.
+    robot appears in exactly one segment.  O(m) in time and memory: no
+    segment lists its members until they are read.
     """
     n = ring.n_total
     vertices = spec.vertex_set
@@ -101,15 +108,13 @@ def cut_ring(ring: RingTopology, spec: PolygonSpec) -> list[ChainSegment]:
     segments = []
     for i, anchor in enumerate(vertices):
         terminal = vertices[(i + 1) % spec.m]
-        cardinality = (terminal - anchor) % n
-        members = tuple((anchor + t) % n for t in range(1, cardinality + 1))
         segments.append(
             ChainSegment(
                 segment_id=i,
                 anchor=anchor,
                 terminal=terminal,
-                members=members,
-                cardinality=cardinality,
+                cardinality=(terminal - anchor) % n,
+                n_total=n,
             )
         )
     return segments

@@ -35,8 +35,9 @@ from ringform.cli import (
 )
 from ringform.core import DivergenceError, SwarmState, make_generator, uniform_box
 from ringform.estimation import EstimateTrace
-from ringform.formation import FormationConfig, run_formation, seeded_placement
+from ringform.formation import run_formation, seeded_placement
 from ringform.harness import SensitivityCurve, SensitivityRow, SweepResult, SweepRow
+from ringform.topology import cut_ring
 
 TRIANGLE = {
     "mode": "pipeline",
@@ -262,6 +263,20 @@ class TestPipelineRun:
         parsed = [row.split(",") for row in rows]
         keys = [(int(r[0]), int(r[1])) for r in parsed]
         assert keys == sorted(keys)
+
+    def test_pipeline_cuts_the_ring_once(self, tmp_path, monkeypatch):
+        cuts = []
+
+        def counted(*args):
+            cuts.append(args)
+            return cut_ring(*args)
+
+        monkeypatch.setattr(formation, "cut_ring", counted)
+        path = write_config(tmp_path, dict(TRIANGLE, output_dir=str(tmp_path / "out")))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["pipeline", "--config", str(path)]) == EXIT_OK
+        assert len(cuts) == 1
 
     def test_manifest_contents(self, triangle_out):
         _, out = triangle_out
@@ -577,7 +592,13 @@ class TestOtherModes:
             "topology": {"n_total": 10 ** 14, "vertex_set": [0, 1, 2]},
             "r_star": [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
         }),
-    ], ids=["spectral", "form"])
+        # The stop window's dense chain matrix, sized past the address space.
+        ("estimate", "topology.n_total", {"topology": {"n_total": 2 * 10 ** 9}}),
+        ("pipeline", "topology.n_total", {
+            "topology": {"n_total": 10 ** 14, "vertex_set": [0, 1, 2]},
+            "r_star": [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
+        }),
+    ], ids=["spectral", "form", "estimate", "pipeline"])
     def test_size_past_the_address_space_is_a_config_error(self, tmp_path, capsys, mode,
                                                             size, mapping):
         # Petabytes of arrays, more than a 64-bit process can address: numpy
@@ -761,10 +782,8 @@ class TestStreamedOutputs:
         raw = dict(yaml.safe_load((CONFIGS / "triangle.yaml").read_text()), mode="form",
                    stride=stride, **changes)
         cfg = parse_config(dict(raw, output_dir=str(tmp_path)))
-        ring, spec = cfg.polygon()
-        initial, anchor = seeded_placement(ring, spec, cfg.seed, cfg.initial_box)
-        config = FormationConfig(ring=ring, spec=spec, params=cfg.params, sigma=cfg.sigma,
-                                 anchor_position=anchor)
+        config = cfg.formation_config()
+        initial = seeded_placement(config.ring, cfg.seed, cfg.initial_box)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             code = execute(cfg)

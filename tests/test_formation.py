@@ -38,19 +38,18 @@ from ringform.spectral import (
     build_lagged_formation_matrix,
     stability_bound,
 )
-from ringform.topology import PolygonSpec, RingTopology, cut_ring
+from ringform.topology import PolygonSpec, RingTopology
 
 TRI_R = np.array([[1.0, -2.0], [2.0, 2.0], [-3.0, 0.0]])
 TRI_PARAMS = EstimationParams(alpha=0.3, dt=0.2)
 
 
-def triangle_config(sigma=1, anchor=(0.0, 0.0)):
+def triangle_config(sigma=1):
     return FormationConfig(
         ring=RingTopology(7),
         spec=PolygonSpec(vertex_set=(0, 2, 5), r_star=TRI_R),
         params=TRI_PARAMS,
         sigma=sigma,
-        anchor_position=anchor,
     )
 
 
@@ -75,7 +74,8 @@ class TestPredictedEquilibrium:
         np.testing.assert_allclose(state.velocities, np.zeros((7, 2)), atol=1e-15)
 
     def test_triangle_translates_with_anchor(self):
-        state = predicted_equilibrium(triangle_config(anchor=(4.0, -2.5)))
+        state = predicted_equilibrium(triangle_config(), anchor=(4.0, -2.5))
+        np.testing.assert_array_equal(state.positions[0], [4.0, -2.5])
         np.testing.assert_allclose(
             state.positions[1:], TRI_EQUILIBRIUM + [4.0, -2.5], atol=1e-12
         )
@@ -155,11 +155,11 @@ class TestStep:
 
     @pytest.mark.parametrize("sigma", [1, 2])
     def test_equilibrium_is_a_fixed_point(self, sigma):
-        config = triangle_config(sigma=sigma, anchor=(1.0, 2.0))
-        state = predicted_equilibrium(config)
+        config = triangle_config(sigma=sigma)
+        state = predicted_equilibrium(config, (1.0, 2.0))
         for _ in range(3):
             state = step_formation(state, config)
-        reference = predicted_equilibrium(config)
+        reference = predicted_equilibrium(config, (1.0, 2.0))
         np.testing.assert_allclose(state.positions, reference.positions, atol=1e-12)
         np.testing.assert_allclose(state.velocities, reference.velocities, atol=1e-12)
 
@@ -219,7 +219,7 @@ class TestStep:
         assert worst < 1e-12
 
     def test_pinned_vertex_never_moves(self):
-        config = triangle_config(anchor=(0.7, -0.3))
+        config = triangle_config()
         rng = make_generator(3, 1)
         state = SwarmState.at_rest(uniform_box(rng, 7, 2.0))
         state.positions[0] = [0.7, -0.3]
@@ -233,7 +233,7 @@ class TestStep:
         start = uniform_box(rng, 7, 2.0)
         finals = {}
         for sigma in (1, 2):
-            config = triangle_config(sigma=sigma, anchor=tuple(start[0]))
+            config = triangle_config(sigma=sigma)
             trace = run_formation(SwarmState.at_rest(start.copy()), config, 1500)
             assert trace.converged
             finals[sigma] = trace.final_state.positions
@@ -269,7 +269,7 @@ class TestErrors:
 
 class TestRunFormation:
     def test_triangle_converges_with_monotone_tail(self):
-        config = triangle_config(anchor=(0.5, 0.5))
+        config = triangle_config()
         rng = make_generator(21, 0)
         start = uniform_box(rng, 7, 3.0)
         start[0] = [0.5, 0.5]
@@ -284,13 +284,13 @@ class TestRunFormation:
         assert speeds.max() < 1e-4
 
     def test_interior_spacing_at_convergence(self):
-        config = triangle_config(anchor=(0.0, 0.0))
+        config = triangle_config()
         rng = make_generator(8, 0)
         start = uniform_box(rng, 7, 3.0)
         start[0] = [0.0, 0.0]
         trace = run_formation(SwarmState.at_rest(start), config, 1200)
         q = trace.final_state.positions
-        for seg in cut_ring(config.ring, config.spec):
+        for seg in config.segments:
             walk = (seg.anchor,) + seg.members
             for a, b in zip(walk, walk[1:]):
                 np.testing.assert_allclose(
@@ -357,11 +357,8 @@ class TestRunFormation:
 def shipped_formation(name, **overrides):
     """The start, ring config and horizon a ``form`` run of a shipped config uses."""
     cfg = shipped_config(name, **overrides)
-    ring, spec = cfg.polygon()
-    initial, anchor = seeded_placement(ring, spec, cfg.seed, cfg.initial_box)
-    config = FormationConfig(ring=ring, spec=spec, params=cfg.params, sigma=cfg.sigma,
-                             anchor_position=anchor)
-    return initial, config, cfg.max_steps
+    config = cfg.formation_config()
+    return seeded_placement(config.ring, cfg.seed, cfg.initial_box), config, cfg.max_steps
 
 
 def unequal_formation(sigma):
@@ -583,10 +580,9 @@ class TestTranslationEquivariance:
         start = uniform_box(rng, 7, 2.0)
         shift = np.asarray(shift)
 
-        config_a = triangle_config(anchor=tuple(start[0]))
-        trace_a = run_formation(SwarmState.at_rest(start.copy()), config_a, 200)
-        config_b = triangle_config(anchor=tuple(start[0] + shift))
-        trace_b = run_formation(SwarmState.at_rest(start + shift), config_b, 200)
+        config = triangle_config()
+        trace_a = run_formation(SwarmState.at_rest(start.copy()), config, 200)
+        trace_b = run_formation(SwarmState.at_rest(start + shift), config, 200)
         np.testing.assert_allclose(
             trace_b.final_state.positions,
             trace_a.final_state.positions + shift,
@@ -610,15 +606,6 @@ class TestConfigValidation:
                 params=TRI_PARAMS,
             )
 
-    def test_n_s_must_match_cut(self):
-        with pytest.raises(ValueError, match="cardinalities"):
-            FormationConfig(
-                ring=RingTopology(7),
-                spec=PolygonSpec(vertex_set=(0, 2, 5), r_star=TRI_R),
-                params=TRI_PARAMS,
-                n_s=(3, 2, 2),
-            )
-
     def test_l_star_is_r_star_over_cardinality(self):
         config = triangle_config()
         np.testing.assert_allclose(
@@ -628,8 +615,6 @@ class TestConfigValidation:
 
 class TestPipeline:
     def test_triangle_end_to_end(self):
-        ring = RingTopology(7)
-        spec = PolygonSpec(vertex_set=(0, 2, 5), r_star=TRI_R)
         est = EstimatorConfig(
             params=EstimationParams(alpha=0.1, dt=1.0), strategy="S2",
             stop_window=60,
@@ -637,7 +622,7 @@ class TestPipeline:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = run_pipeline(
-                ring, spec, est, TRI_PARAMS, seed=42, horizon=800, initial_box=3.0
+                triangle_config(), est, seed=42, horizon=800, initial_box=3.0
             )
         assert result.estimates == [2, 3, 2]
         assert result.formation.converged
@@ -650,21 +635,17 @@ class TestPipeline:
 
     def test_all_vertex_ring_estimates_ones(self):
         r = np.array([[1.0, 0.5], [-0.25, 0.5], [-0.75, -1.0]])
-        ring = RingTopology(3)
-        spec = PolygonSpec(vertex_set=(0, 1, 2), r_star=r)
-        est = EstimatorConfig(
-            params=EstimationParams(alpha=0.5, dt=0.2), strategy="S1"
+        params = EstimationParams(alpha=0.5, dt=0.2)
+        config = FormationConfig(
+            ring=RingTopology(3), spec=PolygonSpec(vertex_set=(0, 1, 2), r_star=r),
+            params=params,
         )
-        result = run_pipeline(
-            ring, spec, est, EstimationParams(alpha=0.5, dt=0.2),
-            seed=3, horizon=400, initial_box=2.0,
-        )
+        est = EstimatorConfig(params=params, strategy="S1")
+        result = run_pipeline(config, est, seed=3, horizon=400, initial_box=2.0)
         assert result.estimates == [1, 1, 1]
         assert result.formation.converged
 
     def test_estimation_failure_aborts_phase_two(self):
-        ring = RingTopology(7)
-        spec = PolygonSpec(vertex_set=(0, 2, 5), r_star=TRI_R)
         est = EstimatorConfig(
             params=EstimationParams(alpha=0.1, dt=1.0), strategy="S2",
             stop_window=50, max_steps=52,  # cannot settle this fast
@@ -672,20 +653,18 @@ class TestPipeline:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(PipelineEstimationError) as err:
-                run_pipeline(ring, spec, est, TRI_PARAMS, seed=42, horizon=10)
+                run_pipeline(triangle_config(), est, seed=42, horizon=10)
         assert len(err.value.traces) == 3
 
     def test_pipeline_is_deterministic(self):
-        ring = RingTopology(7)
-        spec = PolygonSpec(vertex_set=(0, 2, 5), r_star=TRI_R)
         est = EstimatorConfig(
             params=EstimationParams(alpha=0.1, dt=1.0), strategy="S2",
             stop_window=60,
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            a = run_pipeline(ring, spec, est, TRI_PARAMS, seed=9, horizon=300)
-            b = run_pipeline(ring, spec, est, TRI_PARAMS, seed=9, horizon=300)
+            a = run_pipeline(triangle_config(), est, seed=9, horizon=300)
+            b = run_pipeline(triangle_config(), est, seed=9, horizon=300)
         assert np.array_equal(
             a.formation.final_state.positions, b.formation.final_state.positions
         )
@@ -720,10 +699,11 @@ def batched_phase_one(cfg):
 def chain_loop(cfg):
     """The same chains, one ``run_estimation`` at a time."""
     args = cfg.pipeline_arguments()
-    initial, _ = seeded_placement(args["ring"], args["spec"], args["seed"], args["initial_box"])
+    config = args["config"]
+    initial = seeded_placement(config.ring, args["seed"], args["initial_box"])
     return [run_estimation(seg.cardinality, args["est_config"],
                            initial.positions[list(seg.members)] - initial.positions[seg.anchor])
-            for seg in cut_ring(args["ring"], args["spec"])]
+            for seg in config.segments]
 
 
 UNEQUAL = dict(n_total=10, vertex_set=(0, 2, 7))  # segments of 2, 5 and 3 robots

@@ -14,7 +14,6 @@ from helpers import (
 )
 from ringform.spectral import (
     EstimationParams,
-    _decay_seconds,
     build_cascade_matrix,
     build_estimator_matrix,
     build_formation_matrix,
@@ -22,6 +21,7 @@ from ringform.spectral import (
     build_lagged_formation_matrix,
     chain_equilibrium,
     chain_modes,
+    decay_seconds,
     readout_determinant,
     readout_matrix,
     s1_readout_frame,
@@ -634,8 +634,8 @@ class TestReport:
             assert report["decay_s_Af"] == pytest.approx(seconds, abs=1e-3)
             assert report["rho_Af_lagged"] > 1.0
             assert report["decay_s_Af_lagged"] is None
-        assert _decay_seconds(1.0, 0.05) is None
-        assert _decay_seconds(np.nextafter(1.0, 0.0), 0.05) > 0.0
+        assert decay_seconds(1.0, 0.05) is None
+        assert decay_seconds(np.nextafter(1.0, 0.0), 0.05) > 0.0
 
     def test_report_radii_are_the_dense_radii(self):
         params = EstimationParams(alpha=0.5, dt=0.05)

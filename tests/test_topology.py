@@ -99,6 +99,15 @@ def test_cut_is_deterministic():
     assert cut_ring(ring, spec) == cut_ring(ring, spec)
 
 
+def test_cut_of_a_huge_ring_lists_no_members():
+    # A 1e14-robot ring is cut in O(m): the wrapping segment's members
+    # would fill the host's memory if they were built with the cut.
+    n = 10 ** 14
+    segments = cut_ring(RingTopology(n), PolygonSpec(vertex_set=(0, 1, 2), r_star=TRI_R))
+    assert [seg.cardinality for seg in segments] == [1, 1, n - 2]
+    assert [seg.members for seg in segments[:2]] == [(1,), (2,)]
+
+
 @st.composite
 def ring_and_vertices(draw):
     n = draw(st.integers(min_value=3, max_value=60))
