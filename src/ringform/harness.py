@@ -28,8 +28,6 @@ from .formation import (
 )
 from .spectral import (
     EstimationParams,
-    build_estimator_matrix,
-    build_lagged_estimator_matrix,
     chain_modes,
     decay_seconds,
     spectral_radius,
@@ -50,12 +48,9 @@ def scaled_params(n_prime: int, dt: float = 0.01) -> EstimationParams:
 
 
 def auto_stop_window(n_prime: int, params: EstimationParams, strategy: str) -> int:
-    """Stop window scaled to the chain's spectral decay time."""
-    # Dense, not chain_modes: ln(100) / -ln(rho) magnifies last-bit changes in rho near 1.
-    if strategy == "S1":
-        rho = spectral_radius(build_estimator_matrix(n_prime, params).dense)
-    else:
-        rho = spectral_radius(build_lagged_estimator_matrix(n_prime, params).dense)
+    """Stop window scaled to the decay time of the chain's modal blocks."""
+    rho = spectral_radius(chain_modes(
+        n_prime, params, "estimator" if strategy == "S1" else "lagged_estimator"))
     # The window must out-span the time the raw readout needs to drift across
     # one unit near the end of the transient, otherwise a slowly settling run
     # can freeze one integer too early.  ln(100) of decay per window keeps a

@@ -8,9 +8,10 @@ Conventions used throughout:
 * The four chain matrices (estimator, lagged estimator, formation,
   lagged formation) are one assembly, ``_chain_matrix``: they differ only
   in the stale-velocity layer and the vertex's row.  These dense
-  matrices are the reference the step functions are checked against;
-  radii come from ``chain_modes``, which splits a chain matrix into d
-  small blocks with the same eigenvalues.
+  matrices are the reference layer the step functions and the modal
+  blocks are checked against; no run path builds them.  Every radius a
+  run needs comes from ``chain_modes``, which splits a chain matrix into
+  d small blocks with the same eigenvalues.
 * ``beta = alpha * dt / 2`` is the single dimensionless parameter all the
   closed forms depend on.  The readout algebra needs beta in (0, 1): at 0
   the geometric-recursion roots collide, at 1 denominators vanish.
@@ -38,6 +39,14 @@ def _require_strategy(strategy: str) -> None:
 def _require_beta(beta: float) -> None:
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
+
+
+def _require_readout(d: int, beta: float, strategy: str) -> None:
+    """Domain of the readout algebra: a known strategy, beta in (0, 1), d >= 1."""
+    _require_strategy(strategy)
+    _require_beta(beta)
+    if d < 1:
+        raise ValueError(f"order must be >= 1, got {d}")
 
 
 @dataclass(frozen=True)
@@ -121,15 +130,12 @@ def _chain_matrix(kind: str, order: int, params: EstimationParams) -> SystemMatr
     full-gain tracking of its predecessor, alpha (q_{n-1} - q_n) +
     v_{n-1}, which adds two entries to the last row; its input map carries
     the anchor position and velocity into the first robot's velocity row
-    and the spacing target into the vertex's.  An order too large for
-    numpy to size its arrays is a ``MemoryError``.
+    and the spacing target into the vertex's.  O(d^2) memory: a reference
+    for small orders, not built on any run path.
     """
     layers = _chain_layers(kind, order)
     d, size = order, layers * order
-    try:
-        eye = np.eye(d)
-    except ValueError as exc:  # "array is too big", raised before allocating
-        raise MemoryError(str(exc)) from exc
+    eye = np.eye(d)
     update = [params.alpha * _sym_tridiagonal(d, -1.0, 0.5), _sym_tridiagonal(d, 0.0, 0.5)]
     if layers == 2:
         dense = np.block([[eye, params.dt * eye], update])
@@ -296,10 +302,7 @@ def s1_readout_frame(beta: float) -> tuple[float, float, float, float]:
 
 def readout_matrix(d: int, beta: float, strategy: str) -> np.ndarray:
     """Order-d steady-state system matrix for the given strategy."""
-    _require_strategy(strategy)
-    _require_beta(beta)
-    if d < 1:
-        raise ValueError(f"order must be >= 1, got {d}")
+    _require_readout(d, beta, strategy)
     if strategy == "S1":
         return _sym_tridiagonal(d, 1.0 + beta, (1.0 - beta) / 2.0)
     return _sym_tridiagonal(d, 1.0 + beta, -(1.0 + beta) / 2.0)
@@ -312,10 +315,7 @@ def readout_determinant(d: int, beta: float, strategy: str) -> float:
     recursion; S2 collapses to (d+1) ((1+beta)/2)^d because its matrix is
     a scalar multiple of the unit tridiagonal Toeplitz pattern.
     """
-    _require_strategy(strategy)
-    _require_beta(beta)
-    if d < 1:
-        raise ValueError(f"order must be >= 1, got {d}")
+    _require_readout(d, beta, strategy)
     if strategy == "S2":
         return (d + 1) * (1.0 + beta) ** d / 2.0 ** d
     sb = math.sqrt(beta)
@@ -332,10 +332,7 @@ def steady_gain_recursive(d: int, beta: float, strategy: str) -> float:
     g(1) = 1/(1+beta); each extra robot updates g to 1 / (1+beta - c^2 g)
     with c the off-diagonal of the readout matrix.
     """
-    _require_strategy(strategy)
-    _require_beta(beta)
-    if d < 1:
-        raise ValueError(f"order must be >= 1, got {d}")
+    _require_readout(d, beta, strategy)
     if strategy == "S1":
         csq = (1.0 - beta) ** 2 / 4.0
     else:
@@ -354,10 +351,7 @@ def steady_gain(d: int, beta: float, strategy: str) -> float:
     overflows the float range the gain has converged to the smaller
     recursion root to machine precision, so the limit is returned.
     """
-    _require_strategy(strategy)
-    _require_beta(beta)
-    if d < 1:
-        raise ValueError(f"order must be >= 1, got {d}")
+    _require_readout(d, beta, strategy)
     if strategy == "S2":
         return 2.0 * d / ((d + 1) * (1.0 + beta))
     rho1, rho2, fb1, fb2 = s1_readout_frame(beta)

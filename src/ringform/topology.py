@@ -98,11 +98,9 @@ def cut_ring(ring: RingTopology, spec: PolygonSpec) -> list[ChainSegment]:
     """
     n = ring.n_total
     vertices = spec.vertex_set
-    if len(set(vertices)) != len(vertices):
-        raise ValueError("vertex_set contains duplicates")
-    if spec.m > n:
-        raise ValueError(f"{spec.m} vertices exceed ring size {n}")
-    if any(v < 0 or v >= n for v in vertices):
+    # PolygonSpec keeps vertex_set strictly increasing from >= 0, so the
+    # last index bounds them all: no duplicates, none negative, m <= n.
+    if vertices[-1] >= n:
         raise ValueError(f"vertex indices out of range [0, {n})")
 
     segments = []

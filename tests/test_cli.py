@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import numpy as np
 
 from helpers import CONFIGS, reference_formation_csvs
-from ringform import cli, formation
+from ringform import cli, formation, spectral
 from ringform.cli import (
     _FIELDS,
     ERRORS_HEADER,
@@ -322,6 +322,19 @@ class TestDeterminism:
         assert texts[0] != texts[1]
 
 
+@pytest.mark.parametrize("name", ["estimate20", "triangle", "sweep_small", "spectral19"])
+def test_no_run_path_builds_a_dense_chain_matrix(tmp_path, monkeypatch, name):
+    # Every radius a run needs comes from the modal blocks; the dense chain
+    # matrices are the toolkit's reference layer only.
+    def refuse(*args):
+        raise AssertionError("dense chain matrix built on a run path")
+
+    monkeypatch.setattr(spectral, "_chain_matrix", refuse)
+    config = CONFIGS / f"{name}.yaml"
+    mode = yaml.safe_load(config.read_text())["mode"]
+    assert main([mode, "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
 class TestOtherModes:
     def test_estimate_mode(self, tmp_path):
         cfg = {
@@ -504,12 +517,14 @@ class TestOtherModes:
         start = uniform_box(make_generator(raw["seed"], 0), 7, raw["initial_box"])
         assert [[float(r[3]), float(r[4])] for r in rows] == start.tolist()
 
-    @pytest.mark.parametrize("extra,window", [({}, 460517020), ({"stop_window": 3000}, 3000)],
+    @pytest.mark.parametrize("extra,window", [({}, 460517025), ({"stop_window": 3000}, 3000)],
                              ids=["automatic", "given"])
     def test_stop_window_not_below_max_steps_is_config_error(self, tmp_path, capsys,
                                                              extra, window):
-        # At alpha = 1e-6 the automatic S1 window is 460 517 020 steps; a
-        # window at or past max_steps (3000 by default) is refused at once.
+        # At alpha = 1e-6 the automatic S1 window, from the modal blocks, is
+        # 460 517 025 steps (the dense chain matrix gave 460 517 020, a
+        # 50-digit evaluation 460 517 014); a window at or past max_steps
+        # (3000 by default) is refused at once.
         cfg = dict({"mode": "estimate", "alpha": 1.0e-6, "dt": 0.01, "strategy": "S1",
                     "output_dir": str(tmp_path / "out"), "topology": {"n_total": 5}},
                    **extra)
@@ -592,8 +607,7 @@ class TestOtherModes:
             "topology": {"n_total": 10 ** 14, "vertex_set": [0, 1, 2]},
             "r_star": [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
         }),
-        # The stop window's dense chain matrix, sized past the address space.
-        ("estimate", "topology.n_total", {"topology": {"n_total": 2 * 10 ** 9}}),
+        ("estimate", "topology.n_total", {"topology": {"n_total": 10 ** 14}}),
         ("pipeline", "topology.n_total", {
             "topology": {"n_total": 10 ** 14, "vertex_set": [0, 1, 2]},
             "r_star": [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],

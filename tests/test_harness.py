@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -14,7 +15,9 @@ from ringform.harness import (
 )
 from ringform.spectral import (
     EstimationParams,
+    build_estimator_matrix,
     build_formation_matrix,
+    build_lagged_estimator_matrix,
     build_lagged_formation_matrix,
     spectral_radius,
     stability_bound,
@@ -43,6 +46,21 @@ class TestScaledParams:
         estimate20 = shipped_config("estimate20")
         windows["estimate20"] = estimate20.estimator_config(estimate20.n_total - 1).stop_window
         assert windows == {"hexagon": 1643, "triangle": 57, "estimate20": 917}
+
+    def test_windows_equal_those_of_the_dense_matrices(self):
+        # The window reads the radius of the modal blocks; the dense chain
+        # matrices, the reference layer, give the same window at every order.
+        def dense_window(n_prime, params, build):
+            rho = spectral_radius(build(n_prime, params).dense)
+            return max(50, math.ceil(math.log(100.0) / -math.log(rho)))
+
+        for n_prime in range(1, 61):
+            for params in (scaled_params(n_prime, 0.01), scaled_params(n_prime, 0.05),
+                           EstimationParams(0.5, 0.01), EstimationParams(0.5, 0.05)):
+                for strategy, build in (("S1", build_estimator_matrix),
+                                        ("S2", build_lagged_estimator_matrix)):
+                    assert auto_stop_window(n_prime, params, strategy) == \
+                        dense_window(n_prime, params, build), (n_prime, params, strategy)
 
 
 class TestSweep:

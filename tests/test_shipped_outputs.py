@@ -3,7 +3,8 @@
 Every ``configs/*.yaml`` runs through ``cli.main`` into a temporary
 directory.  The SHA-256 of its stdout, its stderr and every output file,
 and its exit code, must equal ``DIGESTS``.  The mappings in ``CASES``,
-variants of the shipped configs that diverge or do not converge, are
+variants of the shipped configs that diverge or do not converge, and
+runs whose automatic stop windows the shipped configs do not cover, are
 held to ``CASE_DIGESTS`` the same way.  ``manifest.json`` and
 ``resolved_config.yaml`` are left out: they hold the wall time and the
 output directory.  Floats may differ in the last bit from one numpy
@@ -90,7 +91,7 @@ def _phase1(**changes) -> dict:
     return dict(_shipped("triangle")["estimation"], **changes)
 
 
-# The failure paths, each with its exit code.
+# The failure paths and the extra automatic windows, each with its exit code.
 CASES = {
     # exit 3: the sigma = 2 formation diverges
     "triangle_form_diverges": _shipped("triangle", mode="form", alpha=1.5, sigma=2),
@@ -112,10 +113,28 @@ CASES = {
         "topology": {"n_total": 1200, "vertex_set": [0, 200, 400, 600, 800, 1000]},
         "r_star": _shipped("hexagon")["r_star"],
     },
+    # exit 0: 32 automatic stop windows, per-n scaled gains from n = 5 to 20
+    "sweep_scaled_per_n": {
+        "mode": "sweep", "seed": 3, "dt": 0.01,
+        "sweep": {"n_min": 5, "n_max": 20, "reps": 2, "scale_per_n": True},
+    },
+    # exit 0: the lagged (S2) estimator's automatic stop window
+    "estimate30_s2": {
+        "mode": "estimate", "seed": 3, "strategy": "S2", "max_steps": 60000,
+        "topology": {"n_total": 30},
+    },
 }
 
-# Recorded at 11741a8.
+# Recorded at 11741a8; estimate30_s2 and sweep_scaled_per_n at 7efebbc.
 CASE_DIGESTS = {
+    "estimate30_s2": {
+        "exit": 0,
+        "stdout": "6c36754aae39215508c7b959882c7468cfa153404ea2317ef398b9e6ddccaa49",
+        "stderr": "c021915f8a9ed7b2d22a8a314f7f0c84da4c88de59985ff29a4eca780af5cb47",
+        "files": {
+            "estimate.csv": "db8b96529a81c66486689bb3c27be31686a979dfc7a0608e36868dc75dd9d35e",
+        },
+    },
     "hexagon_form_stride7": {
         "exit": 4,
         "stdout": "119af2cd9f52e9c7a55f417305882b7cd1d84d83960a9e92ee04076c5be9375d",
@@ -177,6 +196,15 @@ CASE_DIGESTS = {
             "errors.csv": "a0be1b472ab26df3c88706f31fd1ce8e219be1743403ffd814a04189d5221537",
             "estimate.csv": "211b1ac0fa067fe02593788980d239b0a6d3fb6b6f7e27593abb98532d4317a9",
             "trace.csv": "4c464630cb8d1e3b7c429049a6c8dbfda53851a057ac1f757d0ac9c6db480872",
+        },
+    },
+    "sweep_scaled_per_n": {
+        "exit": 0,
+        "stdout": "55c7146e335f816daf0cb08dbecc49b8a024b69aedb522dd65b842c4cfd05d1c",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "sensitivity.csv": "a255ab1a02d64dfe4f62b8e1c32d5b23f0405c34f602fe1e45452a9b1ec866df",
+            "sweep.csv": "b9703d121b60461a3985e0260c8f1ddff06cf5c5c4bc19f77bffee73aff2531a",
         },
     },
 }
