@@ -36,7 +36,7 @@ from .formation import (
     run_pipeline,
     seeded_placement,
 )
-from .harness import auto_stop_window, sensitivity_curves, sweep_convergence
+from .harness import auto_stop_window, sweep_and_curves
 from .spectral import STRATEGIES, EstimationParams, spectral_report
 from .topology import CLOSURE_TOL, PolygonSpec, RingTopology, validate_polygon_closure
 
@@ -519,7 +519,7 @@ def _run_pipeline(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
 
 
 def _run_sweep(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
-    sweep = sweep_convergence(
+    sweep, curve = sweep_and_curves(
         (cfg.sweep_n_min, cfg.sweep_n_max), cfg.sweep_reps,
         dt=cfg.dt, scale_per_n=cfg.sweep_scale_per_n, seed=cfg.seed,
         initial_box=cfg.initial_box,
@@ -531,8 +531,6 @@ def _run_sweep(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
           for r in sweep.rows]],
     ).close()
     outputs.append("sweep.csv")
-    curve = sensitivity_curves((max(cfg.sweep_n_min - 1, 1), cfg.sweep_n_max - 1),
-                               dt=cfg.dt)
     write_csv(
         out_dir / "sensitivity.csv",
         ["n_prime", "ratio_s1_closed", "ratio_s2_closed", "ratio_s1_sim",

@@ -98,7 +98,7 @@ def _per_column(values):
 
 
 def _check_columns(values, step: int, label: str, names, columns) -> None:
-    """``check_finite`` on columns of a ``(rows, 2, B)`` buffer; names a failing one."""
+    """``check_finite`` on columns of a ``(rows, 2, C)`` buffer; names a failing one."""
     try:
         check_finite(values[..., columns], step, label)
     except DivergenceError:
@@ -113,63 +113,68 @@ def _lock_step(starts, configs, names, limits, rule, record=None):
     column's stop step, its ``values[0]`` there and whether it settled.
 
     Column b is the chain of ``len(starts[b])`` movable robots placed at
-    ``starts[b]`` and stepped with ``configs[b]``.  In the ``(N + 2, 2, B)``
-    buffers, N the longest chain, row N is every tail robot and row N + 1
-    every virtual robot.  The two velocity buffers swap and the excitation
-    flips sign every step, so each holds in row N + 1, once for all, the
-    excitation it is read with.  A live mask, 1.0 on each chain's movable
-    rows, multiplies the new velocities: exact, and the rows above a
-    shorter chain stay at rest (a masked -0.0 never changes a ratio).
+    ``starts[b]`` and stepped with ``configs[b]``.  The ``(N + 2, 2, C)``
+    buffers hold the C running columns in column order, N the longest
+    chain: row N is every tail robot and row N + 1 every virtual robot.
+    The two velocity buffers swap and the excitation flips sign every
+    step, so each holds in row N + 1, once for all, the excitation it is
+    read with.  A live mask, 1.0 on each chain's movable rows, multiplies
+    the new velocities: exact, and the rows above a shorter chain stay at
+    rest (a masked -0.0 never changes a ratio).
 
     The chains step to the next multiple of ``BLOCK`` or the nearest
     running limit, keeping the tail velocities; ``rule`` maps the block's
     ``(k, B)`` ratios, NaN in finished columns, to ``(k, B)`` arrays
     ``(settled, values)``.  Column b stops at its first settled step or at
-    ``limits[b]``, and is frozen at the end of the block.  A ``record``
-    list receives each block's ``(k, B)`` ratios, ``settled`` and
-    ``values``, every column, up to the last step kept.
+    ``limits[b]``, and leaves the buffers at the end of the block.  A
+    ``record`` list receives each block's ``(k, B)`` ratios, ``settled``
+    and ``values``, every column, up to the last step kept.
 
     The checks are a step-at-a-time loop's: running chains' positions at
     each multiple of ``BLOCK``, and their positions then velocities at a
     non-finite ratio (only a velocity beyond the limit gives one).  Blocks
-    step with floating-point warnings off; on a failure the chains step
-    again from the start, finished ones at rest and warnings on, to the
-    failing step, where the checks raise and name the chain ``names[b]``.
+    step with floating-point warnings off; on a failure the chains in the
+    buffers step again from the start, warnings on, to the failing step,
+    where the checks raise and name the chain ``names[b]``.
     """
     n_rows, columns = max(len(start) for start in starts), len(starts)
-    alpha = _per_column([c.params.alpha for c in configs])
-    dt = _per_column([c.params.dt for c in configs])
-    s1 = np.array([c.strategy == "S1" for c in configs])
-    mixed = s1.any() and not s1.all()
-    lag_s1 = bool(s1[0])
-    norms = np.array([math.sqrt(x * x + y * y)
-                      for x, y in (map(float, c.excitation_init) for c in configs)])
+    alphas, dts = np.array([(c.params.alpha, c.params.dt) for c in configs]).T
+    strategies = np.array([c.strategy == "S1" for c in configs])
+    excitations = np.array([c.excitation_init for c in configs], dtype=float)
+    norms = np.array([math.sqrt(x * x + y * y) for x, y in excitations.tolist()])
     live = np.zeros((n_rows, 1, columns))
     for b, start in enumerate(starts):
         live[n_rows - len(start):, 0, b] = 1.0
-    tails = np.empty((BLOCK, 2, columns))
+
+    def law():
+        """Gains and strategies of the buffer columns; whether they mix S1 and S2."""
+        s1 = strategies[cols]
+        return _per_column(alphas[cols]), _per_column(dts[cols]), s1, s1.any() and not s1.all()
 
     def at_rest():
-        q = np.zeros((n_rows + 2, 2, columns))
-        for b, start in enumerate(starts):
-            q[n_rows + 1 - len(start):n_rows + 1, :, b] = start
+        q = np.zeros((n_rows + 2, 2, len(cols)))
+        for j, b in enumerate(cols):
+            q[n_rows + 1 - len(starts[b]):n_rows + 1, :, j] = starts[b]
         v, v_prev = np.zeros((2, *q.shape))
-        v[-1] = np.where(s1, 1.0, -1.0) * np.array([c.excitation_init for c in configs]).T
+        v[-1] = np.where(s1, 1.0, -1.0) * excitations[cols].T
         v_prev[-1] = -v[-1]
         return q, v, v_prev
 
     def advance(q, v, v_prev, steps):
+        """Steps the buffers; returns the velocities and the last BLOCK tails."""
+        new, scratch = np.empty((2, *q[1:-1].shape))
+        tails = np.empty((BLOCK, 2, q.shape[-1]))
         for i in range(steps):
             if mixed:
                 vlag = np.where(s1, v, v_prev)
             else:
-                vlag = v if lag_s1 else v_prev
-            new_movable = midpoint_law(q, vlag, alpha)
-            q[1:-1] += dt * v[1:-1]
+                vlag = v if s1[0] else v_prev
+            midpoint_law(q, vlag, alpha, out=new, scratch=scratch)
+            q[1:-1] += np.multiply(dt, v[1:-1], out=scratch)
             v_prev, v = v, v_prev
-            np.multiply(new_movable, live, out=v[1:-1])
+            np.multiply(new, live, out=v[1:-1])
             tails[i % BLOCK] = v[-2]
-        return v, v_prev
+        return v, v_prev, tails
 
     def ratios_of(tail):
         """|tail velocity| / |excitation|, computed in the x row of ``tail``."""
@@ -177,9 +182,11 @@ def _lock_step(starts, configs, names, limits, rule, record=None):
         np.multiply(ratios, ratios, out=ratios)
         ratios += np.multiply(tail_y, tail_y, out=tail_y)
         np.sqrt(ratios, out=ratios)
-        ratios /= norms
+        ratios /= norms[cols]
         return ratios
 
+    cols = np.arange(columns)  # the columns in the buffers
+    alpha, dt, s1, mixed = law()
     q, v, v_prev = at_rest()
     running = np.ones(columns, dtype=bool)
     stops = np.zeros(columns, dtype=int)
@@ -189,10 +196,10 @@ def _lock_step(starts, configs, names, limits, rule, record=None):
     while running.any():
         end = min(step - step % BLOCK + BLOCK, int(limits[running].min()))
         k = end - step
+        ratios = np.full((k, columns), math.nan)
         with np.errstate(all="ignore"):
-            v, v_prev = advance(q, v, v_prev, k)
-            ratios = ratios_of(tails[:k])
-            ratios[:, ~running] = math.nan
+            v, v_prev, tails = advance(q, v, v_prev, k)
+            ratios[:, cols] = ratios_of(tails[:k])
             settled, values = rule(ratios)
         # Each column's stop row: k runs on, -1 had stopped before.
         rows = np.arange(k)[:, None]
@@ -203,7 +210,8 @@ def _lock_step(starts, configs, names, limits, rule, record=None):
         kept = bad[0] if bad.size else k  # the steps that pass the checks
         if kept == k and end % BLOCK == 0:
             try:
-                _check_columns(q[:-1], end, "chain positions", names, np.flatnonzero(alive[-1]))
+                _check_columns(q[:-1], end, "chain positions", names,
+                               np.flatnonzero(alive[-1, cols]))
             except DivergenceError:
                 kept = k - 1
         if record is not None:
@@ -211,9 +219,9 @@ def _lock_step(starts, configs, names, limits, rule, record=None):
                            for a in (ratios, settled, *values)])
         if kept < k:
             failing = step + kept + 1
-            checked = np.flatnonzero(alive[kept])
+            checked = np.flatnonzero(alive[kept, cols])
             q, v, v_prev = at_rest()
-            v, _ = advance(q, v, v_prev, failing)
+            v, _, tails = advance(q, v, v_prev, failing)
             if failing % BLOCK == 0:
                 _check_columns(q[:-1], failing, "chain positions", names, checked)
             for b in checked[~np.isfinite(ratios_of(tails[(failing - 1) % BLOCK])[checked])]:
@@ -224,9 +232,15 @@ def _lock_step(starts, configs, names, limits, rule, record=None):
         stop_values[stopped] = values[0][last[stopped], stopped]
         settled_at[stopped] = settled[last[stopped], stopped]
         running[stopped] = False
-        live[..., stopped] = 0.0
         step = end
         del settled, values  # let the next block's arrays reuse their memory
+        keep = running[cols]
+        if stopped.size and keep.any():  # the stopped columns leave the buffers
+            cols = cols[keep]
+            q, v, v_prev, live = (a.compress(keep, axis=-1) for a in (q, v, v_prev, live))
+            if names is not None:
+                names = [names[j] for j in np.flatnonzero(keep)]
+            alpha, dt, s1, mixed = law()
     return stops, stop_values, settled_at
 
 
@@ -269,7 +283,7 @@ def readouts(betas, strategies):
         else:
             raise ValueError(f"strategy must be 'S1' or 'S2', got {strategy!r}")
     rho1, rho2, log_fb1, frame = np.array(frames).reshape(-1, 4).T
-    s2 = np.array([strategy == "S2" for strategy in strategies])
+    s2 = np.array([strategy == "S2" for strategy in strategies], dtype=bool)
     s1 = ~s2 & (frame != 0.0)
     gain = 1.0 + np.asarray(betas, dtype=float)
 
@@ -410,18 +424,8 @@ def _rounded(raw):
     return rounded
 
 
-def estimate_chains(starts, configs, names, record=None) -> list[tuple[int | None, int | None]]:
-    """``run_estimation``'s stop rule on many chains in lock step.
-
-    Chain b starts at ``starts[b]`` (its movable robots' positions) and runs
-    with ``configs[b]`` until its stop rule fires or its ``max_steps`` is
-    used up; a finished chain is frozen and never checked again.  A
-    divergence names ``names[b]``.  A ``record`` list receives per block
-    the ``(k, B)`` ratios, settled flags and raw readouts of every column,
-    rows in step order as ``estimate.csv`` writes them: ``chain_traces``
-    cuts it into one trace per chain.  Returns ``(estimate,
-    steps_to_convergence)`` per chain, ``(None, None)`` if unconverged.
-    """
+def _stop_rule(configs):
+    """``estimate_chains``' stop rule: per block, ``(settled, (raw,))``."""
     read = readouts([c.params.beta for c in configs], [c.strategy for c in configs])
     windows = np.array([c.stop_window for c in configs]) - 1
     streaks = _streaks(np.full(len(configs), math.nan), np.equal)
@@ -431,10 +435,28 @@ def estimate_chains(starts, configs, names, record=None) -> list[tuple[int | Non
         rounded = _rounded(raw)
         return (streaks(rounded) >= windows) & (rounded >= 1), (raw,)
 
-    stops, raws, converged = _lock_step(
-        starts, configs, names, np.array([c.max_steps for c in configs]), rule, record)
+    return rule
+
+
+def _outcomes(stops, raws, converged):
     return [(int(estimate), int(stop)) if ok else (None, None)
             for stop, estimate, ok in zip(stops, _rounded(raws), converged)]
+
+
+def estimate_chains(starts, configs, names, record=None) -> list[tuple[int | None, int | None]]:
+    """``run_estimation``'s stop rule on many chains in lock step.
+
+    Chain b starts at ``starts[b]`` (its movable robots' positions) and runs
+    with ``configs[b]`` until its stop rule fires or its ``max_steps`` is
+    used up; a finished chain leaves the batch and is never checked again.
+    A divergence names ``names[b]``.  A ``record`` list receives per block
+    the ``(k, B)`` ratios, settled flags and raw readouts of every column,
+    rows in step order as ``estimate.csv`` writes them: ``chain_traces``
+    cuts it into one trace per chain.  Returns ``(estimate,
+    steps_to_convergence)`` per chain, ``(None, None)`` if unconverged.
+    """
+    return _outcomes(*_lock_step(starts, configs, names, np.array([c.max_steps for c in configs]),
+                                 _stop_rule(configs), record))
 
 
 def chain_traces(starts, configs, names=None) -> list[EstimateTrace]:
@@ -490,15 +512,32 @@ def steady_velocity_ratios(orders, configs) -> list[float]:
     Starting at rest isolates the forced response.  Each chain stops once
     its per-step ratio change stays below ``_SETTLE_TOL`` for
     ``_SETTLE_STEPS`` consecutive steps, or after ``_SETTLE_MAX`` steps,
-    and is then frozen and never checked again.
+    and then leaves the batch and is never checked again.
     """
-    names = [f"chain order {n} {c.strategy}" for n, c in zip(orders, configs)]
+    return estimate_and_settle([], [], [], orders, configs)[1]
+
+
+def estimate_and_settle(starts, configs, names, orders, settle_configs):
+    """``estimate_chains(starts, configs, names)`` and
+    ``steady_velocity_ratios(orders, settle_configs)`` as one lock-step
+    batch, each chain under its own rule and limit; returns both results,
+    bit for bit the two calls'.  A divergence names the first failing
+    chain, estimated chains first at one step."""
+    split = len(starts)
+    stop_rule = _stop_rule(configs)
     quiet = _streaks(np.full(len(orders), math.inf),
                      lambda ratio, before: np.abs(ratio - before) < _SETTLE_TOL)
-    _, ratios, _ = _lock_step([np.zeros((n, 2)) for n in orders], configs, names,
-                              np.full(len(orders), _SETTLE_MAX),
-                              lambda ratios: (quiet(ratios) >= _SETTLE_STEPS, (ratios,)))
-    return ratios.tolist()
+
+    def rule(ratios):
+        settled, (raw,) = stop_rule(ratios[:, :split])
+        steady = ratios[:, split:]
+        return np.hstack([settled, quiet(steady) >= _SETTLE_STEPS]), (np.hstack([raw, steady]),)
+
+    stops, values, converged = _lock_step(
+        [*starts, *(np.zeros((n, 2)) for n in orders)], [*configs, *settle_configs],
+        [*names, *(f"chain order {n} {c.strategy}" for n, c in zip(orders, settle_configs))],
+        np.array([*(c.max_steps for c in configs), *[_SETTLE_MAX] * len(orders)]), rule)
+    return _outcomes(stops[:split], values[:split], converged[:split]), values[split:].tolist()
 
 
 def steady_velocity_ratio(n_prime: int, config: EstimatorConfig) -> float:

@@ -16,6 +16,7 @@ import numpy as np
 from .core import SwarmState, make_generator, uniform_box
 from .estimation import (
     EstimatorConfig,
+    estimate_and_settle,
     estimate_chains,
     run_estimation,
     steady_velocity_ratios,
@@ -39,6 +40,8 @@ from .spectral import (
 _SAFETY = 0.9
 # Smallest automatic stop window.
 _MIN_WINDOW = 50
+# A sweep chain's default step limit.
+_MAX_STEPS = 60000
 
 
 def scaled_params(n_prime: int, dt: float = 0.01) -> EstimationParams:
@@ -74,26 +77,8 @@ class SweepResult:
     rows: list[SweepRow]
 
 
-def sweep_convergence(
-    n_range: tuple[int, int] = (5, 30),
-    reps: int = 5,
-    *,
-    dt: float = 0.01,
-    scale_per_n: bool = False,
-    seed: int = 0,
-    initial_box: float = 5.0,
-    max_steps: int = 60000,
-) -> SweepResult:
-    """Mean steps to convergence over chains of ``n`` robots, both strategies.
-
-    ``n`` counts the whole chain including its still anchor, so the
-    estimated integer is n - 1.  alpha*dt is scaled to 0.9 of the tighter
-    bound, either at the largest n (default) or per cell
-    (``scale_per_n``).  Rows come in (n, strategy) order.  Each repetition
-    draws its placement from the stream keyed
-    (seed, n*1000 + strategy*100 + rep), so any subset of cells can be
-    reproduced in isolation.
-    """
+def _sweep_chains(n_range, reps, dt, scale_per_n, seed, initial_box, max_steps):
+    """``sweep_convergence``'s chains and the function of their outcomes that is its result."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
     n_lo, n_hi = n_range
@@ -110,22 +95,51 @@ def sweep_convergence(
                 params=p, strategy=strategy, stop_window=window,
                 max_steps=max(max_steps, window + 1),
             )
-            cells.append((n, strategy))
+            cells.append((n, strategy, config))
             for rep in range(reps):
                 rng = make_generator(seed, n * 1000 + strat_idx * 100 + rep)
                 starts.append(uniform_box(rng, n_prime, initial_box))
                 configs.append(config)
                 names.append(f"sweep cell n={n} {strategy} rep {rep}")
-    outcomes = estimate_chains(starts, configs, names)
 
-    rows = []
-    for i, (n, strategy) in enumerate(cells):
-        cell = outcomes[i * reps:(i + 1) * reps]
-        steps = [stop or max_steps for _, stop in cell]
-        rows.append(SweepRow(n=n, strategy=strategy, reps=reps,
-                             mean_steps=float(np.mean(steps)),
-                             all_correct=all(estimate == n - 1 for estimate, _ in cell)))
-    return SweepResult(rows=rows)
+    def result(outcomes):
+        rows = []
+        for i, (n, strategy, config) in enumerate(cells):
+            cell = outcomes[i * reps:(i + 1) * reps]
+            steps = [stop or config.max_steps for _, stop in cell]
+            rows.append(SweepRow(n=n, strategy=strategy, reps=reps,
+                                 mean_steps=float(np.mean(steps)),
+                                 all_correct=all(estimate == n - 1 for estimate, _ in cell)))
+        return SweepResult(rows=rows)
+
+    return starts, configs, names, result
+
+
+def sweep_convergence(
+    n_range: tuple[int, int] = (5, 30),
+    reps: int = 5,
+    *,
+    dt: float = 0.01,
+    scale_per_n: bool = False,
+    seed: int = 0,
+    initial_box: float = 5.0,
+    max_steps: int = _MAX_STEPS,
+) -> SweepResult:
+    """Mean steps to convergence over chains of ``n`` robots, both strategies.
+
+    ``n`` counts the whole chain including its still anchor, so the
+    estimated integer is n - 1.  alpha*dt is scaled to 0.9 of the tighter
+    bound, either at the largest n (default) or per cell
+    (``scale_per_n``).  Rows come in (n, strategy) order.  Each repetition
+    draws its placement from the stream keyed
+    (seed, n*1000 + strategy*100 + rep), so any subset of cells can be
+    reproduced in isolation.  Every chain runs at least one step past its
+    stop window; a chain that does not converge counts the steps it ran,
+    ``max(max_steps, window + 1)``.
+    """
+    starts, configs, names, result = _sweep_chains(
+        n_range, reps, dt, scale_per_n, seed, initial_box, max_steps)
+    return result(estimate_chains(starts, configs, names))
 
 
 @dataclass(frozen=True)
@@ -146,6 +160,46 @@ class SensitivityCurve:
     more_sensitive: str
 
 
+def _sensitivity_chains(n_range, beta, dt):
+    """``sensitivity_curves``' chains and the function of their ratios that is its result."""
+    lo, hi = n_range
+    if lo < 1 or hi < lo:
+        raise ValueError(f"bad n_prime range {n_range}")
+    orders, params, configs = [], [], []
+    for n_prime in range(lo, hi + 1):
+        if beta is None:
+            p = scaled_params(n_prime, dt)
+        else:
+            p = EstimationParams(alpha=2.0 * beta / dt, dt=dt)
+        params.append(p)
+        for strategy in ("S1", "S2"):
+            orders.append(n_prime)
+            configs.append(EstimatorConfig(params=p, strategy=strategy))
+
+    def result(sims):
+        rows = [
+            SensitivityRow(
+                n_prime=n_prime,
+                beta=p.beta,
+                ratio_s1_closed=steady_ratio_closed(n_prime, p.beta, "S1"),
+                ratio_s2_closed=steady_ratio_closed(n_prime, p.beta, "S2"),
+                ratio_s1_sim=sims[2 * i],
+                ratio_s2_sim=sims[2 * i + 1],
+            )
+            for i, (n_prime, p) in enumerate(zip(range(lo, hi + 1), params))
+        ]
+        tv1 = float(sum(abs(b.ratio_s1_closed - a.ratio_s1_closed) for a, b in zip(rows, rows[1:])))
+        tv2 = float(sum(abs(b.ratio_s2_closed - a.ratio_s2_closed) for a, b in zip(rows, rows[1:])))
+        return SensitivityCurve(
+            rows=rows,
+            total_variation_s1=tv1,
+            total_variation_s2=tv2,
+            more_sensitive="S1" if tv1 > tv2 else "S2",
+        )
+
+    return orders, configs, result
+
+
 def sensitivity_curves(
     n_range: tuple[int, int] = (5, 30),
     beta: float | None = None,
@@ -160,39 +214,21 @@ def sensitivity_curves(
     so the simulated chain is provably stable at every order.  The curve
     with the larger total variation is reported as the more sensitive one.
     """
-    lo, hi = n_range
-    if lo < 1 or hi < lo:
-        raise ValueError(f"bad n_prime range {n_range}")
-    orders, params, configs = [], [], []
-    for n_prime in range(lo, hi + 1):
-        if beta is None:
-            p = scaled_params(n_prime, dt)
-        else:
-            p = EstimationParams(alpha=2.0 * beta / dt, dt=dt)
-        params.append(p)
-        for strategy in ("S1", "S2"):
-            orders.append(n_prime)
-            configs.append(EstimatorConfig(params=p, strategy=strategy))
-    sims = steady_velocity_ratios(orders, configs)
-    rows = [
-        SensitivityRow(
-            n_prime=n_prime,
-            beta=p.beta,
-            ratio_s1_closed=steady_ratio_closed(n_prime, p.beta, "S1"),
-            ratio_s2_closed=steady_ratio_closed(n_prime, p.beta, "S2"),
-            ratio_s1_sim=sims[2 * i],
-            ratio_s2_sim=sims[2 * i + 1],
-        )
-        for i, (n_prime, p) in enumerate(zip(range(lo, hi + 1), params))
-    ]
-    tv1 = float(sum(abs(b.ratio_s1_closed - a.ratio_s1_closed) for a, b in zip(rows, rows[1:])))
-    tv2 = float(sum(abs(b.ratio_s2_closed - a.ratio_s2_closed) for a, b in zip(rows, rows[1:])))
-    return SensitivityCurve(
-        rows=rows,
-        total_variation_s1=tv1,
-        total_variation_s2=tv2,
-        more_sensitive="S1" if tv1 > tv2 else "S2",
-    )
+    orders, configs, result = _sensitivity_chains(n_range, beta, dt)
+    return result(steady_velocity_ratios(orders, configs))
+
+
+def sweep_and_curves(n_range, reps, *, dt, scale_per_n, seed, initial_box):
+    """``sweep_convergence`` over ``n_range`` and the scaled
+    ``sensitivity_curves`` over the chain orders it spans, from
+    ``max(n_lo - 1, 1)`` to ``n_hi - 1``, with every chain of both in one
+    lock-step batch (``estimate_and_settle``); returns both results."""
+    starts, configs, names, sweep = _sweep_chains(
+        n_range, reps, dt, scale_per_n, seed, initial_box, _MAX_STEPS)
+    orders, settle_configs, curve = _sensitivity_chains(
+        (max(n_range[0] - 1, 1), n_range[1] - 1), None, dt)
+    outcomes, sims = estimate_and_settle(starts, configs, names, orders, settle_configs)
+    return sweep(outcomes), curve(sims)
 
 
 # --- scenario report -----------------------------------------------------

@@ -244,7 +244,7 @@ def reference_sweep(n_range, reps, *, dt=0.01, scale_per_n=False, seed=0,
                                        seed_stream=n * 1000 + strat_idx * 100 + rep,
                                        initial_box=initial_box)
                 correct = correct and trace.converged and trace.estimate == n_prime
-                steps.append(trace.steps_to_convergence or max_steps)
+                steps.append(trace.steps_to_convergence or config.max_steps)
             rows.append(SweepRow(n=n, strategy=strategy, reps=reps,
                                  mean_steps=float(np.mean(steps)), all_correct=correct))
     return rows

@@ -706,8 +706,7 @@ class TestValueFormats:
                                  ratio_s2_sim=1e16)],
             total_variation_s1=0.0, total_variation_s2=0.0, more_sensitive="S1",
         )
-        monkeypatch.setattr(cli, "sweep_convergence", lambda *args, **kwargs: sweep)
-        monkeypatch.setattr(cli, "sensitivity_curves", lambda *args, **kwargs: curve)
+        monkeypatch.setattr(cli, "sweep_and_curves", lambda *args, **kwargs: (sweep, curve))
         out = tmp_path / "out"
         config = write_config(tmp_path, {"mode": "sweep", "output_dir": str(out)})
         assert main(["sweep", "--config", str(config)]) == EXIT_NOT_CONVERGED

@@ -22,6 +22,7 @@ from ringform.core import (
     StabilityWarning,
     SwarmState,
     make_generator,
+    midpoint_law,
     uniform_box,
 )
 from ringform.estimation import (
@@ -465,6 +466,55 @@ class TestBlockedLoop:
         for name in ("steps", "ratios", "raw", "rounded"):
             assert (getattr(partial[4], name).tobytes()
                     == getattr(running, name)[:69].tobytes())
+
+    def test_divergence_after_columns_left_the_buffers(self, monkeypatch):
+        # The far chain, placed in a 1e-30 box, overflows its tail velocity
+        # at step 162, in the third block.  Before it, the chains stopped at
+        # steps 10, 22 and 100 have left the buffers, so the far chain is
+        # buffer column 1 of 2, not column 3 of 5, when it fails.
+        params = EstimationParams(alpha=1.9e150, dt=1e-150)
+        diverging = EstimatorConfig(params=params, stop_window=40, max_steps=400)
+        cases = _block_cases()
+        starts = [uniform_box(make_generator(0, 1), 4, 5.0),
+                  uniform_box(make_generator(1, 0), 6, 1e-5), cases[12][2],
+                  uniform_box(make_generator(1, 0), 6, 1e-30), cases[11][2]]
+        configs = [config_for(4, "S2", stop_window=2000, max_steps=6000),
+                   EstimatorConfig(params=params, stop_window=2, max_steps=10), cases[12][1],
+                   diverging, replace(cases[11][1], max_steps=100)]
+        names = ["stable", "short", "settling", "far chain", "limited"]
+        widths = []
+
+        def counted(q, *args, **kwargs):
+            widths.append(q.shape[-1])
+            return midpoint_law(q, *args, **kwargs)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = []
+            for start, config in zip(starts, configs):
+                try:
+                    expected.append(reference_estimation(len(start), config, start)[:2])
+                except DivergenceError as err:
+                    failure = err
+                    expected.append(err.partial)
+            monkeypatch.setattr(ringform.estimation, "midpoint_law", counted)
+            with pytest.raises(DivergenceError) as traced:
+                chain_traces(starts, configs, names)
+        message = str(failure)
+        assert message.startswith("chain velocities diverged at step 162: ")
+        assert str(traced.value) == message.replace("velocities", "velocities of far chain")
+        # Blocks end at step 10 (a limit), 64, 100 (a limit), 128 and 192,
+        # where step 162 is found to fail; the 2 columns left replay it.
+        assert widths == [5] * 10 + [4] * 54 + [3] * 36 + [2] * 92 + [2] * 162
+        partial = traced.value.partial
+        assert [len(t.steps) for t in partial] == [161, 10, 22, 161, 100]
+        for trace, (ratios, raws) in zip(partial, expected):
+            n = len(trace.steps)
+            assert trace.steps.tolist() == list(range(1, n + 1))
+            assert trace.ratios.tobytes() == np.array(ratios[:n]).tobytes()
+            raws = np.array(raws[:n])
+            assert np.array_equal(np.isnan(trace.raw), np.isnan(raws))
+            assert trace.raw[~np.isnan(raws)].tobytes() == raws[~np.isnan(raws)].tobytes()
 
     def test_checks_fall_on_block_multiples(self):
         # Scripted readouts; the far chain starts beyond the position limit.

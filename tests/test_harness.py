@@ -4,13 +4,17 @@ import warnings
 import numpy as np
 import pytest
 
+import ringform.estimation
 from helpers import reference_sweep, shipped_config
+from ringform import cli
+from ringform.core import midpoint_law
 from ringform.estimation import EstimatorConfig, steady_velocity_ratio
 from ringform.harness import (
     auto_stop_window,
     scaled_params,
     scenario_report,
     sensitivity_curves,
+    sweep_and_curves,
     sweep_convergence,
 )
 from ringform.spectral import (
@@ -107,6 +111,52 @@ class TestSweep:
             warnings.simplefilter("ignore")
             expected = reference_sweep(n_range, 3, **kwargs)
         assert sweep_convergence(n_range, 3, **kwargs).rows == expected
+
+    def test_unconverged_cell_reports_the_steps_it_ran(self):
+        # max_steps = 10 is raised past each cell's stop window, and the
+        # chains run those steps without converging
+        result = sweep_convergence((5, 6), 1, dt=0.01, scale_per_n=True, max_steps=10)
+        ran = [auto_stop_window(n - 1, scaled_params(n - 1), s) + 1 for n in (5, 6)
+               for s in ("S1", "S2")]
+        assert [row.mean_steps for row in result.rows] == ran
+        assert 80 <= min(ran) and max(ran) <= 132
+        assert not any(row.all_correct for row in result.rows)
+
+
+class TestSweepMode:
+    """The sweep and the sensitivity curves as one lock-step batch."""
+
+    @pytest.mark.parametrize("scale_per_n", [True, False])
+    @pytest.mark.parametrize("reps", [1, 3])
+    def test_one_batch_equals_the_two_calls(self, scale_per_n, reps):
+        # n_min = 2 gives an order-1 sensitivity chain
+        sweep, curve = sweep_and_curves((2, 7), reps, dt=0.01, scale_per_n=scale_per_n,
+                                        seed=4, initial_box=5.0)
+        # every value is a finite nonzero float, so == is bit for bit
+        assert sweep == sweep_convergence((2, 7), reps, scale_per_n=scale_per_n, seed=4)
+        assert curve == sensitivity_curves((1, 6))
+
+    def test_work_of_the_benchmark_sweep(self, tmp_path, monkeypatch):
+        # The benchmark's sweep workload at seed 3: 64 chains stop by step
+        # 3 456 and 32 by step 6 272, live for 90 238 + 88 940 steps.  Each
+        # law evaluation steps every chain in the buffers, and a chain
+        # leaves them at the end of the block it stops in, so at most 64
+        # steps after its stop.  Two batches that step their finished
+        # chains would make 9 728 evaluations over 421 888 chain-steps.
+        work = []
+
+        def counted(q, *args, **kwargs):
+            work.append(q.shape[-1])
+            return midpoint_law(q, *args, **kwargs)
+
+        monkeypatch.setattr(ringform.estimation, "midpoint_law", counted)
+        cfg = cli.parse_config({
+            "mode": "sweep", "seed": 3, "dt": 0.01, "output_dir": str(tmp_path),
+            "sweep": {"n_min": 5, "n_max": 20, "reps": 2, "scale_per_n": True},
+        })
+        assert cli.execute(cfg) == 0
+        assert len(work) == 6272
+        assert sum(work) <= 90238 + 88940 + 96 * 64
 
 
 class TestSensitivity:

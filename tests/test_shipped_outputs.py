@@ -118,6 +118,11 @@ CASES = {
         "mode": "sweep", "seed": 3, "dt": 0.01,
         "sweep": {"n_min": 5, "n_max": 20, "reps": 2, "scale_per_n": True},
     },
+    # exit 0: gains scaled at the largest n, and an order-1 sensitivity chain
+    "sweep_fixed_gains": {
+        "mode": "sweep", "seed": 5, "dt": 0.01,
+        "sweep": {"n_min": 2, "n_max": 9, "reps": 3, "scale_per_n": False},
+    },
     # exit 0: the lagged (S2) estimator's automatic stop window
     "estimate30_s2": {
         "mode": "estimate", "seed": 3, "strategy": "S2", "max_steps": 60000,
@@ -125,7 +130,8 @@ CASES = {
     },
 }
 
-# Recorded at 11741a8; estimate30_s2 and sweep_scaled_per_n at 7efebbc.
+# Recorded at 11741a8; estimate30_s2 and sweep_scaled_per_n at 7efebbc;
+# sweep_fixed_gains at a0ac1c0.
 CASE_DIGESTS = {
     "estimate30_s2": {
         "exit": 0,
@@ -196,6 +202,15 @@ CASE_DIGESTS = {
             "errors.csv": "a0be1b472ab26df3c88706f31fd1ce8e219be1743403ffd814a04189d5221537",
             "estimate.csv": "211b1ac0fa067fe02593788980d239b0a6d3fb6b6f7e27593abb98532d4317a9",
             "trace.csv": "4c464630cb8d1e3b7c429049a6c8dbfda53851a057ac1f757d0ac9c6db480872",
+        },
+    },
+    "sweep_fixed_gains": {
+        "exit": 0,
+        "stdout": "ba5ea76099d7a5386e195346a97ea3b3f0b75f71e7eb1aa00509ea39bb151255",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "sensitivity.csv": "f4a54436fdb8019a279021e3b5246b71063cd9170f1cc364cbd3b6f158fae384",
+            "sweep.csv": "94a7448d3ceec3610049dbf46e83be96fbd93f95a1f45739ebce3faa87cf6241",
         },
     },
     "sweep_scaled_per_n": {
