@@ -54,42 +54,67 @@ class ConfigError(ValueError):
 
 # --- value parsers: raw YAML value -> typed value, ValueError if malformed --
 
+# Longest repr a config error message quotes.
+_QUOTE_MAX = 200
+
+
+def _quoted(value) -> str:
+    """``repr(value)`` if at most ``_QUOTE_MAX`` characters, else its type.
+
+    A YAML alias repeats its value at each use, so ``repr`` runs only once
+    a walk finds at most ``_QUOTE_MAX`` nodes, each printing at least one
+    character (a list inside itself as ``[...]``).
+    """
+    nodes, stack = 0, [(value, ())]
+    while stack and nodes <= _QUOTE_MAX:
+        item, above = stack.pop()
+        nodes += 1
+        if isinstance(item, (dict, list)) and id(item) not in above:
+            children = [*item, *item.values()] if isinstance(item, dict) else item
+            stack.extend((child, (*above, id(item))) for child in children)
+    try:
+        if nodes <= _QUOTE_MAX and len(text := repr(value)) <= _QUOTE_MAX:
+            return text
+    except ValueError:  # an int past the 4 300-digit limit of str(), as YAML hex gives
+        pass
+    return f"<{type(value).__name__} too long to print>"
+
 
 def _int(value):
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"must be an integer, got {value!r}")
+        raise ValueError(f"must be an integer, got {_quoted(value)}")
     return value
 
 
 def _float(value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"must be a number, got {value!r}")
+        raise ValueError(f"must be a number, got {_quoted(value)}")
     if not math.isfinite(float(value)):
-        raise ValueError(f"must be finite, got {value!r}")
+        raise ValueError(f"must be finite, got {_quoted(value)}")
     return float(value)
 
 
 def _str(value):
     if not isinstance(value, str):
-        raise ValueError(f"must be a string, got {value!r}")
+        raise ValueError(f"must be a string, got {_quoted(value)}")
     return value
 
 
 def _bool(value):
     if not isinstance(value, bool):
-        raise ValueError(f"must be true or false, got {value!r}")
+        raise ValueError(f"must be true or false, got {_quoted(value)}")
     return value
 
 
 def _list(value):
     if not isinstance(value, (list, tuple)):
-        raise ValueError(f"must be a list, got {value!r}")
+        raise ValueError(f"must be a list, got {_quoted(value)}")
     return value
 
 
 def _pair(value):
     if len(_list(value)) != 2:
-        raise ValueError(f"must be a pair [x, y], got {value!r}")
+        raise ValueError(f"must be a pair [x, y], got {_quoted(value)}")
     return (_float(value[0]), _float(value[1]))
 
 
@@ -229,7 +254,7 @@ def _convert(f, raw):
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     check = f.metadata["check"]
-    _require(check is None or check(value), path, f"{f.metadata['rule']}, got {raw!r}")
+    _require(check is None or check(value), path, f"{f.metadata['rule']}, got {_quoted(raw)}")
     return value
 
 
@@ -305,11 +330,13 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         text = path.read_text(encoding="utf-8")
-    except (IsADirectoryError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
+        # A deep value recurses; an int of over 4 300 digits or a date such
+        # as 2001-13-01 raises ValueError while the YAML loads.
         raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError, ValueError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     return parse_config(raw if raw is not None else {})
 

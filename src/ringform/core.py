@@ -76,20 +76,17 @@ def check_finite(values: np.ndarray, step: int, label: str) -> None:
 
 
 def midpoint_law(q: np.ndarray, vlag: np.ndarray, alpha: float,
-                 out=None, scratch=None) -> np.ndarray:
-    """New velocities of rows 1..-2: chase the neighbours' midpoint, average
-    their (possibly lagged) velocities.
+                 out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """New velocities of rows 1..-2 into ``out``: chase the neighbours'
+    midpoint, average their (possibly lagged) velocities; returns ``out``.
 
     Rows 0 and -1 of ``q`` and ``vlag`` are only read, as the outer
     neighbours of rows 1 and -2: the wrapped ring ends, or a chain's anchor
-    and virtual robot.  Given ``out`` and ``scratch``, arrays shaped like
-    ``q[1:-1]``, the law is evaluated in them and ``out`` is returned; the
-    operations run in the expression's order, so the bits are the same.
-    (On a small array the expression's temporaries cost less than the
-    ``out=`` calls.)
+    and virtual robot.  ``out`` and ``scratch`` are arrays shaped like
+    ``q[1:-1]``.  The operations run in the order of the expression
+    ``0.5 * alpha * (q[2:] + q[:-2] - 2.0 * q[1:-1]) + 0.5 * (vlag[2:] +
+    vlag[:-2])``, so they give its bits.
     """
-    if out is None:
-        return 0.5 * alpha * (q[2:] + q[:-2] - 2.0 * q[1:-1]) + 0.5 * (vlag[2:] + vlag[:-2])
     np.add(q[2:], q[:-2], out=out)
     np.multiply(q[1:-1], 2.0, out=scratch)
     out -= scratch

@@ -69,10 +69,10 @@ def step_estimator(state: SwarmState, config: EstimatorConfig) -> SwarmState:
 
     # The far end sees the origin-pinned virtual robot and its excitation.
     new_v = np.zeros_like(v)
-    new_v[1:] = midpoint_law(
+    midpoint_law(
         np.vstack([q, np.zeros((1, 2))]),
         np.vstack([vlag, state.excitation[None, :]]),
-        config.params.alpha,
+        config.params.alpha, out=new_v[1:], scratch=np.empty_like(v[1:]),
     )
 
     new_q = q.copy()
@@ -369,7 +369,6 @@ def run_estimation(
     initial_positions: np.ndarray | None = None,
     *,
     seed: int = 0,
-    seed_stream: int = 0,
     initial_box: float = 5.0,
     batch: ChainBatch | None = None,
     column: int = 0,
@@ -399,8 +398,7 @@ def run_estimation(
         raise ValueError("chain must contain at least one movable robot")
     _warn_unstable(n_prime_true, config)
     if initial_positions is None:
-        rng = make_generator(seed, seed_stream)
-        initial_positions = uniform_box(rng, n_prime_true, initial_box)
+        initial_positions = uniform_box(make_generator(seed), n_prime_true, initial_box)
     else:
         initial_positions = np.asarray(initial_positions, dtype=float)
         if initial_positions.shape != (n_prime_true, 2):
@@ -424,43 +422,56 @@ def _rounded(raw):
     return rounded
 
 
-def _stop_rule(configs):
-    """``estimate_chains``' stop rule: per block, ``(settled, (raw,))``."""
+_SETTLE_TOL = 1e-12
+_SETTLE_STEPS = 25
+_SETTLE_MAX = 200000
+
+
+def estimate_and_settle(starts, configs, names, orders=(), settle_configs=(), record=None):
+    """Chains to estimate and chains to settle as one lock-step batch, each
+    under its own rule and limit: the one way into the lock step.
+
+    Estimated chain b starts at ``starts[b]`` and runs with ``configs[b]``
+    until ``run_estimation``'s stop rule fires or its ``max_steps`` is used
+    up.  Settled chain i, of ``orders[i]`` robots with
+    ``settle_configs[i]``, starts at rest, which isolates the forced
+    response, and runs until its per-step ratio change stays below
+    ``_SETTLE_TOL`` for ``_SETTLE_STEPS`` steps, or for ``_SETTLE_MAX``
+    steps.  A divergence names the first failing chain, estimated chains
+    first at one step, as ``names[b]`` (None: unnamed; only without settled
+    chains) or by order and strategy.  A ``record`` list receives per block
+    every column's ``(k, B)`` ratios, settled flags and values, the raw
+    readouts then the settled chains' ratios, rows in ``estimate.csv``'s
+    step order.  Returns ``(estimate, steps_to_convergence)`` per estimated
+    chain, ``(None, None)`` if unconverged, and each settled chain's ratio.
+    """
+    split = len(starts)
     read = readouts([c.params.beta for c in configs], [c.strategy for c in configs])
     windows = np.array([c.stop_window for c in configs]) - 1
-    streaks = _streaks(np.full(len(configs), math.nan), np.equal)
+    streaks = _streaks(np.full(split, math.nan), np.equal)
+    quiet = _streaks(np.full(len(orders), math.inf),
+                     lambda ratio, before: np.abs(ratio - before) < _SETTLE_TOL)
 
     def rule(ratios):
-        raw = read(ratios)
+        raw = read(ratios[:, :split])
         rounded = _rounded(raw)
-        return (streaks(rounded) >= windows) & (rounded >= 1), (raw,)
+        settled = (streaks(rounded) >= windows) & (rounded >= 1)
+        steady = ratios[:, split:]
+        return np.hstack([settled, quiet(steady) >= _SETTLE_STEPS]), (np.hstack([raw, steady]),)
 
-    return rule
-
-
-def _outcomes(stops, raws, converged):
-    return [(int(estimate), int(stop)) if ok else (None, None)
-            for stop, estimate, ok in zip(stops, _rounded(raws), converged)]
-
-
-def estimate_chains(starts, configs, names, record=None) -> list[tuple[int | None, int | None]]:
-    """``run_estimation``'s stop rule on many chains in lock step.
-
-    Chain b starts at ``starts[b]`` (its movable robots' positions) and runs
-    with ``configs[b]`` until its stop rule fires or its ``max_steps`` is
-    used up; a finished chain leaves the batch and is never checked again.
-    A divergence names ``names[b]``.  A ``record`` list receives per block
-    the ``(k, B)`` ratios, settled flags and raw readouts of every column,
-    rows in step order as ``estimate.csv`` writes them: ``chain_traces``
-    cuts it into one trace per chain.  Returns ``(estimate,
-    steps_to_convergence)`` per chain, ``(None, None)`` if unconverged.
-    """
-    return _outcomes(*_lock_step(starts, configs, names, np.array([c.max_steps for c in configs]),
-                                 _stop_rule(configs), record))
+    if orders:
+        names = [*names, *(f"chain order {n} {c.strategy}" for n, c in zip(orders, settle_configs))]
+    stops, values, converged = _lock_step(
+        [*starts, *(np.zeros((n, 2)) for n in orders)], [*configs, *settle_configs], names,
+        np.array([*(c.max_steps for c in configs), *[_SETTLE_MAX] * len(orders)]), rule, record)
+    outcomes = [(int(estimate), int(stop)) if ok else (None, None)
+                for stop, estimate, ok in zip(stops, _rounded(values[:split]), converged)]
+    return outcomes, values[split:].tolist()
 
 
 def chain_traces(starts, configs, names=None) -> list[EstimateTrace]:
-    """``estimate_chains`` with a record, cut into one ``EstimateTrace`` per chain.
+    """``estimate_and_settle``'s estimated chains with a record, cut into
+    one ``EstimateTrace`` per chain.
 
     Column b of the record ends at its first settled step (no block runs
     past a limit), its ``max_steps``, or the record's end: the step before
@@ -494,52 +505,13 @@ def chain_traces(starts, configs, names=None) -> list[EstimateTrace]:
         return traces
 
     try:
-        estimate_chains(starts, configs, names, record)
+        estimate_and_settle(starts, configs, names, record=record)
     except DivergenceError as err:
         err.partial = cut()
         raise
     return cut()
 
 
-_SETTLE_TOL = 1e-12
-_SETTLE_STEPS = 25
-_SETTLE_MAX = 200000
-
-
-def steady_velocity_ratios(orders, configs) -> list[float]:
-    """Simulated steady ratios of many chains from rest, in lock step.
-
-    Starting at rest isolates the forced response.  Each chain stops once
-    its per-step ratio change stays below ``_SETTLE_TOL`` for
-    ``_SETTLE_STEPS`` consecutive steps, or after ``_SETTLE_MAX`` steps,
-    and then leaves the batch and is never checked again.
-    """
-    return estimate_and_settle([], [], [], orders, configs)[1]
-
-
-def estimate_and_settle(starts, configs, names, orders, settle_configs):
-    """``estimate_chains(starts, configs, names)`` and
-    ``steady_velocity_ratios(orders, settle_configs)`` as one lock-step
-    batch, each chain under its own rule and limit; returns both results,
-    bit for bit the two calls'.  A divergence names the first failing
-    chain, estimated chains first at one step."""
-    split = len(starts)
-    stop_rule = _stop_rule(configs)
-    quiet = _streaks(np.full(len(orders), math.inf),
-                     lambda ratio, before: np.abs(ratio - before) < _SETTLE_TOL)
-
-    def rule(ratios):
-        settled, (raw,) = stop_rule(ratios[:, :split])
-        steady = ratios[:, split:]
-        return np.hstack([settled, quiet(steady) >= _SETTLE_STEPS]), (np.hstack([raw, steady]),)
-
-    stops, values, converged = _lock_step(
-        [*starts, *(np.zeros((n, 2)) for n in orders)], [*configs, *settle_configs],
-        [*names, *(f"chain order {n} {c.strategy}" for n, c in zip(orders, settle_configs))],
-        np.array([*(c.max_steps for c in configs), *[_SETTLE_MAX] * len(orders)]), rule)
-    return _outcomes(stops[:split], values[:split], converged[:split]), values[split:].tolist()
-
-
 def steady_velocity_ratio(n_prime: int, config: EstimatorConfig) -> float:
-    """Simulated steady ratio of one chain from rest (``steady_velocity_ratios``)."""
-    return steady_velocity_ratios([n_prime], [config])[0]
+    """Simulated steady ratio of one chain from rest (``estimate_and_settle``)."""
+    return estimate_and_settle([], [], [], [n_prime], [config])[1][0]

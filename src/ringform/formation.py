@@ -378,7 +378,7 @@ def run_pipeline(
     est_config: EstimatorConfig,
     seed: int,
     *,
-    horizon: int = 2000,
+    horizon: int,
     initial_box: float = 5.0,
     error_tolerance: float = 1e-2,
     stride: int = 1,

@@ -17,9 +17,7 @@ from .core import SwarmState, make_generator, uniform_box
 from .estimation import (
     EstimatorConfig,
     estimate_and_settle,
-    estimate_chains,
     run_estimation,
-    steady_velocity_ratios,
 )
 from .formation import (
     FormationConfig,
@@ -139,7 +137,7 @@ def sweep_convergence(
     """
     starts, configs, names, result = _sweep_chains(
         n_range, reps, dt, scale_per_n, seed, initial_box, max_steps)
-    return result(estimate_chains(starts, configs, names))
+    return result(estimate_and_settle(starts, configs, names)[0])
 
 
 @dataclass(frozen=True)
@@ -215,7 +213,7 @@ def sensitivity_curves(
     with the larger total variation is reported as the more sensitive one.
     """
     orders, configs, result = _sensitivity_chains(n_range, beta, dt)
-    return result(steady_velocity_ratios(orders, configs))
+    return result(estimate_and_settle([], [], [], orders, configs)[1])
 
 
 def sweep_and_curves(n_range, reps, *, dt, scale_per_n, seed, initial_box):

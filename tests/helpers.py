@@ -25,7 +25,7 @@ import numpy as np
 
 import ringform.estimation
 from ringform.cli import load_config
-from ringform.core import DivergenceError, SwarmState, check_finite
+from ringform.core import DivergenceError, SwarmState, check_finite, make_generator, uniform_box
 from ringform.estimation import EstimatorConfig, run_estimation, step_estimator
 from ringform.formation import FormationTrace, step_formation
 from ringform.harness import SweepRow, auto_stop_window, scaled_params
@@ -213,7 +213,7 @@ def trace_bits(trace):
 
 
 def reference_steady_ratio(n_prime, config):
-    """``steady_velocity_ratios``' settle rule one step at a time from rest:
+    """``estimate_and_settle``'s settle rule one step at a time from rest:
     returns the ratio and the step at which it settled."""
     state = SwarmState.chain(n_prime, None, config.excitation_init)
     previous, quiet = math.inf, 0
@@ -240,9 +240,8 @@ def reference_sweep(n_range, reps, *, dt=0.01, scale_per_n=False, seed=0,
                                      max_steps=max(max_steps, window + 1))
             steps, correct = [], True
             for rep in range(reps):
-                trace = run_estimation(n_prime, config, seed=seed,
-                                       seed_stream=n * 1000 + strat_idx * 100 + rep,
-                                       initial_box=initial_box)
+                rng = make_generator(seed, n * 1000 + strat_idx * 100 + rep)
+                trace = run_estimation(n_prime, config, uniform_box(rng, n_prime, initial_box))
                 correct = correct and trace.converged and trace.estimate == n_prime
                 steps.append(trace.steps_to_convergence or config.max_steps)
             rows.append(SweepRow(n=n, strategy=strategy, reps=reps,

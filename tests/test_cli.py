@@ -169,15 +169,47 @@ class TestConfigValidation:
         assert f"{section}: null" in path.read_text()
         assert load_config(path) == parse_config({"mode": "sweep"})
 
-    def test_unreadable_config_is_config_error(self, tmp_path, capsys):
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, monkeypatch):
         binary = tmp_path / "binary.yaml"
         binary.write_bytes(b"mode: pipeline\nseed: \xff\xfe\n")
-        for path in (tmp_path, binary):
+        unparsable = [tmp_path / f"{name}.yaml" for name in ("deep", "digits", "date")]
+        for path, value in zip(unparsable, ("[" * 600 + "]" * 600, "1" * 5000, "2001-13-01")):
+            path.write_text(f"mode: pipeline\nseed: {value}\n")
+        locked = write_config(tmp_path, TRIANGLE)
+        read_text = Path.read_text
+
+        def denied(path, *args, **kwargs):  # root reads any file, so deny it here
+            if path == locked:
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        for path, failure in ((tmp_path, "read"), (binary, "read"), (locked, "read"),
+                              *((path, "parse") for path in unparsable)):
             code = main(["pipeline", "--config", str(path)])
             err = capsys.readouterr().err
             assert code == EXIT_CONFIG
-            assert f"config error: cannot read {path}" in err
+            assert f"config error: cannot {failure} {path}" in err
             assert "Traceback" not in err
+
+    def test_quoted_values_are_bounded(self, tmp_path, capsys):
+        # Seven levels of nine-way aliases, whose repr runs to ~17 MB, and a
+        # hex int past the 4 300-digit limit of str() print as their type;
+        # short values are quoted whole, a list met inside itself as [...].
+        levels = ["&l0 [" + ", ".join(["0"] * 9) + "]"]
+        levels += [f"&l{i} [" + ", ".join([f"*l{i - 1}"] * 9) + "]" for i in range(1, 7)]
+        integer, unsigned = "must be an integer", "must be an unsigned 64-bit integer"
+        path = tmp_path / "quoted.yaml"
+        for value, rule, shown in (
+                ("[" + ", ".join(levels) + "]", integer, "<list too long to print>"),
+                ("0x" + "f" * 5000, unsigned, "<int too long to print>"),
+                ("[1, {b: 2, a: 3}]", integer, "[1, {'b': 2, 'a': 3}]"),
+                ("&a [*a]", integer, "[[...]]"),
+                ("x" * 198, integer, repr("x" * 198)),
+                ("x" * 199, integer, "<str too long to print>")):
+            path.write_text(f"mode: form\nseed: {value}\n")
+            assert main(["form", "--config", str(path)]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"ringform: config error: seed: {rule}, got {shown}\n"
 
     @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--stride", "0")])
     def test_bad_override_is_config_error(self, tmp_path, capsys, flag, value):
@@ -367,10 +399,11 @@ class TestOtherModes:
         assert trace.splitlines()[0].startswith("step,")
         assert trace.endswith("\n")
 
-    def test_estimate_divergence_exit(self, tmp_path):
+    def test_estimate_divergence_exit(self, tmp_path, capsys):
         # beta = 0.95 is inside the parameter domain but far outside the
         # stability region for a 10-robot chain; the run must abort with
-        # exit 3 and still leave a readable partial estimate.csv.
+        # exit 3 and still leave a readable partial estimate.csv.  A
+        # lone chain is unnamed in the message.
         cfg = {
             "mode": "estimate", "seed": 0, "alpha": 1.9, "dt": 1.0,
             "strategy": "S1", "max_steps": 5000,
@@ -382,6 +415,8 @@ class TestOtherModes:
             warnings.simplefilter("ignore")
             code = main(["estimate", "--config", str(path)])
         assert code == EXIT_DIVERGED
+        assert capsys.readouterr().err.splitlines()[0] == (
+            "ringform: chain positions diverged at step 64: max magnitude 1.068e+14 exceeds 1e+06")
         lines = (tmp_path / "out" / "estimate.csv").read_text().splitlines()
         assert lines[0].startswith("step,")
         assert len(lines) > 1

@@ -29,11 +29,10 @@ from ringform.estimation import (
     ChainBatch,
     EstimatorConfig,
     chain_traces,
-    estimate_chains,
+    estimate_and_settle,
     readouts,
     run_estimation,
     steady_velocity_ratio,
-    steady_velocity_ratios,
     step_estimator,
 )
 from ringform.spectral import (
@@ -272,12 +271,12 @@ class TestRunEstimation:
 
     def test_determinism_bit_identical(self):
         config = config_for(6, "S2")
-        a = run_estimation(6, config, seed=123, seed_stream=4)
-        b = run_estimation(6, config, seed=123, seed_stream=4)
+        a = run_estimation(6, config, seed=123)
+        b = run_estimation(6, config, seed=123)
         assert np.array_equal(a.ratios, b.ratios)
         assert np.array_equal(a.raw, b.raw, equal_nan=True)
         assert a.estimate == b.estimate
-        c = run_estimation(6, config, seed=124, seed_stream=4)
+        c = run_estimation(6, config, seed=124)
         assert not np.array_equal(a.ratios, c.ratios)
 
     def test_divergence_guard_fires(self):
@@ -317,7 +316,7 @@ class TestEstimateChains:
                   uniform_box(make_generator(0, 1), 4, 5.0)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            batch = estimate_chains(starts, configs, ["unstable", "transient", "stable"])
+            batch = estimate_and_settle(starts, configs, ["unstable", "transient", "stable"])[0]
         alone = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StabilityWarning)
@@ -373,8 +372,8 @@ class TestBlockedLoop:
             assert np.array_equal(np.isnan(trace.rounded), ~finite)
             assert np.array_equal(trace.raw[finite].view(np.int64), raws[finite].view(np.int64))
             assert np.array_equal(trace.rounded[finite].view(np.int64), rounded.view(np.int64))
-        batch = estimate_chains([start for _, _, start in cases], [c for _, c, _ in cases],
-                                [f"case {i}" for i in range(len(cases))])
+        batch = estimate_and_settle([start for _, _, start in cases], [c for _, c, _ in cases],
+                                    [f"case {i}" for i in range(len(cases))])[0]
         assert batch == [(estimate, stop) for _, _, (_, estimate, stop) in expected]
         # The same 36 chains as one batch, cut into traces: each column ends
         # at its own stop, inside a block or at a block edge.
@@ -441,7 +440,7 @@ class TestBlockedLoop:
         with warnings.catch_warnings(record=True) as batch_warnings:
             warnings.simplefilter("always")
             with pytest.raises(DivergenceError) as batch:
-                estimate_chains(starts, configs, names)
+                estimate_and_settle(starts, configs, names)
         named = message.replace("chain velocities", "chain velocities of far chain")
         assert str(batch.value) == named
         runtime = [[str(w.message) for w in caught if w.category is RuntimeWarning]
@@ -532,11 +531,11 @@ class TestBlockedLoop:
             patch.setattr(ringform.estimation, "readouts", scripted([math.nan, math.nan]))
             with pytest.raises(DivergenceError,
                                match="^chain positions of far diverged at step 64: "):
-                estimate_chains([far, near], [config, replace(config, max_steps=40)],
-                                ["far", "near"])
+                estimate_and_settle([far, near], [config, replace(config, max_steps=40)],
+                                    ["far", "near"])
             patch.setattr(ringform.estimation, "readouts", scripted([3.0, math.nan]))
-            assert estimate_chains([far, near], [config, config],
-                                   ["far", "near"]) == [(3, 2), (None, None)]
+            assert estimate_and_settle([far, near], [config, config],
+                                       ["far", "near"])[0] == [(3, 2), (None, None)]
 
 
 class TestSteadyState:
@@ -562,7 +561,8 @@ class TestSteadyState:
         configs = [config_for(n, strategy) for n in orders]
         expected = [reference_steady_ratio(n, c) for n, c in zip(orders, configs)]
         assert all(step % 64 for _, step in expected)
-        assert steady_velocity_ratios(orders, configs) == [ratio for ratio, _ in expected]
+        sims = estimate_and_settle([], [], [], orders, configs)[1]
+        assert sims == [ratio for ratio, _ in expected]
         assert steady_velocity_ratio(4, configs[2]) == expected[2][0]
 
     @pytest.mark.parametrize("strategy", ["S1", "S2"])
@@ -658,7 +658,7 @@ def test_stop_rule_matches_documented_rule(columns):
     # readouts, one block of rows per call; a short script is padded with
     # NaN to exceed its window.  Each column runs alone through
     # run_estimation, then all of them together, each with its own window
-    # and max_steps, through the lock-step estimate_chains.
+    # and max_steps, through the lock-step estimate_and_settle.
     scripts = [raws + [math.nan] * (window + 1 - len(raws)) for raws, window in columns]
     configs = [EstimatorConfig(params=EstimationParams(alpha=0.5, dt=0.01),
                                stop_window=window, max_steps=len(raws))
@@ -681,6 +681,6 @@ def test_stop_rule_matches_documented_rule(columns):
     padded = np.array([raws + [math.nan] * (longest - len(raws)) for raws in scripts])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ringform.estimation, "readouts", scripted(padded.T))
-        batch = estimate_chains([np.zeros((1, 2))] * len(scripts), configs,
-                                [f"column {b}" for b in range(len(scripts))])
+        batch = estimate_and_settle([np.zeros((1, 2))] * len(scripts), configs,
+                                    [f"column {b}" for b in range(len(scripts))])[0]
     assert [(stop is not None, estimate, stop) for estimate, stop in batch] == expected
