@@ -8,7 +8,7 @@ closed-form readouts both rest on.
 
 __version__ = "0.1.0"
 
-from .core import DivergenceError, StabilityWarning, SwarmState, make_generator, uniform_box
+from .core import DivergenceError, SwarmState, make_generator, uniform_box
 from .estimation import (
     EstimateTrace,
     EstimatorConfig,
@@ -52,6 +52,7 @@ from .spectral import (
     spectral_radius,
     spectral_report,
     stability_bound,
+    stability_limit,
     steady_gain,
     steady_gain_recursive,
     steady_ratio_closed,

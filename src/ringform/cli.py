@@ -20,6 +20,7 @@ import time
 import warnings
 from contextlib import ExitStack, closing
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from .formation import (
     seeded_placement,
 )
 from .harness import auto_stop_window, sweep_and_curves
-from .spectral import STRATEGIES, EstimationParams, spectral_report
+from .spectral import STRATEGIES, EstimationParams, spectral_report, stability_limit
 from .topology import CLOSURE_TOL, PolygonSpec, RingTopology, validate_polygon_closure
 
 EXIT_OK = 0
@@ -220,15 +221,16 @@ class RunConfig:
         return (RingTopology(self.n_total),
                 PolygonSpec(vertex_set=self.vertex_set, r_star=np.array(self.r_star)))
 
+    @cached_property
     def formation_config(self) -> FormationConfig:
-        """The run's ring, polygon and formation law: the one ring cut."""
+        """The run's ring, polygon and formation law: the one ring cut, kept."""
         ring, spec = self.polygon()
         return FormationConfig(ring=ring, spec=spec, params=self.params, sigma=self.sigma)
 
     def pipeline_arguments(self) -> dict:
         """Keyword arguments of ``run_pipeline`` for this (pipeline) config;
         the stop window is sized for the largest chain."""
-        config = self.formation_config()
+        config = self.formation_config
         return dict(
             config=config, est_config=self.estimator_config(max(config.n_s)),
             seed=self.seed, horizon=self.max_steps, initial_box=self.initial_box,
@@ -284,12 +286,23 @@ def parse_config(raw: dict) -> RunConfig:
                  "is required")
         values[f.name] = f.default if given is None else _convert(f, given)
     cfg = RunConfig(**values)
-    _check_rules(cfg)
+    try:
+        _check_rules(cfg)
+    except OverflowError as exc:  # a ring or chain size past the float range
+        raise ConfigError(f"topology.n_total: {exc}") from exc
     return cfg
 
 
+def _require_stable(path: str, alpha: float, dt: float, chains) -> None:
+    """ConfigError at ``path`` unless every ``(order, kind)`` chain is Schur."""
+    limit, order, kind = min((stability_limit(*chain), *chain) for chain in chains)
+    _require(alpha * dt < limit, path,
+             f"alpha*dt = {alpha * dt:.6g} (alpha {alpha}, dt {dt}) must be below "
+             f"{limit:.6g}, the exact stability limit of the {kind} chain of order {order}")
+
+
 def _check_rules(cfg: RunConfig) -> None:
-    """Rules that span fields: gains, sweep range, mode needs, polygon closure."""
+    """Rules that span fields: gains and chain stability, sweep, mode needs, closure."""
     for path, alpha, dt in (("alpha", cfg.alpha, cfg.dt),
                             ("estimation", cfg.phase1("alpha"), cfg.phase1("dt"))):
         beta = alpha * dt / 2.0
@@ -297,9 +310,13 @@ def _check_rules(cfg: RunConfig) -> None:
                  f"beta = alpha*dt/2 = {beta:.6g} (alpha {alpha}, dt {dt}) "
                  "must lie in (0, 1)")
     _require(cfg.sweep_n_max >= cfg.sweep_n_min, "sweep.n_max", "must be >= sweep.n_min")
+    estimation = ("estimation" if cfg.est_alpha or cfg.est_dt else "alpha",
+                  cfg.phase1("alpha"), cfg.phase1("dt"))
+    estimator = "estimator" if cfg.phase1("strategy") == "S1" else "lagged_estimator"
     if cfg.mode == "estimate":
         _require(cfg.n_total is not None, "topology.n_total",
                  "estimate mode needs a chain of >= 2 robots")
+        _require_stable(*estimation, [(cfg.n_total - 1, estimator)])
     elif cfg.mode in ("form", "pipeline"):
         _require(cfg.n_total is not None and cfg.n_total >= 3,
                  "topology.n_total", f"{cfg.mode} mode needs a ring of >= 3 robots")
@@ -313,12 +330,13 @@ def _check_rules(cfg: RunConfig) -> None:
             raise ConfigError(f"topology: {exc}") from exc
         _require(spec.vertex_set[-1] < cfg.n_total, "topology.vertex_set",
                  f"vertex indices out of range [0, {cfg.n_total})")
-        if not validate_polygon_closure(spec, cfg.closure_tolerance):
-            residual = spec.r_star.sum(axis=0)
-            raise ConfigError(
-                f"r_star: polygon does not close; sum of displacements is "
-                f"({residual[0]:.3e}, {residual[1]:.3e})"
-            )
+        _require(validate_polygon_closure(spec, cfg.closure_tolerance), "r_star",
+                 "polygon does not close; sum of displacements is ({:.3e}, {:.3e})".format(
+                     *spec.r_star.sum(axis=0)))
+        config = cfg.formation_config
+        if cfg.mode == "pipeline":
+            _require_stable(*estimation, [(max(config.n_s), estimator)])
+        _require_stable("alpha", cfg.alpha, cfg.dt, config.chains())
     elif cfg.mode == "spectral":
         _require(cfg.n_prime is not None, "n_prime",
                  "spectral mode needs the chain order n_prime")
@@ -515,7 +533,7 @@ def _run_estimate(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
 
 
 def _run_form(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
-    config = cfg.formation_config()
+    config = cfg.formation_config
     initial = seeded_placement(config.ring, cfg.seed, cfg.initial_box)
     with closing(_FormationFiles(out_dir, outputs, cfg.dt)) as files:
         trace = run_formation(initial, config, cfg.max_steps, sink=files,

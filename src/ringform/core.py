@@ -25,10 +25,6 @@ class DivergenceError(RuntimeError):
         self.partial = partial
 
 
-class StabilityWarning(UserWarning):
-    """Parameters violate a sufficient stability bound (run continues)."""
-
-
 def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator keyed on (seed, stream).
 

@@ -11,21 +11,19 @@ readout formulas invert.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
     DivergenceError,
-    StabilityWarning,
     SwarmState,
     check_finite,
     make_generator,
     midpoint_law,
     uniform_box,
 )
-from .spectral import EstimationParams, s1_readout_frame, stability_bound
+from .spectral import EstimationParams, s1_readout_frame
 
 # Steps per block of the lock-step loop: the stop rules are read once per
 # block, and positions are checked at block ends that are its multiples.
@@ -324,43 +322,15 @@ class EstimateTrace:
     first_correct_step: int | None = None
 
 
-def warn_unstable(params: EstimationParams, order: int, strategy: str, subject: str,
-                  stacklevel: int) -> None:
-    """``StabilityWarning`` when ``alpha*dt`` is not below
-    ``stability_bound(order, strategy)``.  ``subject`` names the chain in
-    the message; ``stacklevel`` counts from the caller, as in
-    ``warnings.warn``."""
-    alpha_dt = params.alpha * params.dt
-    bound = stability_bound(order, strategy)
-    if alpha_dt >= bound:
-        warnings.warn(
-            f"alpha*dt = {alpha_dt:.6g} >= sufficient bound {bound:.6g} for {subject}; "
-            "convergence is not guaranteed",
-            StabilityWarning,
-            stacklevel=stacklevel + 1,
-        )
-
-
-def _warn_unstable(n_prime: int, config: EstimatorConfig) -> None:
-    """``warn_unstable`` for a chain of ``n_prime`` movable robots, reported
-    at the line that called this function's caller."""
-    warn_unstable(config.params, n_prime, config.strategy,
-                  f"{config.strategy} at chain order {n_prime}", stacklevel=3)
-
-
 class ChainBatch:
     """Chains to run as one lock-step batch through ``run_estimation``.
 
-    Each chain gets its ``StabilityWarning`` here, in chain order.  The
-    first ``run_estimation`` call naming the batch runs every chain with
-    ``chain_traces``; the others read their column's trace.
+    The first ``run_estimation`` call naming the batch runs every chain
+    with ``chain_traces``; the others read their column's trace.
     """
 
     def __init__(self, starts, configs, names=None):
-        for start, config in zip(starts, configs):
-            _warn_unstable(len(start), config)
-        self.starts, self.configs, self.names = starts, configs, names
-        self.traces = None
+        self.starts, self.configs, self.names, self.traces = starts, configs, names, None
 
 
 def run_estimation(
@@ -396,7 +366,6 @@ def run_estimation(
         return batch.traces[column]
     if n_prime_true < 1:
         raise ValueError("chain must contain at least one movable robot")
-    _warn_unstable(n_prime_true, config)
     if initial_positions is None:
         initial_positions = uniform_box(make_generator(seed), n_prime_true, initial_box)
     else:
@@ -479,8 +448,7 @@ def chain_traces(starts, configs, names=None) -> list[EstimateTrace]:
     list.  The record is joined one kind at a time, each kind's blocks
     released as it is joined; the traces' steps, ratios and raw readouts
     are views of the joined ``(steps, B)`` arrays, so one copy of the
-    record outlives the call.  Stability warnings are the callers'
-    (``run_estimation``, ``ChainBatch``).
+    record outlives the call.
     """
     record = []
 

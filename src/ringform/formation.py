@@ -25,7 +25,6 @@ from .estimation import (
     EstimatorConfig,
     EstimateTrace,
     run_estimation,
-    warn_unstable,
 )
 from .spectral import EstimationParams
 from .topology import (
@@ -81,6 +80,15 @@ class FormationConfig:
         vertices = np.array(self.spec.vertex_set)
         vertices.setflags(write=False)
         object.__setattr__(self, "vertices", vertices)
+
+    def chains(self) -> list[tuple[int, str]]:
+        """``(order, kind)`` of the chains whose modes are the ring's: segments
+        0..m-2 as formation chains (a lone vertex as an order-1 estimator), the
+        wrapping one's n_w - 1 robots before the pinned vertex as an estimator."""
+        lag = "lagged_" if self.sigma == 2 else ""
+        *inner, n_w = self.n_s
+        return ([(n, lag + ("formation" if n >= 2 else "estimator")) for n in inner]
+                + [(n_w - 1, lag + "estimator")] * (n_w > 1))
 
     def chain_batch(self, positions: np.ndarray, est_config: EstimatorConfig) -> ChainBatch:
         """Phase-1 chains of the placement ``positions``: each segment's
@@ -285,10 +293,6 @@ def run_formation(
             f"initial state has {initial.positions.shape[0]} robots, "
             f"ring expects {config.ring.n_total}"
         )
-    largest = max(config.n_s)
-    warn_unstable(config.params, largest, "S1" if config.sigma == 1 else "S2",
-                  f"the largest segment ({largest} robots)", stacklevel=2)
-
     trace = FormationTrace(dt=config.params.dt, tolerance=error_tolerance)
     collector = None
     if sink is None:

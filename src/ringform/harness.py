@@ -264,8 +264,8 @@ def scenario_report(cfg, snapshot_times: tuple[float, ...]) -> ScenarioReport:
     falls on a recorded step.  ``extra_estimates`` maps the other readout
     strategy to the estimates it gives from the same placement, its chains
     run as one ``ChainBatch`` like the pipeline's phase 1.
-    ``rho_chain`` is the largest chain's spectral radius under the run's
-    velocity lag ``sigma``.
+    ``rho_chain`` is the ring's spectral radius, the largest of its chains'
+    (``FormationConfig.chains``).
     """
     arguments = cfg.pipeline_arguments()
     config = arguments["config"]
@@ -304,9 +304,7 @@ def scenario_report(cfg, snapshot_times: tuple[float, ...]) -> ScenarioReport:
         interior_spacing_error=_interior_spacing_error(final, config),
         equilibrium_deviation=deviation,
         first_time_within_tol=None if first is None else first * dt,
-        rho_chain=spectral_radius(chain_modes(
-            max(config.n_s), config.params,
-            "formation" if config.sigma == 1 else "lagged_formation",
-        )),
+        rho_chain=max(spectral_radius(chain_modes(order, config.params, kind))
+                      for order, kind in config.chains()),
         extra_estimates={other: other_estimates},
     )

@@ -267,6 +267,19 @@ def stability_bound(n_prime: int, strategy: str) -> float:
     return (1.0 - c2) / (5.0 + c2)
 
 
+def stability_limit(order: int, kind: str) -> float:
+    """Exact alpha*dt limit of a chain of ``kind``: it is Schur exactly below.
+
+    Jury's test on the ``chain_modes`` blocks (E. I. Jury, *Theory and
+    Application of the z-Transform Method*, 1964): 1 for the 2 x 2 kinds, and
+    1 - max mu = 1 - cos(pi/(d + 1)) or 1 - cos(pi/(2n)) for the lagged ones,
+    as 2 sin^2(x/2) to keep its precision at large orders.  O(1)."""
+    if _chain_layers(kind, order) == 2:
+        return 1.0
+    x = math.pi / (2 * order if kind == "lagged_formation" else order + 1)
+    return 2.0 * math.sin(x / 2.0) ** 2
+
+
 
 # --- steady-state readout algebra ---------------------------------------
 #
@@ -424,18 +437,16 @@ def spectral_report(n_prime: int, params: EstimationParams) -> dict:
     The radii come from the modal blocks (``chain_modes``): the estimator
     chain ``rho_A``, its lagged variant ``rho_Ar``, and the formation chain
     of n_prime robots under the sigma = 1 and sigma = 2 laws, ``rho_Af`` and
-    ``rho_Af_lagged`` (None at order 1).  ``decay_s_Af`` and
-    ``decay_s_Af_lagged`` turn the formation radii into seconds to decay
-    by 1e-2, None when the radius is None or not below 1.
+    ``rho_Af_lagged`` (None at order 1), and their exact alpha*dt limits
+    ``limit_*`` (``stability_limit``) next to the sufficient ``bound_*``.
+    ``decay_s_Af`` and ``decay_s_Af_lagged`` turn the formation radii into
+    seconds to decay by 1e-2, None when the radius is None or not below 1.
     """
     alpha_dt = params.alpha * params.dt
     bound_s1, bound_s2 = stability_bound(n_prime, "S1"), stability_bound(n_prime, "S2")
-    rho_af, rho_af_lagged = (
-        (spectral_radius(chain_modes(n_prime, params, "formation")),
-         spectral_radius(chain_modes(n_prime, params, "lagged_formation")))
-        if n_prime >= 2
-        else (None, None)
-    )
+    kinds = [kind for kind, (_, smallest, _) in _KINDS.items() if n_prime >= smallest]
+    limit = {kind: stability_limit(n_prime, kind) for kind in kinds}
+    rho = {kind: spectral_radius(chain_modes(n_prime, params, kind)) for kind in kinds}
     return {
         "n_prime": n_prime,
         "alpha": params.alpha,
@@ -443,12 +454,16 @@ def spectral_report(n_prime: int, params: EstimationParams) -> dict:
         "beta": params.beta,
         "bound_s1": bound_s1,
         "bound_s2": bound_s2,
-        "rho_A": spectral_radius(chain_modes(n_prime, params, "estimator")),
-        "rho_Ar": spectral_radius(chain_modes(n_prime, params, "lagged_estimator")),
-        "rho_Af": rho_af,
-        "rho_Af_lagged": rho_af_lagged,
-        "decay_s_Af": decay_seconds(rho_af, params.dt),
-        "decay_s_Af_lagged": decay_seconds(rho_af_lagged, params.dt),
+        "limit_s1": limit["estimator"],
+        "limit_s2": limit["lagged_estimator"],
+        "limit_Af": limit.get("formation"),
+        "limit_Af_lagged": limit.get("lagged_formation"),
+        "rho_A": rho["estimator"],
+        "rho_Ar": rho["lagged_estimator"],
+        "rho_Af": rho.get("formation"),
+        "rho_Af_lagged": rho.get("lagged_formation"),
+        "decay_s_Af": decay_seconds(rho.get("formation"), params.dt),
+        "decay_s_Af_lagged": decay_seconds(rho.get("lagged_formation"), params.dt),
         "satisfies_s1": alpha_dt < bound_s1,
         "satisfies_s2": alpha_dt < bound_s2,
     }

@@ -13,7 +13,6 @@ reports the measured values.
 """
 
 import time
-import warnings
 
 import numpy as np
 import yaml
@@ -246,11 +245,9 @@ def test_criterion_06_hexagon_scenario():
     interior spacing.  Expected to fail: at dt = 0.05 the 150 s are too
     few steps for the chain mode's per-step decay (see the module notes)."""
     started = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        # configs/hexagon.yaml cut to a 150 s horizon
-        report = scenario_report(shipped_config("hexagon", seed=7, max_steps=3000),
-                                 (0.0, 50.0, 100.0, 150.0))
+    # configs/hexagon.yaml cut to a 150 s horizon
+    report = scenario_report(shipped_config("hexagon", seed=7, max_steps=3000),
+                             (0.0, 50.0, 100.0, 150.0))
     elapsed = time.perf_counter() - started
     ok = (
         report.pipeline.estimates == [20] * 6
@@ -276,9 +273,7 @@ def test_criterion_06_hexagon_scenario():
 def test_criterion_07_triangle_scenario():
     """7-robot triangle: estimates [2,3,2], then a formation congruent
     with the cascade prediction up to the anchor translation."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = scenario_report(shipped_config("triangle", seed=13), (0.0, 50.0, 100.0))
+    report = scenario_report(shipped_config("triangle", seed=13), (0.0, 50.0, 100.0))
     prediction = np.array(
         [
             [-0.5, 1.0],
@@ -368,9 +363,7 @@ def test_criterion_10_determinism(tmp_path):
     snapshots = []
     codes = []
     for _ in range(2):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            codes.append(main(["pipeline", "--config", str(path)]))
+        codes.append(main(["pipeline", "--config", str(path)]))
         snapshots.append({name: (out / name).read_bytes() for name in names})
     spectral_cfg = {
         "mode": "spectral", "alpha": 0.5, "dt": 0.01, "n_prime": 19,

@@ -1,7 +1,6 @@
 import copy
 import json
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import pytest
@@ -58,6 +57,22 @@ def write_config(tmp_path, mapping, name="run.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(mapping))
     return path
+
+
+# The shipped triangle at sigma 2 with stable gains (alpha*dt 0.12 < 0.134) in a
+# 1.05e6 box: its transient growth passes the position limit at step 36.
+FAR_RING = dict(yaml.safe_load((CONFIGS / "triangle.yaml").read_text()),
+                alpha=0.6, sigma=2, initial_box=1.05e6)
+
+
+def refused(tmp_path, capsys, mapping):
+    """The config error, unprefixed, of ``mapping``: exit 2 before any output."""
+    path = write_config(tmp_path, dict(mapping, output_dir=str(tmp_path / "refused")), "x.yaml")
+    assert main([mapping["mode"], "--config", str(path)]) == EXIT_CONFIG
+    assert not (tmp_path / "refused").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("ringform: config error: ") and err.count("\n") == 1
+    return err.removeprefix("ringform: config error: ").rstrip("\n")
 
 
 def with_value(mapping, path, value):
@@ -162,6 +177,17 @@ class TestConfigValidation:
         assert f"config error: {expected}:" in err
         assert "Traceback" not in err
 
+    def test_ring_past_its_exact_limit_exits_before_any_step(self, tmp_path, capsys):
+        # alpha*dt is 0.99 of the sufficient S2 bound of the 21-robot
+        # segments, but past the exact limit of their sigma = 2 chains: run,
+        # this ring diverges at step 41 496.
+        ring = {"mode": "form", "seed": 3, "alpha": 0.067, "dt": 0.05, "sigma": 2,
+                "max_steps": 100000, "topology": {"n_total": 63, "vertex_set": [0, 21, 42]},
+                "r_star": [[-4, -8], [8, 0], [-4, 8]]}
+        assert refused(tmp_path, capsys, ring) == (
+            "alpha: alpha*dt = 0.00335 (alpha 0.067, dt 0.05) must be below 0.0027962, the "
+            "exact stability limit of the lagged_formation chain of order 21")
+
     @pytest.mark.parametrize("section", ["estimation", "topology", "tolerances", "sweep"])
     def test_null_section_means_defaults(self, tmp_path, section):
         # yaml.safe_dump writes a None section as ``section: null``
@@ -251,6 +277,7 @@ MAPPINGS = st.one_of(
 @given(MAPPINGS)
 @example({"mode": "sweep", "alpha": 10 ** 400})  # int beyond float range
 @example({"mode": "pipeline", "topology": [7]})
+@example(with_value(TRIANGLE, "topology.n_total", 10 ** 400))  # past the float range
 def test_any_mapping_parses_or_raises_config_error(raw):
     try:
         assert isinstance(parse_config(raw), RunConfig)
@@ -263,9 +290,7 @@ def triangle_out(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("triangle")
     cfg = dict(TRIANGLE, output_dir=str(tmp / "out"))
     path = write_config(tmp, cfg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        code = main(["pipeline", "--config", str(path)])
+    code = main(["pipeline", "--config", str(path)])
     return code, tmp / "out"
 
 
@@ -305,9 +330,7 @@ class TestPipelineRun:
 
         monkeypatch.setattr(formation, "cut_ring", counted)
         path = write_config(tmp_path, dict(TRIANGLE, output_dir=str(tmp_path / "out")))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(["pipeline", "--config", str(path)]) == EXIT_OK
+        assert main(["pipeline", "--config", str(path)]) == EXIT_OK
         assert len(cuts) == 1
 
     def test_manifest_contents(self, triangle_out):
@@ -335,9 +358,7 @@ class TestDeterminism:
         names = ("estimate.csv", "trace.csv", "errors.csv", "resolved_config.yaml")
         snapshots = []
         for _ in range(2):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                code = main(["pipeline", "--config", str(path)])
+            code = main(["pipeline", "--config", str(path)])
             assert code == EXIT_OK
             snapshots.append({name: (out / name).read_bytes() for name in names})
         assert snapshots[0] == snapshots[1]
@@ -347,9 +368,7 @@ class TestDeterminism:
         for seed in (1, 2):
             cfg = dict(TRIANGLE, output_dir=str(tmp_path / f"s{seed}"), max_steps=200)
             path = write_config(tmp_path, cfg, name=f"s{seed}.yaml")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                main(["pipeline", "--config", str(path), "--seed", str(seed)])
+            main(["pipeline", "--config", str(path), "--seed", str(seed)])
             texts.append((tmp_path / f"s{seed}" / "trace.csv").read_text())
         assert texts[0] != texts[1]
 
@@ -400,69 +419,62 @@ class TestOtherModes:
         assert trace.endswith("\n")
 
     def test_estimate_divergence_exit(self, tmp_path, capsys):
-        # beta = 0.95 is inside the parameter domain but far outside the
-        # stability region for a 10-robot chain; the run must abort with
-        # exit 3 and still leave a readable partial estimate.csv.  A
-        # lone chain is unnamed in the message.
+        # Stable gains, placements in a 1e7 box: the step-64 position check
+        # aborts the run with exit 3, and a readable partial estimate.csv
+        # stays.  A lone chain is unnamed in the message.
         cfg = {
-            "mode": "estimate", "seed": 0, "alpha": 1.9, "dt": 1.0,
-            "strategy": "S1", "max_steps": 5000,
+            "mode": "estimate", "seed": 0, "alpha": 0.5, "dt": 0.01,
+            "strategy": "S1", "max_steps": 5000, "initial_box": 1.0e7,
             "output_dir": str(tmp_path / "out"),
             "topology": {"n_total": 11},
         }
         path = write_config(tmp_path, cfg)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = main(["estimate", "--config", str(path)])
+        code = main(["estimate", "--config", str(path)])
         assert code == EXIT_DIVERGED
         assert capsys.readouterr().err.splitlines()[0] == (
-            "ringform: chain positions diverged at step 64: max magnitude 1.068e+14 exceeds 1e+06")
+            "ringform: chain positions diverged at step 64: max magnitude 7.123e+06 exceeds 1e+06")
         lines = (tmp_path / "out" / "estimate.csv").read_text().splitlines()
         assert lines[0].startswith("step,")
         assert len(lines) > 1
+        # beta = 0.95: alpha*dt = 1.9 is past the S1 limit 1
+        assert refused(tmp_path, capsys, dict(cfg, alpha=1.9, dt=1.0)) == (
+            "alpha: alpha*dt = 1.9 (alpha 1.9, dt 1.0) must be below 1, the exact "
+            "stability limit of the estimator chain of order 10")
 
     def test_pipeline_estimation_divergence_exit(self, tmp_path, capsys):
-        # beta = 0.95 makes the phase-1 chains blow up; the three chains
-        # run as one batch, so each one's partial trace lands in
-        # estimate.csv, all ending at the step before the divergence, and
-        # formation never starts.
-        cfg = dict(TRIANGLE, output_dir=str(tmp_path / "out"),
-                   estimation={"alpha": 1.9, "dt": 1.0, "strategy": "S1"})
+        # Placements in a 1e9 box blow the phase-1 chains up at step 64;
+        # the three chains run as one batch, so each one's partial trace
+        # lands in estimate.csv, all ending at the step before the
+        # divergence, and formation never starts.
+        cfg = dict(TRIANGLE, output_dir=str(tmp_path / "out"), initial_box=1.0e9)
         path = write_config(tmp_path, cfg)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = main(["pipeline", "--config", str(path)])
+        code = main(["pipeline", "--config", str(path)])
         assert code == EXIT_DIVERGED
-        err = capsys.readouterr().err
-        assert "diverged" in err
-        assert "of segment" in err
+        assert capsys.readouterr().err == (
+            "ringform: chain positions of segment 1 diverged at step 64: "
+            "max magnitude 3.096e+06 exceeds 1e+06\n")
         lines = (tmp_path / "out" / "estimate.csv").read_text().splitlines()
         assert lines[0] == "step,chain_id,ratio,estimate_raw,estimate_rounded,converged"
         rows = [tuple(map(int, line.split(",")[:2])) for line in lines[1:]]
-        last = rows[-1][0] if rows else 0
-        assert last >= 1
-        assert rows == [(step, chain) for step in range(1, last + 1) for chain in range(3)]
+        assert rows == [(step, chain) for step in range(1, 64) for chain in range(3)]
         assert not (tmp_path / "out" / "trace.csv").exists()
+        unstable = dict(TRIANGLE, estimation={"alpha": 1.9, "dt": 1.0, "strategy": "S1"})
+        assert refused(tmp_path, capsys, unstable).startswith("estimation: alpha*dt = 1.9 ")
 
     def test_pipeline_divergence_keeps_finished_chains(self, tmp_path, capsys):
-        # Chain 0 (2 robots) converges at step 74; chain 1 (5 robots) then
-        # diverges at step 192.  Both chains' rows must reach estimate.csv.
-        # Chain 2 (3 robots) runs in the same batch: it is partial at the
-        # divergence, and every chain's stability warning comes out.
-        cfg = dict(TRIANGLE, seed=1, output_dir=str(tmp_path / "out"),
-                   topology={"n_total": 10, "vertex_set": [0, 2, 7]},
-                   estimation={"alpha": 0.3, "dt": 1.0, "strategy": "S2",
-                               "max_steps": 3000, "stop_window": 50})
+        # Chain 0 (2 robots) converges at step 81; chain 1 (12 robots) then
+        # fails the step-128 position check, from a 1e7 box.  Both chains'
+        # rows must reach estimate.csv.  Chain 2 (3 robots) runs in the
+        # same batch: it is partial at the divergence.
+        cfg = dict(TRIANGLE, seed=1, output_dir=str(tmp_path / "out"), initial_box=1.0e7,
+                   topology={"n_total": 17, "vertex_set": [0, 2, 14]},
+                   estimation={"alpha": 0.2, "dt": 1.0, "strategy": "S1",
+                               "max_steps": 3000, "stop_window": 10})
         path = write_config(tmp_path, cfg)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = main(["pipeline", "--config", str(path)])
+        code = main(["pipeline", "--config", str(path)])
         assert code == EXIT_DIVERGED
-        err = capsys.readouterr().err.splitlines()
-        assert err[0].startswith("ringform: chain positions of segment 1 diverged at step 192: ")
-        assert [line.split(" at chain order ")[1][0] for line in err[1:]] == ["2", "5", "3"]
-        assert all(line.startswith("ringform: warning: alpha*dt = 0.3 >= sufficient bound")
-                   for line in err[1:])
+        assert capsys.readouterr().err.startswith(
+            "ringform: chain positions of segment 1 diverged at step 128: ")
         lines = (tmp_path / "out" / "estimate.csv").read_text().splitlines()[1:]
         rows = [line.split(",") for line in lines]
         chain0 = [r for r in rows if r[1] == "0"]
@@ -470,23 +482,26 @@ class TestOtherModes:
         assert chain0[-1][5] == "true" and chain0[-1][4] == "2"
         assert [r[5] for r in chain0[:-1]] == ["false"] * (len(chain0) - 1)
         assert [int(r[0]) for r in chain1] == list(range(1, len(chain1) + 1))
-        assert len(chain1) > len(chain0)
+        assert len(chain1) > len(chain0) == 81
         assert not (tmp_path / "out" / "trace.csv").exists()
         chain2 = [r for r in rows if r[1] == "2"]
-        assert [int(r[0]) for r in chain2] == list(range(1, 192))
-        assert [int(r[0]) for r in chain1] == list(range(1, 192))
+        assert [int(r[0]) for r in chain1] == [int(r[0]) for r in chain2] == list(range(1, 128))
         assert "true" not in {r[5] for r in chain1 + chain2}
         assert len(rows) == len(chain0) + len(chain1) + len(chain2)
         # the same divergence through the API: every chain's trace as partial
         raw = dict(cfg, output_dir=str(tmp_path / "api"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(DivergenceError) as diverged:
-                formation.run_pipeline(**parse_config(raw).pipeline_arguments())
+        with pytest.raises(DivergenceError) as diverged:
+            formation.run_pipeline(**parse_config(raw).pipeline_arguments())
         partial = diverged.value.partial
         assert all(isinstance(trace, EstimateTrace) for trace in partial)
-        assert [len(trace.steps) for trace in partial] == [len(chain0), 191, 191]
+        assert [len(trace.steps) for trace in partial] == [len(chain0), 127, 127]
         assert [trace.steps_to_convergence for trace in partial] == [len(chain0), None, None]
+        # S2 at alpha*dt = 0.3 is past the limit of the 5-robot chain of [0, 2, 7]
+        assert refused(tmp_path, capsys, dict(
+            cfg, topology={"n_total": 10, "vertex_set": [0, 2, 7]},
+            estimation={"alpha": 0.3, "dt": 1.0, "strategy": "S2"})) == (
+            "estimation: alpha*dt = 0.3 (alpha 0.3, dt 1.0) must be below 0.133975, the "
+            "exact stability limit of the lagged_estimator chain of order 5")
 
     def test_overflowing_excitation_is_a_config_error(self, tmp_path, capsys):
         # x*x overflows to inf: a run from it would read every ratio as 0
@@ -501,51 +516,51 @@ class TestOtherModes:
         assert "warning" not in err and "diverged" not in err
 
     def test_pipeline_formation_divergence_keeps_estimates(self, tmp_path, capsys):
-        # sigma 2 at alpha 1.5 blows the ring up at step 124, after every
-        # chain converged; phase 1 reads only estimation.*, so estimate.csv
-        # is the shipped triangle's.
-        shipped = tmp_path / "shipped"
-        raw = yaml.safe_load((CONFIGS / "triangle.yaml").read_text())
-        path = write_config(tmp_path, dict(raw, alpha=1.5, sigma=2,
-                                           output_dir=str(tmp_path / "out")))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(["pipeline", "--config", str(CONFIGS / "triangle.yaml"),
-                         "--out", str(shipped)]) == EXIT_OK
-            code = main(["pipeline", "--config", str(path)])
+        # The ring diverges after phase 1 converged; a horizon cut before the
+        # divergence leaves phase 1, and so estimate.csv, as it is.
+        out, cut = tmp_path / "out", tmp_path / "cut"
+        path = write_config(tmp_path, dict(FAR_RING, output_dir=str(out)))
+        short = write_config(tmp_path, dict(FAR_RING, output_dir=str(cut), max_steps=30),
+                             "cut.yaml")
+        assert main(["pipeline", "--config", str(short)]) == EXIT_NOT_CONVERGED
+        capsys.readouterr()
+        code = main(["pipeline", "--config", str(path)])
         assert code == EXIT_DIVERGED
-        assert "ring velocities diverged at step 124" in capsys.readouterr().err
-        out = tmp_path / "out"
-        assert (out / "estimate.csv").read_bytes() == (shipped / "estimate.csv").read_bytes()
+        assert capsys.readouterr().err == ("ringform: ring positions diverged at step 36: "
+                                           "max magnitude 1.002e+06 exceeds 1e+06\n")
+        assert (out / "estimate.csv").read_bytes() == (cut / "estimate.csv").read_bytes()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == ["resolved_config.yaml", "estimate.csv",
                                        "trace.csv", "errors.csv"]
         # the errors end at the last step before the divergence
-        assert (out / "errors.csv").read_text().splitlines()[-1].startswith("123,")
+        assert (out / "errors.csv").read_text().splitlines()[-1].startswith("35,")
+        # sigma 2 at alpha 1.5: alpha*dt = 0.3 is past the ring's limit
+        assert refused(tmp_path, capsys, dict(FAR_RING, alpha=1.5)) == (
+            "alpha: alpha*dt = 0.3 (alpha 1.5, dt 0.2) must be below 0.133975, the exact "
+            "stability limit of the lagged_formation chain of order 3")
 
     def test_form_divergence_matches_pipeline(self, tmp_path, capsys):
         # form mode starts the ring from the same seeded placement as
         # pipeline mode, so with the same (correctly estimated) chain sizes
         # its divergence leaves the same partial trace.csv and errors.csv.
-        raw = dict(yaml.safe_load((CONFIGS / "triangle.yaml").read_text()),
-                   alpha=1.5, sigma=2)
+        raw = FAR_RING
         pipeline = write_config(tmp_path, dict(raw, output_dir=str(tmp_path / "pipeline")),
                                 "pipeline.yaml")
         form = write_config(tmp_path, dict(raw, mode="form", output_dir=str(tmp_path / "form")),
                             "form.yaml")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(["pipeline", "--config", str(pipeline)]) == EXIT_DIVERGED
-            capsys.readouterr()
-            code = main(["form", "--config", str(form)])
+        assert main(["pipeline", "--config", str(pipeline)]) == EXIT_DIVERGED
+        capsys.readouterr()
+        code = main(["form", "--config", str(form)])
         assert code == EXIT_DIVERGED
-        assert "ring velocities diverged at step 124" in capsys.readouterr().err
+        assert "ring positions diverged at step 36" in capsys.readouterr().err
         out = tmp_path / "form"
         for name in ("trace.csv", "errors.csv"):
             assert (out / name).read_bytes() == (tmp_path / "pipeline" / name).read_bytes()
         assert json.loads((out / "manifest.json").read_text())["outputs"] == \
             ["resolved_config.yaml", "trace.csv", "errors.csv"]
-        assert (out / "errors.csv").read_text().splitlines()[-1].startswith("123,")
+        assert (out / "errors.csv").read_text().splitlines()[-1].startswith("35,")
+        assert refused(tmp_path, capsys, dict(raw, mode="form", alpha=1.5)).startswith(
+            "alpha: alpha*dt = 0.3 ")
         # the step-0 rows are stream (seed, 0) of the documented placement
         rows = [line.split(",") for line in (out / "trace.csv").read_text().splitlines()[1:]
                 if line.startswith("0,")]
@@ -665,9 +680,7 @@ class TestOtherModes:
     def test_stride_override(self, tmp_path):
         cfg = dict(TRIANGLE, output_dir=str(tmp_path / "out"), max_steps=100)
         path = write_config(tmp_path, cfg)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            main(["pipeline", "--config", str(path), "--stride", "50"])
+        main(["pipeline", "--config", str(path), "--stride", "50"])
         lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()[1:]
         steps = sorted({int(line.split(",")[0]) for line in lines})
         assert steps == [0, 50, 100]
@@ -761,9 +774,7 @@ FORM = dict(TRIANGLE, mode="form")
 
 def execute_form(out, **changes):
     """Run the triangle ``form`` config with ``changes`` into ``out``."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return execute(parse_config(dict(FORM, output_dir=str(out), **changes)))
+    return execute(parse_config(dict(FORM, output_dir=str(out), **changes)))
 
 
 class TestStreamedOutputs:
@@ -821,7 +832,8 @@ class TestStreamedOutputs:
 
     @pytest.mark.parametrize("block", [7, None], ids=["block7", "default-block"])
     @pytest.mark.parametrize("stride,changes", [(1, {}), (7, {}),
-                                                (1, {"alpha": 1.5, "sigma": 2})],
+                                                (1, {"alpha": 0.6, "sigma": 2,
+                                                     "initial_box": 1.05e6})],
                              ids=["stride1", "stride7", "diverges"])
     def test_streamed_files_are_the_collected_trace_written_out(self, tmp_path, monkeypatch,
                                                                 block, stride, changes):
@@ -830,16 +842,14 @@ class TestStreamedOutputs:
         raw = dict(yaml.safe_load((CONFIGS / "triangle.yaml").read_text()), mode="form",
                    stride=stride, **changes)
         cfg = parse_config(dict(raw, output_dir=str(tmp_path)))
-        config = cfg.formation_config()
+        config = cfg.formation_config
         initial = seeded_placement(config.ring, cfg.seed, cfg.initial_box)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = execute(cfg)
-            try:
-                trace = run_formation(initial, config, cfg.max_steps, stride=stride,
-                                      error_tolerance=cfg.formation_tolerance)
-            except DivergenceError as err:
-                trace = err.partial
+        code = execute(cfg)
+        try:
+            trace = run_formation(initial, config, cfg.max_steps, stride=stride,
+                                  error_tolerance=cfg.formation_tolerance)
+        except DivergenceError as err:
+            trace = err.partial
         assert code == (EXIT_DIVERGED if changes else EXIT_OK)
         want_trace, want_errors = reference_formation_csvs(trace)
         assert (tmp_path / "trace.csv").read_bytes() == want_trace.encode()

@@ -19,7 +19,6 @@ from helpers import (
 )
 from ringform.core import (
     DivergenceError,
-    StabilityWarning,
     SwarmState,
     make_generator,
     midpoint_law,
@@ -209,18 +208,11 @@ class TestRunEstimation:
 
     def test_three_robot_chain_s2_paper_gains(self):
         # alpha = 0.1, dt = 1 sits above the lagged sufficient bound at
-        # n' = 3 yet the chain is still Schur; expect a warning, then the
-        # exact integer.
+        # n' = 3, yet below the exact limit 0.293: the exact integer.
         params = EstimationParams(alpha=0.1, dt=1.0)
         config = EstimatorConfig(params=params, strategy="S2")
-        with pytest.warns(StabilityWarning) as caught:
-            trace = run_estimation(3, config, seed=5)
+        trace = run_estimation(3, config, seed=5)
         assert trace.estimate == 3
-        assert [str(w.message) for w in caught] == [
-            "alpha*dt = 0.1 >= sufficient bound 0.0909091 for S2 at chain order 3; "
-            "convergence is not guaranteed"]
-        # reported at the caller's line, not inside the package
-        assert [w.filename for w in caught] == [__file__]
 
     def test_two_robot_chain_s2(self):
         params = EstimationParams(alpha=0.1, dt=1.0)
@@ -258,9 +250,7 @@ class TestRunEstimation:
         config = config_for(5, strategy, max_steps=400, stop_window=400 - 1)
         rng = make_generator(77, 0)
         initial = uniform_box(rng, 5, 5.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            trace = run_estimation(5, config, initial)
+        trace = run_estimation(5, config, initial)
         state = SwarmState.chain(5, initial, config.excitation_init)
         exc_norm = math.hypot(*config.excitation_init)
         for i in range(len(trace.steps)):
@@ -282,16 +272,13 @@ class TestRunEstimation:
     def test_divergence_guard_fires(self):
         params = EstimationParams(alpha=1.9, dt=1.0)  # beta = 0.95, unstable
         config = EstimatorConfig(params=params, strategy="S1")
-        with pytest.warns(StabilityWarning):
-            with pytest.raises(DivergenceError) as err:
-                run_estimation(10, config, seed=0)
+        with pytest.raises(DivergenceError) as err:
+            run_estimation(10, config, seed=0)
         assert err.value.partial is not None
 
     def test_max_steps_exhausted_returns_partial(self):
         config = config_for(8, "S1", max_steps=60, stop_window=50)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            trace = run_estimation(8, config, seed=1)
+        trace = run_estimation(8, config, seed=1)
         assert not trace.converged
         assert trace.estimate is None
         assert len(trace.steps) == 60
@@ -318,13 +305,11 @@ class TestEstimateChains:
             warnings.simplefilter("error")
             batch = estimate_and_settle(starts, configs, ["unstable", "transient", "stable"])[0]
         alone = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", StabilityWarning)
-            for start, config in zip(starts, configs):
-                trace = run_estimation(len(start), config, start)
-                alone.append((trace.estimate, trace.steps_to_convergence))
-            with pytest.raises(DivergenceError):
-                run_estimation(10, replace(transient, stop_window=2000), starts[1])
+        for start, config in zip(starts, configs):
+            trace = run_estimation(len(start), config, start)
+            alone.append((trace.estimate, trace.steps_to_convergence))
+        with pytest.raises(DivergenceError):
+            run_estimation(10, replace(transient, stop_window=2000), starts[1])
         assert batch == alone == [(None, None), (1, 8), (4, alone[2][1])]
 
 
@@ -349,10 +334,8 @@ class TestBlockedLoop:
 
     def test_matches_step_at_a_time_reference(self):
         cases = _block_cases()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", StabilityWarning)
-            expected = [reference_estimation(*case) for case in cases]
-            traces = [run_estimation(*case) for case in cases]
+        expected = [reference_estimation(*case) for case in cases]
+        traces = [run_estimation(*case) for case in cases]
         stops = [stop for _, _, (_, _, stop) in expected]
         limits = {config.max_steps for (_, config, _), stop in zip(cases, stops) if stop is None}
         assert {63, 64, 65, 127, 129, 191, 193, 256}.issubset(limits)
@@ -377,9 +360,7 @@ class TestBlockedLoop:
         assert batch == [(estimate, stop) for _, _, (_, estimate, stop) in expected]
         # The same 36 chains as one batch, cut into traces: each column ends
         # at its own stop, inside a block or at a block edge.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", StabilityWarning)
-            cut = chain_traces([start for _, _, start in cases], [c for _, c, _ in cases])
+        cut = chain_traces([start for _, _, start in cases], [c for _, c, _ in cases])
         assert [trace_bits(t) for t in cut] == [trace_bits(t) for t in traces]
 
     def test_batch_columns_through_run_estimation(self):
@@ -388,17 +369,10 @@ class TestBlockedLoop:
                                       strategy="S2")
         cases = _block_cases()[:6] + [(3, paper_gains, uniform_box(make_generator(5, 0), 3, 5.0))]
         starts, configs = [start for _, _, start in cases], [c for _, c, _ in cases]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            batch = ChainBatch(starts, configs)
-        expected = [w for w in caught if w.category is StabilityWarning]
-        assert [w.filename for w in expected] == [__file__]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            traces = [run_estimation(n, c, batch=batch, column=b)
-                      for b, (n, c, _) in enumerate(cases)]
-            cut = chain_traces(starts, configs)
-        assert not caught  # the batch warned once, at its construction
+        batch = ChainBatch(starts, configs)
+        traces = [run_estimation(n, c, batch=batch, column=b)
+                  for b, (n, c, _) in enumerate(cases)]
+        cut = chain_traces(starts, configs)
         assert traces == batch.traces  # run once, at the first call
         assert [trace_bits(t) for t in traces] == [trace_bits(t) for t in cut]
         assert traces[-1].estimate == 3

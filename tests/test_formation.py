@@ -1,5 +1,4 @@
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from helpers import (
 from ringform import formation
 from ringform.core import (
     DivergenceError,
-    StabilityWarning,
     SwarmState,
     make_generator,
     uniform_box,
@@ -36,7 +34,10 @@ from ringform.spectral import (
     EstimationParams,
     build_formation_matrix,
     build_lagged_formation_matrix,
+    chain_modes,
+    spectral_radius,
     stability_bound,
+    stability_limit,
 )
 from ringform.topology import PolygonSpec, RingTopology
 
@@ -327,26 +328,10 @@ class TestRunFormation:
         )
         rng = make_generator(5, 0)
         start = uniform_box(rng, 7, 3.0)
-        with pytest.warns(Warning):
-            with pytest.raises(DivergenceError) as err:
-                run_formation(SwarmState.at_rest(start), config, 5000)
+        with pytest.raises(DivergenceError) as err:
+            run_formation(SwarmState.at_rest(start), config, 5000)
         assert err.value.partial is not None
         assert len(err.value.partial.error_steps) > 1
-
-    def test_stability_warning_names_the_largest_segment_at_the_callers_line(self):
-        # alpha*dt = 0.5 is above the S1 bound 0.2 of the 3-robot segment
-        config = FormationConfig(
-            ring=RingTopology(7),
-            spec=PolygonSpec(vertex_set=(0, 2, 5), r_star=TRI_R),
-            params=EstimationParams(alpha=1.0, dt=0.5),
-        )
-        start = uniform_box(make_generator(5, 0), 7, 3.0)
-        with pytest.warns(StabilityWarning) as caught:
-            run_formation(SwarmState.at_rest(start), config, 3)
-        assert [str(w.message) for w in caught] == [
-            "alpha*dt = 0.5 >= sufficient bound 0.2 for the largest segment (3 robots); "
-            "convergence is not guaranteed"]
-        assert [w.filename for w in caught] == [__file__]
 
     def test_wrong_robot_count_rejected(self):
         config = triangle_config()
@@ -357,7 +342,7 @@ class TestRunFormation:
 def shipped_formation(name, **overrides):
     """The start, ring config and horizon a ``form`` run of a shipped config uses."""
     cfg = shipped_config(name, **overrides)
-    config = cfg.formation_config()
+    config = cfg.formation_config
     return seeded_placement(config.ring, cfg.seed, cfg.initial_box), config, cfg.max_steps
 
 
@@ -376,12 +361,10 @@ def unequal_formation(sigma):
 
 def trace_outcome(run, initial, config, horizon, stride):
     """``(trace, message)``: the trace, or a divergence's partial trace and text."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            return run(initial, config, horizon, stride=stride), None
-        except DivergenceError as err:
-            return err.partial, str(err)
+    try:
+        return run(initial, config, horizon, stride=stride), None
+    except DivergenceError as err:
+        return err.partial, str(err)
 
 
 def bits(array):
@@ -471,13 +454,11 @@ class TestSink:
         collected, message = trace_outcome(run_formation, *make(), stride)
         sink = RecordingSink()
         initial, config, horizon = make()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            try:
-                verdict = run_formation(initial, config, horizon, stride=stride, sink=sink)
-            except DivergenceError as err:
-                assert str(err) == message
-                verdict = err.partial
+        try:
+            verdict = run_formation(initial, config, horizon, stride=stride, sink=sink)
+        except DivergenceError as err:
+            assert str(err) == message
+            verdict = err.partial
         blocks = [call for call in sink.calls if call[0] == "errors"]
         steps = [step for _, block_steps, _ in blocks for step in block_steps]
         assert steps == collected.error_steps.tolist()
@@ -590,6 +571,53 @@ class TestTranslationEquivariance:
         )
 
 
+def ring_step_matrix(config):
+    """The ring's one-step map of x positions, velocities and, at sigma = 2,
+    stale velocities from ``step_formation`` at r* = 0, without the pinned
+    vertex's position, whose eigenvalue is always 1."""
+    n, layers = config.ring.n_total, 1 + config.sigma
+    columns = []
+    for unit in np.eye(layers * n):
+        state = SwarmState(*(np.column_stack([row, np.zeros(n)])
+                             for row in unit.reshape(layers, n)))
+        step = step_formation(state, config)
+        columns.append(np.concatenate([step.positions[:, 0], step.velocities[:, 0],
+                                       step.velocities_prev[:, 0]][:layers]))
+    keep = np.arange(layers * n) != config.vertices[0]
+    return np.array(columns).T[np.ix_(keep, keep)]
+
+
+class TestRingChains:
+    """``FormationConfig.chains`` against the ring's one-step matrix."""
+
+    @pytest.mark.parametrize("sigma", [1, 2])
+    @pytest.mark.parametrize("n_total,vertices", [
+        (7, (0, 2, 5)), (10, (0, 3, 6)), (15, (0, 1, 3)),
+        # sigma = 2: the wrapping segment's 7 free robots set the limit
+        # 0.0761, not the 8-robot formation chain's 0.0192
+        (12, (0, 2, 4)),
+        (9, (0, 1, 2)),  # segments of one robot
+    ])
+    def test_ring_is_schur_exactly_below_the_limit_of_its_chains(self, n_total, vertices,
+                                                                  sigma):
+        spec = PolygonSpec(vertex_set=vertices, r_star=np.zeros((len(vertices), 2)))
+
+        def ring(alpha):
+            return FormationConfig(ring=RingTopology(n_total), spec=spec,
+                                   params=EstimationParams(alpha=alpha, dt=1.0), sigma=sigma)
+
+        chains = ring(0.1).chains()
+        limit = min(stability_limit(order, kind) for order, kind in chains)
+        for fraction, schur in ((0.97, True), (1.03, False)):
+            config = ring(fraction * limit)
+            rho = spectral_radius(ring_step_matrix(config))
+            assert (rho < 1.0) is schur
+            # the chains' largest radius is the ring's
+            chain_rho = max(spectral_radius(chain_modes(order, config.params, kind))
+                            for order, kind in chains)
+            assert chain_rho == pytest.approx(rho, rel=1e-6)
+
+
 class TestConfigValidation:
     def test_sigma_domain(self):
         with pytest.raises(ValueError):
@@ -619,11 +647,9 @@ class TestPipeline:
             params=EstimationParams(alpha=0.1, dt=1.0), strategy="S2",
             stop_window=60,
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = run_pipeline(
-                triangle_config(), est, seed=42, horizon=800, initial_box=3.0
-            )
+        result = run_pipeline(
+            triangle_config(), est, seed=42, horizon=800, initial_box=3.0
+        )
         assert result.estimates == [2, 3, 2]
         assert result.formation.converged
         anchor = result.initial_state.positions[0]
@@ -650,10 +676,8 @@ class TestPipeline:
             params=EstimationParams(alpha=0.1, dt=1.0), strategy="S2",
             stop_window=50, max_steps=52,  # cannot settle this fast
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(PipelineEstimationError) as err:
-                run_pipeline(triangle_config(), est, seed=42, horizon=10)
+        with pytest.raises(PipelineEstimationError) as err:
+            run_pipeline(triangle_config(), est, seed=42, horizon=10)
         assert len(err.value.traces) == 3
 
     def test_pipeline_is_deterministic(self):
@@ -661,10 +685,8 @@ class TestPipeline:
             params=EstimationParams(alpha=0.1, dt=1.0), strategy="S2",
             stop_window=60,
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            a = run_pipeline(triangle_config(), est, seed=9, horizon=300)
-            b = run_pipeline(triangle_config(), est, seed=9, horizon=300)
+        a = run_pipeline(triangle_config(), est, seed=9, horizon=300)
+        b = run_pipeline(triangle_config(), est, seed=9, horizon=300)
         assert np.array_equal(
             a.formation.final_state.positions, b.formation.final_state.positions
         )
@@ -673,14 +695,6 @@ class TestPipeline:
 
 class _PhaseOneDone(Exception):
     """Raised by ``open_sink`` to stop a pipeline before its formation."""
-
-
-def _warned(run):
-    """``run()`` and the messages of the warnings it gave, in order."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = run()
-    return result, [str(w.message) for w in caught]
 
 
 def batched_phase_one(cfg):
@@ -725,11 +739,8 @@ class TestBatchedPhaseOne:
     ], ids=["hexagon", "triangle", "unequal", "unconverged", "settles-at-limit"])
     def test_batch_is_the_chain_loop_bit_for_bit(self, name, overrides, outcomes):
         cfg = shipped_config(name, **overrides)
-        batch, batch_warnings = _warned(lambda: batched_phase_one(cfg))
-        loop, loop_warnings = _warned(lambda: chain_loop(cfg))
+        batch, loop = batched_phase_one(cfg), chain_loop(cfg)
         assert [(t.estimate, t.steps_to_convergence) for t in batch] == outcomes
         assert [trace_bits(t) for t in batch] == [trace_bits(t) for t in loop]
         limit = cfg.phase1("max_steps")
         assert all(len(t.steps) == limit for t in batch if not t.converged)
-        # one stability warning per chain, in segment order, as the loop gives
-        assert batch_warnings == loop_warnings

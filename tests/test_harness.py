@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -91,11 +90,9 @@ class TestSweep:
 
     def test_starved_cell_reports_miss(self):
         # a max_steps too small for the window guarantees a non-converged cell
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = sweep_convergence(
-                (5, 5), reps=1, scale_per_n=True, seed=1, max_steps=60
-            )
+        result = sweep_convergence(
+            (5, 5), reps=1, scale_per_n=True, seed=1, max_steps=60
+        )
         assert [(row.n, row.all_correct) for row in result.rows] == [(5, False)] * 2
 
     @pytest.mark.parametrize("n_range,scale_per_n,max_steps", [
@@ -107,9 +104,7 @@ class TestSweep:
         # The lock-step batch must give the rows of the per-chain loop exactly:
         # orders 1..8 share one padded buffer with both strategies mixed.
         kwargs = dict(scale_per_n=scale_per_n, seed=11, max_steps=max_steps)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            expected = reference_sweep(n_range, 3, **kwargs)
+        expected = reference_sweep(n_range, 3, **kwargs)
         assert sweep_convergence(n_range, 3, **kwargs).rows == expected
 
     def test_unconverged_cell_reports_the_steps_it_ran(self):
@@ -225,9 +220,7 @@ HEXAGON_TIMES = (0.0, 50.0, 100.0, 150.0)
 
 class TestTriangleScenario:
     def test_full_story(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            report = scenario_report(shipped_config("triangle", seed=13), TRIANGLE_TIMES)
+        report = scenario_report(shipped_config("triangle", seed=13), TRIANGLE_TIMES)
         assert report.pipeline.estimates == [2, 3, 2]
         assert report.extra_estimates["S1"] == [2, 3, 2]
         assert report.max_error_final < 1e-2
@@ -239,20 +232,16 @@ class TestTriangleScenario:
     def test_rho_chain_follows_the_velocity_lag(self):
         # the triangle's largest chain has 3 robots
         params = EstimationParams(alpha=0.3, dt=0.2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for sigma, builder in ((1, build_formation_matrix),
-                                   (2, build_lagged_formation_matrix)):
-                report = scenario_report(shipped_config("triangle", seed=13, sigma=sigma), ())
-                dense = spectral_radius(builder(3, params).dense)
-                assert report.rho_chain == pytest.approx(dense, rel=1e-12)
+        for sigma, builder in ((1, build_formation_matrix),
+                               (2, build_lagged_formation_matrix)):
+            report = scenario_report(shipped_config("triangle", seed=13, sigma=sigma), ())
+            dense = spectral_radius(builder(3, params).dense)
+            assert report.rho_chain == pytest.approx(dense, rel=1e-12)
 
     def test_determinism(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg = shipped_config("triangle", seed=4)
-            a = scenario_report(cfg, TRIANGLE_TIMES)
-            b = scenario_report(cfg, TRIANGLE_TIMES)
+        cfg = shipped_config("triangle", seed=4)
+        a = scenario_report(cfg, TRIANGLE_TIMES)
+        b = scenario_report(cfg, TRIANGLE_TIMES)
         np.testing.assert_array_equal(
             a.pipeline.formation.final_state.positions,
             b.pipeline.formation.final_state.positions,
@@ -267,10 +256,8 @@ class TestHexagonScenario:
         # errors needs several hundred simulated seconds.  This run
         # verifies the dynamics land exactly on the cascade equilibrium
         # when given enough horizon.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            # the shipped config's horizon is 900 s
-            report = scenario_report(shipped_config("hexagon", seed=7), HEXAGON_TIMES)
+        # the shipped config's horizon is 900 s
+        report = scenario_report(shipped_config("hexagon", seed=7), HEXAGON_TIMES)
         assert report.pipeline.estimates == [20] * 6
         assert report.max_error_final < 1e-2
         assert report.max_vertex_speed_final < 1e-4
@@ -287,10 +274,8 @@ class TestHexagonScenario:
         # ~0.9985 per step at any dt, so the decay per second is
         # -ln(rho) / dt.  Criterion 6's run (seed 7, 150 s) at dt = 0.01
         # meets every threshold that criterion asserts.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            report = scenario_report(
-                shipped_config("hexagon", seed=7, dt=0.01, max_steps=15000), HEXAGON_TIMES)
+        report = scenario_report(
+            shipped_config("hexagon", seed=7, dt=0.01, max_steps=15000), HEXAGON_TIMES)
         assert report.pipeline.estimates == [20] * 6
         assert report.pipeline.formation.first_step_within_tol == 10007  # t = 100.07 s
         assert report.max_error_final < 1e-4
@@ -302,9 +287,7 @@ class TestHexagonScenario:
         assert abs(report.rho_chain - coarse) < 1e-4
 
     def test_snapshots_present_at_reference_times(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            report = scenario_report(shipped_config("hexagon", seed=3, max_steps=3000),
-                                     HEXAGON_TIMES)
+        report = scenario_report(shipped_config("hexagon", seed=3, max_steps=3000),
+                                 HEXAGON_TIMES)
         assert set(report.snapshots) == {0.0, 50.0, 100.0, 150.0}
         assert not report.pipeline.formation.converged

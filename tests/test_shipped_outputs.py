@@ -3,7 +3,7 @@
 Every ``configs/*.yaml`` runs through ``cli.main`` into a temporary
 directory.  The SHA-256 of its stdout, its stderr and every output file,
 and its exit code, must equal ``DIGESTS``.  The mappings in ``CASES``,
-variants of the shipped configs that diverge or do not converge, and
+variants of the shipped configs refused, diverging or not converging, and
 runs whose automatic stop windows the shipped configs do not cover, are
 held to ``CASE_DIGESTS`` the same way.  ``manifest.json`` and
 ``resolved_config.yaml`` are left out: they hold the wall time and the
@@ -32,7 +32,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 UNDIGESTED = {"manifest.json", "resolved_config.yaml"}
 
 NUMPY = "2.4.6"
-# Recorded at 44a94e5.
+# Recorded at 44a94e5; hexagon, triangle and spectral19 again for the exact limits.
 DIGESTS = {
     "estimate20": {
         "exit": 0,
@@ -45,7 +45,7 @@ DIGESTS = {
     "hexagon": {
         "exit": 0,
         "stdout": "f6d3e54d3366c13248dbb084a7c43fd8f22f0b8da6e144aef365db2737ce7d60",
-        "stderr": "a2cbd9124b0534388002233ec20df63ab98cca8f8d74cc65a5666678a7695c08",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
             "errors.csv": "672823a691986ca1c6adf4b77f65a282314c7f8e1f34a6318d20939bc88747a1",
             "estimate.csv": "488b7f86caf6b10aa26e1f9fcd4b8b439abd9af859205d9e150f3536c9999534",
@@ -54,10 +54,10 @@ DIGESTS = {
     },
     "spectral19": {
         "exit": 0,
-        "stdout": "1487dc0c3fdd3c9fb4f26b0ea316b6c461f14c7f6abe04517a9422e75a2ddb7a",
+        "stdout": "2d8dbe98ff0830a2a643717e33a65850a3ebcef8945075d1937142b5225c270f",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
-            "spectral.json": "1487dc0c3fdd3c9fb4f26b0ea316b6c461f14c7f6abe04517a9422e75a2ddb7a",
+            "spectral.json": "2d8dbe98ff0830a2a643717e33a65850a3ebcef8945075d1937142b5225c270f",
         },
     },
     "sweep_small": {
@@ -72,7 +72,7 @@ DIGESTS = {
     "triangle": {
         "exit": 0,
         "stdout": "c64d4a4d5af47bb5ee3e09c07f84901c741c992c7e30ca5b155dab31f04d3967",
-        "stderr": "2faf939b454f6a581d5fde3bb01c628f5f61c12294dd25d600cdf8791fc3495c",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
             "errors.csv": "a19290e6241b1081114fae5a6be31acf22436158a95eb2233781b1c28125ed80",
             "estimate.csv": "211b1ac0fa067fe02593788980d239b0a6d3fb6b6f7e27593abb98532d4317a9",
@@ -93,17 +93,21 @@ def _phase1(**changes) -> dict:
 
 # The failure paths and the extra automatic windows, each with its exit code.
 CASES = {
-    # exit 3: the sigma = 2 formation diverges
-    "triangle_form_diverges": _shipped("triangle", mode="form", alpha=1.5, sigma=2),
-    # exit 3: the same, after phase 1
-    "triangle_pipeline_diverges": _shipped("triangle", alpha=1.5, sigma=2),
-    # exit 3: diverges at step 1 185, past the first output block
-    "hexagon_pipeline_sigma2": _shipped("hexagon", sigma=2, max_steps=1300),
+    # exit 2: alpha*dt 0.3 is past the limit 0.134 of the sigma = 2 ring
+    "triangle_form_unstable": _shipped("triangle", mode="form", alpha=1.5, sigma=2),
+    # exit 2: the same in a pipeline, before phase 1
+    "triangle_pipeline_unstable": _shipped("triangle", alpha=1.5, sigma=2),
+    # exit 2: alpha*dt 0.025 is past the limit 0.00308 of the sigma = 2 ring
+    "hexagon_pipeline_sigma2_unstable": _shipped("hexagon", sigma=2, max_steps=1300),
+    # exit 3: after phase 1, the ring's transient growth diverges at step 1 578
+    "hexagon_pipeline_far": _shipped("hexagon", initial_box=5.0e4, max_steps=1700),
     # exit 4: phase 1 cannot settle in 52 steps
     "triangle_phase1_fails": _shipped("triangle", estimation=_phase1(max_steps=52,
                                                                      stop_window=50)),
-    # exit 3: phase 1 diverges
-    "triangle_phase1_diverges": _shipped("triangle", estimation=_phase1(alpha=1.9)),
+    # exit 2: phase-1 alpha*dt 1.9 is past the limit 0.293 of the S2 chains
+    "triangle_phase1_unstable": _shipped("triangle", estimation=_phase1(alpha=1.9)),
+    # exit 3: phase 1 diverges at step 64 from a 1e9 box
+    "triangle_phase1_far": _shipped("triangle", initial_box=1.0e9),
     # exit 4: 2 500 steps are short of the hexagon's convergence
     "hexagon_form_stride7": _shipped("hexagon", mode="form", stride=7, max_steps=2500),
     # exit 4: six chains of 200 robots at the wide-ring benchmark's gains
@@ -131,12 +135,12 @@ CASES = {
 }
 
 # Recorded at 11741a8; estimate30_s2 and sweep_scaled_per_n at 7efebbc;
-# sweep_fixed_gains at a0ac1c0.
+# sweep_fixed_gains at a0ac1c0; the cases the exact limits change again then.
 CASE_DIGESTS = {
     "estimate30_s2": {
         "exit": 0,
         "stdout": "6c36754aae39215508c7b959882c7468cfa153404ea2317ef398b9e6ddccaa49",
-        "stderr": "c021915f8a9ed7b2d22a8a314f7f0c84da4c88de59985ff29a4eca780af5cb47",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
             "estimate.csv": "db8b96529a81c66486689bb3c27be31686a979dfc7a0608e36868dc75dd9d35e",
         },
@@ -144,21 +148,27 @@ CASE_DIGESTS = {
     "hexagon_form_stride7": {
         "exit": 4,
         "stdout": "119af2cd9f52e9c7a55f417305882b7cd1d84d83960a9e92ee04076c5be9375d",
-        "stderr": "a2cbd9124b0534388002233ec20df63ab98cca8f8d74cc65a5666678a7695c08",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
             "errors.csv": "16d704d072e2114649f0c4d09da69af02404831a09a5034a0a34a25195ad32c2",
             "trace.csv": "adb634e62a9bdf2a02ebf53b8f886486f1d10172872be2daf0739c47cfbb9ba6",
         },
     },
-    "hexagon_pipeline_sigma2": {
+    "hexagon_pipeline_far": {
         "exit": 3,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "stderr": "ccb3e0c22d30d7850f89e150f93ab11874eeca998fdce245b8377c83d8d4dd4b",
+        "stderr": "4bc1baca6070863b2c4ad1e905625b7ad909e1b45b0fbb2eda42454fc3d2698e",
         "files": {
-            "errors.csv": "6e2da1cf3a242a249f72725e2cb090b1160da951c0ad65585e09d2912e525440",
-            "estimate.csv": "488b7f86caf6b10aa26e1f9fcd4b8b439abd9af859205d9e150f3536c9999534",
-            "trace.csv": "899d448ad86586ba6259db69671e2b400a272752255952d0471453cb693c97ee",
+            "errors.csv": "f5db7d06e8036b06511d606a0550e55cb0d3a66b5891174559405e1bf39bb765",
+            "estimate.csv": "f3861e3fd34e8445fd7136fbd28af8274c4fdcd01bbfd8b9efd106cd9ffabecc",
+            "trace.csv": "5a62016385322d4d814e68116ff0a6488c070450cc4130d1e79872d26c000e49",
         },
+    },
+    "hexagon_pipeline_sigma2_unstable": {
+        "exit": 2,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "ce81fcdd3619078841dedc3c0e97205df544ac1d7bf31d2643600687c4dbce9f",
+        "files": {},
     },
     "ring1200_form": {
         "exit": 4,
@@ -167,41 +177,6 @@ CASE_DIGESTS = {
         "files": {
             "errors.csv": "90fc1539975c45bd255a31e6672bdd74032dd48cecf829787b194a587d4b6924",
             "trace.csv": "58ebc00f983198e792a1bfd40c25b0a7e018c4c3d565b2599799c3f268e5aeed",
-        },
-    },
-    "triangle_form_diverges": {
-        "exit": 3,
-        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "stderr": "4428ffc7ed6d440e7081412436411865aecf45e53ff7ecee9ae55b4f28cbf815",
-        "files": {
-            "errors.csv": "a0be1b472ab26df3c88706f31fd1ce8e219be1743403ffd814a04189d5221537",
-            "trace.csv": "4c464630cb8d1e3b7c429049a6c8dbfda53851a057ac1f757d0ac9c6db480872",
-        },
-    },
-    "triangle_phase1_diverges": {
-        "exit": 3,
-        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "stderr": "26e9a5865a255836bc245832fb8046dc1c83b059cf87cd7f49a8779a9d0a9940",
-        "files": {
-            "estimate.csv": "18e05cbc79520f9c595b329c5829eff9982fd6802c94389d866eb2466ac4c452",
-        },
-    },
-    "triangle_phase1_fails": {
-        "exit": 4,
-        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "stderr": "aa2b888d346f847dfc1010f573a2b1ec255f6173a1a022eec427c0f30606dd66",
-        "files": {
-            "estimate.csv": "da0106fe20d91ab6600e09b5a509abb3a5ec4e6f51c9f7f886c92bd8359191ff",
-        },
-    },
-    "triangle_pipeline_diverges": {
-        "exit": 3,
-        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "stderr": "4ce0e9582cf538b8766d4c85ee1cd6288bc3459d58e3e5f61f4a2dea69562933",
-        "files": {
-            "errors.csv": "a0be1b472ab26df3c88706f31fd1ce8e219be1743403ffd814a04189d5221537",
-            "estimate.csv": "211b1ac0fa067fe02593788980d239b0a6d3fb6b6f7e27593abb98532d4317a9",
-            "trace.csv": "4c464630cb8d1e3b7c429049a6c8dbfda53851a057ac1f757d0ac9c6db480872",
         },
     },
     "sweep_fixed_gains": {
@@ -222,6 +197,40 @@ CASE_DIGESTS = {
             "sweep.csv": "b9703d121b60461a3985e0260c8f1ddff06cf5c5c4bc19f77bffee73aff2531a",
         },
     },
+    "triangle_form_unstable": {
+        "exit": 2,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "7eed087d5c14a621ee982d7a8b5ece848c68c6e1f895f1e327a354b5b6b67acf",
+        "files": {},
+    },
+    "triangle_phase1_fails": {
+        "exit": 4,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "07e5d68be4217573937de5a9cca2617093136c944995949b6fe4e2c293de5ab5",
+        "files": {
+            "estimate.csv": "da0106fe20d91ab6600e09b5a509abb3a5ec4e6f51c9f7f886c92bd8359191ff",
+        },
+    },
+    "triangle_phase1_far": {
+        "exit": 3,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "a2fce18c15b5c45eb0b0a6a749c9f18fca0577a998c0206153192bf8fbb0187d",
+        "files": {
+            "estimate.csv": "5adb08d25506d44e34513329f4dca694bbc410fb45a82d0932affab6c37a1661",
+        },
+    },
+    "triangle_phase1_unstable": {
+        "exit": 2,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "e6dc91c2e91daca16f33d1397a9f5d25f59baba302af6b14115efee04a5e51c1",
+        "files": {},
+    },
+    "triangle_pipeline_unstable": {
+        "exit": 2,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "7eed087d5c14a621ee982d7a8b5ece848c68c6e1f895f1e327a354b5b6b67acf",
+        "files": {},
+    },
 }
 
 
@@ -236,7 +245,7 @@ def run_digests(config: Path, out_dir: Path) -> dict:
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
         code = cli.main([mode, "--config", str(config), "--out", str(out_dir)])
-    files = {path.name: _sha256(path.read_bytes()) for path in sorted(out_dir.iterdir())
+    files = {path.name: _sha256(path.read_bytes()) for path in sorted(out_dir.glob("*"))
              if path.name not in UNDIGESTED}
     return {"exit": code, "stdout": _sha256(stdout.getvalue().encode()),
             "stderr": _sha256(stderr.getvalue().encode()), "files": files}

@@ -28,6 +28,7 @@ from ringform.spectral import (
     spectral_radius,
     spectral_report,
     stability_bound,
+    stability_limit,
     steady_gain,
     steady_gain_recursive,
     steady_ratio_closed,
@@ -323,6 +324,8 @@ class TestChainModes:
     def test_rejects_bad_kind_and_order(self):
         with pytest.raises(ValueError, match="kind"):
             chain_modes(3, P, "cascade")
+        with pytest.raises(ValueError, match="kind"):
+            stability_limit(3, "cascade")
         with pytest.raises(ValueError):
             chain_modes(0, P, "estimator")
         with pytest.raises(ValueError):
@@ -341,6 +344,7 @@ class TestChainModes:
         for order in (-1, 0, 1, 2):
             rejected = message(lambda: DENSE[kind](order, P))
             assert rejected == message(lambda: chain_modes(order, P, kind))
+            assert rejected == message(lambda: stability_limit(order, kind))
             assert (rejected is None) == (order >= least)
 
     def test_cascade_radius_is_the_chain_block_radius(self):
@@ -393,6 +397,33 @@ class TestStabilityBounds:
             stability_bound(0, "S1")
         with pytest.raises(ValueError):
             stability_bound(3, "S3")
+
+
+class TestStabilityLimit:
+    @pytest.mark.parametrize("kind", sorted(DENSE))
+    def test_limit_is_where_the_modes_leave_the_unit_disc(self, kind):
+        # Jury's closed form against the modal blocks, either side of the limit
+        smallest = 2 if kind.endswith("formation") else 1
+        for order in [*range(smallest, 41), 100, 1000, 2000]:
+            limit = stability_limit(order, kind)
+            for fraction, schur in ((0.999, True), (1.001, False)):
+                params = EstimationParams(alpha=fraction * limit, dt=1.0)
+                rho = spectral_radius(chain_modes(order, params, kind))
+                assert (rho < 1.0) is schur, (order, fraction, rho)
+
+    def test_sufficient_bounds_are_below_the_limits(self):
+        for order in range(1, 41):
+            assert stability_bound(order, "S1") < stability_limit(order, "estimator")
+            assert stability_bound(order, "S2") < stability_limit(order, "lagged_estimator")
+
+    def test_large_orders_keep_their_precision(self):
+        # 1 - cos(x) keeps only ~7 digits near x = 3e-5; 2 sin^2(x/2) all
+        for kind, x in (("lagged_estimator", math.pi / (10 ** 5 + 1)),
+                        ("lagged_formation", math.pi / (2 * 10 ** 5))):
+            limit = stability_limit(10 ** 5, kind)
+            assert limit > 0.0
+            assert limit == pytest.approx(x * x / 2.0, rel=1e-9)
+
 
 
 class TestSteadyGains:
@@ -612,6 +643,8 @@ class TestCascade:
 class TestReport:
     def test_report_fields_and_flags(self):
         report = spectral_report(19, EstimationParams(alpha=0.5, dt=0.01))
+        assert [report[key] for key in ("limit_s1", "limit_s2", "limit_Af", "limit_Af_lagged")] \
+            == [stability_limit(19, kind) for kind in DENSE]
         assert report["satisfies_s1"] is True
         assert report["satisfies_s2"] is False
         assert report["rho_A"] < 1.0
@@ -622,6 +655,8 @@ class TestReport:
         report = spectral_report(1, EstimationParams(alpha=0.1, dt=0.1))
         assert report["rho_Af"] is None
         assert report["rho_Af_lagged"] is None
+        assert report["limit_Af"] is None
+        assert report["limit_Af_lagged"] is None
         assert report["decay_s_Af"] is None
         assert report["decay_s_Af_lagged"] is None
 
@@ -647,22 +682,6 @@ class TestReport:
             dense = spectral_radius(builder(20, params).dense)
             assert report[key] == pytest.approx(dense, rel=1e-12)
         assert report["rho_Af_lagged"] == pytest.approx(1.0111735, abs=5e-8)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    d=st.integers(min_value=1, max_value=25),
-    fraction=st.floats(min_value=0.05, max_value=0.98),
-    strategy=st.sampled_from(["S1", "S2"]),
-)
-def test_schur_inside_the_sufficient_bound(d, fraction, strategy):
-    alpha_dt = fraction * stability_bound(d, strategy)
-    params = EstimationParams(alpha=alpha_dt / 0.01, dt=0.01)
-    if strategy == "S1":
-        dense = build_estimator_matrix(d, params).dense
-    else:
-        dense = build_lagged_estimator_matrix(d, params).dense
-    assert spectral_radius(dense) < 1.0
 
 
 @settings(max_examples=25, deadline=None)
