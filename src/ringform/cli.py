@@ -330,9 +330,12 @@ def _check_rules(cfg: RunConfig) -> None:
             raise ConfigError(f"topology: {exc}") from exc
         _require(spec.vertex_set[-1] < cfg.n_total, "topology.vertex_set",
                  f"vertex indices out of range [0, {cfg.n_total})")
-        _require(validate_polygon_closure(spec, cfg.closure_tolerance), "r_star",
-                 "polygon does not close; sum of displacements is ({:.3e}, {:.3e})".format(
-                     *spec.r_star.sum(axis=0)))
+        if not validate_polygon_closure(spec, cfg.closure_tolerance):
+            residual = spec.r_star.sum(axis=0)
+            raise ConfigError(
+                f"r_star: polygon does not close; sum of displacements is "
+                f"({residual[0]:.3e}, {residual[1]:.3e})"
+            )
         config = cfg.formation_config
         if cfg.mode == "pipeline":
             _require_stable(*estimation, [(max(config.n_s), estimator)])
@@ -342,7 +345,9 @@ def _check_rules(cfg: RunConfig) -> None:
                  "spectral mode needs the chain order n_prime")
 
 
-def load_config(path: str | Path) -> RunConfig:
+def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
+    """Parse the YAML file at ``path``; ``overrides`` replace its top-level
+    fields before the config is checked, so no RunConfig changes after."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -356,7 +361,8 @@ def load_config(path: str | Path) -> RunConfig:
         raw = yaml.safe_load(text)
     except (yaml.YAMLError, RecursionError, ValueError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    return parse_config(raw if raw is not None else {})
+    raw = {} if raw is None else raw
+    return parse_config({**raw, **overrides} if overrides and isinstance(raw, dict) else raw)
 
 
 def _resolved_dict(cfg: RunConfig) -> dict:
@@ -655,17 +661,14 @@ def main(argv=None) -> int:
         p.add_argument("--stride", type=int, default=None,
                        help="override trace decimation stride")
     args = parser.parse_args(argv)
+    overrides = {"seed": args.seed, "output_dir": args.out, "stride": args.stride}
 
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, {k: v for k, v in overrides.items() if v is not None})
         if cfg.mode != args.mode:
             raise ConfigError(
                 f"mode: config says {cfg.mode!r} but subcommand is {args.mode!r}"
             )
-        overrides = {"seed": args.seed, "output_dir": args.out, "stride": args.stride}
-        for name, value in overrides.items():
-            if value is not None:
-                setattr(cfg, name, _convert(_FIELDS[(name,)], value))
     except ConfigError as exc:
         print(f"ringform: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -330,7 +330,8 @@ class ChainBatch:
     """
 
     def __init__(self, starts, configs, names=None):
-        self.starts, self.configs, self.names, self.traces = starts, configs, names, None
+        self.starts, self.configs, self.names = starts, configs, names
+        self.traces = None
 
 
 def run_estimation(

@@ -425,7 +425,6 @@ class TestStabilityLimit:
             assert limit == pytest.approx(x * x / 2.0, rel=1e-9)
 
 
-
 class TestSteadyGains:
     def test_s1_base_cases_beta_005(self):
         assert steady_gain(1, 0.05, "S1") == pytest.approx(1.0 / 1.05, rel=1e-12)
@@ -682,6 +681,22 @@ class TestReport:
             dense = spectral_radius(builder(20, params).dense)
             assert report[key] == pytest.approx(dense, rel=1e-12)
         assert report["rho_Af_lagged"] == pytest.approx(1.0111735, abs=5e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=25),
+    fraction=st.floats(min_value=0.05, max_value=0.98),
+    strategy=st.sampled_from(["S1", "S2"]),
+)
+def test_schur_inside_the_sufficient_bound(d, fraction, strategy):
+    alpha_dt = fraction * stability_bound(d, strategy)
+    params = EstimationParams(alpha=alpha_dt / 0.01, dt=0.01)
+    if strategy == "S1":
+        dense = build_estimator_matrix(d, params).dense
+    else:
+        dense = build_lagged_estimator_matrix(d, params).dense
+    assert spectral_radius(dense) < 1.0
 
 
 @settings(max_examples=25, deadline=None)
