@@ -286,11 +286,13 @@ def parse_config(raw: dict) -> RunConfig:
                  "is required")
         values[f.name] = f.default if given is None else _convert(f, given)
     cfg = RunConfig(**values)
-    try:
-        _check_rules(cfg)
-    except OverflowError as exc:  # a ring or chain size past the float range
-        raise ConfigError(f"topology.n_total: {exc}") from exc
+    _check_rules(cfg)
     return cfg
+
+
+# Largest size field: a run's largest array per unit of size is a 3 x 3
+# float64 modal block, 72 bytes, and numpy indexes at most intp's range.
+_MAX_SIZE = np.iinfo(np.intp).max // 72
 
 
 def _require_stable(path: str, alpha: float, dt: float, chains) -> None:
@@ -302,7 +304,13 @@ def _require_stable(path: str, alpha: float, dt: float, chains) -> None:
 
 
 def _check_rules(cfg: RunConfig) -> None:
-    """Rules that span fields: gains and chain stability, sweep, mode needs, closure."""
+    """Rules that span fields: array sizes, gains and chain stability, sweep,
+    mode needs, closure."""
+    for path, size in (("topology.n_total", cfg.n_total), ("n_prime", cfg.n_prime),
+                       ("sweep.n_max", cfg.sweep_n_max)):
+        _require(size is None or size <= _MAX_SIZE, path,
+                 f"must be at most {_MAX_SIZE}, past which numpy cannot index its "
+                 f"arrays, got {size}")
     for path, alpha, dt in (("alpha", cfg.alpha, cfg.dt),
                             ("estimation", cfg.phase1("alpha"), cfg.phase1("dt"))):
         beta = alpha * dt / 2.0

@@ -12,6 +12,9 @@ Conventions used throughout:
   blocks are checked against; no run path builds them.  Every radius a
   run needs comes from ``chain_modes``, which splits a chain matrix into
   d small blocks with the same eigenvalues.
+* ``spectral_radius`` takes a 2 x 2 or 3 x 3 block's radius from the
+  roots of its characteristic quadratic or cubic in closed form; only
+  the larger dense matrices go to LAPACK, so no run path calls it.
 * ``beta = alpha * dt / 2`` is the single dimensionless parameter all the
   closed forms depend on.  The readout algebra needs beta in (0, 1): at 0
   the geometric-recursion roots collide, at 1 denominators vanish.
@@ -233,21 +236,102 @@ def chain_modes(order: int, params: EstimationParams, kind: str) -> np.ndarray:
     return blocks
 
 
+def _block_radius(m: np.ndarray) -> np.ndarray:
+    """Spectral radius of each 2 x 2 or 3 x 3 matrix in a stack, from the
+    roots of its characteristic polynomial z^k - c2 z^(k-1) + ... .
+
+    A 2 x 2 block's larger root comes from the quadratic formula, its
+    discriminant as (a - d)^2 + 4bc; a complex pair has modulus sqrt(det).
+    A 3 x 3 block's real root comes from the depressed cubic, in
+    trigonometric form when all three roots are real (the one of largest
+    modulus) and by Cardano otherwise.  One Newton step on det(zI - M),
+    evaluated from the shifted diagonal, polishes that root: near z = 1
+    the shift cancels exactly, so a slow mode keeps the digits a rounded
+    coefficient would lose.  A step longer than 2^-30 of the root is
+    dropped; only a near-double root, where no method resolves more than
+    ~1e-8, asks for one.  Deflating the cubic's root leaves z^2 + e z + f,
+    its constant c1 + r e, or c0 / r where r^2 exceeds that, so the
+    larger roots divide out first (Wilkinson).
+    """
+    size = m.shape[-1]
+    diagonal = [m[..., i, i] for i in range(size)]
+    if size == 2:
+        product = m[..., 0, 1] * m[..., 1, 0]
+
+        def char(z):  # det(zI - M) and its slope in z
+            s0, s1 = z - diagonal[0], z - diagonal[1]
+            return s0 * s1 - product, s0 + s1
+    else:
+        p01, p02, p12 = (m[..., i, j] * m[..., j, i] for i, j in ((0, 1), (0, 2), (1, 2)))
+        p_sum = p01 + p02 + p12
+        cycles = (m[..., 0, 1] * m[..., 1, 2] * m[..., 2, 0]
+                  + m[..., 0, 2] * m[..., 1, 0] * m[..., 2, 1])
+
+        def char(z):
+            s0, s1, s2 = z - diagonal[0], z - diagonal[1], z - diagonal[2]
+            s12 = s1 * s2
+            return (s0 * (s12 - p12) - s1 * p02 - s2 * p01 - cycles,
+                    s0 * (s1 + s2) + s12 - p_sum)
+
+    c2 = sum(diagonal)
+    with np.errstate(all="ignore"):  # each branch is computed for every block
+        if size == 2:
+            c0, _ = char(0.0)
+            disc = (diagonal[0] - diagonal[1]) ** 2 + 4.0 * product
+            r = (c2 + np.copysign(np.sqrt(np.abs(disc)), c2)) / 2.0
+        else:
+            minus_c0, c1 = char(0.0)
+            shift = c2 / 3.0
+            p = (c1 - c2 * shift) / 3.0  # z = t + shift: t^3 + 3p t + 2q = 0
+            q = (c1 * shift + minus_c0) / 2.0 - shift * shift * shift
+            h = q * q + p * p * p
+            s = np.sqrt(np.abs(p))
+            # Near a double root rounding can put the cosine just past +-1.
+            angle = np.arccos(np.minimum(np.maximum(q / (p * s), -1.0), 1.0)) / 3.0
+            top = 2.0 * s * np.cos(angle) + shift
+            bottom = 2.0 * s * np.cos(angle + 2.0 * np.pi / 3.0) + shift
+            w = np.cbrt(-q - np.copysign(np.sqrt(np.abs(h)), q))
+            cardano = np.where(w == 0.0, 0.0, w - p / w) + shift
+            r = np.where(h < 0.0, np.where(np.abs(top) >= np.abs(bottom), top, bottom),
+                         cardano)
+        value, slope = char(r)
+        step = value / slope
+        r = np.where(np.abs(step) <= 2.0 ** -30 * np.abs(r), r - step, r)
+        if size == 2:
+            return np.where(disc < 0.0, np.sqrt(np.abs(c0)), np.abs(r))
+        e = r - c2
+        f = c1 + r * e
+        f = np.where(r * r > np.abs(f), -minus_c0 / r, f)
+        disc = e * e - 4.0 * f
+        pair = np.where(disc < 0.0, np.sqrt(np.abs(f)), (np.abs(e) + np.sqrt(np.abs(disc))) / 2.0)
+    return np.maximum(np.abs(r), pair)
+
+
 def spectral_radius(matrix: np.ndarray) -> float:
     """max |lambda| over the (complex) eigenvalues of a square real matrix,
     or of every matrix in a stack of shape ``(..., k, k)``.
 
-    One batched LAPACK Hessenberg/QR call (``np.linalg.eigvals``).  A dense
-    matrix of order N costs O(N^3); the ``chain_modes`` stack of a chain
-    gives the same radius at O(d) cost.  Non-convergence raises numpy's
-    LinAlgError rather than returning garbage.
+    2 x 2 and 3 x 3 matrices, the ``chain_modes`` blocks, take the roots of
+    their characteristic polynomials in closed form (``_block_radius``),
+    O(1) per block, to about an ulp where the roots lie apart (a double
+    root, for any method, to ~1e-8).  The stack is first scaled by one
+    power of two, exactly, to a largest entry below 1, so no product
+    overflows; underflow then costs at most ~2^-340 of that entry.
+    Larger matrices, the dense reference layer, take one batched LAPACK
+    Hessenberg/QR call (``np.linalg.eigvals``), O(N^3) at order N;
+    non-convergence raises numpy's LinAlgError rather than returning
+    garbage.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim < 2 or matrix.shape[-2] != matrix.shape[-1]:
         raise ValueError(f"matrix must be square or a stack of square matrices, "
                          f"got shape {matrix.shape}")
-    if not np.all(np.isfinite(matrix)):
+    peak = float(np.max(np.abs(matrix)))
+    if not math.isfinite(peak):
         raise ValueError("matrix contains non-finite entries")
+    if matrix.shape[-1] in (2, 3):
+        exponent = math.frexp(peak)[1]
+        return float(np.ldexp(np.max(_block_radius(np.ldexp(matrix, -exponent))), exponent))
     return float(np.max(np.abs(np.linalg.eigvals(matrix))))
 
 

@@ -316,24 +316,30 @@ def chain_mode_cosines(d):
     return np.cos(np.arange(1, d + 1) * np.pi / (d + 1))
 
 
-def analytic_estimator_radius(d, alpha, dt):
+def formation_mode_cosines(n):
+    """Mode cosines of a formation chain of n robots, its vertex mirrored."""
+    return np.cos((2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n))
+
+
+def analytic_estimator_radius(d, alpha, dt, cosines=None):
     """Spectral radius of the 2d x 2d chain matrix from per-mode quadratics.
 
     The two tridiagonal blocks share the sine eigenbasis, so the matrix
     splits into d two-by-two companions with characteristic polynomial
-    z^2 - (1 + c) z + c + alpha dt (1 - c).
+    z^2 - (1 + c) z + c + alpha dt (1 - c).  ``cosines`` replaces the
+    estimator's mode cosines, e.g. by ``formation_mode_cosines(d)``.
     """
     worst = 0.0
-    for c in chain_mode_cosines(d):
+    for c in chain_mode_cosines(d) if cosines is None else cosines:
         roots = np.roots([1.0, -(1.0 + c), c + alpha * dt * (1.0 - c)])
         worst = max(worst, max(abs(roots)))
     return worst
 
 
-def analytic_lagged_radius(d, alpha, dt):
+def analytic_lagged_radius(d, alpha, dt, cosines=None):
     """Same decomposition for the 3d x 3d lagged matrix (cubic per mode)."""
     worst = 0.0
-    for c in chain_mode_cosines(d):
+    for c in chain_mode_cosines(d) if cosines is None else cosines:
         roots = np.roots([1.0, -1.0, alpha * dt * (1.0 - c) - c, c])
         worst = max(worst, max(abs(roots)))
     return worst

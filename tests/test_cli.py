@@ -567,14 +567,16 @@ class TestOtherModes:
         start = uniform_box(make_generator(raw["seed"], 0), 7, raw["initial_box"])
         assert [[float(r[3]), float(r[4])] for r in rows] == start.tolist()
 
-    @pytest.mark.parametrize("extra,window", [({}, 460517025), ({"stop_window": 3000}, 3000)],
+    @pytest.mark.parametrize("extra,window", [({}, 460517014), ({"stop_window": 3000}, 3000)],
                              ids=["automatic", "given"])
     def test_stop_window_not_below_max_steps_is_config_error(self, tmp_path, capsys,
                                                              extra, window):
-        # At alpha = 1e-6 the automatic S1 window, from the modal blocks, is
-        # 460 517 025 steps (the dense chain matrix gave 460 517 020, a
-        # 50-digit evaluation 460 517 014); a window at or past max_steps
-        # (3000 by default) is refused at once.
+        # At alpha = 1e-6 the automatic S1 window, from the closed-form
+        # roots of the modal blocks, is 460 517 014 steps, as a 50-digit
+        # evaluation gives (LAPACK's radii, one and two ulps above, gave
+        # 460 517 020 from the dense chain matrix and 460 517 025 from the
+        # blocks); a window at or past max_steps (3000 by default) is
+        # refused at once.
         cfg = dict({"mode": "estimate", "alpha": 1.0e-6, "dt": 0.01, "strategy": "S1",
                     "output_dir": str(tmp_path / "out"), "topology": {"n_total": 5}},
                    **extra)
@@ -676,6 +678,30 @@ class TestOtherModes:
         assert "Traceback" not in err
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json",
                                                         "resolved_config.yaml"]
+
+    @pytest.mark.parametrize("mode,size,mapping", [
+        ("spectral", "n_prime", {"n_prime": 2 ** 60}),
+        ("estimate", "topology.n_total", {"topology": {"n_total": 10 ** 19}}),
+        ("form", "topology.n_total", {
+            "topology": {"n_total": 10 ** 19, "vertex_set": [0, 1, 2]},
+            "r_star": [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
+        }),
+        ("sweep", "sweep.n_max", {"sweep": {"n_max": 2 ** 57}}),
+    ], ids=["spectral", "estimate", "form", "sweep"])
+    def test_size_past_numpy_index_range_is_refused_before_the_run(self, tmp_path, capsys,
+                                                                   mode, size, mapping):
+        # 72 bytes (a 3 x 3 float64 modal block) per unit of size past
+        # intp's range: numpy could not even index the arrays, so the config
+        # is refused before anything runs, with no output directory.
+        out = tmp_path / "out"
+        path = write_config(tmp_path, dict(mapping, mode=mode, output_dir=str(out)))
+        code = main([mode, "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"ringform: config error: {size}: must be at most "
+                              f"{np.iinfo(np.intp).max // 72}, ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_stride_override(self, tmp_path):
         cfg = dict(TRIANGLE, output_dir=str(tmp_path / "out"), max_steps=100)

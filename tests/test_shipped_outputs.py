@@ -32,7 +32,8 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 UNDIGESTED = {"manifest.json", "resolved_config.yaml"}
 
 NUMPY = "2.4.6"
-# Recorded at 44a94e5; hexagon, triangle and spectral19 again for the exact limits.
+# Recorded at 44a94e5; hexagon, triangle and spectral19 again for the exact limits;
+# spectral19 again for the closed-form radii of the modal blocks.
 DIGESTS = {
     "estimate20": {
         "exit": 0,
@@ -54,10 +55,10 @@ DIGESTS = {
     },
     "spectral19": {
         "exit": 0,
-        "stdout": "2d8dbe98ff0830a2a643717e33a65850a3ebcef8945075d1937142b5225c270f",
+        "stdout": "44400aaa8de3f007e7ee4e1cba995c74df6db1dcb0be57b6ae4d30a1ad485eca",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
-            "spectral.json": "2d8dbe98ff0830a2a643717e33a65850a3ebcef8945075d1937142b5225c270f",
+            "spectral.json": "44400aaa8de3f007e7ee4e1cba995c74df6db1dcb0be57b6ae4d30a1ad485eca",
         },
     },
     "sweep_small": {
@@ -270,6 +271,20 @@ def test_shipped_config_outputs_are_unchanged(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_failure_case_outputs_are_unchanged(tmp_path, name):
     assert case_digests(name, tmp_path) == CASE_DIGESTS[name]
+
+
+@pytest.mark.skipif(np.__version__ != NUMPY,
+                    reason=f"digests recorded under numpy {NUMPY}, running {np.__version__}")
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_no_run_path_calls_lapack(tmp_path, monkeypatch, name):
+    # The modal blocks' radii come from closed forms; an eigensolver or a
+    # dense solve on a run path would raise here.
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called on a run path")
+
+    for solver in ("eigvals", "eig", "solve", "inv"):
+        monkeypatch.setattr(np.linalg, solver, refuse)
+    assert run_digests(CONFIGS / f"{name}.yaml", tmp_path / "out") == DIGESTS[name]
 
 
 def test_every_shipped_config_has_digests():

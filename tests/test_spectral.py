@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     analytic_estimator_radius,
     analytic_lagged_radius,
+    chain_mode_cosines,
     dense_gain,
+    formation_mode_cosines,
     lu_determinant,
     readout_matrix_dense,
 )
@@ -423,6 +425,144 @@ class TestStabilityLimit:
             limit = stability_limit(10 ** 5, kind)
             assert limit > 0.0
             assert limit == pytest.approx(x * x / 2.0, rel=1e-9)
+
+
+# Per-mode np.roots oracle of each kind: the polynomial and the mode cosines.
+ORACLES = {
+    "estimator": (analytic_estimator_radius, chain_mode_cosines),
+    "lagged_estimator": (analytic_lagged_radius, chain_mode_cosines),
+    "formation": (analytic_estimator_radius, formation_mode_cosines),
+    "lagged_formation": (analytic_lagged_radius, formation_mode_cosines),
+}
+
+
+def eigvals_radius(stack):
+    return float(np.abs(np.linalg.eigvals(stack)).max())
+
+
+class TestClosedFormRadius:
+    """``spectral_radius`` of 2 x 2 and 3 x 3 stacks, from the roots of the
+    characteristic polynomials, against the per-mode np.roots oracles,
+    LAPACK on the same stacks, and 50-digit references."""
+
+    @pytest.mark.parametrize("kind", sorted(ORACLES))
+    def test_matches_the_oracles_either_side_of_the_limit(self, kind):
+        oracle, cosines = ORACLES[kind]
+        first = 2 if kind.endswith("formation") else 1
+        for order in [*range(first, 201), 10 ** 4]:
+            limit = stability_limit(order, kind)
+            for fraction in (1 - 1e-3, 1 + 1e-3):
+                params = EstimationParams(alpha=fraction * limit / 0.05, dt=0.05)
+                stack = chain_modes(order, params, kind)
+                rho = spectral_radius(stack)
+                assert (rho < 1.0) is (fraction < 1.0), (order, fraction, rho)
+                assert rho == pytest.approx(eigvals_radius(stack), rel=1e-12)
+                # np.roots starts from rounded polynomial coefficients; at
+                # order 10^4 the lagged modes' three roots lie within ~1e-8
+                # of +-1, and it resolves their radius only to ~1e-8 (it
+                # puts the lagged formation chain above 1 on both sides).
+                rel = 1e-7 if order == 10 ** 4 and kind.startswith("lagged") else 1e-12
+                want = oracle(order, params.alpha, params.dt, cosines(order))
+                assert rho == pytest.approx(want, rel=rel), (order, fraction)
+
+    @pytest.mark.parametrize("kind", sorted(ORACLES))
+    def test_matches_lapack_across_the_gains(self, kind):
+        first = 2 if kind.endswith("formation") else 1
+        for order in [*range(first, 201), 10 ** 4]:
+            for alpha_dt in (1e-6, 1e-3, 0.3, 1.5):
+                stack = chain_modes(order, EstimationParams(alpha=alpha_dt / 0.05, dt=0.05),
+                                    kind)
+                assert spectral_radius(stack) == pytest.approx(eigvals_radius(stack),
+                                                               rel=1e-12), (order, alpha_dt)
+
+    def test_s1_real_complex_boundary(self):
+        # At alpha*dt = (1 - mu_k) / 4 mode k has a double root, which a
+        # perturbation delta of the coefficients moves by sqrt(delta): every
+        # method resolves it to ~1e-8, the closed form as LAPACK and np.roots.
+        for order in range(1, 201):
+            for mu in chain_mode_cosines(order)[[0, -1]]:
+                alpha_dt = (1.0 - mu) / 4.0
+                params = EstimationParams(alpha=alpha_dt / 0.05, dt=0.05)
+                stack = chain_modes(order, params, "estimator")
+                rho = spectral_radius(stack)
+                assert rho == pytest.approx(eigvals_radius(stack), rel=1e-7), order
+                assert rho == pytest.approx(
+                    analytic_estimator_radius(order, params.alpha, params.dt), rel=1e-7), order
+
+    @staticmethod
+    def ulps_from_fifty_digits(stack):
+        """Distance in ulps of ``spectral_radius(stack)`` from the 50-digit
+        radius of the same double-precision blocks (only blocks within 1e-9
+        of the largest can hold it)."""
+        mpmath = pytest.importorskip("mpmath")
+        radii = np.abs(np.linalg.eigvals(stack)).max(axis=-1)
+        with mpmath.workdps(50):
+            want = max(max(abs(z) for z in mpmath.eig(mpmath.matrix(block.tolist()),
+                                                      left=False, right=False))
+                       for block in stack[radii >= radii.max() * (1 - 1e-9)])
+            return float(abs(spectral_radius(stack) - want) / np.spacing(float(want)))
+
+    @pytest.mark.parametrize("order", [19, 400], ids=["spectral19", "spectral_large"])
+    def test_within_two_ulp_of_fifty_digits(self, order):
+        # The radii of spectral19 and of the spectral_large benchmark.
+        params = EstimationParams(alpha=0.5, dt=0.01)
+        for kind in ORACLES:
+            ulps = self.ulps_from_fifty_digits(chain_modes(order, params, kind))
+            assert ulps <= 2.0, (kind, ulps)
+
+    def test_slow_modes_are_correctly_rounded(self):
+        # At alpha*dt = 1e-8 a rounded coefficient loses 1 - rho; the Newton
+        # step on det(zI - M) keeps it (LAPACK: 0.02 to 4.6 ulps off).
+        params = EstimationParams(alpha=1e-6, dt=0.01)
+        for kind in ORACLES:
+            ulps = self.ulps_from_fifty_digits(chain_modes(4, params, kind))
+            assert ulps <= 0.5, (kind, ulps)
+
+    def test_dominant_negative_root_is_polished(self):
+        # Three real roots, the one of largest modulus negative: the cubic's
+        # bottom root, not its top one, must be the root polished (deflating
+        # the top one leaves the radius up to ~7 ulps off).
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            roots = [-rng.uniform(0.5, 1.0), rng.uniform(-0.5, 0.5), rng.uniform(0.0, 0.5)]
+            basis, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            ulps = self.ulps_from_fifty_digits(((basis * roots) @ basis.T)[None])
+            assert ulps <= 2.0, (roots, ulps)
+
+    def test_exact_double_roots(self):
+        # Triangular blocks with a double root, half with a Jordan coupling:
+        # rounding can put the trigonometric form's cosine just past +-1.
+        rng = np.random.default_rng(0)
+        double, single, coupling = rng.uniform(-1.0, 1.0, (3, 20000))
+        blocks = np.zeros((20000, 3, 3))
+        blocks[:, 0, 0] = blocks[:, 1, 1] = double
+        blocks[:, 2, 2] = single
+        blocks[::2, 0, 1] = coupling[::2]
+        want = max(np.abs(double).max(), np.abs(single).max())
+        assert spectral_radius(blocks) == pytest.approx(want, rel=1e-7)
+
+    def test_closed_form_on_zero_and_scaled_blocks(self):
+        assert spectral_radius(np.zeros((2, 2))) == 0.0
+        assert spectral_radius(np.zeros((4, 3, 3))) == 0.0
+        # Entries whose products overflow: the power-of-two scaling is exact.
+        rotation = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
+        assert spectral_radius(rotation * 2.0 ** 600) == 2.0 ** 600
+        assert spectral_radius(rotation * 2.0 ** 1023) == 2.0 ** 1023
+        assert spectral_radius(rotation[:2, :2] * 2.0 ** -600) == 2.0 ** -600
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.sampled_from([2, 3]), data=st.data())
+def test_closed_form_matches_lapack_on_random_blocks(size, data):
+    entries = data.draw(st.lists(st.floats(min_value=-1.0, max_value=1.0),
+                                 min_size=size * size, max_size=size * size))
+    matrix = np.array(entries).reshape(size, size)
+    eigenvalues = np.linalg.eigvals(matrix)
+    gaps = np.abs(eigenvalues[:, None] - eigenvalues[None, :])[~np.eye(size, dtype=bool)]
+    assume(gaps.min() >= 1e-3)
+    want = float(np.abs(eigenvalues).max())
+    assert spectral_radius(matrix) == pytest.approx(want, rel=1e-12)
+    assert spectral_radius(np.stack([matrix, matrix / 2.0])) == pytest.approx(want, rel=1e-12)
 
 
 class TestSteadyGains:
