@@ -1,9 +1,10 @@
 """ringform: deterministic ring-swarm simulation and analysis.
 
-Distributed chain-cardinality estimation on cut ring segments, the
-self-organized polygon formation law driven by those estimates, and the
-spectral toolkit that verifies the stability conditions and
-closed-form readouts both rest on.
+A ring of robots whose few vertex robots fix a polygon and head one
+chain each (``FormationConfig``): distributed estimation of each chain's
+size, the self-organized polygon formation law driven by those
+estimates, and the spectral toolkit that verifies the stability
+conditions and closed-form readouts both rest on.
 """
 
 __version__ = "0.1.0"
@@ -56,11 +57,4 @@ from .spectral import (
     steady_gain,
     steady_gain_recursive,
     steady_ratio_closed,
-)
-from .topology import (
-    ChainSegment,
-    PolygonSpec,
-    RingTopology,
-    cut_ring,
-    validate_polygon_closure,
 )

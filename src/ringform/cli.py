@@ -30,16 +30,17 @@ from . import __version__
 from .core import DivergenceError, SwarmState
 from .estimation import EstimateTrace, EstimatorConfig, run_estimation
 from .formation import (
+    CLOSURE_TOL,
     FormationConfig,
     FormationTrace,
     PipelineEstimationError,
+    polygon_closes,
     run_formation,
     run_pipeline,
     seeded_placement,
 )
 from .harness import auto_stop_window, sweep_and_curves
 from .spectral import STRATEGIES, EstimationParams, spectral_report, stability_limit
-from .topology import CLOSURE_TOL, PolygonSpec, RingTopology, validate_polygon_closure
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -217,15 +218,11 @@ class RunConfig:
             stop_window=window, max_steps=max_steps,
         )
 
-    def polygon(self) -> tuple[RingTopology, PolygonSpec]:
-        return (RingTopology(self.n_total),
-                PolygonSpec(vertex_set=self.vertex_set, r_star=np.array(self.r_star)))
-
     @cached_property
     def formation_config(self) -> FormationConfig:
         """The run's ring, polygon and formation law: the one ring cut, kept."""
-        ring, spec = self.polygon()
-        return FormationConfig(ring=ring, spec=spec, params=self.params, sigma=self.sigma)
+        return FormationConfig(self.n_total, self.vertex_set, self.r_star, self.params,
+                               self.sigma)
 
     def pipeline_arguments(self) -> dict:
         """Keyword arguments of ``run_pipeline`` for this (pipeline) config;
@@ -332,19 +329,18 @@ def _check_rules(cfg: RunConfig) -> None:
                  f"{cfg.mode} mode needs the vertex robot indices")
         _require(cfg.r_star is not None, "r_star",
                  f"{cfg.mode} mode needs the desired displacements")
-        try:
-            _, spec = cfg.polygon()
-        except ValueError as exc:
-            raise ConfigError(f"topology: {exc}") from exc
-        _require(spec.vertex_set[-1] < cfg.n_total, "topology.vertex_set",
+        _require(all(v < cfg.n_total for v in cfg.vertex_set), "topology.vertex_set",
                  f"vertex indices out of range [0, {cfg.n_total})")
-        if not validate_polygon_closure(spec, cfg.closure_tolerance):
-            residual = spec.r_star.sum(axis=0)
+        if not polygon_closes(cfg.r_star, cfg.closure_tolerance):
+            residual = np.sum(cfg.r_star, axis=0)
             raise ConfigError(
                 f"r_star: polygon does not close; sum of displacements is "
                 f"({residual[0]:.3e}, {residual[1]:.3e})"
             )
-        config = cfg.formation_config
+        try:
+            config = cfg.formation_config
+        except ValueError as exc:
+            raise ConfigError(f"topology: {exc}") from exc
         if cfg.mode == "pipeline":
             _require_stable(*estimation, [(max(config.n_s), estimator)])
         _require_stable("alpha", cfg.alpha, cfg.dt, config.chains())
@@ -548,7 +544,7 @@ def _run_estimate(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
 
 def _run_form(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
     config = cfg.formation_config
-    initial = seeded_placement(config.ring, cfg.seed, cfg.initial_box)
+    initial = seeded_placement(config.n_total, cfg.seed, cfg.initial_box)
     with closing(_FormationFiles(out_dir, outputs, cfg.dt)) as files:
         trace = run_formation(initial, config, cfg.max_steps, sink=files,
                               error_tolerance=cfg.formation_tolerance, stride=cfg.stride)
@@ -620,11 +616,17 @@ def execute(cfg: RunConfig) -> int:
     """Run one validated config; writes outputs plus a manifest.
 
     A divergence writes the partial traces and exits 3; a config error
-    found only when the run starts (the stop window, or a size whose
-    arrays cannot be allocated) exits 2.
+    found only when the run starts (an output directory that cannot be
+    made, the stop window, or a size whose arrays cannot be allocated)
+    exits 2.
     """
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # a file in the way, or a name the OS refuses
+        print(f"ringform: config error: output_dir: cannot create {_quoted(cfg.output_dir)}: "
+              f"{getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
+        return EXIT_CONFIG
     write_resolved_config(out_dir, cfg)
     outputs = ["resolved_config.yaml"]
     started = time.perf_counter()

@@ -1,5 +1,11 @@
 """Self-organized polygon formation on the full ring.
 
+Robots sit on a cycle and sense only their two ring neighbours.  A
+polygon is prescribed by a few vertex robots plus the desired
+displacement between consecutive vertices; cutting the ring at the
+vertices yields one open chain per polygon edge, each headed by its
+vertex (``FormationConfig``).
+
 Non-vertex robots chase the midpoint of their two ring neighbours and
 average their (possibly lagged) velocities; each vertex robot except the
 pinned one tracks its ring predecessor at the prescribed per-link spacing.
@@ -27,13 +33,13 @@ from .estimation import (
     run_estimation,
 )
 from .spectral import EstimationParams
-from .topology import (
-    ChainSegment,
-    PolygonSpec,
-    RingTopology,
-    cut_ring,
-    validate_polygon_closure,
-)
+
+CLOSURE_TOL = 1e-9  # metres, absorbs decimal round-off in hand-written r*
+
+
+def polygon_closes(r_star, tol: float = CLOSURE_TOL) -> bool:
+    """True iff the desired displacements ``r_star`` sum to zero per component."""
+    return bool(np.all(np.abs(np.sum(r_star, axis=0)) <= tol))
 
 
 class PipelineEstimationError(RuntimeError):
@@ -46,40 +52,72 @@ class PipelineEstimationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class FormationConfig:
-    """Everything a formation run needs besides the initial state.
+    """The ring, its polygon and the formation law: everything a formation
+    run needs besides the initial state.
 
-    The ring is cut into its chains once, here (``cut_ring``): ``segments``
-    are the chains and ``n_s`` their sizes, which phase 1 of a pipeline
-    must estimate exactly; ``l_star`` holds the per-link spacing targets,
-    one row per segment (r*_i / n^s_i), and ``vertices`` the vertex
-    robots' indices, pinned vertex first.  ``sigma`` selects the velocity
-    measurement lag: 1 reads current neighbour velocities, 2 reads the
-    one-step-old layer.
+    ``n_total`` robots sit on the ring, indices taken mod ``n_total``.
+    ``vertex_set`` holds the vertex robots' indices, strictly increasing,
+    the pinned vertex first; ``r_star[i]`` is the desired displacement
+    from vertex i to vertex i + 1 (cyclically), in metres, and the
+    displacements must sum to zero for the polygon to close.
+
+    The ring is cut here, once: chain i runs from vertex i (exclusive) to
+    vertex i + 1 (inclusive), wrapping modulo ``n_total``, so the wrapping
+    chain is the last one and every robot is in exactly one chain.
+    ``n_s`` holds the chains' sizes, which phase 1 of a pipeline must
+    estimate exactly; ``l_star`` the per-link spacing targets, one row per
+    chain (r*_i / n^s_i); ``vertices`` the vertex indices as an array.
+    The cut is O(m) whatever the ring's size: ``members`` lists a chain's
+    robots only when asked.  ``sigma`` selects the velocity measurement
+    lag: 1 reads current neighbour velocities, 2 reads the one-step-old
+    layer.
     """
 
-    ring: RingTopology
-    spec: PolygonSpec
+    n_total: int
+    vertex_set: tuple[int, ...]
+    r_star: np.ndarray
     params: EstimationParams
     sigma: int = 1
-    segments: tuple[ChainSegment, ...] = field(init=False)
     n_s: tuple[int, ...] = field(init=False)
     l_star: np.ndarray = field(init=False)
     vertices: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        n = self.n_total
+        if n < 3:
+            raise ValueError(f"ring needs at least 3 robots, got {n}")
+        vertex_set = tuple(int(v) for v in self.vertex_set)
+        m = len(vertex_set)
+        if m < 3:
+            raise ValueError("polygon needs at least 3 vertex robots")
+        if any(b <= a for a, b in zip(vertex_set, vertex_set[1:])):
+            raise ValueError("vertex_set must be strictly increasing")
+        if vertex_set[0] < 0:
+            raise ValueError("vertex indices must be non-negative")
+        r_star = np.array(self.r_star, dtype=float)
+        if r_star.shape != (m, 2):
+            raise ValueError(f"r_star must have shape ({m}, 2), got {r_star.shape}")
         if self.sigma not in (1, 2):
             raise ValueError(f"sigma must be 1 or 2, got {self.sigma}")
-        if not validate_polygon_closure(self.spec):
+        if not polygon_closes(r_star):
             raise ValueError("polygon does not close: desired displacements must sum to 0")
-        segments = tuple(cut_ring(self.ring, self.spec))
-        object.__setattr__(self, "segments", segments)
-        object.__setattr__(self, "n_s", tuple(seg.cardinality for seg in segments))
-        l_star = self.spec.r_star / np.array(self.n_s, dtype=float)[:, None]
-        l_star.setflags(write=False)
-        object.__setattr__(self, "l_star", l_star)
-        vertices = np.array(self.spec.vertex_set)
-        vertices.setflags(write=False)
-        object.__setattr__(self, "vertices", vertices)
+        # Strictly increasing from >= 0, so the last index bounds them all:
+        # no duplicates, none negative, m <= n.
+        if vertex_set[-1] >= n:
+            raise ValueError(f"vertex indices out of range [0, {n})")
+        n_s = tuple((b - a) % n for a, b in zip(vertex_set, vertex_set[1:] + vertex_set[:1]))
+        l_star = r_star / np.array(n_s, dtype=float)[:, None]
+        vertices = np.array(vertex_set)
+        for array in (r_star, l_star, vertices):
+            array.setflags(write=False)
+        for name, value in (("vertex_set", vertex_set), ("r_star", r_star), ("n_s", n_s),
+                            ("l_star", l_star), ("vertices", vertices)):
+            object.__setattr__(self, name, value)
+
+    def members(self, i: int) -> np.ndarray:
+        """Chain i's robots in ring order, ending on vertex i + 1."""
+        first = self.vertex_set[i] + 1
+        return np.arange(first, first + self.n_s[i]) % self.n_total
 
     def chains(self) -> list[tuple[int, str]]:
         """``(order, kind)`` of the chains whose modes are the ring's: segments
@@ -91,13 +129,14 @@ class FormationConfig:
                 + [(n_w - 1, lag + "estimator")] * (n_w > 1))
 
     def chain_batch(self, positions: np.ndarray, est_config: EstimatorConfig) -> ChainBatch:
-        """Phase-1 chains of the placement ``positions``: each segment's
-        members in its anchor's frame, run under ``est_config`` and named
-        ``segment <id>``."""
+        """Phase-1 chains of the placement ``positions``: each chain's
+        members in its vertex's frame, run under ``est_config`` and named
+        ``segment <i>``."""
         return ChainBatch(
-            [positions[list(seg.members)] - positions[seg.anchor] for seg in self.segments],
-            [est_config] * len(self.segments),
-            [f"segment {seg.segment_id}" for seg in self.segments],
+            [positions[self.members(i)] - positions[vertex]
+             for i, vertex in enumerate(self.vertex_set)],
+            [est_config] * len(self.n_s),
+            [f"segment {i}" for i in range(len(self.n_s))],
         )
 
 
@@ -175,28 +214,26 @@ def _edge_errors(corners: np.ndarray, r_star: np.ndarray) -> np.ndarray:
     return np.sqrt(errors, out=errors)
 
 
-def relative_distance_errors(state: SwarmState, spec: PolygonSpec) -> np.ndarray:
+def relative_distance_errors(state: SwarmState, config: FormationConfig) -> np.ndarray:
     """Per-edge formation error: ||(q_vertex_i - q_vertex_{i+1}) - r*_i||."""
-    return _edge_errors(state.positions[list(spec.vertex_set)], spec.r_star)
+    return _edge_errors(state.positions[config.vertices], config.r_star)
 
 
 def predicted_equilibrium(config: FormationConfig,
                           anchor: np.ndarray = (0.0, 0.0)) -> SwarmState:
-    """Cascade fixed point: segment i robots at anchor_i - j * l*_i.
+    """Cascade fixed point: the j-th robot of chain i at q_vertex_i - j * l*_i.
 
     ``anchor`` is where the pinned vertex sits; the formation never moves
-    it, so a run's equilibrium has it at its initial position.  Segment
-    anchors accumulate the desired displacements, so the terminal of the
-    last segment lands back on the pinned vertex (closure makes the
+    it, so a run's equilibrium has it at its initial position.  The
+    vertices accumulate the desired displacements, so the last robot of
+    the wrapping chain lands back on the pinned vertex (closure makes the
     cascade consistent with the ring).  All velocities are zero.
     """
-    positions = np.zeros((config.ring.n_total, 2))
-    positions[config.spec.vertex_set[0]] = anchor
-    for seg in config.segments:
-        spacing = config.l_star[seg.segment_id]
-        base = positions[seg.anchor]
-        for j, member in enumerate(seg.members, start=1):
-            positions[member] = base - j * spacing
+    positions = np.zeros((config.n_total, 2))
+    positions[config.vertex_set[0]] = anchor
+    for i, vertex in enumerate(config.vertex_set):
+        j = np.arange(1, config.n_s[i] + 1)[:, None]
+        positions[config.members(i)] = positions[vertex] - j * config.l_star[i]
     return SwarmState.at_rest(positions)
 
 
@@ -266,13 +303,14 @@ def run_formation(
     """Run the ring for ``horizon`` steps, handing its output to ``sink``.
 
     ``sink.add_snapshot(state)`` receives each state, ``initial``
-    included, whose step is a multiple of ``stride`` or equals
-    ``horizon``, when it is reached.  ``sink.add_errors(steps, errors)``
-    receives the per-edge errors of every step, ``errors[i]`` those of
-    step ``steps[i]``, in blocks of ``BLOCK_STEPS`` steps; the last block
-    ends with the run, or with the step before a divergence.  The
-    ``DivergenceError`` carries the trace so far as ``partial``.  Without
-    ``sink`` the returned trace collects both.
+    included, whose step is a multiple of ``stride`` or is the last,
+    ``initial.step + horizon``, when it is reached.
+    ``sink.add_errors(steps, errors)`` receives the per-edge errors of
+    every step, ``errors[i]`` those of step ``steps[i]``, in blocks of
+    ``BLOCK_STEPS`` steps; the last block ends with the run, or with the
+    step before a divergence.  The ``DivergenceError`` carries the trace
+    so far as ``partial``.  Without ``sink`` the returned trace collects
+    both.
 
     The loop steps in wrapped rings (see ``step_formation``) that it
     reuses: two for positions and three for velocities, since sigma = 2
@@ -288,21 +326,21 @@ def run_formation(
         raise ValueError("horizon must be at least one step")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    if initial.positions.shape != (config.ring.n_total, 2):
+    if initial.positions.shape != (config.n_total, 2):
         raise ValueError(
             f"initial state has {initial.positions.shape[0]} robots, "
-            f"ring expects {config.ring.n_total}"
+            f"ring expects {config.n_total}"
         )
     trace = FormationTrace(dt=config.params.dt, tolerance=error_tolerance)
     collector = None
     if sink is None:
         sink = collector = _Collector()
     # Row r holds the vertex positions of step ``first + r``.
-    corners = np.empty((min(horizon + 1, BLOCK_STEPS), config.spec.m, 2))
-    first = initial.step
+    corners = np.empty((min(horizon + 1, BLOCK_STEPS), len(config.vertices), 2))
+    first, end = initial.step, initial.step + horizon
     # The state at step k lives in q_cur, v_cur and v_old (its
     # ``velocities_prev``); step k + 1 is written into q_new and v_new.
-    q_cur, q_new = _wrap(initial.positions), np.empty((config.ring.n_total + 2, 2))
+    q_cur, q_new = _wrap(initial.positions), np.empty((config.n_total + 2, 2))
     v_old, v_cur = _wrap(initial.velocities_prev), _wrap(initial.velocities)
     v_new = np.empty_like(q_new)
     lagged = config.sigma == 2
@@ -318,21 +356,21 @@ def run_formation(
                                               (q_cur, v_old if lagged else v_cur, q_new, v_new))
                 q_cur, q_new = q_new, q_cur
                 v_old, v_cur, v_new = v_cur, v_new, v_old
-            # The indices are in range (checked by ``cut_ring``), so "clip"
+            # The indices are in range (checked by ``FormationConfig``), so "clip"
             # only spares numpy the buffered copy its default mode makes.
             state.positions.take(config.vertices, axis=0, out=corners[row], mode="clip")
             row += 1
-            if state.step % stride == 0 or state.step == horizon:
+            if state.step % stride == 0 or state.step == end:
                 if 0 < count < horizon:
                     last = SwarmState(state.positions.copy(), state.velocities.copy(),
                                       state.velocities_prev.copy(), state.step)
                 sink.add_snapshot(last)
             if row == len(corners) or count == horizon:
-                _hand_over(trace, sink, corners[:row], first, config.spec.r_star)
+                _hand_over(trace, sink, corners[:row], first, config.r_star)
                 first += row
                 row = 0
     except DivergenceError as err:
-        _hand_over(trace, sink, corners[:row], first, config.spec.r_star)
+        _hand_over(trace, sink, corners[:row], first, config.r_star)
         err.partial = _finish(trace, collector, last)
         raise
     return _finish(trace, collector, last)
@@ -363,10 +401,10 @@ def _finish(trace: FormationTrace, collector: _Collector | None,
     return trace
 
 
-def seeded_placement(ring: RingTopology, seed: int, initial_box: float) -> SwarmState:
-    """A run's start: the ring at rest, placed uniformly in the box from
-    stream ``(seed, 0)``."""
-    return SwarmState.at_rest(uniform_box(make_generator(seed, 0), ring.n_total, initial_box))
+def seeded_placement(n_total: int, seed: int, initial_box: float) -> SwarmState:
+    """A run's start: a ring of ``n_total`` robots at rest, placed uniformly
+    in the box from stream ``(seed, 0)``."""
+    return SwarmState.at_rest(uniform_box(make_generator(seed, 0), n_total, initial_box))
 
 
 @dataclass
@@ -407,7 +445,7 @@ def run_pipeline(
     1 has succeeded, and returns the formation's ``sink`` (see
     ``run_formation``).
     """
-    initial = seeded_placement(config.ring, seed, initial_box)
+    initial = seeded_placement(config.n_total, seed, initial_box)
     batch = config.chain_batch(initial.positions, est_config)
     # Still one run_estimation call per chain, the calls perfbench's
     # tracer counts; the first one steps the whole batch.

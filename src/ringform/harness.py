@@ -236,11 +236,10 @@ def _interior_spacing_error(state: SwarmState, config: FormationConfig) -> float
     """Worst deviation of consecutive in-chain displacements from l*."""
     q = state.positions
     worst = 0.0
-    for seg in config.segments:
-        walk = (seg.anchor,) + seg.members
-        spacing = config.l_star[seg.segment_id]
+    for i, vertex in enumerate(config.vertex_set):
+        walk = [vertex, *config.members(i).tolist()]
         for a, b in zip(walk, walk[1:]):
-            worst = max(worst, float(np.linalg.norm((q[a] - q[b]) - spacing)))
+            worst = max(worst, float(np.linalg.norm((q[a] - q[b]) - config.l_star[i])))
     return worst
 
 
@@ -288,9 +287,7 @@ def scenario_report(cfg, snapshot_times: tuple[float, ...]) -> ScenarioReport:
     ]
 
     final = trace.final_state
-    vertex_speeds = np.linalg.norm(
-        final.velocities[list(config.spec.vertex_set)], axis=1
-    )
+    vertex_speeds = np.linalg.norm(final.velocities[config.vertices], axis=1)
     predicted = predicted_equilibrium(config, initial[config.vertices[0]])
     deviation = float(
         np.max(np.linalg.norm(final.positions - predicted.positions, axis=1))

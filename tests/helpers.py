@@ -55,8 +55,8 @@ def reference_step_formation(state, config):
 
     new_v = 0.5 * alpha * (q_next + q_prev - 2.0 * q) + 0.5 * (v_next + v_prev)
 
-    vertices = config.spec.vertex_set
-    for j in range(1, config.spec.m):
+    vertices = config.vertex_set
+    for j in range(1, len(vertices)):
         i = vertices[j]
         new_v[i] = alpha * (q_prev[i] - q[i] - config.l_star[j - 1]) + v_prev[i]
     new_v[vertices[0]] = 0.0
@@ -71,16 +71,16 @@ def reference_run_formation(initial, config, horizon, *, error_tolerance=1e-2, s
     snapshot, and the first step within tolerance.  A divergence re-raises
     with the trace so far as ``partial``."""
     trace = FormationTrace(dt=config.params.dt, tolerance=error_tolerance)
-    vertices = np.array(config.spec.vertex_set)
+    vertices = np.array(config.vertex_set)
     error_steps, errors = [], []
 
     def record(current):
         q = current.positions
-        e = np.linalg.norm(q[vertices] - q[np.roll(vertices, -1)] - config.spec.r_star,
+        e = np.linalg.norm(q[vertices] - q[np.roll(vertices, -1)] - config.r_star,
                            axis=1)
         error_steps.append(current.step)
         errors.append(e)
-        if current.step % stride == 0 or current.step == horizon:
+        if current.step % stride == 0 or current.step == initial.step + horizon:
             trace.snapshot_steps.append(current.step)
             trace.snapshots.append(current)
         if trace.first_step_within_tol is None and e.max() < error_tolerance:

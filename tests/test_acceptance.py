@@ -55,7 +55,6 @@ from ringform.spectral import (
     steady_gain_recursive,
     steady_ratio_closed,
 )
-from ringform.topology import PolygonSpec, RingTopology
 
 
 def check(name, ok, detail=""):
@@ -213,11 +212,9 @@ def test_criterion_05_step_vs_matrix_oracle():
     # ring simulation must reproduce the dense chain iteration.
     r_star = np.array([[1.0, -2.0], [2.0, 2.0], [-3.0, 0.0]])
     for n in range(2, 11):
-        ring = RingTopology(3 * n)
-        spec = PolygonSpec(vertex_set=(0, n, 2 * n), r_star=r_star)
         a_dt = 0.9 * stability_bound(n, "S1")
         params = EstimationParams(alpha=a_dt / 0.05, dt=0.05)
-        config = FormationConfig(ring=ring, spec=spec, params=params)
+        config = FormationConfig(3 * n, (0, n, 2 * n), r_star, params)
         rng = make_generator(n, 51)
         start = uniform_box(rng, 3 * n, 5.0)
         start[0] = 0.0

@@ -36,7 +36,6 @@ from ringform.core import DivergenceError, SwarmState, make_generator, uniform_b
 from ringform.estimation import EstimateTrace
 from ringform.formation import run_formation, seeded_placement
 from ringform.harness import SensitivityCurve, SensitivityRow, SweepResult, SweepRow
-from ringform.topology import cut_ring
 
 TRIANGLE = {
     "mode": "pipeline",
@@ -176,6 +175,40 @@ class TestConfigValidation:
         expected = "estimation" if (path, value) == ("estimation.alpha", 5) else path
         assert f"config error: {expected}:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("vertex_set,message", [
+        ([], "topology: polygon needs at least 3 vertex robots"),
+        ([0], "topology: polygon needs at least 3 vertex robots"),
+        ([0, 9], "topology.vertex_set: vertex indices out of range [0, 7)"),
+        ([9, 2, 0], "topology.vertex_set: vertex indices out of range [0, 7)"),
+    ])
+    def test_vertex_set_with_several_faults_names_one(self, tmp_path, capsys, vertex_set,
+                                                      message):
+        # an index past the ring is named before the ring's own checks run
+        bad = with_value(TRIANGLE, "topology.vertex_set", vertex_set)
+        assert refused(tmp_path, capsys, bad) == message
+
+    @pytest.mark.parametrize("case,reason", [
+        ("existing-file", "File exists"),
+        ("under-a-file", "Not a directory"),
+        ("surrogate", "surrogates not allowed"),
+    ])
+    def test_output_dir_that_cannot_be_made_is_a_config_error(self, tmp_path, capsys, case,
+                                                              reason):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out = {"existing-file": blocker, "under-a-file": blocker / "out",
+               "surrogate": tmp_path / "x\ud800y"}[case]
+        if case == "existing-file":
+            path, flags = write_config(tmp_path, TRIANGLE), ["--out", str(out)]
+        else:
+            path, flags = write_config(tmp_path, dict(TRIANGLE, output_dir=str(out))), []
+        assert main(["pipeline", "--config", str(path), *flags]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"ringform: config error: output_dir: cannot create {str(out)!r}: ")
+        assert err.endswith(f"{reason}\n") and err.count("\n") == 1
+        assert blocker.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "run.yaml"]
 
     def test_ring_past_its_exact_limit_exits_before_any_step(self, tmp_path, capsys):
         # alpha*dt is 0.99 of the sufficient S2 bound of the 21-robot
@@ -323,12 +356,13 @@ class TestPipelineRun:
 
     def test_pipeline_cuts_the_ring_once(self, tmp_path, monkeypatch):
         cuts = []
+        cut = formation.FormationConfig.__post_init__
 
-        def counted(*args):
-            cuts.append(args)
-            return cut_ring(*args)
+        def counted(config):
+            cuts.append(config.n_total)
+            cut(config)
 
-        monkeypatch.setattr(formation, "cut_ring", counted)
+        monkeypatch.setattr(formation.FormationConfig, "__post_init__", counted)
         path = write_config(tmp_path, dict(TRIANGLE, output_dir=str(tmp_path / "out")))
         assert main(["pipeline", "--config", str(path)]) == EXIT_OK
         assert len(cuts) == 1
@@ -869,7 +903,7 @@ class TestStreamedOutputs:
                    stride=stride, **changes)
         cfg = parse_config(dict(raw, output_dir=str(tmp_path)))
         config = cfg.formation_config
-        initial = seeded_placement(config.ring, cfg.seed, cfg.initial_box)
+        initial = seeded_placement(config.n_total, cfg.seed, cfg.initial_box)
         code = execute(cfg)
         try:
             trace = run_formation(initial, config, cfg.max_steps, stride=stride,

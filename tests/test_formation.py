@@ -39,19 +39,13 @@ from ringform.spectral import (
     stability_bound,
     stability_limit,
 )
-from ringform.topology import PolygonSpec, RingTopology
 
 TRI_R = np.array([[1.0, -2.0], [2.0, 2.0], [-3.0, 0.0]])
 TRI_PARAMS = EstimationParams(alpha=0.3, dt=0.2)
 
 
 def triangle_config(sigma=1):
-    return FormationConfig(
-        ring=RingTopology(7),
-        spec=PolygonSpec(vertex_set=(0, 2, 5), r_star=TRI_R),
-        params=TRI_PARAMS,
-        sigma=sigma,
-    )
+    return FormationConfig(7, (0, 2, 5), TRI_R, TRI_PARAMS, sigma=sigma)
 
 
 # robots 1..6 relative to the pinned vertex, from the cascade arithmetic
@@ -84,25 +78,20 @@ class TestPredictedEquilibrium:
     def test_hexagon_vertex_positions(self):
         hex_r = np.array([[-4.0, -8], [-8, 0], [-4, 8], [4, 8], [8, 0], [4, -8]])
         config = FormationConfig(
-            ring=RingTopology(120),
-            spec=PolygonSpec(vertex_set=(1, 21, 41, 61, 81, 101), r_star=hex_r),
-            params=EstimationParams(alpha=0.5, dt=0.05),
+            120, (1, 21, 41, 61, 81, 101), hex_r,
+            EstimationParams(alpha=0.5, dt=0.05),
         )
         state = predicted_equilibrium(config)
         vertices = state.positions[[1, 21, 41, 61, 81, 101]]
         expected = [[0, 0], [4, 8], [12, 8], [16, 0], [12, -8], [4, -8]]
         np.testing.assert_allclose(vertices, expected, atol=1e-12)
         np.testing.assert_allclose(
-            relative_distance_errors(state, config.spec), np.zeros(6), atol=1e-12
+            relative_distance_errors(state, config), np.zeros(6), atol=1e-12
         )
 
     def test_all_vertex_ring_is_cumulative_sum(self):
         r = np.array([[1.0, 0.5], [-0.25, 0.5], [-0.75, -1.0]])
-        config = FormationConfig(
-            ring=RingTopology(3),
-            spec=PolygonSpec(vertex_set=(0, 1, 2), r_star=r),
-            params=TRI_PARAMS,
-        )
+        config = FormationConfig(3, (0, 1, 2), r, TRI_PARAMS)
         state = predicted_equilibrium(config)
         np.testing.assert_allclose(state.positions[1], -r[0], atol=1e-12)
         np.testing.assert_allclose(state.positions[2], -r[0] - r[1], atol=1e-12)
@@ -112,10 +101,8 @@ def unequal_ring(sigma):
     """11 robots, segments of 3, 4 and 4, pinned vertex at index 1."""
     r = np.array([[1.5, -2.0], [2.5, 3.0], [-4.0, -1.0]])
     return FormationConfig(
-        ring=RingTopology(11),
-        spec=PolygonSpec(vertex_set=(1, 4, 8), r_star=r),
-        params=EstimationParams(alpha=0.4, dt=0.1),
-        sigma=sigma,
+        11, (1, 4, 8), r,
+        EstimationParams(alpha=0.4, dt=0.1), sigma=sigma,
     )
 
 
@@ -196,11 +183,7 @@ class TestStep:
         worst = 0.0
         for n in range(2, 11):
             params = EstimationParams(alpha=0.9 * stability_bound(n, "S2") / 0.05, dt=0.05)
-            config = FormationConfig(
-                ring=RingTopology(3 * n),
-                spec=PolygonSpec(vertex_set=(0, n, 2 * n), r_star=TRI_R),
-                params=params, sigma=2,
-            )
+            config = FormationConfig(3 * n, (0, n, 2 * n), TRI_R, params, sigma=2)
             rng = make_generator(n, 52)
             q, v, v_old = (uniform_box(rng, 3 * n, 2.0) for _ in range(3))
             q[0] = v[0] = v_old[0] = 0.0
@@ -246,14 +229,14 @@ class TestErrors:
         config = triangle_config()
         state = predicted_equilibrium(config)
         np.testing.assert_allclose(
-            relative_distance_errors(state, config.spec), np.zeros(3), atol=1e-12
+            relative_distance_errors(state, config), np.zeros(3), atol=1e-12
         )
 
     def test_all_robots_at_origin(self):
         config = triangle_config()
         state = SwarmState.at_rest(np.zeros((7, 2)))
         np.testing.assert_allclose(
-            relative_distance_errors(state, config.spec),
+            relative_distance_errors(state, config),
             np.linalg.norm(TRI_R, axis=1),
         )
 
@@ -261,7 +244,7 @@ class TestErrors:
         config = triangle_config()
         rng = make_generator(2, 2)
         state = SwarmState.at_rest(uniform_box(rng, 7, 4.0))
-        errors = relative_distance_errors(state, config.spec)
+        errors = relative_distance_errors(state, config)
         q = state.positions
         for i, (a, b) in enumerate(((0, 2), (2, 5), (5, 0))):
             expected = np.linalg.norm(q[a] - q[b] - TRI_R[i])
@@ -291,12 +274,10 @@ class TestRunFormation:
         start[0] = [0.0, 0.0]
         trace = run_formation(SwarmState.at_rest(start), config, 1200)
         q = trace.final_state.positions
-        for seg in config.segments:
-            walk = (seg.anchor,) + seg.members
+        for i, vertex in enumerate(config.vertex_set):
+            walk = [vertex, *config.members(i).tolist()]
             for a, b in zip(walk, walk[1:]):
-                np.testing.assert_allclose(
-                    q[a] - q[b], config.l_star[seg.segment_id], atol=1e-3
-                )
+                np.testing.assert_allclose(q[a] - q[b], config.l_star[i], atol=1e-3)
 
     def test_start_at_equilibrium_stays_there(self):
         config = triangle_config()
@@ -320,12 +301,19 @@ class TestRunFormation:
         )
         assert trace.snapshot_steps == [0, 25, 50, 75, 100]
 
+    @pytest.mark.parametrize("stride,snapshots", [(4, [8, 12, 15]), (3, [6, 9, 12, 15])])
+    def test_snapshots_end_on_the_last_step_from_a_later_start(self, stride, snapshots):
+        # the horizon counts from the start step: steps 5..15 here
+        start = SwarmState.at_rest(uniform_box(make_generator(4, 1), 7, 2.0))
+        start.step = 5
+        trace = run_formation(start, triangle_config(), 10, stride=stride)
+        assert trace.error_steps.tolist() == list(range(5, 16))
+        assert trace.snapshot_steps == snapshots
+        assert trace.final_state is trace.snapshots[-1]
+
     def test_divergence_carries_partial_trace(self):
-        config = FormationConfig(
-            ring=RingTopology(7),
-            spec=PolygonSpec(vertex_set=(0, 2, 5), r_star=TRI_R),
-            params=EstimationParams(alpha=1.99, dt=1.0),  # far outside stability
-        )
+        config = FormationConfig(7, (0, 2, 5), TRI_R,
+                                 EstimationParams(alpha=1.99, dt=1.0))  # far outside stability
         rng = make_generator(5, 0)
         start = uniform_box(rng, 7, 3.0)
         with pytest.raises(DivergenceError) as err:
@@ -343,17 +331,14 @@ def shipped_formation(name, **overrides):
     """The start, ring config and horizon a ``form`` run of a shipped config uses."""
     cfg = shipped_config(name, **overrides)
     config = cfg.formation_config
-    return seeded_placement(config.ring, cfg.seed, cfg.initial_box), config, cfg.max_steps
+    return seeded_placement(config.n_total, cfg.seed, cfg.initial_box), config, cfg.max_steps
 
 
 def unequal_formation(sigma):
     """An 11-robot square cut into segments of 2, 4, 1 and 4 robots."""
     config = FormationConfig(
-        ring=RingTopology(11),
-        spec=PolygonSpec(vertex_set=(1, 3, 7, 8),
-                         r_star=[[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0]]),
-        params=TRI_PARAMS,
-        sigma=sigma,
+        11, (1, 3, 7, 8), [[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0]],
+        TRI_PARAMS, sigma=sigma,
     )
     start = uniform_box(make_generator(11, 0), 11, 3.0)
     return SwarmState.at_rest(start), config, 400
@@ -496,7 +481,7 @@ class TestReusedBuffers:
            ring=st.sampled_from(["unequal", "triangle"]))
     def test_step_into_rings_is_the_plain_step(self, seed, sigma, ring):
         config = unequal_ring(sigma) if ring == "unequal" else triangle_config(sigma)
-        n = config.ring.n_total
+        n = config.n_total
         state = moving_start(n, seed)
         state.step = seed % 1000
         before = state_bits(state)
@@ -515,12 +500,7 @@ class TestReusedBuffers:
         assert np.shares_memory(got.velocities, rings[3])
 
     def test_step_into_rings_allocates_no_state_array(self):
-        config = FormationConfig(
-            ring=RingTopology(6000),
-            spec=PolygonSpec(vertex_set=(0, 2000, 4000), r_star=TRI_R),
-            params=TRI_PARAMS,
-            sigma=2,
-        )
+        config = FormationConfig(6000, (0, 2000, 4000), TRI_R, TRI_PARAMS, sigma=2)
         state = moving_start(6000, 5)
         rings = (wrapped(state.positions), wrapped(state.velocities_prev),
                  np.empty((6002, 2)), np.empty((6002, 2)))
@@ -575,7 +555,7 @@ def ring_step_matrix(config):
     """The ring's one-step map of x positions, velocities and, at sigma = 2,
     stale velocities from ``step_formation`` at r* = 0, without the pinned
     vertex's position, whose eigenvalue is always 1."""
-    n, layers = config.ring.n_total, 1 + config.sigma
+    n, layers = config.n_total, 1 + config.sigma
     columns = []
     for unit in np.eye(layers * n):
         state = SwarmState(*(np.column_stack([row, np.zeros(n)])
@@ -600,11 +580,9 @@ class TestRingChains:
     ])
     def test_ring_is_schur_exactly_below_the_limit_of_its_chains(self, n_total, vertices,
                                                                   sigma):
-        spec = PolygonSpec(vertex_set=vertices, r_star=np.zeros((len(vertices), 2)))
-
         def ring(alpha):
-            return FormationConfig(ring=RingTopology(n_total), spec=spec,
-                                   params=EstimationParams(alpha=alpha, dt=1.0), sigma=sigma)
+            return FormationConfig(n_total, vertices, np.zeros((len(vertices), 2)),
+                                   EstimationParams(alpha=alpha, dt=1.0), sigma=sigma)
 
         chains = ring(0.1).chains()
         limit = min(stability_limit(order, kind) for order, kind in chains)
@@ -625,14 +603,7 @@ class TestConfigValidation:
 
     def test_closure_required(self):
         with pytest.raises(ValueError, match="close"):
-            FormationConfig(
-                ring=RingTopology(7),
-                spec=PolygonSpec(
-                    vertex_set=(0, 2, 5),
-                    r_star=np.array([[1.0, 0], [0, 1], [0, 0]]),
-                ),
-                params=TRI_PARAMS,
-            )
+            FormationConfig(7, (0, 2, 5), [[1.0, 0], [0, 1], [0, 0]], TRI_PARAMS)
 
     def test_l_star_is_r_star_over_cardinality(self):
         config = triangle_config()
@@ -662,10 +633,7 @@ class TestPipeline:
     def test_all_vertex_ring_estimates_ones(self):
         r = np.array([[1.0, 0.5], [-0.25, 0.5], [-0.75, -1.0]])
         params = EstimationParams(alpha=0.5, dt=0.2)
-        config = FormationConfig(
-            ring=RingTopology(3), spec=PolygonSpec(vertex_set=(0, 1, 2), r_star=r),
-            params=params,
-        )
+        config = FormationConfig(3, (0, 1, 2), r, params)
         est = EstimatorConfig(params=params, strategy="S1")
         result = run_pipeline(config, est, seed=3, horizon=400, initial_box=2.0)
         assert result.estimates == [1, 1, 1]
@@ -714,10 +682,10 @@ def chain_loop(cfg):
     """The same chains, one ``run_estimation`` at a time."""
     args = cfg.pipeline_arguments()
     config = args["config"]
-    initial = seeded_placement(config.ring, args["seed"], args["initial_box"])
-    return [run_estimation(seg.cardinality, args["est_config"],
-                           initial.positions[list(seg.members)] - initial.positions[seg.anchor])
-            for seg in config.segments]
+    initial = seeded_placement(config.n_total, args["seed"], args["initial_box"])
+    return [run_estimation(n, args["est_config"],
+                           initial.positions[config.members(i)] - initial.positions[vertex])
+            for i, (n, vertex) in enumerate(zip(config.n_s, config.vertex_set))]
 
 
 UNEQUAL = dict(n_total=10, vertex_set=(0, 2, 7))  # segments of 2, 5 and 3 robots
