@@ -32,7 +32,6 @@ from .estimation import EstimateTrace, EstimatorConfig, run_estimation
 from .formation import (
     CLOSURE_TOL,
     FormationConfig,
-    FormationTrace,
     PipelineEstimationError,
     polygon_closes,
     run_formation,
@@ -468,7 +467,11 @@ class _FormationFiles:
         self.dt = dt
         self.trace = write_csv(out_dir / "trace.csv", TRACE_HEADER)
         outputs.append("trace.csv")
-        self.errors = write_csv(out_dir / "errors.csv", ERRORS_HEADER)
+        try:
+            self.errors = write_csv(out_dir / "errors.csv", ERRORS_HEADER)
+        except OSError:
+            self.trace.close()
+            raise
         outputs.append("errors.csv")
 
     def add_snapshot(self, state: SwarmState) -> None:
@@ -509,21 +512,6 @@ def _write_estimates(out_dir: Path, outputs: list[str], traces) -> None:
     outputs.append("estimate.csv")
 
 
-def _diverged(err: DivergenceError, out_dir: Path, outputs: list[str]) -> int:
-    """Write the estimate traces run before the divergence, then report.
-
-    ``err.partial`` is one trace or a list of estimate traces that may end
-    with the formation trace (``run_pipeline``).  A formation's output,
-    with every estimate before it, is on disk already.
-    """
-    partial = err.partial if isinstance(err.partial, list) else [err.partial]
-    estimates = [t for t in partial if isinstance(t, EstimateTrace)]
-    if estimates and not isinstance(partial[-1], FormationTrace):
-        _write_estimates(out_dir, outputs, estimates)
-    print(f"ringform: {err}", file=sys.stderr)
-    return EXIT_DIVERGED
-
-
 # --- mode runners ---------------------------------------------------------
 
 
@@ -561,12 +549,7 @@ def _run_pipeline(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
             _write_estimates(out_dir, outputs, traces)
             return files.enter_context(closing(_FormationFiles(out_dir, outputs, cfg.dt)))
 
-        try:
-            result = run_pipeline(**cfg.pipeline_arguments(), open_sink=open_sink)
-        except PipelineEstimationError as err:
-            _write_estimates(out_dir, outputs, err.traces)
-            print(f"ringform: {err}", file=sys.stderr)
-            return EXIT_NOT_CONVERGED
+        result = run_pipeline(**cfg.pipeline_arguments(), open_sink=open_sink)
     final_error = float(result.formation.final_errors.max())
     print(f"pipeline: estimates {result.estimates}, final max edge error "
           f"{final_error:.3e}")
@@ -612,23 +595,31 @@ def _run_spectral(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
     return EXIT_OK
 
 
+def _output_error(verb: str, path, exc: Exception) -> int:
+    """Report an output directory or file that could not be made or written
+    as a config error of ``output_dir``."""
+    print(f"ringform: config error: output_dir: cannot {verb} {_quoted(path)}: "
+          f"{getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def execute(cfg: RunConfig) -> int:
     """Run one validated config; writes outputs plus a manifest.
 
-    A divergence writes the partial traces and exits 3; a config error
-    found only when the run starts (an output directory that cannot be
-    made, the stop window, or a size whose arrays cannot be allocated)
-    exits 2.
+    A run that stops early writes the estimate traces in its error's
+    ``partial`` list, unless ``estimate.csv`` is written already, and
+    exits 3 on a divergence or 4 on a failed estimation phase.  A config
+    error found only when the run starts exits 2: an output directory that
+    cannot be made, an output file that cannot be written, the stop
+    window, or a size whose arrays cannot be allocated.  Files written
+    before a failed write stay, and the manifest lists them.
     """
     out_dir = Path(cfg.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # a file in the way, or a name the OS refuses
-        print(f"ringform: config error: output_dir: cannot create {_quoted(cfg.output_dir)}: "
-              f"{getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    write_resolved_config(out_dir, cfg)
-    outputs = ["resolved_config.yaml"]
+        return _output_error("create", cfg.output_dir, exc)
+    outputs = []
     started = time.perf_counter()
     # Each mode's runner and the field that sizes its arrays.
     runner, size_field = {
@@ -641,9 +632,16 @@ def execute(cfg: RunConfig) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            code = runner(cfg, out_dir, outputs)
-        except DivergenceError as err:
-            code = _diverged(err, out_dir, outputs)
+            write_resolved_config(out_dir, cfg)
+            outputs.append("resolved_config.yaml")
+            try:
+                code = runner(cfg, out_dir, outputs)
+            except (DivergenceError, PipelineEstimationError) as err:
+                print(f"ringform: {err}", file=sys.stderr)
+                code = EXIT_DIVERGED if isinstance(err, DivergenceError) else EXIT_NOT_CONVERGED
+                estimates = [t for t in err.partial if isinstance(t, EstimateTrace)]
+                if estimates and "estimate.csv" not in outputs:
+                    _write_estimates(out_dir, outputs, estimates)
         except ConfigError as exc:
             print(f"ringform: config error: {exc}", file=sys.stderr)
             code = EXIT_CONFIG
@@ -651,9 +649,14 @@ def execute(cfg: RunConfig) -> int:
             print(f"ringform: config error: {size_field}: too large to allocate: "
                   f"{str(exc) or 'out of memory'}", file=sys.stderr)
             code = EXIT_CONFIG
+        except OSError as exc:  # a write to an open file names no file
+            code = _output_error("write", exc.filename or cfg.output_dir, exc)
     for entry in caught:
         print(f"ringform: warning: {entry.message}", file=sys.stderr)
-    write_manifest(out_dir, cfg, time.perf_counter() - started, outputs)
+    try:
+        write_manifest(out_dir, cfg, time.perf_counter() - started, outputs)
+    except OSError as exc:
+        code = _output_error("write", exc.filename or cfg.output_dir, exc)
     return code
 
 

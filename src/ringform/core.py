@@ -16,13 +16,16 @@ POSITION_LIMIT = 1.0e6
 class DivergenceError(RuntimeError):
     """A simulation left the sane-magnitude envelope (unstable parameters).
 
-    ``partial`` may carry whatever trace object the runner had assembled
-    before aborting, so callers can still flush a truncated output file.
+    ``partial`` lists the traces the run had made, in run order, so callers
+    can still flush truncated output files: empty from ``check_finite``,
+    the step functions and a sweep; ``[trace]`` from ``run_estimation``
+    and ``run_formation``; the chain traces, then the formation trace,
+    from ``run_pipeline``.
     """
 
-    def __init__(self, message, partial=None):
+    def __init__(self, message):
         super().__init__(message)
-        self.partial = partial
+        self.partial = []
 
 
 def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
@@ -99,8 +102,9 @@ class SwarmState:
 
     ``velocities_prev`` is the one-step-old layer needed by the lagged
     (sigma = 2, S2) update; it is all zeros at step 0.  An estimator chain
-    (see ``chain``) also carries ``excitation``, the virtual robot's
-    velocity at the current step; its position never leaves the origin.
+    state (anchor in row 0, then the n' robots) also carries
+    ``excitation``, the virtual robot's velocity at the current step; its
+    position never leaves the origin.
     """
 
     positions: np.ndarray
@@ -128,18 +132,3 @@ class SwarmState:
     def at_rest(cls, positions: np.ndarray) -> "SwarmState":
         positions = np.asarray(positions, dtype=float)
         return cls(positions=positions, velocities=np.zeros_like(positions))
-
-    @classmethod
-    def chain(cls, n_prime, initial_positions=None, excitation=(1.0, 0.0)) -> "SwarmState":
-        """Estimator chain at rest: anchor at the origin in row 0, then n' robots."""
-        positions = np.zeros((n_prime + 1, 2))
-        if initial_positions is not None:
-            initial_positions = np.asarray(initial_positions, dtype=float)
-            if initial_positions.shape != (n_prime, 2):
-                raise ValueError(
-                    f"initial_positions must have shape ({n_prime}, 2), "
-                    f"got {initial_positions.shape}"
-                )
-            positions[1:] = initial_positions
-        return cls(positions=positions, velocities=np.zeros_like(positions),
-                   excitation=np.array(excitation, dtype=float))

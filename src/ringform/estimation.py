@@ -53,8 +53,9 @@ class EstimatorConfig:
 
 
 def step_estimator(state: SwarmState, config: EstimatorConfig) -> SwarmState:
-    """One synchronous estimator step on a ``SwarmState.chain``; returns the
-    successor state.
+    """One synchronous estimator step on a chain state: the anchor in row 0,
+    the n' robots after it and the virtual robot's ``excitation``; returns
+    the successor state.
 
     All new velocities are computed from the step-k snapshot (S1 reads the
     current neighbour velocities, S2 the one-step-old layer; the excitation
@@ -351,37 +352,33 @@ def run_estimation(
     integer is the estimate.  This implies that they are finite (a NaN
     rounding never equals anything) and span less than one.
     Initial positions default to a seeded uniform draw in a square box;
-    initial velocities are zero.  A divergence carries the trace up to
-    the step before it as ``partial``.
+    initial velocities are zero.  The chain runs as a one-column batch,
+    so a divergence carries ``[trace]``, its trace up to the step before
+    it, as ``partial``.
 
     With ``batch`` the chain is the batch's column ``column``, of
     ``n_prime_true`` robots run with ``config``, and starts where the
     batch says; a divergence then carries every chain's trace as its
     ``partial`` list (see ``chain_traces``).
     """
-    if batch is not None:
-        if (len(batch.starts[column]), batch.configs[column]) != (n_prime_true, config):
-            raise ValueError(f"column {column} of the batch is another chain")
-        if batch.traces is None:
-            batch.traces = chain_traces(batch.starts, batch.configs, batch.names)
-        return batch.traces[column]
-    if n_prime_true < 1:
-        raise ValueError("chain must contain at least one movable robot")
-    if initial_positions is None:
-        initial_positions = uniform_box(make_generator(seed), n_prime_true, initial_box)
-    else:
-        initial_positions = np.asarray(initial_positions, dtype=float)
-        if initial_positions.shape != (n_prime_true, 2):
-            raise ValueError(
-                f"initial_positions must have shape ({n_prime_true}, 2), "
-                f"got {initial_positions.shape}"
-            )
-    try:
-        (trace,) = chain_traces([initial_positions], [config])
-    except DivergenceError as err:
-        (err.partial,) = err.partial
-        raise
-    return trace
+    if batch is None:
+        if n_prime_true < 1:
+            raise ValueError("chain must contain at least one movable robot")
+        if initial_positions is None:
+            initial_positions = uniform_box(make_generator(seed), n_prime_true, initial_box)
+        else:
+            initial_positions = np.asarray(initial_positions, dtype=float)
+            if initial_positions.shape != (n_prime_true, 2):
+                raise ValueError(
+                    f"initial_positions must have shape ({n_prime_true}, 2), "
+                    f"got {initial_positions.shape}"
+                )
+        batch = ChainBatch([initial_positions], [config])
+    if (len(batch.starts[column]), batch.configs[column]) != (n_prime_true, config):
+        raise ValueError(f"column {column} of the batch is another chain")
+    if batch.traces is None:
+        batch.traces = chain_traces(batch.starts, batch.configs, batch.names)
+    return batch.traces[column]
 
 
 def _rounded(raw):

@@ -43,11 +43,12 @@ def polygon_closes(r_star, tol: float = CLOSURE_TOL) -> bool:
 
 
 class PipelineEstimationError(RuntimeError):
-    """Phase 1 failed: some chain estimate missing or wrong."""
+    """Phase 1 failed: some chain estimate missing or wrong.  ``partial``
+    lists the chain traces, as a ``DivergenceError``'s does."""
 
-    def __init__(self, message, traces=None):
+    def __init__(self, message, partial):
         super().__init__(message)
-        self.traces = traces or []
+        self.partial = partial
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,9 +309,9 @@ def run_formation(
     ``sink.add_errors(steps, errors)`` receives the per-edge errors of
     every step, ``errors[i]`` those of step ``steps[i]``, in blocks of
     ``BLOCK_STEPS`` steps; the last block ends with the run, or with the
-    step before a divergence.  The ``DivergenceError`` carries the trace
-    so far as ``partial``.  Without ``sink`` the returned trace collects
-    both.
+    step before a divergence.  The ``DivergenceError`` carries
+    ``[trace]``, the trace so far, as ``partial``.  Without ``sink`` the
+    returned trace collects both.
 
     The loop steps in wrapped rings (see ``step_formation``) that it
     reuses: two for positions and three for velocities, since sigma = 2
@@ -371,7 +372,7 @@ def run_formation(
                 row = 0
     except DivergenceError as err:
         _hand_over(trace, sink, corners[:row], first, config.r_star)
-        err.partial = _finish(trace, collector, last)
+        err.partial = [_finish(trace, collector, last)]
         raise
     return _finish(trace, collector, last)
 
@@ -434,12 +435,13 @@ def run_pipeline(
     (``FormationConfig.chain_batch``), which the first of the per-segment
     ``run_estimation`` calls runs.  Phase 2 refuses to start unless every
     estimate converged to its segment's size in ``config.n_s``, then runs
-    the ring under ``config`` from the same initial placement.  A
-    ``DivergenceError`` carries every trace run so far as its ``partial``
-    list: in phase 1 every chain's trace, the chains still running at the
-    divergence ending the step before it; in phase 2 the chain traces,
-    then the formation's partial trace.  A phase-1 divergence names the
-    segment, ``segment <id>``.
+    the ring under ``config`` from the same initial placement.  An early
+    stop carries every trace run so far, in run order, as its ``partial``
+    list.  A ``PipelineEstimationError`` (an estimate missing or wrong)
+    carries the chain traces.  A ``DivergenceError`` carries in phase 1
+    every chain's trace, the chains still running at the divergence ending
+    the step before it, and names the segment, ``segment <id>``; in phase
+    2 the chain traces, then the formation's partial trace.
 
     ``open_sink``, when given, is called with the chain traces once phase
     1 has succeeded, and returns the formation's ``sink`` (see
@@ -470,7 +472,7 @@ def run_pipeline(
             sink=sink,
         )
     except DivergenceError as err:
-        err.partial = traces + [err.partial]
+        err.partial = traces + err.partial
         raise
     return PipelineResult(
         estimates=estimates,

@@ -10,10 +10,11 @@ with rolled neighbour copies and a per-vertex loop;
 ``reference_stop_rule`` checks the estimator's stop rule window by window,
 ``reference_readout`` inverts one ratio with scalar arithmetic, and
 ``reference_estimation`` and ``reference_steady_ratio`` step one chain at a
-time through ``step_estimator``; ``trace_bits`` is an estimate trace's
-fields for a bitwise comparison; ``reference_sweep`` runs the convergence
-sweep one chain at a time through ``run_estimation``.  ``shipped_config``
-loads the scenario configs from the repository's ``configs/`` directory.
+time through ``step_estimator`` from a ``chain_state``; ``trace_bits`` is an
+estimate trace's fields for a bitwise comparison; ``reference_sweep`` runs
+the convergence sweep one chain at a time through ``run_estimation``.
+``shipped_config`` loads the scenario configs from the repository's
+``configs/`` directory.
 """
 
 import math
@@ -69,7 +70,7 @@ def reference_run_formation(initial, config, horizon, *, error_tolerance=1e-2, s
     """``run_formation``'s trace, recorded as each state is reached: its
     edge errors from rolled vertex indices and ``np.linalg.norm``, its
     snapshot, and the first step within tolerance.  A divergence re-raises
-    with the trace so far as ``partial``."""
+    with ``[trace]``, the trace so far, as ``partial``."""
     trace = FormationTrace(dt=config.params.dt, tolerance=error_tolerance)
     vertices = np.array(config.vertex_set)
     error_steps, errors = [], []
@@ -100,7 +101,7 @@ def reference_run_formation(initial, config, horizon, *, error_tolerance=1e-2, s
             record(state)
     except DivergenceError as err:
         finalize(state)
-        err.partial = trace
+        err.partial = [trace]
         raise
     finalize(state)
     return trace
@@ -167,6 +168,22 @@ def _chain_ratio(state, config):
     return math.sqrt(vx * vx + vy * vy) / math.sqrt(x * x + y * y)
 
 
+def chain_state(n_prime, initial_positions=None, excitation=(1.0, 0.0)):
+    """Estimator chain at rest, the state ``step_estimator`` steps: anchor at
+    the origin in row 0, then n' robots, with the virtual robot's excitation."""
+    positions = np.zeros((n_prime + 1, 2))
+    if initial_positions is not None:
+        initial_positions = np.asarray(initial_positions, dtype=float)
+        if initial_positions.shape != (n_prime, 2):
+            raise ValueError(
+                f"initial_positions must have shape ({n_prime}, 2), "
+                f"got {initial_positions.shape}"
+            )
+        positions[1:] = initial_positions
+    return SwarmState(positions=positions, velocities=np.zeros_like(positions),
+                      excitation=np.array(excitation, dtype=float))
+
+
 def reference_estimation(n_prime, config, initial):
     """``run_estimation`` one step at a time: ``step_estimator`` with its
     own checks off, ``reference_readout`` and ``reference_stop_rule``.
@@ -177,7 +194,7 @@ def reference_estimation(n_prime, config, initial):
     raises the ``DivergenceError`` with ``(ratios, raws)`` before its step
     as ``partial``.
     """
-    state = SwarmState.chain(n_prime, initial, config.excitation_init)
+    state = chain_state(n_prime, initial, config.excitation_init)
     ratios, raws, failure = [], [], None
     with mock.patch.object(ringform.estimation, "check_finite", lambda *args: None):
         for step in range(1, config.max_steps + 1):
@@ -215,7 +232,7 @@ def trace_bits(trace):
 def reference_steady_ratio(n_prime, config):
     """``estimate_and_settle``'s settle rule one step at a time from rest:
     returns the ratio and the step at which it settled."""
-    state = SwarmState.chain(n_prime, None, config.excitation_init)
+    state = chain_state(n_prime, None, config.excitation_init)
     previous, quiet = math.inf, 0
     while quiet < 25:
         state = step_estimator(state, config)

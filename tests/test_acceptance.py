@@ -18,6 +18,7 @@ import numpy as np
 import yaml
 
 from helpers import (
+    chain_state,
     dense_gain,
     iterate_estimator,
     iterate_formation_chain,
@@ -196,7 +197,7 @@ def test_criterion_05_step_vs_matrix_oracle():
         ):
             config = EstimatorConfig(params=params, strategy=strategy)
             expected = iterate(builder(n_prime, params), initial, (1.0, 0.0), 200)
-            state = SwarmState.chain(n_prime, initial, (1.0, 0.0))
+            state = chain_state(n_prime, initial, (1.0, 0.0))
             for step_state in expected:
                 state = step_estimator(state, config)
                 if strategy == "S1":

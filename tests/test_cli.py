@@ -210,6 +210,45 @@ class TestConfigValidation:
         assert blocker.read_text() == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "run.yaml"]
 
+    @pytest.mark.parametrize("blocked,written", [
+        ("resolved_config.yaml", []),
+        ("trace.csv", ["resolved_config.yaml", "estimate.csv"]),
+        ("errors.csv", ["resolved_config.yaml", "estimate.csv", "trace.csv"]),
+    ])
+    def test_output_file_that_cannot_be_written_is_a_config_error(self, tmp_path, capsys,
+                                                                  blocked, written):
+        # A directory in the way of one output file inside an existing
+        # output directory: the files before it stay, and the manifest
+        # lists them.
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        path = write_config(tmp_path, TRIANGLE)
+        assert main(["pipeline", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"ringform: config error: output_dir: cannot write {str(out / blocked)!r}: "
+            "Is a directory\n")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == written
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [blocked, "manifest.json", *written])
+        if written:
+            lines = (out / "estimate.csv").read_text().splitlines()
+            assert lines[0].startswith("step,") and len(lines) > 1
+        if "trace.csv" in written:
+            assert (out / "trace.csv").read_text() == ",".join(TRACE_HEADER) + "\n"
+
+    def test_manifest_that_cannot_be_written_is_a_config_error(self, tmp_path, capsys):
+        # The run and every other output finish; only the manifest fails.
+        out = tmp_path / "out"
+        (out / "manifest.json").mkdir(parents=True)
+        path = write_config(tmp_path, TRIANGLE)
+        assert main(["pipeline", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"ringform: config error: output_dir: cannot write {str(out / 'manifest.json')!r}: "
+            "Is a directory\n")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "errors.csv", "estimate.csv", "manifest.json", "resolved_config.yaml", "trace.csv"]
+
     def test_ring_past_its_exact_limit_exits_before_any_step(self, tmp_path, capsys):
         # alpha*dt is 0.99 of the sufficient S2 bound of the 21-robot
         # segments, but past the exact limit of their sigma = 2 chains: run,
@@ -909,7 +948,7 @@ class TestStreamedOutputs:
             trace = run_formation(initial, config, cfg.max_steps, stride=stride,
                                   error_tolerance=cfg.formation_tolerance)
         except DivergenceError as err:
-            trace = err.partial
+            (trace,) = err.partial
         assert code == (EXIT_DIVERGED if changes else EXIT_OK)
         want_trace, want_errors = reference_formation_csvs(trace)
         assert (tmp_path / "trace.csv").read_bytes() == want_trace.encode()

@@ -3,7 +3,25 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ringform.core import ABS_CHECK_MAX_SIZE, POSITION_LIMIT, DivergenceError, check_finite
+from helpers import shipped_config
+from ringform.core import (
+    ABS_CHECK_MAX_SIZE,
+    POSITION_LIMIT,
+    DivergenceError,
+    SwarmState,
+    check_finite,
+    make_generator,
+    uniform_box,
+)
+from ringform.estimation import EstimateTrace, EstimatorConfig, chain_traces, run_estimation
+from ringform.formation import (
+    FormationConfig,
+    PipelineEstimationError,
+    run_formation,
+    run_pipeline,
+)
+from ringform.harness import sweep_and_curves
+from ringform.spectral import EstimationParams
 
 NON_FINITE = "ring positions contains non-finite values at step 7"
 
@@ -82,3 +100,56 @@ def test_check_finite_allocates_nothing_on_a_passing_large_array():
     finally:
         tracemalloc.stop()
     assert peak < values.nbytes // 8
+
+
+# Stable estimator gains: placed in a 1e7 box, a chain fails the step-64
+# position check.
+FAR_CHAIN = EstimatorConfig(params=EstimationParams(alpha=0.5, dt=0.01), max_steps=5000)
+TRI_RING = FormationConfig(7, (0, 2, 5), [[1.0, -2.0], [2.0, 2.0], [-3.0, 0.0]],
+                           EstimationParams(alpha=1.99, dt=1.0))  # far outside stability
+
+
+def stops_early(run):
+    """The error that ends ``run()``."""
+    with pytest.raises((DivergenceError, PipelineEstimationError)) as stop:
+        run()
+    return stop.value
+
+
+def pipeline_stop(**overrides):
+    """The error that ends a pipeline run of the shipped triangle."""
+    return stops_early(lambda: run_pipeline(
+        **shipped_config("triangle", **overrides).pipeline_arguments()))
+
+
+EARLY_STOPS = {
+    "check_finite": (lambda: stops_early(lambda: check_finite(np.full((3, 2), 2e6), 1, "x")),
+                     []),
+    "run_estimation": (lambda: stops_early(lambda: run_estimation(
+        10, FAR_CHAIN, seed=0, initial_box=1.0e7)), [10]),
+    "chain_traces": (lambda: stops_early(lambda: chain_traces(
+        [uniform_box(make_generator(0, 0), 10, 1.0e7), uniform_box(make_generator(1, 0), 3, 5.0)],
+        [FAR_CHAIN, FAR_CHAIN])), [10, 3]),
+    "run_formation": (lambda: stops_early(lambda: run_formation(
+        SwarmState.at_rest(uniform_box(make_generator(5, 0), 7, 3.0)), TRI_RING, 5000)),
+        ["FormationTrace"]),
+    "pipeline-phase-1": (lambda: pipeline_stop(initial_box=1.0e9), [2, 3, 2]),
+    "pipeline-phase-2": (lambda: pipeline_stop(alpha=0.6, sigma=2, initial_box=1.05e6),
+                         [2, 3, 2, "FormationTrace"]),
+    "pipeline-estimation": (lambda: pipeline_stop(est_stop_window=50, est_max_steps=52),
+                            [2, 3, 2]),
+    "sweep_and_curves": (lambda: stops_early(lambda: sweep_and_curves(
+        (5, 8), 2, dt=0.01, scale_per_n=True, seed=0, initial_box=1.0e7)), []),
+}
+
+
+@pytest.mark.parametrize("case", EARLY_STOPS)
+def test_early_stop_lists_its_traces_in_run_order(case):
+    # Every early stop carries the traces its run made as a list: each
+    # chain's trace (its order), then the formation's.
+    stop, expected = EARLY_STOPS[case]
+    err = stop()
+    assert type(err.partial) is list
+    assert [trace.n_prime_true if isinstance(trace, EstimateTrace) else type(trace).__name__
+            for trace in err.partial] == expected
+    assert isinstance(err, PipelineEstimationError) == (case == "pipeline-estimation")

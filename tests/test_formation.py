@@ -318,8 +318,8 @@ class TestRunFormation:
         start = uniform_box(rng, 7, 3.0)
         with pytest.raises(DivergenceError) as err:
             run_formation(SwarmState.at_rest(start), config, 5000)
-        assert err.value.partial is not None
-        assert len(err.value.partial.error_steps) > 1
+        (partial,) = err.value.partial
+        assert len(partial.error_steps) > 1
 
     def test_wrong_robot_count_rejected(self):
         config = triangle_config()
@@ -349,7 +349,8 @@ def trace_outcome(run, initial, config, horizon, stride):
     try:
         return run(initial, config, horizon, stride=stride), None
     except DivergenceError as err:
-        return err.partial, str(err)
+        (partial,) = err.partial
+        return partial, str(err)
 
 
 def bits(array):
@@ -443,7 +444,7 @@ class TestSink:
             verdict = run_formation(initial, config, horizon, stride=stride, sink=sink)
         except DivergenceError as err:
             assert str(err) == message
-            verdict = err.partial
+            (verdict,) = err.partial
         blocks = [call for call in sink.calls if call[0] == "errors"]
         steps = [step for _, block_steps, _ in blocks for step in block_steps]
         assert steps == collected.error_steps.tolist()
@@ -646,7 +647,7 @@ class TestPipeline:
         )
         with pytest.raises(PipelineEstimationError) as err:
             run_pipeline(triangle_config(), est, seed=42, horizon=10)
-        assert len(err.value.traces) == 3
+        assert len(err.value.partial) == 3
 
     def test_pipeline_is_deterministic(self):
         est = EstimatorConfig(
@@ -675,7 +676,7 @@ def batched_phase_one(cfg):
     except _PhaseOneDone as done:
         return done.args[0]
     except PipelineEstimationError as failed:
-        return failed.traces
+        return failed.partial
 
 
 def chain_loop(cfg):
