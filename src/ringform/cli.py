@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -38,7 +39,7 @@ from .formation import (
     run_pipeline,
     seeded_placement,
 )
-from .harness import auto_stop_window, sweep_and_curves
+from .harness import auto_stop_window, sweep_and_curves, sweep_batch_bytes
 from .spectral import STRATEGIES, EstimationParams, spectral_report, stability_limit
 
 EXIT_OK = 0
@@ -291,6 +292,11 @@ def parse_config(raw: dict) -> RunConfig:
 _MAX_SIZE = np.iinfo(np.intp).max // 72
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory, the sweep rule's ceiling."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def _require_stable(path: str, alpha: float, dt: float, chains) -> None:
     """ConfigError at ``path`` unless every ``(order, kind)`` chain is Schur."""
     limit, order, kind = min((stability_limit(*chain), *chain) for chain in chains)
@@ -300,8 +306,8 @@ def _require_stable(path: str, alpha: float, dt: float, chains) -> None:
 
 
 def _check_rules(cfg: RunConfig) -> None:
-    """Rules that span fields: array sizes, gains and chain stability, sweep,
-    mode needs, closure."""
+    """Rules that span fields: array sizes, gains and chain stability, sweep
+    range and memory, mode needs, closure."""
     for path, size in (("topology.n_total", cfg.n_total), ("n_prime", cfg.n_prime),
                        ("sweep.n_max", cfg.sweep_n_max)):
         _require(size is None or size <= _MAX_SIZE, path,
@@ -343,6 +349,11 @@ def _check_rules(cfg: RunConfig) -> None:
         if cfg.mode == "pipeline":
             _require_stable(*estimation, [(max(config.n_s), estimator)])
         _require_stable("alpha", cfg.alpha, cfg.dt, config.chains())
+    elif cfg.mode == "sweep":
+        need = sweep_batch_bytes((cfg.sweep_n_min, cfg.sweep_n_max), cfg.sweep_reps)
+        have = _physical_memory()
+        _require(need <= have, "sweep", f"its lock-step batch needs {need / 2**30:.3g} GiB, "
+                 f"more than the {have / 2**30:.3g} GiB of physical memory")
     elif cfg.mode == "spectral":
         _require(cfg.n_prime is not None, "n_prime",
                  "spectral mode needs the chain order n_prime")

@@ -243,6 +243,17 @@ def _lock_step(starts, configs, names, limits, rule, record=None):
     return stops, stop_values, settled_at
 
 
+def batch_bytes(rows: int, columns: int) -> int:
+    """Bytes ``_lock_step`` holds at once for ``columns`` chains in its
+    ``(rows, 2, C)`` buffers: ``q``, ``v`` and ``v_prev``, then the larger
+    of a block's two peaks, stepping (``new``, ``scratch``, ``tails`` and
+    ``ratios``) or reading (``tails``, ``ratios``, and ``estimate_and_settle``'s
+    raw and rounded readouts and ``values``).  A lower bound: the starts,
+    names, live mask and per-column scalars are left out."""
+    stepping = 2 * (rows - 2) * 2 + 3 * BLOCK
+    return 8 * columns * (3 * rows * 2 + max(stepping, 6 * BLOCK))
+
+
 def _streaks(first, same):
     """Maps each block's ``(k, B)`` values to the steps since ``same(value,
     value before)`` was last false, 0 there; ``first`` precedes block one.

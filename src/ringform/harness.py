@@ -16,6 +16,7 @@ import numpy as np
 from .core import SwarmState, make_generator, uniform_box
 from .estimation import (
     EstimatorConfig,
+    batch_bytes,
     estimate_and_settle,
     run_estimation,
 )
@@ -227,6 +228,13 @@ def sweep_and_curves(n_range, reps, *, dt, scale_per_n, seed, initial_box):
         (max(n_range[0] - 1, 1), n_range[1] - 1), None, dt)
     outcomes, sims = estimate_and_settle(starts, configs, names, orders, settle_configs)
     return sweep(outcomes), curve(sims)
+
+
+def sweep_batch_bytes(n_range, reps) -> int:
+    """``batch_bytes`` of ``sweep_and_curves``' batch: ``2 * reps`` chains
+    per n, two per curve order, the longest of ``n_hi - 1`` robots."""
+    n_lo, n_hi = n_range
+    return batch_bytes(n_hi + 1, (n_hi - n_lo + 1) * 2 * reps + 2 * (n_hi - max(n_lo - 1, 1)))
 
 
 # --- scenario report -----------------------------------------------------

@@ -33,7 +33,7 @@ from ringform.cli import (
     write_trace_csv,
 )
 from ringform.core import DivergenceError, SwarmState, make_generator, uniform_box
-from ringform.estimation import EstimateTrace
+from ringform.estimation import EstimateTrace, batch_bytes
 from ringform.formation import run_formation, seeded_placement
 from ringform.harness import SensitivityCurve, SensitivityRow, SweepResult, SweepRow
 
@@ -514,6 +514,19 @@ class TestOtherModes:
             "alpha: alpha*dt = 1.9 (alpha 1.9, dt 1.0) must be below 1, the exact "
             "stability limit of the estimator chain of order 10")
 
+    def test_floating_point_warnings_are_echoed_after_the_message(self, tmp_path, capsys):
+        # alpha*dt = 0.75 is stable, but alpha alone overflows the first
+        # step's velocities; both overflow warnings follow the message.
+        path = write_config(tmp_path, {
+            "mode": "estimate", "alpha": 1.0e155, "dt": 7.5e-156, "initial_box": 1.0,
+            "output_dir": str(tmp_path / "out"), "topology": {"n_total": 5},
+        })
+        assert main(["estimate", "--config", str(path)]) == EXIT_DIVERGED
+        assert capsys.readouterr().err == (
+            "ringform: chain velocities diverged at step 1: max magnitude 1.195e+155 "
+            "exceeds 1e+06\n"
+            + "ringform: warning: overflow encountered in multiply\n" * 2)
+
     def test_pipeline_estimation_divergence_exit(self, tmp_path, capsys):
         # Placements in a 1e9 box blow the phase-1 chains up at step 64;
         # the three chains run as one batch, so each one's partial trace
@@ -726,6 +739,25 @@ class TestOtherModes:
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json",
                                                         "resolved_config.yaml"]
 
+    def test_sweep_past_physical_memory_is_refused_before_the_run(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 8 * 2 ** 30)
+        sweep = {"mode": "sweep", "sweep": {"n_min": 5, "n_max": 6, "reps": 10 ** 9}}
+        assert refused(tmp_path, capsys, sweep) == (
+            "sweep: its lock-step batch needs 1.27e+04 GiB, more than the 8 GiB of "
+            "physical memory")
+
+    def test_sweep_rule_refuses_only_past_physical_memory(self, monkeypatch):
+        # 2 cells x 2 strategies x 3 reps, and orders 4 and 5 of the curves,
+        # in buffers of n_max + 1 rows: the batch of sweep_and_curves.
+        sweep = {"mode": "sweep", "sweep": {"n_min": 5, "n_max": 6, "reps": 3}}
+        need = batch_bytes(7, 2 * 2 * 3 + 2 * 2)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+        parse_config(sweep)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ConfigError, match=r"^sweep: its lock-step batch needs "):
+            parse_config(sweep)
+
     @pytest.mark.parametrize("mode,size,mapping", [
         ("spectral", "n_prime", {"n_prime": 10 ** 15}),
         ("form", "topology.n_total", {
@@ -911,6 +943,18 @@ class TestStreamedOutputs:
         # last snapshot taken.
         assert steps["errors.csv"] == list(range(2 * block))
         assert steps["trace.csv"] == list(range(0, failing_step, stride))
+
+    def test_a_failing_block_leaves_the_lines_before_it(self, tmp_path):
+        def block():
+            yield "1,2\n"
+            raise RuntimeError("block failed")
+
+        path = tmp_path / "cut.csv"
+        with pytest.raises(RuntimeError, match="block failed") as caught:
+            write_csv(path, ["a", "b"], [block()])
+        # ``caught`` keeps the traceback, and the file in its frame, alive:
+        # the lines are on disk because write_csv closed the file.
+        assert path.read_text() == "a,b\n1,2\n"
 
     def test_memory_does_not_grow_with_the_horizon(self, tmp_path):
         def peak(horizon):

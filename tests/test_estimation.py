@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -28,6 +29,7 @@ from ringform.core import (
 from ringform.estimation import (
     ChainBatch,
     EstimatorConfig,
+    batch_bytes,
     chain_traces,
     estimate_and_settle,
     readouts,
@@ -511,6 +513,21 @@ class TestBlockedLoop:
             patch.setattr(ringform.estimation, "readouts", scripted([3.0, math.nan]))
             assert estimate_and_settle([far, near], [config, config],
                                        ["far", "near"])[0] == [(3, 2), (None, None)]
+
+
+def test_batch_bytes_is_a_lower_bound_on_the_batch():
+    # 100 chains of 6 robots, S1 and S2 mixed: the count leaves out the
+    # mixed batch's lagged-velocity buffer and the rule's temporaries.
+    configs = [config_for(6, strategy) for strategy in ("S1", "S2") for _ in range(50)]
+    starts = [uniform_box(make_generator(3, b), 6, 5.0) for b in range(len(configs))]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        estimate_and_settle(starts, configs, None)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert batch_bytes(8, 100) <= peak < 2 * batch_bytes(8, 100)
 
 
 class TestSteadyState:

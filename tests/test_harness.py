@@ -7,13 +7,14 @@ import ringform.estimation
 from helpers import reference_sweep, shipped_config
 from ringform import cli
 from ringform.core import midpoint_law
-from ringform.estimation import EstimatorConfig, steady_velocity_ratio
+from ringform.estimation import EstimatorConfig, batch_bytes, steady_velocity_ratio
 from ringform.harness import (
     auto_stop_window,
     scaled_params,
     scenario_report,
     sensitivity_curves,
     sweep_and_curves,
+    sweep_batch_bytes,
     sweep_convergence,
 )
 from ringform.spectral import (
@@ -130,6 +131,20 @@ class TestSweepMode:
         # every value is a finite nonzero float, so == is bit for bit
         assert sweep == sweep_convergence((2, 7), reps, scale_per_n=scale_per_n, seed=4)
         assert curve == sensitivity_curves((1, 6))
+
+    @pytest.mark.parametrize("n_range,reps", [((2, 7), 1), ((5, 6), 3), ((4, 4), 2)])
+    def test_batch_bytes_count_the_batch_it_runs(self, monkeypatch, n_range, reps):
+        sizes = []
+
+        def sized(starts, *args):
+            sizes.append(batch_bytes(max(map(len, starts)) + 2, len(starts)))
+            raise RuntimeError("sized, not run")
+
+        monkeypatch.setattr(ringform.estimation, "_lock_step", sized)
+        with pytest.raises(RuntimeError, match="sized, not run"):
+            sweep_and_curves(n_range, reps, dt=0.01, scale_per_n=False, seed=0,
+                             initial_box=5.0)
+        assert sizes == [sweep_batch_bytes(n_range, reps)]
 
     def test_work_of_the_benchmark_sweep(self, tmp_path, monkeypatch):
         # The benchmark's sweep workload at seed 3: 64 chains stop by step

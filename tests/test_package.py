@@ -1,0 +1,28 @@
+"""The package's import paths: one per name, each at its defining module."""
+
+import importlib
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_root_binds_only_the_version():
+    # A fresh interpreter: the test session imports the submodules into it.
+    code = ("import json, ringform; print(json.dumps([ringform.__version__, "
+            "sorted(n for n in vars(ringform) if not n.startswith('_'))]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert json.loads(out.stdout) == ["0.1.0", []]
+
+
+def test_readme_api_references_resolve():
+    cited = set(re.findall(r"\bringform\.(\w+)\.(\w+)\b", (ROOT / "README.md").read_text()))
+    assert cited
+    for module, name in sorted(cited):
+        assert hasattr(importlib.import_module(f"ringform.{module}"), name), \
+            f"README cites ringform.{module}.{name}"
