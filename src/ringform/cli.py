@@ -39,7 +39,7 @@ from .formation import (
     run_pipeline,
     seeded_placement,
 )
-from .harness import auto_stop_window, sweep_and_curves, sweep_batch_bytes
+from .harness import auto_stop_window, sweep_and_curves, sweep_batch_bytes, sweep_keys_fit
 from .spectral import STRATEGIES, EstimationParams, spectral_report, stability_limit
 
 EXIT_OK = 0
@@ -128,22 +128,30 @@ def _pairs(value):
     return [list(_pair(row)) for row in _list(value)]
 
 
-def _opt(path, parse, default=MISSING, check=None, rule=""):
-    """One RunConfig field: YAML ``path``, parser, default and domain.
-
-    A missing or null value takes the default; ``check`` (with ``rule`` as
-    its message) constrains a given value.
+def _opt(path, modes, parse, default=MISSING, check=None, rule=""):
+    """One RunConfig field: YAML ``path``, the ``modes`` that read it, parser,
+    default and domain.  A missing or null value takes the default; a field
+    without one is required.  ``check`` (with ``rule`` as its message)
+    constrains a given value.  In other modes the field is None, and refused.
     """
     return field(default=default, metadata={
-        "path": path, "parse": parse, "check": check, "rule": rule,
+        "path": path, "modes": modes, "parse": parse, "check": check, "rule": rule,
     })
 
 
-def _positive(x):
-    return x > 0
+def _at_least(bound):
+    return (lambda x: x >= bound), f"must be >= {bound}"
 
 
-@dataclass
+_POSITIVE = ((lambda x: x > 0), "must be positive")
+# Modes that place robots from the seed, step a chain or ring, run phase 1, form a ring.
+_PLACED = ("estimate", "form", "pipeline", "sweep")
+_STEPPED = ("estimate", "form", "pipeline")
+_PHASE1 = ("estimate", "pipeline")
+_RING = ("form", "pipeline")
+
+
+@dataclass(kw_only=True)
 class RunConfig:
     """One run; the field table below is the whole config schema.
 
@@ -151,44 +159,43 @@ class RunConfig:
     value applies (see ``phase1``).
     """
 
-    mode: str = _opt("mode", _str, MISSING, lambda x: x in MODES, f"must be one of {MODES}")
-    alpha: float = _opt("alpha", _float, 0.5, _positive, "must be positive")
-    dt: float = _opt("dt", _float, 0.01, _positive, "must be positive")
-    sigma: int = _opt("sigma", _int, 1, lambda x: x in (1, 2), "must be 1 or 2")
-    strategy: str = _opt("strategy", _str, "S1", lambda x: x in STRATEGIES,
+    mode: str = _opt("mode", MODES, _str, MISSING, lambda x: x in MODES, f"must be one of {MODES}")
+    alpha: float = _opt("alpha", (*_STEPPED, "spectral"), _float, 0.5, *_POSITIVE)
+    dt: float = _opt("dt", MODES, _float, 0.01, *_POSITIVE)
+    sigma: int = _opt("sigma", _RING, _int, 1, lambda x: x in (1, 2), "must be 1 or 2")
+    strategy: str = _opt("strategy", _PHASE1, _str, "S1", lambda x: x in STRATEGIES,
                          "must be 'S1' or 'S2'")
-    seed: int = _opt("seed", _int, 0, lambda x: 0 <= x < 2 ** 64,
+    seed: int = _opt("seed", _PLACED, _int, 0, lambda x: 0 <= x < 2 ** 64,
                      "must be an unsigned 64-bit integer")
-    initial_box: float = _opt("initial_box", _float, 5.0, lambda x: x >= 0, "must be >= 0")
-    output_dir: str = _opt("output_dir", _str, "out")
-    stride: int = _opt("stride", _int, 1, lambda x: x >= 1, "must be >= 1")
-    max_steps: int = _opt("max_steps", _int, 3000, lambda x: x >= 1, "must be >= 1")
-    stop_window: int | None = _opt("stop_window", _int, None, lambda x: x >= 2, "must be >= 2")
-    excitation: tuple[float, float] = _opt("excitation", _pair, (1.0, 0.0),
+    initial_box: float = _opt("initial_box", _PLACED, _float, 5.0, *_at_least(0))
+    output_dir: str = _opt("output_dir", MODES, _str, "out")
+    stride: int = _opt("stride", _RING, _int, 1, *_at_least(1))
+    max_steps: int = _opt("max_steps", _STEPPED, _int, 3000, *_at_least(1))
+    stop_window: int | None = _opt("stop_window", _PHASE1, _int, None, *_at_least(2))
+    excitation: tuple[float, float] = _opt("excitation", _PHASE1, _pair, (1.0, 0.0),
                                            lambda e: 0 < e[0] * e[0] + e[1] * e[1] < math.inf,
                                            "must have finite x*x + y*y > 0")
-    n_total: int | None = _opt("topology.n_total", _int, None, lambda x: x >= 2, "must be >= 2")
-    vertex_set: tuple[int, ...] | None = _opt("topology.vertex_set", _ints, None)
-    r_star: list | None = _opt("r_star", _pairs, None)
-    n_prime: int | None = _opt("n_prime", _int, None, lambda x: x >= 1, "must be >= 1")
-    est_alpha: float | None = _opt("estimation.alpha", _float, None, _positive,
-                                   "must be positive")
-    est_dt: float | None = _opt("estimation.dt", _float, None, _positive, "must be positive")
-    est_strategy: str | None = _opt("estimation.strategy", _str, None,
+    n_total: int = _opt("topology.n_total", _STEPPED, _int, MISSING, *_at_least(2))
+    vertex_set: tuple[int, ...] = _opt("topology.vertex_set", _RING, _ints)
+    r_star: list = _opt("r_star", _RING, _pairs)
+    n_prime: int = _opt("n_prime", ("spectral",), _int, MISSING, *_at_least(1))
+    est_alpha: float | None = _opt("estimation.alpha", ("pipeline",), _float, None, *_POSITIVE)
+    est_dt: float | None = _opt("estimation.dt", ("pipeline",), _float, None, *_POSITIVE)
+    est_strategy: str | None = _opt("estimation.strategy", ("pipeline",), _str, None,
                                     lambda x: x in STRATEGIES, "must be 'S1' or 'S2'")
-    est_max_steps: int | None = _opt("estimation.max_steps", _int, None, lambda x: x >= 1,
-                                     "must be >= 1")
-    est_stop_window: int | None = _opt("estimation.stop_window", _int, None,
-                                       lambda x: x >= 2, "must be >= 2")
-    closure_tolerance: float = _opt("tolerances.closure", _float, CLOSURE_TOL,
+    est_max_steps: int | None = _opt("estimation.max_steps", ("pipeline",), _int, None,
+                                     *_at_least(1))
+    est_stop_window: int | None = _opt("estimation.stop_window", ("pipeline",), _int, None,
+                                       *_at_least(2))
+    closure_tolerance: float = _opt("tolerances.closure", _RING, _float, CLOSURE_TOL,
                                     lambda x: 0 <= x <= CLOSURE_TOL,
                                     f"must lie in [0, {CLOSURE_TOL}]")
-    formation_tolerance: float = _opt("tolerances.formation_error", _float, 1e-2, _positive,
-                                      "must be positive")
-    sweep_n_min: int = _opt("sweep.n_min", _int, 5, lambda x: x >= 2, "must be >= 2")
-    sweep_n_max: int = _opt("sweep.n_max", _int, 30, lambda x: x >= 2, "must be >= 2")
-    sweep_reps: int = _opt("sweep.reps", _int, 5, lambda x: x >= 1, "must be >= 1")
-    sweep_scale_per_n: bool = _opt("sweep.scale_per_n", _bool, False)
+    formation_tolerance: float = _opt("tolerances.formation_error", _RING, _float, 1e-2,
+                                      *_POSITIVE)
+    sweep_n_min: int = _opt("sweep.n_min", ("sweep",), _int, 5, *_at_least(2))
+    sweep_n_max: int = _opt("sweep.n_max", ("sweep",), _int, 30, *_at_least(2))
+    sweep_reps: int = _opt("sweep.reps", ("sweep",), _int, 5, *_at_least(1))
+    sweep_scale_per_n: bool = _opt("sweep.scale_per_n", ("sweep",), _bool, False)
 
     @property
     def params(self) -> EstimationParams:
@@ -211,7 +218,8 @@ class RunConfig:
         if window is None:
             window = auto_stop_window(n_prime, params, strategy)
         max_steps = self.phase1("max_steps")
-        _require(window < max_steps, "estimation.max_steps",
+        path = "max_steps" if self.est_max_steps is None else "estimation.max_steps"
+        _require(window < max_steps, path,
                  f"must exceed the stop window of {window} steps, got {max_steps}")
         return EstimatorConfig(
             params=params, strategy=strategy, excitation_init=self.excitation,
@@ -273,15 +281,19 @@ def _flatten(raw: dict) -> dict:
 
 
 def parse_config(raw: dict) -> RunConfig:
-    """Validate a raw mapping into a RunConfig; unknown fields rejected."""
+    """Validate a raw mapping into a RunConfig; unknown fields, and fields
+    the mode does not read, rejected."""
     _require(isinstance(raw, dict), "config", "root must be a mapping")
     flat = _flatten(raw)
     values = {}
-    for path, f in _FIELDS.items():
-        given = flat.get(path)
-        _require(given is not None or f.default is not MISSING, f.metadata["path"],
-                 "is required")
-        values[f.name] = f.default if given is None else _convert(f, given)
+    for key, f in _FIELDS.items():  # ``mode`` first: it decides which fields are read
+        given, path, mode = flat.get(key), f.metadata["path"], values.get("mode")
+        if values and mode not in f.metadata["modes"]:
+            _require(given is None, path, f"is not read in {mode} mode")
+            values[f.name] = None
+        else:
+            _require(given is not None or f.default is not MISSING, path, "is required")
+            values[f.name] = f.default if given is None else _convert(f, given)
     cfg = RunConfig(**values)
     _check_rules(cfg)
     return cfg
@@ -306,34 +318,27 @@ def _require_stable(path: str, alpha: float, dt: float, chains) -> None:
 
 
 def _check_rules(cfg: RunConfig) -> None:
-    """Rules that span fields: array sizes, gains and chain stability, sweep
-    range and memory, mode needs, closure."""
+    """Rules that span fields, each in the modes that read its fields (None
+    in the others): array sizes, gains and chain stability, sweep range,
+    stream keys and memory, closure."""
     for path, size in (("topology.n_total", cfg.n_total), ("n_prime", cfg.n_prime),
                        ("sweep.n_max", cfg.sweep_n_max)):
         _require(size is None or size <= _MAX_SIZE, path,
                  f"must be at most {_MAX_SIZE}, past which numpy cannot index its "
                  f"arrays, got {size}")
-    for path, alpha, dt in (("alpha", cfg.alpha, cfg.dt),
-                            ("estimation", cfg.phase1("alpha"), cfg.phase1("dt"))):
+    # The sweep scales its own gains; phase 1 has its own only where given.
+    gains = [] if cfg.alpha is None else [("alpha", cfg.alpha, cfg.dt)]
+    if cfg.est_alpha or cfg.est_dt:
+        gains.append(("estimation", cfg.phase1("alpha"), cfg.phase1("dt")))
+    for path, alpha, dt in gains:
         beta = alpha * dt / 2.0
         _require(0.0 < beta < 1.0, path,
                  f"beta = alpha*dt/2 = {beta:.6g} (alpha {alpha}, dt {dt}) "
                  "must lie in (0, 1)")
-    _require(cfg.sweep_n_max >= cfg.sweep_n_min, "sweep.n_max", "must be >= sweep.n_min")
-    estimation = ("estimation" if cfg.est_alpha or cfg.est_dt else "alpha",
-                  cfg.phase1("alpha"), cfg.phase1("dt"))
     estimator = "estimator" if cfg.phase1("strategy") == "S1" else "lagged_estimator"
     if cfg.mode == "estimate":
-        _require(cfg.n_total is not None, "topology.n_total",
-                 "estimate mode needs a chain of >= 2 robots")
-        _require_stable(*estimation, [(cfg.n_total - 1, estimator)])
+        _require_stable(*gains[-1], [(cfg.n_total - 1, estimator)])
     elif cfg.mode in ("form", "pipeline"):
-        _require(cfg.n_total is not None and cfg.n_total >= 3,
-                 "topology.n_total", f"{cfg.mode} mode needs a ring of >= 3 robots")
-        _require(cfg.vertex_set is not None, "topology.vertex_set",
-                 f"{cfg.mode} mode needs the vertex robot indices")
-        _require(cfg.r_star is not None, "r_star",
-                 f"{cfg.mode} mode needs the desired displacements")
         _require(all(v < cfg.n_total for v in cfg.vertex_set), "topology.vertex_set",
                  f"vertex indices out of range [0, {cfg.n_total})")
         if not polygon_closes(cfg.r_star, cfg.closure_tolerance):
@@ -346,17 +351,17 @@ def _check_rules(cfg: RunConfig) -> None:
             config = cfg.formation_config
         except ValueError as exc:
             raise ConfigError(f"topology: {exc}") from exc
-        if cfg.mode == "pipeline":
-            _require_stable(*estimation, [(max(config.n_s), estimator)])
+        if cfg.mode == "pipeline":  # phase 1 at its own gains, or at the ring's
+            _require_stable(*gains[-1], [(max(config.n_s), estimator)])
         _require_stable("alpha", cfg.alpha, cfg.dt, config.chains())
     elif cfg.mode == "sweep":
+        _require(cfg.sweep_n_max >= cfg.sweep_n_min, "sweep.n_max", "must be >= sweep.n_min")
+        _require(sweep_keys_fit(cfg.sweep_n_max, cfg.sweep_reps), "sweep.reps", "must be at "
+                 "most 2**32, and at most 100 from sweep.n_max = 2**30 on: the stream keys' range")
         need = sweep_batch_bytes((cfg.sweep_n_min, cfg.sweep_n_max), cfg.sweep_reps)
         have = _physical_memory()
         _require(need <= have, "sweep", f"its lock-step batch needs {need / 2**30:.3g} GiB, "
                  f"more than the {have / 2**30:.3g} GiB of physical memory")
-    elif cfg.mode == "spectral":
-        _require(cfg.n_prime is not None, "n_prime",
-                 "spectral mode needs the chain order n_prime")
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
@@ -380,9 +385,12 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
 
 
 def _resolved_dict(cfg: RunConfig) -> dict:
-    """Every field at its YAML path, defaults applied; re-parses to ``cfg``."""
+    """Every field the mode reads at its YAML path, defaults applied;
+    re-parses to ``cfg``."""
     resolved = {}
     for path, f in _FIELDS.items():
+        if cfg.mode not in f.metadata["modes"]:
+            continue
         node = resolved
         for section in path[:-1]:
             node = node.setdefault(section, {})

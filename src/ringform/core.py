@@ -32,8 +32,10 @@ def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator keyed on (seed, stream).
 
     Philox4x64-10 keyed with the two 64-bit words (seed, stream); doubles
-    come from the top 53 bits of each 64-bit output.  Any implementation
-    of Philox reproduces the same placements bit for bit.
+    come from the top 53 bits of each 64-bit output.  numpy adds one to its
+    zero counter before each block, so the first block is at counter
+    (1, 0, 0, 0); any Philox4x64-10 implementation started there
+    reproduces the same placements bit for bit.
     """
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

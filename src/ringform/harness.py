@@ -76,6 +76,13 @@ class SweepResult:
     rows: list[SweepRow]
 
 
+def sweep_keys_fit(n_max: int, reps: int) -> bool:
+    """Whether every chain of a sweep up to ``n_max`` robots and ``reps``
+    reps gets a stream key of its own: ``n*1000 + strategy*100 + rep``
+    below rep 100, ``2**63 + ((2n + strategy) << 32) + rep`` from it on."""
+    return reps <= 100 or (reps <= 2 ** 32 and n_max < 2 ** 30)
+
+
 def _sweep_chains(n_range, reps, dt, scale_per_n, seed, initial_box, max_steps):
     """``sweep_convergence``'s chains and the function of their outcomes that is its result."""
     if reps < 1:
@@ -95,8 +102,9 @@ def _sweep_chains(n_range, reps, dt, scale_per_n, seed, initial_box, max_steps):
                 max_steps=max(max_steps, window + 1),
             )
             cells.append((n, strategy, config))
-            for rep in range(reps):
-                rng = make_generator(seed, n * 1000 + strat_idx * 100 + rep)
+            for rep in range(reps):  # keys of their own where ``sweep_keys_fit``
+                rng = make_generator(seed, n * 1000 + strat_idx * 100 + rep if rep < 100
+                                     else 2 ** 63 + ((2 * n + strat_idx) << 32) + rep)
                 starts.append(uniform_box(rng, n_prime, initial_box))
                 configs.append(config)
                 names.append(f"sweep cell n={n} {strategy} rep {rep}")
@@ -131,10 +139,11 @@ def sweep_convergence(
     bound, either at the largest n (default) or per cell
     (``scale_per_n``).  Rows come in (n, strategy) order.  Each repetition
     draws its placement from the stream keyed
-    (seed, n*1000 + strategy*100 + rep), so any subset of cells can be
-    reproduced in isolation.  Every chain runs at least one step past its
-    stop window; a chain that does not converge counts the steps it ran,
-    ``max(max_steps, window + 1)``.
+    (seed, n*1000 + strategy*100 + rep) below rep 100, and
+    (seed, 2**63 + ((2n + strategy) << 32) + rep) from rep 100 on, so any
+    subset of cells can be reproduced in isolation.  Every chain runs at
+    least one step past its stop window; a chain that does not converge
+    counts the steps it ran, ``max(max_steps, window + 1)``.
     """
     starts, configs, names, result = _sweep_chains(
         n_range, reps, dt, scale_per_n, seed, initial_box, max_steps)

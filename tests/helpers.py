@@ -14,7 +14,8 @@ time through ``step_estimator`` from a ``chain_state``; ``trace_bits`` is an
 estimate trace's fields for a bitwise comparison; ``reference_sweep`` runs
 the convergence sweep one chain at a time through ``run_estimation``.
 ``shipped_config`` loads the scenario configs from the repository's
-``configs/`` directory.
+``configs/`` directory, and ``form_of`` turns a ``pipeline`` mapping into a
+``form`` one.  ``philox_doubles`` is Philox4x64-10 in Python integers.
 """
 
 import math
@@ -38,6 +39,32 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 def shipped_config(name, **overrides):
     """``configs/<name>.yaml`` parsed by the CLI loader, fields overridden."""
     return replace(load_config(CONFIGS / f"{name}.yaml"), **overrides)
+
+
+def form_of(raw, **changes):
+    """A ``pipeline`` config mapping as a ``form`` one: the phase-1 fields,
+    which ``form`` mode refuses, dropped, and ``changes`` applied."""
+    phase1 = ("strategy", "stop_window", "excitation", "estimation")
+    return dict({k: v for k, v in raw.items() if k not in phase1}, mode="form", **changes)
+
+
+def philox_doubles(seed, stream, count, first_counter=1):
+    """``count`` uniform doubles, the top 53 bits of each 64-bit word over 2**53,
+    from Philox4x64-10 keyed ``(seed, stream)`` (Salmon, Moraes, Dror and
+    Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC'11): ten rounds
+    per block, the key bumped by the Weyl constants between rounds, and the
+    blocks' counters ``first_counter``, ``first_counter + 1``, ... in word 0."""
+    mask = 2 ** 64 - 1
+    out, counter = [], first_counter
+    while len(out) < count:
+        x, k0, k1 = [counter, 0, 0, 0], seed, stream
+        for _ in range(10):
+            p0, p1 = 0xD2E7470EE14C6C93 * x[0], 0xCA5A826395121157 * x[2]
+            x = [(p1 >> 64) ^ x[1] ^ k0, p1 & mask, (p0 >> 64) ^ x[3] ^ k1, p0 & mask]
+            k0, k1 = (k0 + 0x9E3779B97F4A7C15) & mask, (k1 + 0xBB67AE8584CAA73B) & mask
+        out += [(word >> 11) / 2 ** 53 for word in x]
+        counter += 1
+    return out[:count]
 
 
 def reference_step_formation(state, config):
@@ -257,7 +284,9 @@ def reference_sweep(n_range, reps, *, dt=0.01, scale_per_n=False, seed=0,
                                      max_steps=max(max_steps, window + 1))
             steps, correct = [], True
             for rep in range(reps):
-                rng = make_generator(seed, n * 1000 + strat_idx * 100 + rep)
+                stream = (n * 1000 + strat_idx * 100 + rep if rep < 100
+                          else 2 ** 63 + (2 * n + strat_idx) * 2 ** 32 + rep)
+                rng = make_generator(seed, stream)
                 trace = run_estimation(n_prime, config, uniform_box(rng, n_prime, initial_box))
                 correct = correct and trace.converged and trace.estimate == n_prime
                 steps.append(trace.steps_to_convergence or config.max_steps)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import numpy as np
 
-from helpers import CONFIGS, reference_formation_csvs
+from helpers import CONFIGS, form_of, reference_formation_csvs
 from ringform import cli, formation, spectral
 from ringform.cli import (
     _FIELDS,
@@ -111,7 +111,65 @@ PROBES = [
 ]
 
 
+# The fields each mode reads, and so accepts, checks and echoes: 61 pairs.
+RING = ["topology.n_total", "topology.vertex_set", "r_star", "sigma", "stride",
+        "tolerances.closure", "tolerances.formation_error"]
+PHASE1 = ["strategy", "stop_window", "excitation"]
+READS = {
+    "estimate": {"mode", "output_dir", "alpha", "dt", "seed", "initial_box", "max_steps",
+                 "topology.n_total", *PHASE1},
+    "form": {"mode", "output_dir", "alpha", "dt", "seed", "initial_box", "max_steps", *RING},
+    "pipeline": {"mode", "output_dir", "alpha", "dt", "seed", "initial_box", "max_steps", *RING,
+                 *PHASE1, "estimation.alpha", "estimation.dt", "estimation.strategy",
+                 "estimation.max_steps", "estimation.stop_window"},
+    "sweep": {"mode", "output_dir", "dt", "seed", "initial_box", "sweep.n_min", "sweep.n_max",
+              "sweep.reps", "sweep.scale_per_n"},
+    "spectral": {"mode", "output_dir", "alpha", "dt", "n_prime"},
+}
+# A valid mapping of each mode, and a non-null value of every field.
+BASES = {
+    "estimate": {"mode": "estimate", "topology": {"n_total": 5}},
+    "form": form_of(TRIANGLE),
+    "pipeline": TRIANGLE,
+    "sweep": {"mode": "sweep", "sweep": {"n_min": 5, "n_max": 6, "reps": 1}},
+    "spectral": {"mode": "spectral", "n_prime": 19},
+}
+GIVEN = {
+    "alpha": 300, "dt": 0.01, "sigma": 2, "strategy": "S2", "seed": 5, "initial_box": 1.0,
+    "output_dir": "out", "stride": 3, "max_steps": 10, "stop_window": 50,
+    "excitation": [5.0, 0.0], "topology.n_total": 7, "topology.vertex_set": [0, 2, 5],
+    "r_star": TRIANGLE["r_star"], "n_prime": 19, "estimation.alpha": 300,
+    "estimation.dt": 1.0, "estimation.strategy": "S1", "estimation.max_steps": 100,
+    "estimation.stop_window": 50, "tolerances.closure": 1e-10,
+    "tolerances.formation_error": 0.1, "sweep.n_min": 5, "sweep.n_max": 6, "sweep.reps": 2,
+    "sweep.scale_per_n": True,
+}
+UNREAD = [(mode, path) for mode in MODES for path in sorted(GIVEN) if path not in READS[mode]]
+
+
+def test_each_field_names_the_modes_that_read_it():
+    assert {mode: {".".join(path) for path, f in _FIELDS.items() if mode in f.metadata["modes"]}
+            for mode in MODES} == READS
+    assert sum(map(len, READS.values())) == 61 and len(UNREAD) == 135 - 61
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("mode,path", UNREAD, ids=[f"{m}-{p}" for m, p in UNREAD])
+    def test_field_the_mode_does_not_read_is_refused(self, tmp_path, capsys, mode, path):
+        raw = with_value(BASES[mode], path, GIVEN[path])
+        assert refused(tmp_path, capsys, raw) == f"{path}: is not read in {mode} mode"
+        assert parse_config(with_value(BASES[mode], path, None)) == parse_config(BASES[mode])
+
+    @pytest.mark.parametrize("mode,flag", [("spectral", "--seed"), ("estimate", "--stride"),
+                                           ("sweep", "--stride"), ("spectral", "--stride")])
+    def test_override_of_a_field_the_mode_does_not_read_is_refused(self, tmp_path, capsys,
+                                                                   mode, flag):
+        path = write_config(tmp_path, dict(BASES[mode], output_dir=str(tmp_path / "out")))
+        assert main([mode, "--config", str(path), flag, "3"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"ringform: config error: {flag[2:]}: is not read in {mode} mode\n")
+        assert not (tmp_path / "out").exists()
+
     def test_valid_triangle(self, tmp_path):
         cfg = load_config(write_config(tmp_path, TRIANGLE))
         assert cfg.mode == "pipeline"
@@ -260,12 +318,17 @@ class TestConfigValidation:
             "alpha: alpha*dt = 0.00335 (alpha 0.067, dt 0.05) must be below 0.0027962, the "
             "exact stability limit of the lagged_formation chain of order 21")
 
-    @pytest.mark.parametrize("section", ["estimation", "topology", "tolerances", "sweep"])
-    def test_null_section_means_defaults(self, tmp_path, section):
-        # yaml.safe_dump writes a None section as ``section: null``
-        path = write_config(tmp_path, {"mode": "sweep", section: None})
+    @pytest.mark.parametrize("mode,section", [
+        (mode, section) for mode in MODES
+        for section in ("estimation", "topology", "tolerances", "sweep")
+        if section != "topology" or "topology.n_total" not in READS[mode]])
+    def test_null_section_means_defaults(self, tmp_path, mode, section):
+        # yaml.safe_dump writes a None section as ``section: null``; the
+        # section may hold fields the mode reads, or none of them.
+        base = {k: v for k, v in BASES[mode].items() if k != section}
+        path = write_config(tmp_path, dict(base, **{section: None}))
         assert f"{section}: null" in path.read_text()
-        assert load_config(path) == parse_config({"mode": "sweep"})
+        assert load_config(path) == parse_config(base)
 
     def test_unreadable_config_is_config_error(self, tmp_path, capsys, monkeypatch):
         binary = tmp_path / "binary.yaml"
@@ -419,8 +482,13 @@ class TestPipelineRun:
     def test_resolved_config_round_trips(self, tmp_path, config):
         cfg = load_config(config)
         write_resolved_config(tmp_path, cfg)
-        resolved = (tmp_path / "resolved_config.yaml").read_text()
-        assert parse_config(yaml.safe_load(resolved)) == cfg
+        resolved = yaml.safe_load((tmp_path / "resolved_config.yaml").read_text())
+        assert parse_config(resolved) == cfg
+        # the echo holds exactly the fields the mode reads
+        echoed = {f"{key}.{sub}" if isinstance(value, dict) else key
+                  for key, value in resolved.items()
+                  for sub in (value if isinstance(value, dict) else [None])}
+        assert echoed == READS[cfg.mode]
 
 
 class TestDeterminism:
@@ -632,7 +700,7 @@ class TestOtherModes:
         raw = FAR_RING
         pipeline = write_config(tmp_path, dict(raw, output_dir=str(tmp_path / "pipeline")),
                                 "pipeline.yaml")
-        form = write_config(tmp_path, dict(raw, mode="form", output_dir=str(tmp_path / "form")),
+        form = write_config(tmp_path, form_of(raw, output_dir=str(tmp_path / "form")),
                             "form.yaml")
         assert main(["pipeline", "--config", str(pipeline)]) == EXIT_DIVERGED
         capsys.readouterr()
@@ -645,7 +713,7 @@ class TestOtherModes:
         assert json.loads((out / "manifest.json").read_text())["outputs"] == \
             ["resolved_config.yaml", "trace.csv", "errors.csv"]
         assert (out / "errors.csv").read_text().splitlines()[-1].startswith("35,")
-        assert refused(tmp_path, capsys, dict(raw, mode="form", alpha=1.5)).startswith(
+        assert refused(tmp_path, capsys, form_of(raw, alpha=1.5)).startswith(
             "alpha: alpha*dt = 0.3 ")
         # the step-0 rows are stream (seed, 0) of the documented placement
         rows = [line.split(",") for line in (out / "trace.csv").read_text().splitlines()[1:]
@@ -662,17 +730,28 @@ class TestOtherModes:
         # evaluation gives (LAPACK's radii, one and two ulps above, gave
         # 460 517 020 from the dense chain matrix and 460 517 025 from the
         # blocks); a window at or past max_steps (3000 by default) is
-        # refused at once.
+        # refused at once, naming the field that sets the limit.
         cfg = dict({"mode": "estimate", "alpha": 1.0e-6, "dt": 0.01, "strategy": "S1",
                     "output_dir": str(tmp_path / "out"), "topology": {"n_total": 5}},
                    **extra)
         code = main(["estimate", "--config", str(write_config(tmp_path, cfg))])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
-        assert (f"config error: estimation.max_steps: must exceed the stop window of "
-                f"{window} steps, got 3000") in err
+        assert err == (f"ringform: config error: max_steps: must exceed the stop window of "
+                       f"{window} steps, got 3000\n")
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "estimate.csv").exists()
+
+    @pytest.mark.parametrize("phase1,path,limit", [({}, "max_steps", 600),
+                                                   ({"max_steps": 700}, "estimation.max_steps", 700)])
+    def test_pipeline_stop_window_names_the_limit_it_meets(self, tmp_path, capsys, phase1, path,
+                                                           limit):
+        estimation = {"alpha": 0.1, "dt": 1.0, "strategy": "S2", "stop_window": 700, **phase1}
+        config = write_config(tmp_path, dict(TRIANGLE, estimation=estimation,
+                                             output_dir=str(tmp_path / "out")))
+        assert main(["pipeline", "--config", str(config)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (f"ringform: config error: {path}: must exceed the "
+                                           f"stop window of 700 steps, got {limit}\n")
 
     def test_degenerate_s1_frame_does_not_converge(self, tmp_path, capsys):
         # At beta = 5e-303 the S1 readout frame degenerates (fb1 == fb2):
@@ -746,6 +825,24 @@ class TestOtherModes:
         assert refused(tmp_path, capsys, sweep) == (
             "sweep: its lock-step batch needs 1.27e+04 GiB, more than the 8 GiB of "
             "physical memory")
+
+    def test_sweep_scales_its_own_gains_at_any_dt(self, tmp_path, capsys):
+        # No top-level alpha is read, so no top-level beta rule applies; the
+        # sweep's gains are scaled to its chains' bound at dt = 4 too.
+        out = tmp_path / "out"
+        path = write_config(tmp_path, dict(BASES["sweep"], dt=4.0, output_dir=str(out)))
+        assert main(["sweep", "--config", str(path)]) == EXIT_OK
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["true"] * 4
+
+    @pytest.mark.parametrize("n_max,reps", [(6, 2 ** 32 + 1), (2 ** 30, 101)])
+    def test_sweep_reps_past_the_stream_keys_are_refused(self, tmp_path, capsys, monkeypatch,
+                                                         n_max, reps):
+        # reps from 100 on take keys 2**63 + ((2n + strategy) << 32) + rep
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 2 ** 80)
+        sweep = {"mode": "sweep", "sweep": {"n_min": n_max - 1, "n_max": n_max, "reps": reps}}
+        assert refused(tmp_path, capsys, sweep).startswith("sweep.reps: must be at most 2**32")
+        parse_config(with_value(sweep, "sweep.reps", 100 if reps == 101 else 2 ** 32))
 
     def test_sweep_rule_refuses_only_past_physical_memory(self, monkeypatch):
         # 2 cells x 2 strategies x 3 reps, and orders 4 and 5 of the curves,
@@ -900,7 +997,7 @@ class TestValueFormats:
         ])
 
 
-FORM = dict(TRIANGLE, mode="form")
+FORM = form_of(TRIANGLE)
 
 
 def execute_form(out, **changes):
@@ -982,8 +1079,8 @@ class TestStreamedOutputs:
                                                                 block, stride, changes):
         if block is not None:
             monkeypatch.setattr(formation, "BLOCK_STEPS", block)
-        raw = dict(yaml.safe_load((CONFIGS / "triangle.yaml").read_text()), mode="form",
-                   stride=stride, **changes)
+        raw = form_of(yaml.safe_load((CONFIGS / "triangle.yaml").read_text()), stride=stride,
+                      **changes)
         cfg = parse_config(dict(raw, output_dir=str(tmp_path)))
         config = cfg.formation_config
         initial = seeded_placement(config.n_total, cfg.seed, cfg.initial_box)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import shipped_config
+from helpers import philox_doubles, shipped_config
 from ringform.core import (
     ABS_CHECK_MAX_SIZE,
     POSITION_LIMIT,
@@ -84,6 +84,17 @@ def test_check_finite_messages(shape, values, message):
     with pytest.raises(DivergenceError) as excinfo:
         check_finite(array, 7, "ring positions")
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("seed,stream", [(42, 0), (3, 5 * 1000 + 100 + 7),
+                                         (3, 2 ** 63 + ((2 * 5 + 1) << 32) + 100)],
+                         ids=["run", "sweep", "sweep-rep-100"])
+def test_generator_is_philox_from_counter_one(seed, stream):
+    # numpy's Philox adds one to its zero counter before each block, so the
+    # first block is at counter (1, 0, 0, 0), not at Random123's usual 0.
+    drawn = make_generator(seed, stream).random(10).tolist()
+    assert drawn == philox_doubles(seed, stream, 10)
+    assert drawn != philox_doubles(seed, stream, 10, first_counter=0)
 
 
 @pytest.mark.parametrize("array", [np.empty((0, 2)), np.empty((0, 2, 3))])

@@ -6,9 +6,10 @@ import pytest
 import ringform.estimation
 from helpers import reference_sweep, shipped_config
 from ringform import cli
-from ringform.core import midpoint_law
 from ringform.estimation import EstimatorConfig, batch_bytes, steady_velocity_ratio
+from ringform.core import make_generator, midpoint_law, uniform_box
 from ringform.harness import (
+    _sweep_chains,
     auto_stop_window,
     scaled_params,
     scenario_report,
@@ -88,6 +89,16 @@ class TestSweep:
         alone = sweep_convergence((6, 6), reps=2, scale_per_n=True, seed=2)
         within = sweep_convergence((5, 7), reps=2, scale_per_n=True, seed=2)
         assert alone.rows == [row for row in within.rows if row.n == 6]
+
+    def test_reps_past_100_draw_distinct_placements(self):
+        # Under the key n*1000 + strategy*100 + rep alone, rep 100 of a
+        # cell's S1 chains drew the placement of its S2 rep 0.
+        starts = _sweep_chains((5, 6), 101, 0.01, True, 0, 5.0, 60000)[0]
+        assert len({start.tobytes() for start in starts}) == len(starts) == 2 * 2 * 101
+        # cells in (n, strategy) order, reps within a cell
+        for n, strategy, rep, key in ((6, 1, 99, 6199), (6, 1, 100, 2 ** 63 + (13 << 32) + 100)):
+            start = starts[((n - 5) * 2 + strategy) * 101 + rep]
+            assert np.array_equal(start, uniform_box(make_generator(0, key), n - 1, 5.0))
 
     def test_starved_cell_reports_miss(self):
         # a max_steps too small for the window guarantees a non-converged cell

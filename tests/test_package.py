@@ -1,4 +1,5 @@
-"""The package's import paths: one per name, each at its defining module."""
+"""The package's import paths, one per name, each at its defining module;
+and the README's account of them and of the config fields."""
 
 import importlib
 import json
@@ -7,6 +8,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+from ringform.cli import _FIELDS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,3 +29,12 @@ def test_readme_api_references_resolve():
     for module, name in sorted(cited):
         assert hasattr(importlib.import_module(f"ringform.{module}"), name), \
             f"README cites ringform.{module}.{name}"
+
+
+def test_readme_field_table_is_the_config_schema():
+    readme = (ROOT / "README.md").read_text()
+    schema = readme[readme.index("### Config schema"):readme.index("### Output files")]
+    rows = re.findall(r"^\| `([\w.]+)` \| [^|]+ \| ([a-z, ]+) \|", schema, re.MULTILINE)
+    assert len(rows) == len(_FIELDS)
+    assert dict((path, tuple(modes.split(", "))) for path, modes in rows) == {
+        f.metadata["path"]: f.metadata["modes"] for f in _FIELDS.values()}

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 import yaml
 
+from helpers import form_of
 from ringform import cli
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -95,7 +96,7 @@ def _phase1(**changes) -> dict:
 # The failure paths and the extra automatic windows, each with its exit code.
 CASES = {
     # exit 2: alpha*dt 0.3 is past the limit 0.134 of the sigma = 2 ring
-    "triangle_form_unstable": _shipped("triangle", mode="form", alpha=1.5, sigma=2),
+    "triangle_form_unstable": form_of(_shipped("triangle"), alpha=1.5, sigma=2),
     # exit 2: the same in a pipeline, before phase 1
     "triangle_pipeline_unstable": _shipped("triangle", alpha=1.5, sigma=2),
     # exit 2: alpha*dt 0.025 is past the limit 0.00308 of the sigma = 2 ring
@@ -110,7 +111,7 @@ CASES = {
     # exit 3: phase 1 diverges at step 64 from a 1e9 box
     "triangle_phase1_far": _shipped("triangle", initial_box=1.0e9),
     # exit 4: 2 500 steps are short of the hexagon's convergence
-    "hexagon_form_stride7": _shipped("hexagon", mode="form", stride=7, max_steps=2500),
+    "hexagon_form_stride7": form_of(_shipped("hexagon"), stride=7, max_steps=2500),
     # exit 4: six chains of 200 robots at the wide-ring benchmark's gains
     "ring1200_form": {
         "mode": "form", "alpha": 2.2184e-05, "dt": 0.05, "sigma": 1, "max_steps": 300,
