@@ -31,7 +31,7 @@ from . import __version__
 from .core import DivergenceError, SwarmState
 from .estimation import EstimateTrace, EstimatorConfig, run_estimation
 from .formation import (
-    CLOSURE_TOL,
+    FORMATION_TOL,
     FormationConfig,
     PipelineEstimationError,
     polygon_closes,
@@ -187,11 +187,6 @@ class RunConfig:
                                      *_at_least(1))
     est_stop_window: int | None = _opt("estimation.stop_window", ("pipeline",), _int, None,
                                        *_at_least(2))
-    closure_tolerance: float = _opt("tolerances.closure", _RING, _float, CLOSURE_TOL,
-                                    lambda x: 0 <= x <= CLOSURE_TOL,
-                                    f"must lie in [0, {CLOSURE_TOL}]")
-    formation_tolerance: float = _opt("tolerances.formation_error", _RING, _float, 1e-2,
-                                      *_POSITIVE)
     sweep_n_min: int = _opt("sweep.n_min", ("sweep",), _int, 5, *_at_least(2))
     sweep_n_max: int = _opt("sweep.n_max", ("sweep",), _int, 30, *_at_least(2))
     sweep_reps: int = _opt("sweep.reps", ("sweep",), _int, 5, *_at_least(1))
@@ -239,7 +234,7 @@ class RunConfig:
         return dict(
             config=config, est_config=self.estimator_config(max(config.n_s)),
             seed=self.seed, horizon=self.max_steps, initial_box=self.initial_box,
-            error_tolerance=self.formation_tolerance, stride=self.stride,
+            stride=self.stride,
         )
 
 
@@ -341,7 +336,7 @@ def _check_rules(cfg: RunConfig) -> None:
     elif cfg.mode in ("form", "pipeline"):
         _require(all(v < cfg.n_total for v in cfg.vertex_set), "topology.vertex_set",
                  f"vertex indices out of range [0, {cfg.n_total})")
-        if not polygon_closes(cfg.r_star, cfg.closure_tolerance):
+        if not polygon_closes(cfg.r_star):
             residual = np.sum(cfg.r_star, axis=0)
             raise ConfigError(
                 f"r_star: polygon does not close; sum of displacements is "
@@ -512,14 +507,17 @@ def write_resolved_config(out_dir: Path, cfg: RunConfig) -> None:
 
 def write_manifest(out_dir: Path, cfg: RunConfig, wall_time: float,
                    outputs: list[str]) -> None:
+    """``manifest.json``: versions, the mode's resolved fields and the files
+    written; ``seed`` is null in a mode that reads none."""
+    config = _resolved_dict(cfg)
     manifest = {
         "package": "ringform",
         "version": __version__,
         "numpy_version": np.__version__,
         "python_version": sys.version.split()[0],
         "mode": cfg.mode,
-        "seed": cfg.seed,
-        "config": _resolved_dict(cfg),
+        "seed": config.get("seed"),
+        "config": config,
         "outputs": outputs,
         "wall_time_s": wall_time,
     }
@@ -553,11 +551,10 @@ def _run_form(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
     config = cfg.formation_config
     initial = seeded_placement(config.n_total, cfg.seed, cfg.initial_box)
     with closing(_FormationFiles(out_dir, outputs, cfg.dt)) as files:
-        trace = run_formation(initial, config, cfg.max_steps, sink=files,
-                              error_tolerance=cfg.formation_tolerance, stride=cfg.stride)
+        trace = run_formation(initial, config, cfg.max_steps, sink=files, stride=cfg.stride)
     final_error = float(trace.final_errors.max())
     print(f"formation: max edge error {final_error:.3e} after "
-          f"{cfg.max_steps} steps (tolerance {cfg.formation_tolerance})")
+          f"{cfg.max_steps} steps (tolerance {FORMATION_TOL})")
     return EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
 
 

@@ -26,20 +26,17 @@ from .core import (
     midpoint_law,
     uniform_box,
 )
-from .estimation import (
-    ChainBatch,
-    EstimatorConfig,
-    EstimateTrace,
-    run_estimation,
-)
+from .estimation import ChainBatch, EstimatorConfig, run_estimation
 from .spectral import EstimationParams
 
 CLOSURE_TOL = 1e-9  # metres, absorbs decimal round-off in hand-written r*
+FORMATION_TOL = 1e-2  # metres, the largest edge error that counts as formed
 
 
-def polygon_closes(r_star, tol: float = CLOSURE_TOL) -> bool:
-    """True iff the desired displacements ``r_star`` sum to zero per component."""
-    return bool(np.all(np.abs(np.sum(r_star, axis=0)) <= tol))
+def polygon_closes(r_star) -> bool:
+    """True iff the desired displacements ``r_star`` sum to zero per
+    component, within ``CLOSURE_TOL``."""
+    return bool(np.all(np.abs(np.sum(r_star, axis=0)) <= CLOSURE_TOL))
 
 
 class PipelineEstimationError(RuntimeError):
@@ -254,11 +251,10 @@ class FormationTrace:
     edge errors of the last step reached), ``converged`` and
     ``first_step_within_tol``.  Run without a ``sink``, it also fills the
     snapshots with their steps and every step's edge errors, row i of
-    ``errors`` at step ``error_steps[i]``.
+    ``errors`` at step ``error_steps[i]``.  A step is within tolerance
+    when its largest edge error is below ``FORMATION_TOL``.
     """
 
-    dt: float
-    tolerance: float
     snapshot_steps: list[int] = field(default_factory=list)
     snapshots: list[SwarmState] = field(default_factory=list)
     error_steps: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
@@ -297,7 +293,6 @@ def run_formation(
     config: FormationConfig,
     horizon: int,
     *,
-    error_tolerance: float = 1e-2,
     stride: int = 1,
     sink=None,
 ) -> FormationTrace:
@@ -321,7 +316,7 @@ def run_formation(
     shares memory with another.  ``final_state`` is the last state
     reached, the last snapshot when that state was kept.  The trace is
     flagged converged when the largest edge error at the final step is
-    below ``error_tolerance``.
+    below ``FORMATION_TOL``.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least one step")
@@ -332,7 +327,7 @@ def run_formation(
             f"initial state has {initial.positions.shape[0]} robots, "
             f"ring expects {config.n_total}"
         )
-    trace = FormationTrace(dt=config.params.dt, tolerance=error_tolerance)
+    trace = FormationTrace()
     collector = None
     if sink is None:
         sink = collector = _Collector()
@@ -386,11 +381,11 @@ def _hand_over(trace: FormationTrace, sink, corners: np.ndarray, first: int,
     errors = _edge_errors(corners, r_star)
     steps = np.arange(first, first + len(corners))
     if trace.first_step_within_tol is None:
-        within = np.flatnonzero(errors.max(axis=1) < trace.tolerance)
+        within = np.flatnonzero(errors.max(axis=1) < FORMATION_TOL)
         if within.size:
             trace.first_step_within_tol = int(steps[within[0]])
     trace.final_errors = errors[-1].copy()
-    trace.converged = bool(trace.final_errors.max() < trace.tolerance)
+    trace.converged = bool(trace.final_errors.max() < FORMATION_TOL)
     sink.add_errors(steps, errors)
 
 
@@ -411,7 +406,6 @@ def seeded_placement(n_total: int, seed: int, initial_box: float) -> SwarmState:
 @dataclass
 class PipelineResult:
     estimates: list[int]
-    estimate_traces: list[EstimateTrace]
     formation: FormationTrace
     initial_state: SwarmState
 
@@ -423,7 +417,6 @@ def run_pipeline(
     *,
     horizon: int,
     initial_box: float = 5.0,
-    error_tolerance: float = 1e-2,
     stride: int = 1,
     open_sink=None,
 ) -> PipelineResult:
@@ -467,16 +460,8 @@ def run_pipeline(
 
     sink = None if open_sink is None else open_sink(traces)
     try:
-        formation = run_formation(
-            initial, config, horizon, error_tolerance=error_tolerance, stride=stride,
-            sink=sink,
-        )
+        formation = run_formation(initial, config, horizon, stride=stride, sink=sink)
     except DivergenceError as err:
         err.partial = traces + err.partial
         raise
-    return PipelineResult(
-        estimates=estimates,
-        estimate_traces=traces,
-        formation=formation,
-        initial_state=initial,
-    )
+    return PipelineResult(estimates=estimates, formation=formation, initial_state=initial)

@@ -29,7 +29,7 @@ import ringform.estimation
 from ringform.cli import load_config
 from ringform.core import DivergenceError, SwarmState, check_finite, make_generator, uniform_box
 from ringform.estimation import EstimatorConfig, run_estimation, step_estimator
-from ringform.formation import FormationTrace, step_formation
+from ringform.formation import FORMATION_TOL, FormationTrace, step_formation
 from ringform.harness import SweepRow, auto_stop_window, scaled_params
 from ringform.spectral import s1_readout_frame
 
@@ -93,12 +93,12 @@ def reference_step_formation(state, config):
                       velocities_prev=v, step=state.step + 1)
 
 
-def reference_run_formation(initial, config, horizon, *, error_tolerance=1e-2, stride=1):
+def reference_run_formation(initial, config, horizon, *, stride=1):
     """``run_formation``'s trace, recorded as each state is reached: its
     edge errors from rolled vertex indices and ``np.linalg.norm``, its
     snapshot, and the first step within tolerance.  A divergence re-raises
     with ``[trace]``, the trace so far, as ``partial``."""
-    trace = FormationTrace(dt=config.params.dt, tolerance=error_tolerance)
+    trace = FormationTrace()
     vertices = np.array(config.vertex_set)
     error_steps, errors = [], []
 
@@ -111,14 +111,14 @@ def reference_run_formation(initial, config, horizon, *, error_tolerance=1e-2, s
         if current.step % stride == 0 or current.step == initial.step + horizon:
             trace.snapshot_steps.append(current.step)
             trace.snapshots.append(current)
-        if trace.first_step_within_tol is None and e.max() < error_tolerance:
+        if trace.first_step_within_tol is None and e.max() < FORMATION_TOL:
             trace.first_step_within_tol = current.step
 
     def finalize(last):
         trace.error_steps = np.array(error_steps, dtype=int)
         trace.errors = np.array(errors)
         trace.final_state = last
-        trace.converged = bool(trace.errors[-1].max() < error_tolerance)
+        trace.converged = bool(trace.errors[-1].max() < FORMATION_TOL)
 
     state = initial
     record(state)
@@ -134,19 +134,19 @@ def reference_run_formation(initial, config, horizon, *, error_tolerance=1e-2, s
     return trace
 
 
-def reference_formation_csvs(trace):
-    """``trace.csv`` and ``errors.csv`` text of a collected formation trace,
-    written as the CLI wrote it before it streamed: whole snapshots, then
-    every row of the error array."""
+def reference_formation_csvs(trace, dt):
+    """``trace.csv`` and ``errors.csv`` text of a collected formation trace
+    sampled every ``dt`` seconds, written as the CLI wrote it before it
+    streamed: whole snapshots, then every row of the error array."""
     trace_rows = ["step,time,robot_id,px,py,vx,vy\n"]
     for step, state in zip(trace.snapshot_steps, trace.snapshots):
         for robot_id, (q, v) in enumerate(zip(state.positions.tolist(),
                                                state.velocities.tolist())):
-            trace_rows.append(f"{step},{step * trace.dt!r},{robot_id},"
+            trace_rows.append(f"{step},{step * dt!r},{robot_id},"
                               f"{q[0]!r},{q[1]!r},{v[0]!r},{v[1]!r}\n")
     error_rows = ["step,time,edge_id,error\n"]
     for step, errors in zip(trace.error_steps.tolist(), trace.errors.tolist()):
-        error_rows += [f"{step},{step * trace.dt!r},{edge_id},{e!r}\n"
+        error_rows += [f"{step},{step * dt!r},{edge_id},{e!r}\n"
                        for edge_id, e in enumerate(errors)]
     return "".join(trace_rows), "".join(error_rows)
 

@@ -99,8 +99,6 @@ PROBES = [
     ("excitation", [1.0e-170, 0.0]),  # x*x + y*y underflows to 0
     ("excitation", [1.0e300, 0.0]),  # x*x + y*y overflows to inf
     ("r_star", [["x", -2.0], [2.0, 2.0], [-3.0, 0.0]]),
-    ("tolerances.closure", "x"),
-    ("tolerances.closure", 1e-3),  # looser than the closure check FormationConfig makes
     ("sweep.n_min", "x"),
     ("initial_box", float("inf")),
     ("alpha", 20),  # beta = 20 * 0.2 / 2 = 2
@@ -111,9 +109,8 @@ PROBES = [
 ]
 
 
-# The fields each mode reads, and so accepts, checks and echoes: 61 pairs.
-RING = ["topology.n_total", "topology.vertex_set", "r_star", "sigma", "stride",
-        "tolerances.closure", "tolerances.formation_error"]
+# The fields each mode reads, and so accepts, checks and echoes: 57 pairs.
+RING = ["topology.n_total", "topology.vertex_set", "r_star", "sigma", "stride"]
 PHASE1 = ["strategy", "stop_window", "excitation"]
 READS = {
     "estimate": {"mode", "output_dir", "alpha", "dt", "seed", "initial_box", "max_steps",
@@ -140,17 +137,21 @@ GIVEN = {
     "excitation": [5.0, 0.0], "topology.n_total": 7, "topology.vertex_set": [0, 2, 5],
     "r_star": TRIANGLE["r_star"], "n_prime": 19, "estimation.alpha": 300,
     "estimation.dt": 1.0, "estimation.strategy": "S1", "estimation.max_steps": 100,
-    "estimation.stop_window": 50, "tolerances.closure": 1e-10,
-    "tolerances.formation_error": 0.1, "sweep.n_min": 5, "sweep.n_max": 6, "sweep.reps": 2,
+    "estimation.stop_window": 50, "sweep.n_min": 5, "sweep.n_max": 6, "sweep.reps": 2,
     "sweep.scale_per_n": True,
 }
 UNREAD = [(mode, path) for mode in MODES for path in sorted(GIVEN) if path not in READS[mode]]
+# No ``tolerances`` section in any mode: the closure and formation tolerances
+# are the constants ``formation.CLOSURE_TOL`` and ``formation.FORMATION_TOL``,
+# and a null section is refused like a mapping, not read as defaults.
+UNKNOWN = {"typo": ("typo_field", 1), "tolerances": ("tolerances", {"closure": 1e-10}),
+           "tolerances-null": ("tolerances", None)}
 
 
 def test_each_field_names_the_modes_that_read_it():
     assert {mode: {".".join(path) for path, f in _FIELDS.items() if mode in f.metadata["modes"]}
             for mode in MODES} == READS
-    assert sum(map(len, READS.values())) == 61 and len(UNREAD) == 135 - 61
+    assert sum(map(len, READS.values())) == 57 and len(UNREAD) == 125 - 57
 
 
 class TestConfigValidation:
@@ -179,10 +180,12 @@ class TestConfigValidation:
         cfg = load_config(Path(__file__).parent.parent / "configs" / "hexagon.yaml")
         assert cfg.n_total == 120
 
-    def test_unknown_top_level_field(self, tmp_path):
-        bad = dict(TRIANGLE, typo_field=1)
-        with pytest.raises(ConfigError, match="typo_field"):
-            load_config(write_config(tmp_path, bad))
+    @pytest.mark.parametrize("mode,case", [(m, c) for m in MODES for c in UNKNOWN],
+                             ids=[f"{m}-{c}" for m in MODES for c in UNKNOWN])
+    def test_unknown_top_level_field(self, tmp_path, capsys, mode, case):
+        key, value = UNKNOWN[case]
+        bad = dict(BASES[mode], **{key: value})
+        assert refused(tmp_path, capsys, bad) == f"config: unknown fields [{key!r}]"
 
     def test_unknown_nested_field(self, tmp_path):
         bad = dict(TRIANGLE, topology={"n_total": 7, "vertex_set": [0, 2, 5], "x": 1})
@@ -320,7 +323,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("mode,section", [
         (mode, section) for mode in MODES
-        for section in ("estimation", "topology", "tolerances", "sweep")
+        for section in ("estimation", "topology", "sweep")
         if section != "topology" or "topology.n_total" not in READS[mode]])
     def test_null_section_means_defaults(self, tmp_path, mode, section):
         # yaml.safe_dump writes a None section as ``section: null``; the
@@ -476,6 +479,15 @@ class TestPipelineRun:
         assert manifest["seed"] == 42
         assert "wall_time_s" in manifest
         assert "estimate.csv" in manifest["outputs"]
+
+    def test_manifest_seed_is_null_where_the_mode_reads_none(self, tmp_path):
+        # A seed set on the parsed config, past the per-mode rule, is not echoed.
+        cfg = load_config(CONFIGS / "spectral19.yaml", {"output_dir": str(tmp_path)})
+        cfg.seed = 7
+        assert execute(cfg) == EXIT_OK
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["seed"] is None
+        assert "seed" not in manifest["config"]
 
     @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.yaml")),
                              ids=lambda path: path.stem)
@@ -1086,11 +1098,10 @@ class TestStreamedOutputs:
         initial = seeded_placement(config.n_total, cfg.seed, cfg.initial_box)
         code = execute(cfg)
         try:
-            trace = run_formation(initial, config, cfg.max_steps, stride=stride,
-                                  error_tolerance=cfg.formation_tolerance)
+            trace = run_formation(initial, config, cfg.max_steps, stride=stride)
         except DivergenceError as err:
             (trace,) = err.partial
         assert code == (EXIT_DIVERGED if changes else EXIT_OK)
-        want_trace, want_errors = reference_formation_csvs(trace)
+        want_trace, want_errors = reference_formation_csvs(trace, cfg.dt)
         assert (tmp_path / "trace.csv").read_bytes() == want_trace.encode()
         assert (tmp_path / "errors.csv").read_bytes() == want_errors.encode()

@@ -1,6 +1,7 @@
 """The package's import paths, one per name, each at its defining module;
-and the README's account of them and of the config fields."""
+its import layers; and the README's account of them and of the config fields."""
 
+import ast
 import importlib
 import json
 import os
@@ -12,6 +13,8 @@ from pathlib import Path
 from ringform.cli import _FIELDS
 
 ROOT = Path(__file__).resolve().parents[1]
+# The package's modules, each above those it may import from.
+LAYERS = ["core", "spectral", "estimation", "formation", "harness", "cli"]
 
 
 def test_root_binds_only_the_version():
@@ -21,6 +24,16 @@ def test_root_binds_only_the_version():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert json.loads(out.stdout) == ["0.1.0", []]
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    paths = sorted((ROOT / "src" / "ringform").glob("*.py"))
+    assert {path.stem for path in paths} == {*LAYERS, "__init__"}
+    for path in paths:
+        imported = {node.module.split(".")[0] for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module}
+        below = LAYERS[:LAYERS.index(path.stem)] if path.stem in LAYERS else []
+        assert imported <= set(below), f"{path.stem} imports {sorted(imported - set(below))}"
 
 
 def test_readme_api_references_resolve():

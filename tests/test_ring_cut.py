@@ -73,7 +73,7 @@ def test_closure_examples():
     assert not polygon_closes([[1.0, 0], [0, 1], [0, 0]])
 
 
-def test_closure_tolerance_absorbs_roundoff():
+def test_closure_tol_absorbs_roundoff():
     r = np.array([[0.1, 0.2], [0.3, -0.1], [-0.4, -0.1]])
     assert ring(3, (0, 1, 2), r + 1e-12).n_s == (1, 1, 1)
     with pytest.raises(ValueError, match="does not close"):
