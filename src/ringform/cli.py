@@ -40,7 +40,7 @@ from .formation import (
     seeded_placement,
 )
 from .harness import auto_stop_window, sweep_and_curves, sweep_batch_bytes, sweep_keys_fit
-from .spectral import STRATEGIES, EstimationParams, spectral_report, stability_limit
+from .spectral import ESTIMATOR_KIND, EstimationParams, spectral_report, stability_limit
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -88,9 +88,20 @@ def _int(value):
     return value
 
 
+def _yaml_exponent(value) -> bool:
+    """Whether ``value`` is text that a finite float spells in exponent form:
+    YAML 1.1 reads ``1e-3`` and ``1.0e3`` as strings, ``1.0e-3`` as a float."""
+    try:
+        return isinstance(value, str) and "e" in value.lower() and math.isfinite(float(value))
+    except ValueError:
+        return False
+
+
 def _float(value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"must be a number, got {_quoted(value)}")
+        hint = (" (YAML reads an exponent without a decimal point and sign as text: "
+                "write 1.0e-3)") if _yaml_exponent(value) else ""
+        raise ValueError(f"must be a number, got {_quoted(value)}{hint}")
     if not math.isfinite(float(value)):
         raise ValueError(f"must be finite, got {_quoted(value)}")
     return float(value)
@@ -144,10 +155,9 @@ def _at_least(bound):
 
 
 _POSITIVE = ((lambda x: x > 0), "must be positive")
-# Modes that place robots from the seed, step a chain or ring, run phase 1, form a ring.
+# Modes that place robots from the seed, step a chain or ring, form a ring.
 _PLACED = ("estimate", "form", "pipeline", "sweep")
 _STEPPED = ("estimate", "form", "pipeline")
-_PHASE1 = ("estimate", "pipeline")
 _RING = ("form", "pipeline")
 
 
@@ -155,15 +165,16 @@ _RING = ("form", "pipeline")
 class RunConfig:
     """One run; the field table below is the whole config schema.
 
-    ``est_*`` fields are the phase-1 overrides; None means the top-level
-    value applies (see ``phase1``).
+    ``est_*`` fields are a pipeline's phase 1: its only names for the
+    strategy and stop window, and, where not None, its own gains and step
+    cap in place of the ring's (see ``phase1``).
     """
 
     mode: str = _opt("mode", MODES, _str, MISSING, lambda x: x in MODES, f"must be one of {MODES}")
     alpha: float = _opt("alpha", (*_STEPPED, "spectral"), _float, 0.5, *_POSITIVE)
     dt: float = _opt("dt", MODES, _float, 0.01, *_POSITIVE)
     sigma: int = _opt("sigma", _RING, _int, 1, lambda x: x in (1, 2), "must be 1 or 2")
-    strategy: str = _opt("strategy", _PHASE1, _str, "S1", lambda x: x in STRATEGIES,
+    strategy: str = _opt("strategy", ("estimate",), _str, "S1", lambda x: x in ESTIMATOR_KIND,
                          "must be 'S1' or 'S2'")
     seed: int = _opt("seed", _PLACED, _int, 0, lambda x: 0 <= x < 2 ** 64,
                      "must be an unsigned 64-bit integer")
@@ -171,18 +182,15 @@ class RunConfig:
     output_dir: str = _opt("output_dir", MODES, _str, "out")
     stride: int = _opt("stride", _RING, _int, 1, *_at_least(1))
     max_steps: int = _opt("max_steps", _STEPPED, _int, 3000, *_at_least(1))
-    stop_window: int | None = _opt("stop_window", _PHASE1, _int, None, *_at_least(2))
-    excitation: tuple[float, float] = _opt("excitation", _PHASE1, _pair, (1.0, 0.0),
-                                           lambda e: 0 < e[0] * e[0] + e[1] * e[1] < math.inf,
-                                           "must have finite x*x + y*y > 0")
+    stop_window: int | None = _opt("stop_window", ("estimate",), _int, None, *_at_least(2))
     n_total: int = _opt("topology.n_total", _STEPPED, _int, MISSING, *_at_least(2))
     vertex_set: tuple[int, ...] = _opt("topology.vertex_set", _RING, _ints)
     r_star: list = _opt("r_star", _RING, _pairs)
     n_prime: int = _opt("n_prime", ("spectral",), _int, MISSING, *_at_least(1))
     est_alpha: float | None = _opt("estimation.alpha", ("pipeline",), _float, None, *_POSITIVE)
     est_dt: float | None = _opt("estimation.dt", ("pipeline",), _float, None, *_POSITIVE)
-    est_strategy: str | None = _opt("estimation.strategy", ("pipeline",), _str, None,
-                                    lambda x: x in STRATEGIES, "must be 'S1' or 'S2'")
+    est_strategy: str = _opt("estimation.strategy", ("pipeline",), _str, "S1",
+                             lambda x: x in ESTIMATOR_KIND, "must be 'S1' or 'S2'")
     est_max_steps: int | None = _opt("estimation.max_steps", ("pipeline",), _int, None,
                                      *_at_least(1))
     est_stop_window: int | None = _opt("estimation.stop_window", ("pipeline",), _int, None,
@@ -197,7 +205,9 @@ class RunConfig:
         return EstimationParams(alpha=self.alpha, dt=self.dt)
 
     def phase1(self, name: str):
-        """Estimation-phase value of ``name``: ``estimation.<name>`` if set."""
+        """Estimation-phase value of ``name``: ``estimation.<name>`` if set,
+        else the top-level field.  A mode reads only one of the two names of
+        ``strategy`` and ``stop_window``, so the other is None."""
         value = getattr(self, f"est_{name}")
         return getattr(self, name) if value is None else value
 
@@ -217,8 +227,7 @@ class RunConfig:
         _require(window < max_steps, path,
                  f"must exceed the stop window of {window} steps, got {max_steps}")
         return EstimatorConfig(
-            params=params, strategy=strategy, excitation_init=self.excitation,
-            stop_window=window, max_steps=max_steps,
+            params=params, strategy=strategy, stop_window=window, max_steps=max_steps,
         )
 
     @cached_property
@@ -330,9 +339,8 @@ def _check_rules(cfg: RunConfig) -> None:
         _require(0.0 < beta < 1.0, path,
                  f"beta = alpha*dt/2 = {beta:.6g} (alpha {alpha}, dt {dt}) "
                  "must lie in (0, 1)")
-    estimator = "estimator" if cfg.phase1("strategy") == "S1" else "lagged_estimator"
     if cfg.mode == "estimate":
-        _require_stable(*gains[-1], [(cfg.n_total - 1, estimator)])
+        _require_stable(*gains[-1], [(cfg.n_total - 1, ESTIMATOR_KIND[cfg.strategy])])
     elif cfg.mode in ("form", "pipeline"):
         _require(all(v < cfg.n_total for v in cfg.vertex_set), "topology.vertex_set",
                  f"vertex indices out of range [0, {cfg.n_total})")
@@ -347,7 +355,7 @@ def _check_rules(cfg: RunConfig) -> None:
         except ValueError as exc:
             raise ConfigError(f"topology: {exc}") from exc
         if cfg.mode == "pipeline":  # phase 1 at its own gains, or at the ring's
-            _require_stable(*gains[-1], [(max(config.n_s), estimator)])
+            _require_stable(*gains[-1], [(max(config.n_s), ESTIMATOR_KIND[cfg.est_strategy])])
         _require_stable("alpha", cfg.alpha, cfg.dt, config.chains())
     elif cfg.mode == "sweep":
         _require(cfg.sweep_n_max >= cfg.sweep_n_min, "sweep.n_max", "must be >= sweep.n_min")

@@ -28,15 +28,18 @@ from .spectral import EstimationParams, s1_readout_frame
 # Steps per block of the lock-step loop: the stop rules are read once per
 # block, and positions are checked at block ends that are its multiples.
 BLOCK = 64
+# The virtual robot's velocity at the first step (m/s).  A unit vector, so
+# the tail robot's speed is the ratio the readouts invert.
+EXCITATION = (1.0, 0.0)
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Strategy, gains, excitation, and stop-rule parameters for one run."""
+    """Strategy, gains, and stop-rule parameters for one run; the
+    excitation is ``EXCITATION``."""
 
     params: EstimationParams
     strategy: str = "S1"
-    excitation_init: tuple[float, float] = (1.0, 0.0)
     stop_window: int = 50
     max_steps: int = 20000
 
@@ -47,9 +50,6 @@ class EstimatorConfig:
             raise ValueError("stop_window must be at least 2")
         if self.max_steps <= self.stop_window:
             raise ValueError("max_steps must exceed stop_window")
-        x, y = (float(e) for e in self.excitation_init)
-        if not 0.0 < x * x + y * y < math.inf:
-            raise ValueError("excitation must have finite x*x + y*y > 0")
 
 
 def step_estimator(state: SwarmState, config: EstimatorConfig) -> SwarmState:
@@ -139,8 +139,6 @@ def _lock_step(starts, configs, names, limits, rule, record=None):
     n_rows, columns = max(len(start) for start in starts), len(starts)
     alphas, dts = np.array([(c.params.alpha, c.params.dt) for c in configs]).T
     strategies = np.array([c.strategy == "S1" for c in configs])
-    excitations = np.array([c.excitation_init for c in configs], dtype=float)
-    norms = np.array([math.sqrt(x * x + y * y) for x, y in excitations.tolist()])
     live = np.zeros((n_rows, 1, columns))
     for b, start in enumerate(starts):
         live[n_rows - len(start):, 0, b] = 1.0
@@ -155,7 +153,7 @@ def _lock_step(starts, configs, names, limits, rule, record=None):
         for j, b in enumerate(cols):
             q[n_rows + 1 - len(starts[b]):n_rows + 1, :, j] = starts[b]
         v, v_prev = np.zeros((2, *q.shape))
-        v[-1] = np.where(s1, 1.0, -1.0) * excitations[cols].T
+        v[-1] = np.where(s1, 1.0, -1.0) * np.array(EXCITATION)[:, None]
         v_prev[-1] = -v[-1]
         return q, v, v_prev
 
@@ -176,13 +174,12 @@ def _lock_step(starts, configs, names, limits, rule, record=None):
         return v, v_prev, tails
 
     def ratios_of(tail):
-        """|tail velocity| / |excitation|, computed in the x row of ``tail``."""
+        """|tail velocity| / |``EXCITATION``|, the tail speed, computed in the
+        x row of ``tail``."""
         ratios, tail_y = tail[..., 0, :], tail[..., 1, :]
         np.multiply(ratios, ratios, out=ratios)
         ratios += np.multiply(tail_y, tail_y, out=tail_y)
-        np.sqrt(ratios, out=ratios)
-        ratios /= norms[cols]
-        return ratios
+        return np.sqrt(ratios, out=ratios)
 
     cols = np.arange(columns)  # the columns in the buffers
     alpha, dt, s1, mixed = law()

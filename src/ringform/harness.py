@@ -27,6 +27,7 @@ from .formation import (
     run_pipeline,
 )
 from .spectral import (
+    ESTIMATOR_KIND,
     EstimationParams,
     chain_modes,
     decay_seconds,
@@ -51,8 +52,7 @@ def scaled_params(n_prime: int, dt: float = 0.01) -> EstimationParams:
 
 def auto_stop_window(n_prime: int, params: EstimationParams, strategy: str) -> int:
     """Stop window scaled to the decay time of the chain's modal blocks."""
-    rho = spectral_radius(chain_modes(
-        n_prime, params, "estimator" if strategy == "S1" else "lagged_estimator"))
+    rho = spectral_radius(chain_modes(n_prime, params, ESTIMATOR_KIND[strategy]))
     # The window must out-span the time the raw readout needs to drift across
     # one unit near the end of the transient, otherwise a slowly settling run
     # can freeze one integer too early.  ln(100) of decay per window keeps a

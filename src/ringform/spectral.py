@@ -32,6 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 STRATEGIES = ("S1", "S2")
+# The chain kind each readout strategy steps: S2 reads the one-step-old velocities.
+ESTIMATOR_KIND = {"S1": "estimator", "S2": "lagged_estimator"}
 
 
 def _require_strategy(strategy: str) -> None:

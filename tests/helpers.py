@@ -28,7 +28,7 @@ import numpy as np
 import ringform.estimation
 from ringform.cli import load_config
 from ringform.core import DivergenceError, SwarmState, check_finite, make_generator, uniform_box
-from ringform.estimation import EstimatorConfig, run_estimation, step_estimator
+from ringform.estimation import EXCITATION, EstimatorConfig, run_estimation, step_estimator
 from ringform.formation import FORMATION_TOL, FormationTrace, step_formation
 from ringform.harness import SweepRow, auto_stop_window, scaled_params
 from ringform.spectral import s1_readout_frame
@@ -42,10 +42,9 @@ def shipped_config(name, **overrides):
 
 
 def form_of(raw, **changes):
-    """A ``pipeline`` config mapping as a ``form`` one: the phase-1 fields,
+    """A ``pipeline`` config mapping as a ``form`` one: the phase-1 section,
     which ``form`` mode refuses, dropped, and ``changes`` applied."""
-    phase1 = ("strategy", "stop_window", "excitation", "estimation")
-    return dict({k: v for k, v in raw.items() if k not in phase1}, mode="form", **changes)
+    return dict({k: v for k, v in raw.items() if k != "estimation"}, mode="form", **changes)
 
 
 def philox_doubles(seed, stream, count, first_counter=1):
@@ -189,13 +188,13 @@ def reference_readout(ratio, beta, strategy):
     return scaled / den if den > 0.0 else math.nan
 
 
-def _chain_ratio(state, config):
-    x, y = (float(e) for e in config.excitation_init)
+def _chain_ratio(state):
+    x, y = EXCITATION
     vx, vy = state.velocities[-1]
     return math.sqrt(vx * vx + vy * vy) / math.sqrt(x * x + y * y)
 
 
-def chain_state(n_prime, initial_positions=None, excitation=(1.0, 0.0)):
+def chain_state(n_prime, initial_positions=None, excitation=EXCITATION):
     """Estimator chain at rest, the state ``step_estimator`` steps: anchor at
     the origin in row 0, then n' robots, with the virtual robot's excitation."""
     positions = np.zeros((n_prime + 1, 2))
@@ -221,12 +220,12 @@ def reference_estimation(n_prime, config, initial):
     raises the ``DivergenceError`` with ``(ratios, raws)`` before its step
     as ``partial``.
     """
-    state = chain_state(n_prime, initial, config.excitation_init)
+    state = chain_state(n_prime, initial)
     ratios, raws, failure = [], [], None
     with mock.patch.object(ringform.estimation, "check_finite", lambda *args: None):
         for step in range(1, config.max_steps + 1):
             state = step_estimator(state, config)
-            ratio = _chain_ratio(state, config)
+            ratio = _chain_ratio(state)
             try:
                 if step % 64 == 0:
                     check_finite(state.positions, step, "chain positions")
@@ -259,11 +258,11 @@ def trace_bits(trace):
 def reference_steady_ratio(n_prime, config):
     """``estimate_and_settle``'s settle rule one step at a time from rest:
     returns the ratio and the step at which it settled."""
-    state = chain_state(n_prime, None, config.excitation_init)
+    state = chain_state(n_prime)
     previous, quiet = math.inf, 0
     while quiet < 25:
         state = step_estimator(state, config)
-        ratio = _chain_ratio(state, config)
+        ratio = _chain_ratio(state)
         quiet = quiet + 1 if abs(ratio - previous) < 1e-12 else 0
         previous = ratio
     return ratio, state.step

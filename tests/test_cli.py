@@ -95,9 +95,6 @@ PROBES = [
     ("topology.n_total", "abc"),
     ("topology.vertex_set", ["a", 2, 5]),
     ("topology.vertex_set", [0, 2, 7]),  # index 7 is outside the 7-robot ring
-    ("excitation", ["a", 0]),
-    ("excitation", [1.0e-170, 0.0]),  # x*x + y*y underflows to 0
-    ("excitation", [1.0e300, 0.0]),  # x*x + y*y overflows to inf
     ("r_star", [["x", -2.0], [2.0, 2.0], [-3.0, 0.0]]),
     ("sweep.n_min", "x"),
     ("initial_box", float("inf")),
@@ -106,18 +103,20 @@ PROBES = [
     ("estimation.stop_window", 1),
     ("estimation.max_steps", "x"),
     ("estimation.alpha", "x"),
+    ("alpha", "1e-3"),  # YAML 1.1 reads both as text, not floats
+    ("initial_box", "1.0e3"),
 ]
 
 
-# The fields each mode reads, and so accepts, checks and echoes: 57 pairs.
+# The fields each mode reads, and so accepts, checks and echoes: 53 pairs.
+# A pipeline names its phase-1 strategy and stop window only in its section.
 RING = ["topology.n_total", "topology.vertex_set", "r_star", "sigma", "stride"]
-PHASE1 = ["strategy", "stop_window", "excitation"]
 READS = {
     "estimate": {"mode", "output_dir", "alpha", "dt", "seed", "initial_box", "max_steps",
-                 "topology.n_total", *PHASE1},
+                 "topology.n_total", "strategy", "stop_window"},
     "form": {"mode", "output_dir", "alpha", "dt", "seed", "initial_box", "max_steps", *RING},
     "pipeline": {"mode", "output_dir", "alpha", "dt", "seed", "initial_box", "max_steps", *RING,
-                 *PHASE1, "estimation.alpha", "estimation.dt", "estimation.strategy",
+                 "estimation.alpha", "estimation.dt", "estimation.strategy",
                  "estimation.max_steps", "estimation.stop_window"},
     "sweep": {"mode", "output_dir", "dt", "seed", "initial_box", "sweep.n_min", "sweep.n_max",
               "sweep.reps", "sweep.scale_per_n"},
@@ -134,7 +133,7 @@ BASES = {
 GIVEN = {
     "alpha": 300, "dt": 0.01, "sigma": 2, "strategy": "S2", "seed": 5, "initial_box": 1.0,
     "output_dir": "out", "stride": 3, "max_steps": 10, "stop_window": 50,
-    "excitation": [5.0, 0.0], "topology.n_total": 7, "topology.vertex_set": [0, 2, 5],
+    "topology.n_total": 7, "topology.vertex_set": [0, 2, 5],
     "r_star": TRIANGLE["r_star"], "n_prime": 19, "estimation.alpha": 300,
     "estimation.dt": 1.0, "estimation.strategy": "S1", "estimation.max_steps": 100,
     "estimation.stop_window": 50, "sweep.n_min": 5, "sweep.n_max": 6, "sweep.reps": 2,
@@ -143,15 +142,16 @@ GIVEN = {
 UNREAD = [(mode, path) for mode in MODES for path in sorted(GIVEN) if path not in READS[mode]]
 # No ``tolerances`` section in any mode: the closure and formation tolerances
 # are the constants ``formation.CLOSURE_TOL`` and ``formation.FORMATION_TOL``,
-# and a null section is refused like a mapping, not read as defaults.
+# and a null section is refused like a mapping, not read as defaults.  No
+# ``excitation`` either: phase 1 drives its chains with ``estimation.EXCITATION``.
 UNKNOWN = {"typo": ("typo_field", 1), "tolerances": ("tolerances", {"closure": 1e-10}),
-           "tolerances-null": ("tolerances", None)}
+           "tolerances-null": ("tolerances", None), "excitation": ("excitation", [1.0, 0.0])}
 
 
 def test_each_field_names_the_modes_that_read_it():
     assert {mode: {".".join(path) for path, f in _FIELDS.items() if mode in f.metadata["modes"]}
             for mode in MODES} == READS
-    assert sum(map(len, READS.values())) == 57 and len(UNREAD) == 125 - 57
+    assert sum(map(len, READS.values())) == 53 and len(UNREAD) == 120 - 53
 
 
 class TestConfigValidation:
@@ -236,6 +236,33 @@ class TestConfigValidation:
         expected = "estimation" if (path, value) == ("estimation.alpha", 5) else path
         assert f"config error: {expected}:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text,hint", [("1e-3", True), ("1E-3", True), ("1.0e3", True),
+                                           ("1e400", False), ("e3", False)])
+    def test_yaml_exponent_text_is_refused_with_a_hint(self, tmp_path, capsys, text, hint):
+        # YAML 1.1 reads an exponent as a float only with a decimal point and
+        # a signed one; other spellings stay text, refused but explained.
+        path = tmp_path / "run.yaml"
+        path.write_text(f"mode: spectral\nn_prime: 5\nalpha: {text}\n")
+        assert main(["spectral", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"ringform: config error: alpha: must be a number, got {text!r}"
+            + " (YAML reads an exponent without a decimal point and sign as text: "
+              "write 1.0e-3)" * hint + "\n")
+        path.write_text("mode: spectral\nn_prime: 5\nalpha: 1.0e-3\n")
+        assert load_config(path).alpha == 1.0e-3
+
+    def test_pipeline_phase1_strategy_is_read_from_its_section(self):
+        # S1 unless ``estimation.strategy`` says otherwise; the top-level
+        # ``strategy`` is an estimate run's, refused in a pipeline.
+        section = {k: v for k, v in TRIANGLE["estimation"].items() if k != "strategy"}
+        for estimation, strategy in ((section, "S1"), (None, "S1"),
+                                     (dict(section, strategy="S2"), "S2")):
+            cfg = parse_config(dict(TRIANGLE, estimation=estimation))
+            assert cfg.est_strategy == strategy and cfg.strategy is None
+            assert cfg.pipeline_arguments()["est_config"].strategy == strategy
+        with pytest.raises(ConfigError, match="^strategy: is not read in pipeline mode$"):
+            parse_config(dict(TRIANGLE, strategy="S2"))
 
     @pytest.mark.parametrize("vertex_set,message", [
         ([], "topology: polygon needs at least 3 vertex robots"),
@@ -668,18 +695,6 @@ class TestOtherModes:
             estimation={"alpha": 0.3, "dt": 1.0, "strategy": "S2"})) == (
             "estimation: alpha*dt = 0.3 (alpha 0.3, dt 1.0) must be below 0.133975, the "
             "exact stability limit of the lagged_estimator chain of order 5")
-
-    def test_overflowing_excitation_is_a_config_error(self, tmp_path, capsys):
-        # x*x overflows to inf: a run from it would read every ratio as 0
-        # or NaN and stop at step 1 with overflow warnings.
-        cfg = {"mode": "estimate", "excitation": [1.0e300, 0.0],
-               "output_dir": str(tmp_path / "out"), "topology": {"n_total": 5}}
-        path = write_config(tmp_path, cfg)
-        code = main(["estimate", "--config", str(path)])
-        err = capsys.readouterr().err
-        assert code == EXIT_CONFIG
-        assert err.startswith("ringform: config error: excitation: must have finite x*x + y*y > 0")
-        assert "warning" not in err and "diverged" not in err
 
     def test_pipeline_formation_divergence_keeps_estimates(self, tmp_path, capsys):
         # The ring diverges after phase 1 converged; a horizon cut before the

@@ -27,6 +27,7 @@ from ringform.core import (
     uniform_box,
 )
 from ringform.estimation import (
+    EXCITATION,
     ChainBatch,
     EstimatorConfig,
     batch_bytes,
@@ -254,8 +255,8 @@ class TestRunEstimation:
         rng = make_generator(77, 0)
         initial = uniform_box(rng, 5, 5.0)
         trace = run_estimation(5, config, initial)
-        state = chain_state(5, initial, config.excitation_init)
-        exc_norm = math.hypot(*config.excitation_init)
+        state = chain_state(5, initial)
+        exc_norm = math.hypot(*EXCITATION)
         for i in range(len(trace.steps)):
             state = step_estimator(state, config)
             vx, vy = state.velocities[-1]
@@ -578,19 +579,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             EstimatorConfig(params=params, stop_window=100, max_steps=100)
 
-    def test_zero_excitation_rejected(self):
-        params = EstimationParams(alpha=0.5, dt=0.01)
-        with pytest.raises(ValueError):
-            EstimatorConfig(params=params, excitation_init=(0.0, 0.0))
-        with pytest.raises(ValueError):  # x*x + y*y underflows to 0
-            EstimatorConfig(params=params, excitation_init=(1.0e-170, 0.0))
-
-    def test_overflowing_excitation_rejected(self):
-        params = EstimationParams(alpha=0.5, dt=0.01)
-        for excitation in [(1.0e300, 0.0), (0.0, -1.0e200), (math.inf, 0.0)]:
-            with pytest.raises(ValueError, match="finite x\\*x \\+ y\\*y"):
-                EstimatorConfig(params=params, excitation_init=excitation)
-        EstimatorConfig(params=params, excitation_init=(1.0e154, 0.0))
 
 
 @settings(max_examples=20, deadline=None)
