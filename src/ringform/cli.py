@@ -40,7 +40,7 @@ from .formation import (
     seeded_placement,
 )
 from .harness import auto_stop_window, sweep_and_curves, sweep_batch_bytes, sweep_keys_fit
-from .spectral import ESTIMATOR_KIND, EstimationParams, spectral_report, stability_limit
+from .spectral import ESTIMATOR_KIND, STRATEGIES, EstimationParams, spectral_report, stability_limit
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -155,6 +155,7 @@ def _at_least(bound):
 
 
 _POSITIVE = ((lambda x: x > 0), "must be positive")
+_STRATEGY = ((lambda x: x in STRATEGIES), f"must be one of {STRATEGIES}")
 # Modes that place robots from the seed, step a chain or ring, form a ring.
 _PLACED = ("estimate", "form", "pipeline", "sweep")
 _STEPPED = ("estimate", "form", "pipeline")
@@ -174,8 +175,7 @@ class RunConfig:
     alpha: float = _opt("alpha", (*_STEPPED, "spectral"), _float, 0.5, *_POSITIVE)
     dt: float = _opt("dt", MODES, _float, 0.01, *_POSITIVE)
     sigma: int = _opt("sigma", _RING, _int, 1, lambda x: x in (1, 2), "must be 1 or 2")
-    strategy: str = _opt("strategy", ("estimate",), _str, "S1", lambda x: x in ESTIMATOR_KIND,
-                         "must be 'S1' or 'S2'")
+    strategy: str = _opt("strategy", ("estimate",), _str, "S1", *_STRATEGY)
     seed: int = _opt("seed", _PLACED, _int, 0, lambda x: 0 <= x < 2 ** 64,
                      "must be an unsigned 64-bit integer")
     initial_box: float = _opt("initial_box", _PLACED, _float, 5.0, *_at_least(0))
@@ -189,8 +189,7 @@ class RunConfig:
     n_prime: int = _opt("n_prime", ("spectral",), _int, MISSING, *_at_least(1))
     est_alpha: float | None = _opt("estimation.alpha", ("pipeline",), _float, None, *_POSITIVE)
     est_dt: float | None = _opt("estimation.dt", ("pipeline",), _float, None, *_POSITIVE)
-    est_strategy: str = _opt("estimation.strategy", ("pipeline",), _str, "S1",
-                             lambda x: x in ESTIMATOR_KIND, "must be 'S1' or 'S2'")
+    est_strategy: str = _opt("estimation.strategy", ("pipeline",), _str, "S1", *_STRATEGY)
     est_max_steps: int | None = _opt("estimation.max_steps", ("pipeline",), _int, None,
                                      *_at_least(1))
     est_stop_window: int | None = _opt("estimation.stop_window", ("pipeline",), _int, None,

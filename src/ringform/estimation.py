@@ -23,7 +23,7 @@ from .core import (
     midpoint_law,
     uniform_box,
 )
-from .spectral import EstimationParams, s1_readout_frame
+from .spectral import EstimationParams, _require_strategy, s1_readout_frame
 
 # Steps per block of the lock-step loop: the stop rules are read once per
 # block, and positions are checked at block ends that are its multiples.
@@ -44,8 +44,7 @@ class EstimatorConfig:
     max_steps: int = 20000
 
     def __post_init__(self):
-        if self.strategy not in ("S1", "S2"):
-            raise ValueError(f"strategy must be 'S1' or 'S2', got {self.strategy!r}")
+        _require_strategy(self.strategy)
         if self.stop_window < 2:
             raise ValueError("stop_window must be at least 2")
         if self.max_steps <= self.stop_window:
@@ -282,13 +281,12 @@ def readouts(betas, strategies):
     """
     frames = []
     for beta, strategy in zip(betas, strategies):
+        _require_strategy(strategy)
         if strategy == "S1":
             rho1, rho2, fb1, fb2 = s1_readout_frame(beta)
             frames.append((rho1, rho2, math.log(fb1), math.log(fb2) - math.log(fb1)))
-        elif strategy == "S2":
-            frames.append((math.nan,) * 4)
         else:
-            raise ValueError(f"strategy must be 'S1' or 'S2', got {strategy!r}")
+            frames.append((math.nan,) * 4)
     rho1, rho2, log_fb1, frame = np.array(frames).reshape(-1, 4).T
     s2 = np.array([strategy == "S2" for strategy in strategies], dtype=bool)
     s1 = ~s2 & (frame != 0.0)
@@ -346,7 +344,6 @@ class ChainBatch:
 def run_estimation(
     n_prime_true: int,
     config: EstimatorConfig,
-    initial_positions: np.ndarray | None = None,
     *,
     seed: int = 0,
     initial_box: float = 5.0,
@@ -359,10 +356,11 @@ def run_estimation(
     ``stop_window`` raw readouts round to the same positive integer, that
     integer is the estimate.  This implies that they are finite (a NaN
     rounding never equals anything) and span less than one.
-    Initial positions default to a seeded uniform draw in a square box;
-    initial velocities are zero.  The chain runs as a one-column batch,
-    so a divergence carries ``[trace]``, its trace up to the step before
-    it, as ``partial``.
+    The chain starts at rest, its robots drawn uniformly in
+    [-initial_box, initial_box)^2 from stream ``(seed, 0)``.  It runs as a
+    one-column batch, so a divergence carries ``[trace]``, its trace up to
+    the step before it, as ``partial``.  A chain from given positions
+    ``start`` is ``chain_traces([start], [config])[0]``.
 
     With ``batch`` the chain is the batch's column ``column``, of
     ``n_prime_true`` robots run with ``config``, and starts where the
@@ -372,16 +370,8 @@ def run_estimation(
     if batch is None:
         if n_prime_true < 1:
             raise ValueError("chain must contain at least one movable robot")
-        if initial_positions is None:
-            initial_positions = uniform_box(make_generator(seed), n_prime_true, initial_box)
-        else:
-            initial_positions = np.asarray(initial_positions, dtype=float)
-            if initial_positions.shape != (n_prime_true, 2):
-                raise ValueError(
-                    f"initial_positions must have shape ({n_prime_true}, 2), "
-                    f"got {initial_positions.shape}"
-                )
-        batch = ChainBatch([initial_positions], [config])
+        batch = ChainBatch([uniform_box(make_generator(seed), n_prime_true, initial_box)],
+                           [config])
     if (len(batch.starts[column]), batch.configs[column]) != (n_prime_true, config):
         raise ValueError(f"column {column} of the batch is another chain")
     if batch.traces is None:

@@ -249,10 +249,11 @@ class FormationTrace:
 
     ``run_formation`` always fills ``final_state``, ``final_errors`` (the
     edge errors of the last step reached), ``converged`` and
-    ``first_step_within_tol``.  Run without a ``sink``, it also fills the
-    snapshots with their steps and every step's edge errors, row i of
-    ``errors`` at step ``error_steps[i]``.  A step is within tolerance
-    when its largest edge error is below ``FORMATION_TOL``.
+    ``first_step_within_tol``.  Run without a ``sink``, the trace is its
+    own sink: ``add_snapshot`` keeps the snapshots with their steps, and
+    ``add_errors`` every step's edge errors, row i of ``errors`` at step
+    ``error_steps[i]``.  A step is within tolerance when its largest edge
+    error is below ``FORMATION_TOL``.
     """
 
     snapshot_steps: list[int] = field(default_factory=list)
@@ -264,28 +265,13 @@ class FormationTrace:
     converged: bool = False
     first_step_within_tol: int | None = None
 
-
-class _Collector:
-    """``run_formation``'s default consumer: keeps every snapshot and error
-    block, then fills the trace with them."""
-
-    def __init__(self):
-        self.snapshots = []
-        self.steps = []
-        self.errors = []
-
     def add_snapshot(self, state: SwarmState) -> None:
+        self.snapshot_steps.append(state.step)
         self.snapshots.append(state)
 
     def add_errors(self, steps: np.ndarray, errors: np.ndarray) -> None:
-        self.steps.append(steps)
-        self.errors.append(errors)
-
-    def fill(self, trace: FormationTrace) -> None:
-        trace.snapshot_steps = [state.step for state in self.snapshots]
-        trace.snapshots = self.snapshots
-        trace.error_steps = np.concatenate(self.steps)
-        trace.errors = np.concatenate(self.errors)
+        self.error_steps = np.concatenate([self.error_steps, steps])
+        self.errors = np.concatenate([self.errors.reshape(-1, errors.shape[1]), errors])
 
 
 def run_formation(
@@ -306,7 +292,7 @@ def run_formation(
     ``BLOCK_STEPS`` steps; the last block ends with the run, or with the
     step before a divergence.  The ``DivergenceError`` carries
     ``[trace]``, the trace so far, as ``partial``.  Without ``sink`` the
-    returned trace collects both.
+    returned trace is the sink and keeps both (see ``FormationTrace``).
 
     The loop steps in wrapped rings (see ``step_formation``) that it
     reuses: two for positions and three for velocities, since sigma = 2
@@ -328,9 +314,8 @@ def run_formation(
             f"ring expects {config.n_total}"
         )
     trace = FormationTrace()
-    collector = None
     if sink is None:
-        sink = collector = _Collector()
+        sink = trace
     # Row r holds the vertex positions of step ``first + r``.
     corners = np.empty((min(horizon + 1, BLOCK_STEPS), len(config.vertices), 2))
     first, end = initial.step, initial.step + horizon
@@ -367,9 +352,11 @@ def run_formation(
                 row = 0
     except DivergenceError as err:
         _hand_over(trace, sink, corners[:row], first, config.r_star)
-        err.partial = [_finish(trace, collector, last)]
+        err.partial = [trace]
         raise
-    return _finish(trace, collector, last)
+    finally:
+        trace.final_state = last
+    return trace
 
 
 def _hand_over(trace: FormationTrace, sink, corners: np.ndarray, first: int,
@@ -387,14 +374,6 @@ def _hand_over(trace: FormationTrace, sink, corners: np.ndarray, first: int,
     trace.final_errors = errors[-1].copy()
     trace.converged = bool(trace.final_errors.max() < FORMATION_TOL)
     sink.add_errors(steps, errors)
-
-
-def _finish(trace: FormationTrace, collector: _Collector | None,
-            last: SwarmState) -> FormationTrace:
-    trace.final_state = last
-    if collector is not None:
-        collector.fill(trace)
-    return trace
 
 
 def seeded_placement(n_total: int, seed: int, initial_box: float) -> SwarmState:

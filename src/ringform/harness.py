@@ -28,6 +28,7 @@ from .formation import (
 )
 from .spectral import (
     ESTIMATOR_KIND,
+    STRATEGIES,
     EstimationParams,
     chain_modes,
     decay_seconds,
@@ -46,7 +47,7 @@ _MAX_STEPS = 60000
 
 def scaled_params(n_prime: int, dt: float = 0.01) -> EstimationParams:
     """Gains with alpha*dt at ``_SAFETY`` times the tighter sufficient bound."""
-    target = _SAFETY * min(stability_bound(n_prime, "S1"), stability_bound(n_prime, "S2"))
+    target = _SAFETY * min(stability_bound(n_prime, strategy) for strategy in STRATEGIES)
     return EstimationParams(alpha=target / dt, dt=dt)
 
 
@@ -94,7 +95,7 @@ def _sweep_chains(n_range, reps, dt, scale_per_n, seed, initial_box, max_steps):
     cells, starts, configs, names = [], [], [], []
     for n in range(n_lo, n_hi + 1):
         n_prime = n - 1
-        for strat_idx, strategy in enumerate(("S1", "S2")):
+        for strat_idx, strategy in enumerate(STRATEGIES):
             p = scaled_params(n_prime if scale_per_n else n_hi - 1, dt)
             window = auto_stop_window(n_prime, p, strategy)
             config = EstimatorConfig(
@@ -180,7 +181,7 @@ def _sensitivity_chains(n_range, beta, dt):
         else:
             p = EstimationParams(alpha=2.0 * beta / dt, dt=dt)
         params.append(p)
-        for strategy in ("S1", "S2"):
+        for strategy in STRATEGIES:
             orders.append(n_prime)
             configs.append(EstimatorConfig(params=p, strategy=strategy))
 
@@ -295,7 +296,7 @@ def scenario_report(cfg, snapshot_times: tuple[float, ...]) -> ScenarioReport:
         if step in trace.snapshot_steps:
             snapshots[t] = trace.snapshots[trace.snapshot_steps.index(step)]
 
-    other = "S1" if arguments["est_config"].strategy == "S2" else "S2"
+    (other,) = (s for s in STRATEGIES if s != arguments["est_config"].strategy)
     other_config = replace(cfg, est_strategy=other).estimator_config(max(config.n_s))
     batch = config.chain_batch(initial, other_config)
     other_estimates = [

@@ -12,7 +12,7 @@ with rolled neighbour copies and a per-vertex loop;
 ``reference_estimation`` and ``reference_steady_ratio`` step one chain at a
 time through ``step_estimator`` from a ``chain_state``; ``trace_bits`` is an
 estimate trace's fields for a bitwise comparison; ``reference_sweep`` runs
-the convergence sweep one chain at a time through ``run_estimation``.
+the convergence sweep one chain at a time through ``chain_traces``.
 ``shipped_config`` loads the scenario configs from the repository's
 ``configs/`` directory, and ``form_of`` turns a ``pipeline`` mapping into a
 ``form`` one.  ``philox_doubles`` is Philox4x64-10 in Python integers.
@@ -28,7 +28,7 @@ import numpy as np
 import ringform.estimation
 from ringform.cli import load_config
 from ringform.core import DivergenceError, SwarmState, check_finite, make_generator, uniform_box
-from ringform.estimation import EXCITATION, EstimatorConfig, run_estimation, step_estimator
+from ringform.estimation import EXCITATION, EstimatorConfig, chain_traces, step_estimator
 from ringform.formation import FORMATION_TOL, FormationTrace, step_formation
 from ringform.harness import SweepRow, auto_stop_window, scaled_params
 from ringform.spectral import s1_readout_frame
@@ -271,7 +271,7 @@ def reference_steady_ratio(n_prime, config):
 def reference_sweep(n_range, reps, *, dt=0.01, scale_per_n=False, seed=0,
                     initial_box=5.0, max_steps=60000):
     """``sweep_convergence`` rows, one chain at a time: every (n, strategy,
-    rep) chain is a ``run_estimation`` call on its own keyed placement."""
+    rep) chain is a one-chain ``chain_traces`` call on its own keyed placement."""
     n_lo, n_hi = n_range
     rows = []
     for n in range(n_lo, n_hi + 1):
@@ -286,7 +286,7 @@ def reference_sweep(n_range, reps, *, dt=0.01, scale_per_n=False, seed=0,
                 stream = (n * 1000 + strat_idx * 100 + rep if rep < 100
                           else 2 ** 63 + (2 * n + strat_idx) * 2 ** 32 + rep)
                 rng = make_generator(seed, stream)
-                trace = run_estimation(n_prime, config, uniform_box(rng, n_prime, initial_box))
+                trace = chain_traces([uniform_box(rng, n_prime, initial_box)], [config])[0]
                 correct = correct and trace.converged and trace.estimate == n_prime
                 steps.append(trace.steps_to_convergence or config.max_steps)
             rows.append(SweepRow(n=n, strategy=strategy, reps=reps,

@@ -37,19 +37,9 @@ from ringform.estimation import EstimateTrace, batch_bytes
 from ringform.formation import run_formation, seeded_placement
 from ringform.harness import SensitivityCurve, SensitivityRow, SweepResult, SweepRow
 
-TRIANGLE = {
-    "mode": "pipeline",
-    "seed": 42,
-    "alpha": 0.3,
-    "dt": 0.2,
-    "sigma": 1,
-    "max_steps": 600,
-    "initial_box": 3.0,
-    "stride": 10,
-    "topology": {"n_total": 7, "vertex_set": [0, 2, 5]},
-    "r_star": [[1.0, -2.0], [2.0, 2.0], [-3.0, 0.0]],
-    "estimation": {"alpha": 0.1, "dt": 1.0, "strategy": "S2", "max_steps": 5000},
-}
+# The shipped triangle, its output directory left to each test.
+TRIANGLE = yaml.safe_load((CONFIGS / "triangle.yaml").read_text())
+del TRIANGLE["output_dir"]
 
 
 def write_config(tmp_path, mapping, name="run.yaml"):

@@ -1,15 +1,18 @@
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ringform.estimation
 from helpers import (
+    CONFIGS,
     chain_state,
     iterate_estimator,
     iterate_lagged_estimator,
@@ -19,6 +22,7 @@ from helpers import (
     reference_stop_rule,
     trace_bits,
 )
+from ringform.cli import EXIT_CONFIG, main
 from ringform.core import (
     DivergenceError,
     SwarmState,
@@ -39,6 +43,7 @@ from ringform.estimation import (
     step_estimator,
 )
 from ringform.spectral import (
+    STRATEGIES,
     EstimationParams,
     build_estimator_matrix,
     build_lagged_estimator_matrix,
@@ -167,9 +172,24 @@ class TestReadout:
         got = readouts([beta] * 3, ["S2", "S2", "S1"])(np.array([1.0 / (1.0 + beta), 5.0, 0.9]))
         assert np.isnan(got).all()
 
-    def test_rejects_unknown_strategy(self):
-        with pytest.raises(ValueError):
+    def test_rejects_unknown_strategy(self, tmp_path, capsys):
+        rule = f"must be one of {STRATEGIES}, got 'S3'"
+        with pytest.raises(ValueError, match=re.escape(rule)):
             readouts([0.05], ["S3"])
+        with pytest.raises(ValueError, match=re.escape(rule)):
+            EstimatorConfig(params=EstimationParams(alpha=0.5, dt=0.01), strategy="S3")
+        # the CLI's two strategy fields: exit 2, naming the field
+        triangle = yaml.safe_load((CONFIGS / "triangle.yaml").read_text())
+        for mode, path, raw in [
+            ("estimate", "strategy", {"mode": "estimate", "topology": {"n_total": 5},
+                                      "strategy": "S3"}),
+            ("pipeline", "estimation.strategy",
+             dict(triangle, estimation=dict(triangle["estimation"], strategy="S3"))),
+        ]:
+            config = tmp_path / f"{mode}.yaml"
+            config.write_text(yaml.safe_dump(dict(raw, output_dir=str(tmp_path / mode))))
+            assert main([mode, "--config", str(config)]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"ringform: config error: {path}: {rule}\n"
 
     def test_batched_readout_is_bitwise_scalar_readout(self):
         # One column per (beta, strategy, ratio): the S1 poles (den == 0),
@@ -244,17 +264,25 @@ class TestRunEstimation:
     def test_explicit_initial_positions(self):
         config = config_for(4, "S1")
         initial = np.arange(8, dtype=float).reshape(4, 2)
-        trace = run_estimation(4, config, initial)
+        trace = chain_traces([initial], [config])[0]
         assert trace.estimate == 4
 
     @pytest.mark.parametrize("strategy", ["S1", "S2"])
+    def test_seeded_start_is_a_one_column_batch(self, strategy):
+        # The placement run_estimation draws, run through chain_traces.
+        config = config_for(6, strategy)
+        trace = run_estimation(6, config, seed=31, initial_box=2.5)
+        start = uniform_box(make_generator(31), 6, 2.5)
+        assert trace_bits(trace) == trace_bits(chain_traces([start], [config])[0])
+
+    @pytest.mark.parametrize("strategy", ["S1", "S2"])
     def test_run_matches_step_estimator_replay(self, strategy):
-        # run_estimation uses a buffered fast path; it must agree with a
+        # chain_traces steps in lock-step blocks; it must agree with a
         # plain step_estimator replay to the last bit.
         config = config_for(5, strategy, max_steps=400, stop_window=400 - 1)
         rng = make_generator(77, 0)
         initial = uniform_box(rng, 5, 5.0)
-        trace = run_estimation(5, config, initial)
+        trace = chain_traces([initial], [config])[0]
         state = chain_state(5, initial)
         exc_norm = math.hypot(*EXCITATION)
         for i in range(len(trace.steps)):
@@ -310,10 +338,10 @@ class TestEstimateChains:
             batch = estimate_and_settle(starts, configs, ["unstable", "transient", "stable"])[0]
         alone = []
         for start, config in zip(starts, configs):
-            trace = run_estimation(len(start), config, start)
+            trace = chain_traces([start], [config])[0]
             alone.append((trace.estimate, trace.steps_to_convergence))
         with pytest.raises(DivergenceError):
-            run_estimation(10, replace(transient, stop_window=2000), starts[1])
+            chain_traces([starts[1]], [replace(transient, stop_window=2000)])
         assert batch == alone == [(None, None), (1, 8), (4, alone[2][1])]
 
 
@@ -339,7 +367,7 @@ class TestBlockedLoop:
     def test_matches_step_at_a_time_reference(self):
         cases = _block_cases()
         expected = [reference_estimation(*case) for case in cases]
-        traces = [run_estimation(*case) for case in cases]
+        traces = [chain_traces([start], [config])[0] for _, config, start in cases]
         stops = [stop for _, _, (_, _, stop) in expected]
         limits = {config.max_steps for (_, config, _), stop in zip(cases, stops) if stop is None}
         assert {63, 64, 65, 127, 129, 191, 193, 256}.issubset(limits)
@@ -396,7 +424,7 @@ class TestBlockedLoop:
                 reference_estimation(6, diverging, start)
             del alone_warnings[:]
             with pytest.raises(DivergenceError) as alone:
-                run_estimation(6, diverging, start)
+                chain_traces([start], [diverging])
         message = str(reference.value)
         assert message.startswith("chain velocities diverged at step 70: ")
         assert str(alone.value) == message
@@ -430,7 +458,7 @@ class TestBlockedLoop:
             warnings.simplefilter("ignore")
             with pytest.raises(DivergenceError) as traced:
                 chain_traces(starts, configs, names)
-            alone_traces = [run_estimation(len(s), c, s) for s, c in zip(starts[1:], configs[1:])]
+            alone_traces = [chain_traces([s], [c])[0] for s, c in zip(starts[1:], configs[1:])]
         assert str(traced.value) == named
         partial = traced.value.partial
         assert [len(t.steps) for t in partial] == [69, 10, 65, 22, 69]

@@ -19,7 +19,7 @@ from ringform.core import (
     make_generator,
     uniform_box,
 )
-from ringform.estimation import EstimatorConfig, run_estimation
+from ringform.estimation import EstimatorConfig, chain_traces
 from ringform.formation import (
     FormationConfig,
     PipelineEstimationError,
@@ -680,13 +680,13 @@ def batched_phase_one(cfg):
 
 
 def chain_loop(cfg):
-    """The same chains, one ``run_estimation`` at a time."""
+    """The same chains, one ``chain_traces`` call at a time."""
     args = cfg.pipeline_arguments()
     config = args["config"]
     initial = seeded_placement(config.n_total, args["seed"], args["initial_box"])
-    return [run_estimation(n, args["est_config"],
-                           initial.positions[config.members(i)] - initial.positions[vertex])
-            for i, (n, vertex) in enumerate(zip(config.n_s, config.vertex_set))]
+    return [chain_traces([initial.positions[config.members(i)] - initial.positions[vertex]],
+                         [args["est_config"]])[0]
+            for i, vertex in enumerate(config.vertex_set)]
 
 
 UNEQUAL = dict(n_total=10, vertex_set=(0, 2, 7))  # segments of 2, 5 and 3 robots
