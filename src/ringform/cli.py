@@ -19,28 +19,23 @@ import os
 import sys
 import time
 import warnings
-from contextlib import ExitStack, closing
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import MISSING, dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import __version__
-from .core import DivergenceError, SwarmState
+from .core import DivergenceError, ParameterError, SwarmState, quoted
 from .estimation import EstimateTrace, EstimatorConfig, run_estimation
-from .formation import (
-    FORMATION_TOL,
-    FormationConfig,
-    PipelineEstimationError,
-    polygon_closes,
-    run_formation,
-    run_pipeline,
-    seeded_placement,
-)
-from .harness import auto_stop_window, sweep_and_curves, sweep_batch_bytes, sweep_keys_fit
-from .spectral import ESTIMATOR_KIND, STRATEGIES, EstimationParams, spectral_report, stability_limit
+from .formation import (FORMATION_TOL, FormationConfig, PipelineEstimationError, run_formation,
+                        run_pipeline, seeded_placement)
+from .harness import (auto_stop_window, scaled_params, sweep_and_curves, sweep_batch_bytes,
+                      sweep_keys_fit)
+from .spectral import (ESTIMATOR_KIND, EstimationParams, _require_strategy, spectral_report,
+                       stability_limit)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,35 +51,9 @@ class ConfigError(ValueError):
 
 # --- value parsers: raw YAML value -> typed value, ValueError if malformed --
 
-# Longest repr a config error message quotes.
-_QUOTE_MAX = 200
-
-
-def _quoted(value) -> str:
-    """``repr(value)`` if at most ``_QUOTE_MAX`` characters, else its type.
-
-    A YAML alias repeats its value at each use, so ``repr`` runs only once
-    a walk finds at most ``_QUOTE_MAX`` nodes, each printing at least one
-    character (a list inside itself as ``[...]``).
-    """
-    nodes, stack = 0, [(value, ())]
-    while stack and nodes <= _QUOTE_MAX:
-        item, above = stack.pop()
-        nodes += 1
-        if isinstance(item, (dict, list)) and id(item) not in above:
-            children = [*item, *item.values()] if isinstance(item, dict) else item
-            stack.extend((child, (*above, id(item))) for child in children)
-    try:
-        if nodes <= _QUOTE_MAX and len(text := repr(value)) <= _QUOTE_MAX:
-            return text
-    except ValueError:  # an int past the 4 300-digit limit of str(), as YAML hex gives
-        pass
-    return f"<{type(value).__name__} too long to print>"
-
-
 def _int(value):
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"must be an integer, got {_quoted(value)}")
+        raise ValueError(f"must be an integer, got {quoted(value)}")
     return value
 
 
@@ -101,33 +70,33 @@ def _float(value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         hint = (" (YAML reads an exponent without a decimal point and sign as text: "
                 "write 1.0e-3)") if _yaml_exponent(value) else ""
-        raise ValueError(f"must be a number, got {_quoted(value)}{hint}")
+        raise ValueError(f"must be a number, got {quoted(value)}{hint}")
     if not math.isfinite(float(value)):
-        raise ValueError(f"must be finite, got {_quoted(value)}")
+        raise ValueError(f"must be finite, got {quoted(value)}")
     return float(value)
 
 
 def _str(value):
     if not isinstance(value, str):
-        raise ValueError(f"must be a string, got {_quoted(value)}")
+        raise ValueError(f"must be a string, got {quoted(value)}")
     return value
 
 
 def _bool(value):
     if not isinstance(value, bool):
-        raise ValueError(f"must be true or false, got {_quoted(value)}")
+        raise ValueError(f"must be true or false, got {quoted(value)}")
     return value
 
 
 def _list(value):
     if not isinstance(value, (list, tuple)):
-        raise ValueError(f"must be a list, got {_quoted(value)}")
+        raise ValueError(f"must be a list, got {quoted(value)}")
     return value
 
 
 def _pair(value):
     if len(_list(value)) != 2:
-        raise ValueError(f"must be a pair [x, y], got {_quoted(value)}")
+        raise ValueError(f"must be a pair [x, y], got {quoted(value)}")
     return (_float(value[0]), _float(value[1]))
 
 
@@ -154,8 +123,6 @@ def _at_least(bound):
     return (lambda x: x >= bound), f"must be >= {bound}"
 
 
-_POSITIVE = ((lambda x: x > 0), "must be positive")
-_STRATEGY = ((lambda x: x in STRATEGIES), f"must be one of {STRATEGIES}")
 # Modes that place robots from the seed, step a chain or ring, form a ring.
 _PLACED = ("estimate", "form", "pipeline", "sweep")
 _STEPPED = ("estimate", "form", "pipeline")
@@ -172,68 +139,73 @@ class RunConfig:
     """
 
     mode: str = _opt("mode", MODES, _str, MISSING, lambda x: x in MODES, f"must be one of {MODES}")
-    alpha: float = _opt("alpha", (*_STEPPED, "spectral"), _float, 0.5, *_POSITIVE)
-    dt: float = _opt("dt", MODES, _float, 0.01, *_POSITIVE)
-    sigma: int = _opt("sigma", _RING, _int, 1, lambda x: x in (1, 2), "must be 1 or 2")
-    strategy: str = _opt("strategy", ("estimate",), _str, "S1", *_STRATEGY)
+    alpha: float = _opt("alpha", (*_STEPPED, "spectral"), _float, 0.5)
+    dt: float = _opt("dt", MODES, _float, 0.01)
+    sigma: int = _opt("sigma", _RING, _int, 1)
+    strategy: str = _opt("strategy", ("estimate",), _str, "S1")
     seed: int = _opt("seed", _PLACED, _int, 0, lambda x: 0 <= x < 2 ** 64,
                      "must be an unsigned 64-bit integer")
     initial_box: float = _opt("initial_box", _PLACED, _float, 5.0, *_at_least(0))
     output_dir: str = _opt("output_dir", MODES, _str, "out")
     stride: int = _opt("stride", _RING, _int, 1, *_at_least(1))
     max_steps: int = _opt("max_steps", _STEPPED, _int, 3000, *_at_least(1))
-    stop_window: int | None = _opt("stop_window", ("estimate",), _int, None, *_at_least(2))
+    stop_window: int | None = _opt("stop_window", ("estimate",), _int, None)
     n_total: int = _opt("topology.n_total", _STEPPED, _int, MISSING, *_at_least(2))
     vertex_set: tuple[int, ...] = _opt("topology.vertex_set", _RING, _ints)
     r_star: list = _opt("r_star", _RING, _pairs)
     n_prime: int = _opt("n_prime", ("spectral",), _int, MISSING, *_at_least(1))
-    est_alpha: float | None = _opt("estimation.alpha", ("pipeline",), _float, None, *_POSITIVE)
-    est_dt: float | None = _opt("estimation.dt", ("pipeline",), _float, None, *_POSITIVE)
-    est_strategy: str = _opt("estimation.strategy", ("pipeline",), _str, "S1", *_STRATEGY)
+    est_alpha: float | None = _opt("estimation.alpha", ("pipeline",), _float, None)
+    est_dt: float | None = _opt("estimation.dt", ("pipeline",), _float, None)
+    est_strategy: str = _opt("estimation.strategy", ("pipeline",), _str, "S1")
     est_max_steps: int | None = _opt("estimation.max_steps", ("pipeline",), _int, None,
                                      *_at_least(1))
-    est_stop_window: int | None = _opt("estimation.stop_window", ("pipeline",), _int, None,
-                                       *_at_least(2))
+    est_stop_window: int | None = _opt("estimation.stop_window", ("pipeline",), _int, None)
     sweep_n_min: int = _opt("sweep.n_min", ("sweep",), _int, 5, *_at_least(2))
     sweep_n_max: int = _opt("sweep.n_max", ("sweep",), _int, 30, *_at_least(2))
     sweep_reps: int = _opt("sweep.reps", ("sweep",), _int, 5, *_at_least(1))
     sweep_scale_per_n: bool = _opt("sweep.scale_per_n", ("sweep",), _bool, False)
 
-    @property
-    def params(self) -> EstimationParams:
-        return EstimationParams(alpha=self.alpha, dt=self.dt)
+    @contextmanager
+    def _named(self, phase1: bool = False):
+        """Around building library objects: a ``ParameterError`` becomes the ConfigError
+        of the field that sets the parameter (with ``phase1``, the one phase 1 reads)."""
+        try:
+            yield
+        except ParameterError as exc:
+            name = self._phase1_field(exc.name) if phase1 else exc.name
+            path = self.__dataclass_fields__[name].metadata["path"]
+            raise ConfigError(f"{path}: {exc.rule}") from exc
+
+    def _phase1_field(self, name: str) -> str:
+        """The field phase 1 reads ``name`` from: ``est_<name>`` if not None, else ``name``."""
+        return f"est_{name}" if getattr(self, f"est_{name}", None) is not None else name
 
     def phase1(self, name: str):
-        """Estimation-phase value of ``name``: ``estimation.<name>`` if set,
-        else the top-level field.  A mode reads only one of the two names of
-        ``strategy`` and ``stop_window``, so the other is None."""
-        value = getattr(self, f"est_{name}")
-        return getattr(self, name) if value is None else value
+        """Estimation-phase value of ``name`` (see ``_phase1_field``)."""
+        return getattr(self, self._phase1_field(name))
+
+    def _gains(self, phase1: bool = False) -> EstimationParams:
+        """The ring's gains, or spectral mode's; with ``phase1``, phase 1's."""
+        with self._named(phase1):
+            get = self.phase1 if phase1 else partial(getattr, self)
+            return EstimationParams(alpha=get("alpha"), dt=get("dt"))
 
     def estimator_config(self, n_prime: int) -> EstimatorConfig:
-        """Phase-1 settings; an unset stop window is sized for order ``n_prime``.
-
-        The stop window must be below the phase-1 ``max_steps``; otherwise
-        it is a ConfigError naming the window.
-        """
-        params = EstimationParams(alpha=self.phase1("alpha"), dt=self.phase1("dt"))
-        strategy = self.phase1("strategy")
-        window = self.phase1("stop_window")
+        """Phase-1 settings; an unset stop window is sized for order ``n_prime``."""
+        strategy, window = self.phase1("strategy"), self.phase1("stop_window")
+        params = self._gains(phase1=True)
         if window is None:
             window = auto_stop_window(n_prime, params, strategy)
-        max_steps = self.phase1("max_steps")
-        path = "max_steps" if self.est_max_steps is None else "estimation.max_steps"
-        _require(window < max_steps, path,
-                 f"must exceed the stop window of {window} steps, got {max_steps}")
-        return EstimatorConfig(
-            params=params, strategy=strategy, stop_window=window, max_steps=max_steps,
-        )
+        with self._named(phase1=True):
+            return EstimatorConfig(params=params, strategy=strategy, stop_window=window,
+                                   max_steps=self.phase1("max_steps"))
 
     @cached_property
     def formation_config(self) -> FormationConfig:
         """The run's ring, polygon and formation law: the one ring cut, kept."""
-        return FormationConfig(self.n_total, self.vertex_set, self.r_star, self.params,
-                               self.sigma)
+        with self._named():
+            return FormationConfig(self.n_total, self.vertex_set, self.r_star, self._gains(),
+                                   self.sigma)
 
     def pipeline_arguments(self) -> dict:
         """Keyword arguments of ``run_pipeline`` for this (pipeline) config;
@@ -264,7 +236,7 @@ def _convert(f, raw):
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     check = f.metadata["check"]
-    _require(check is None or check(value), path, f"{f.metadata['rule']}, got {_quoted(raw)}")
+    _require(check is None or check(value), path, f"{f.metadata['rule']}, got {quoted(raw)}")
     return value
 
 
@@ -321,41 +293,15 @@ def _require_stable(path: str, alpha: float, dt: float, chains) -> None:
 
 
 def _check_rules(cfg: RunConfig) -> None:
-    """Rules that span fields, each in the modes that read its fields (None
-    in the others): array sizes, gains and chain stability, sweep range,
-    stream keys and memory, closure."""
+    """Rules that span fields, in the modes that read them: sizes, the library's parameter
+    rules (met by building what the run builds), stability, the sweep's range and memory."""
     for path, size in (("topology.n_total", cfg.n_total), ("n_prime", cfg.n_prime),
                        ("sweep.n_max", cfg.sweep_n_max)):
         _require(size is None or size <= _MAX_SIZE, path,
                  f"must be at most {_MAX_SIZE}, past which numpy cannot index its "
-                 f"arrays, got {size}")
-    # The sweep scales its own gains; phase 1 has its own only where given.
-    gains = [] if cfg.alpha is None else [("alpha", cfg.alpha, cfg.dt)]
-    if cfg.est_alpha or cfg.est_dt:
-        gains.append(("estimation", cfg.phase1("alpha"), cfg.phase1("dt")))
-    for path, alpha, dt in gains:
-        beta = alpha * dt / 2.0
-        _require(0.0 < beta < 1.0, path,
-                 f"beta = alpha*dt/2 = {beta:.6g} (alpha {alpha}, dt {dt}) "
-                 "must lie in (0, 1)")
-    if cfg.mode == "estimate":
-        _require_stable(*gains[-1], [(cfg.n_total - 1, ESTIMATOR_KIND[cfg.strategy])])
-    elif cfg.mode in ("form", "pipeline"):
-        _require(all(v < cfg.n_total for v in cfg.vertex_set), "topology.vertex_set",
-                 f"vertex indices out of range [0, {cfg.n_total})")
-        if not polygon_closes(cfg.r_star):
-            residual = np.sum(cfg.r_star, axis=0)
-            raise ConfigError(
-                f"r_star: polygon does not close; sum of displacements is "
-                f"({residual[0]:.3e}, {residual[1]:.3e})"
-            )
-        try:
-            config = cfg.formation_config
-        except ValueError as exc:
-            raise ConfigError(f"topology: {exc}") from exc
-        if cfg.mode == "pipeline":  # phase 1 at its own gains, or at the ring's
-            _require_stable(*gains[-1], [(max(config.n_s), ESTIMATOR_KIND[cfg.est_strategy])])
-        _require_stable("alpha", cfg.alpha, cfg.dt, config.chains())
+                 f"arrays, got {quoted(size)}")
+    if cfg.mode == "spectral":
+        cfg._gains()
     elif cfg.mode == "sweep":
         _require(cfg.sweep_n_max >= cfg.sweep_n_min, "sweep.n_max", "must be >= sweep.n_min")
         _require(sweep_keys_fit(cfg.sweep_n_max, cfg.sweep_reps), "sweep.reps", "must be at "
@@ -364,6 +310,21 @@ def _check_rules(cfg: RunConfig) -> None:
         have = _physical_memory()
         _require(need <= have, "sweep", f"its lock-step batch needs {need / 2**30:.3g} GiB, "
                  f"more than the {have / 2**30:.3g} GiB of physical memory")
+        with cfg._named():  # its gains at its largest order, the smallest it scales
+            scaled_params(cfg.sweep_n_max - 1, cfg.dt)
+    else:
+        ring = None if cfg.mode == "estimate" else cfg.formation_config
+        if cfg.mode != "form":  # phase 1, on the ring's chains in a pipeline
+            order = cfg.n_total - 1 if ring is None else max(ring.n_s)
+            params, strategy = cfg._gains(phase1=True), cfg.phase1("strategy")
+            with cfg._named(phase1=True):
+                _require_strategy(strategy)
+            if cfg.phase1("stop_window") is not None:
+                cfg.estimator_config(order)
+            _require_stable("estimation" if cfg.est_alpha or cfg.est_dt else "alpha",
+                            params.alpha, params.dt, [(order, ESTIMATOR_KIND[strategy])])
+        if ring is not None:
+            _require_stable("alpha", cfg.alpha, cfg.dt, ring.chains())
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
@@ -611,7 +572,7 @@ def _run_sweep(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
 
 
 def _run_spectral(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
-    report = spectral_report(cfg.n_prime, cfg.params)
+    report = spectral_report(cfg.n_prime, cfg._gains())
     (out_dir / "spectral.json").write_text(json.dumps(report, indent=2) + "\n")
     outputs.append("spectral.json")
     print(json.dumps(report, indent=2))
@@ -621,7 +582,7 @@ def _run_spectral(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
 def _output_error(verb: str, path, exc: Exception) -> int:
     """Report an output directory or file that could not be made or written
     as a config error of ``output_dir``."""
-    print(f"ringform: config error: output_dir: cannot {verb} {_quoted(path)}: "
+    print(f"ringform: config error: output_dir: cannot {verb} {quoted(path)}: "
           f"{getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
     return EXIT_CONFIG
 
@@ -633,8 +594,8 @@ def execute(cfg: RunConfig) -> int:
     ``partial`` list, unless ``estimate.csv`` is written already, and
     exits 3 on a divergence or 4 on a failed estimation phase.  A config
     error found only when the run starts exits 2: an output directory that
-    cannot be made, an output file that cannot be written, the stop
-    window, or a size whose arrays cannot be allocated.  Files written
+    cannot be made, an output file that cannot be written, an automatic
+    stop window, or a size whose arrays cannot be allocated.  Files written
     before a failed write stay, and the manifest lists them.
     """
     out_dir = Path(cfg.output_dir)
@@ -701,10 +662,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, {k: v for k, v in overrides.items() if v is not None})
-        if cfg.mode != args.mode:
-            raise ConfigError(
-                f"mode: config says {cfg.mode!r} but subcommand is {args.mode!r}"
-            )
+        _require(cfg.mode == args.mode, "mode",
+                 f"config says {cfg.mode!r} but subcommand is {args.mode!r}")
     except ConfigError as exc:
         print(f"ringform: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -28,6 +28,47 @@ class DivergenceError(RuntimeError):
         self.partial = []
 
 
+class ParameterError(ValueError):
+    """A parameter outside its domain: ``name`` is the parameter, named as the config
+    field that sets it, and ``rule`` what it must be, quoting the value refused."""
+
+    def __init__(self, name: str, rule: str):
+        super().__init__(f"{name}: {rule}")
+        self.name, self.rule = name, rule
+
+
+def require(condition: bool, name: str, rule: str) -> None:
+    """The one form of a parameter rule: ``ParameterError(name, rule)`` unless ``condition``."""
+    if not condition:
+        raise ParameterError(name, rule)
+
+
+# Longest repr an error message quotes.
+QUOTE_MAX = 200
+
+
+def quoted(value) -> str:
+    """``repr(value)`` if at most ``QUOTE_MAX`` characters, else its type.
+
+    A YAML alias repeats its value at each use, so ``repr`` runs only once
+    a walk finds at most ``QUOTE_MAX`` nodes, each printing at least one
+    character (a list inside itself as ``[...]``).
+    """
+    nodes, stack = 0, [(value, ())]
+    while stack and nodes <= QUOTE_MAX:
+        item, above = stack.pop()
+        nodes += 1
+        if isinstance(item, (dict, list)) and id(item) not in above:
+            children = [*item, *item.values()] if isinstance(item, dict) else item
+            stack.extend((child, (*above, id(item))) for child in children)
+    try:
+        if nodes <= QUOTE_MAX and len(text := repr(value)) <= QUOTE_MAX:
+            return text
+    except ValueError:  # an int past the 4 300-digit limit of str(), as YAML hex gives
+        pass
+    return f"<{type(value).__name__} too long to print>"
+
+
 def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator keyed on (seed, stream).
 

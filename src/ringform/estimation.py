@@ -21,6 +21,8 @@ from .core import (
     check_finite,
     make_generator,
     midpoint_law,
+    quoted,
+    require,
     uniform_box,
 )
 from .spectral import EstimationParams, _require_strategy, s1_readout_frame
@@ -45,10 +47,10 @@ class EstimatorConfig:
 
     def __post_init__(self):
         _require_strategy(self.strategy)
-        if self.stop_window < 2:
-            raise ValueError("stop_window must be at least 2")
-        if self.max_steps <= self.stop_window:
-            raise ValueError("max_steps must exceed stop_window")
+        window = quoted(self.stop_window)
+        require(self.stop_window >= 2, "stop_window", f"must be >= 2, got {window}")
+        require(self.max_steps > self.stop_window, "max_steps",
+                f"must exceed the stop window of {window} steps, got {quoted(self.max_steps)}")
 
 
 def step_estimator(state: SwarmState, config: EstimatorConfig) -> SwarmState:

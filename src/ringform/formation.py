@@ -24,6 +24,8 @@ from .core import (
     check_finite,
     make_generator,
     midpoint_law,
+    quoted,
+    require,
     uniform_box,
 )
 from .estimation import ChainBatch, EstimatorConfig, run_estimation
@@ -31,12 +33,6 @@ from .spectral import EstimationParams
 
 CLOSURE_TOL = 1e-9  # metres, absorbs decimal round-off in hand-written r*
 FORMATION_TOL = 1e-2  # metres, the largest edge error that counts as formed
-
-
-def polygon_closes(r_star) -> bool:
-    """True iff the desired displacements ``r_star`` sum to zero per
-    component, within ``CLOSURE_TOL``."""
-    return bool(np.all(np.abs(np.sum(r_star, axis=0)) <= CLOSURE_TOL))
 
 
 class PipelineEstimationError(RuntimeError):
@@ -57,7 +53,8 @@ class FormationConfig:
     ``vertex_set`` holds the vertex robots' indices, strictly increasing,
     the pinned vertex first; ``r_star[i]`` is the desired displacement
     from vertex i to vertex i + 1 (cyclically), in metres, and the
-    displacements must sum to zero for the polygon to close.
+    displacements must sum to zero, within ``CLOSURE_TOL`` per component.
+    A fault raises ``ParameterError``, the ring size and every index's range first.
 
     The ring is cut here, once: chain i runs from vertex i (exclusive) to
     vertex i + 1 (inclusive), wrapping modulo ``n_total``, so the wrapping
@@ -82,27 +79,20 @@ class FormationConfig:
 
     def __post_init__(self):
         n = self.n_total
-        if n < 3:
-            raise ValueError(f"ring needs at least 3 robots, got {n}")
+        require(n >= 3, "n_total", f"a ring needs at least 3 robots, got {quoted(n)}")
         vertex_set = tuple(int(v) for v in self.vertex_set)
+        require(all(0 <= v < n for v in vertex_set), "vertex_set",
+                f"vertex indices out of range [0, {quoted(n)})")
         m = len(vertex_set)
-        if m < 3:
-            raise ValueError("polygon needs at least 3 vertex robots")
-        if any(b <= a for a, b in zip(vertex_set, vertex_set[1:])):
-            raise ValueError("vertex_set must be strictly increasing")
-        if vertex_set[0] < 0:
-            raise ValueError("vertex indices must be non-negative")
+        require(m >= 3, "vertex_set", "polygon needs at least 3 vertex robots")
+        require(all(a < b for a, b in zip(vertex_set, vertex_set[1:])), "vertex_set",
+                "must be strictly increasing")
         r_star = np.array(self.r_star, dtype=float)
-        if r_star.shape != (m, 2):
-            raise ValueError(f"r_star must have shape ({m}, 2), got {r_star.shape}")
-        if self.sigma not in (1, 2):
-            raise ValueError(f"sigma must be 1 or 2, got {self.sigma}")
-        if not polygon_closes(r_star):
-            raise ValueError("polygon does not close: desired displacements must sum to 0")
-        # Strictly increasing from >= 0, so the last index bounds them all:
-        # no duplicates, none negative, m <= n.
-        if vertex_set[-1] >= n:
-            raise ValueError(f"vertex indices out of range [0, {n})")
+        require(r_star.shape == (m, 2), "r_star", f"must have shape ({m}, 2), got {r_star.shape}")
+        require(self.sigma in (1, 2), "sigma", f"must be 1 or 2, got {quoted(self.sigma)}")
+        x, y = r_star.sum(axis=0)  # a NaN sum fails the rule
+        require(abs(x) <= CLOSURE_TOL and abs(y) <= CLOSURE_TOL, "r_star",
+                f"polygon does not close; sum of displacements is ({x:.3e}, {y:.3e})")
         n_s = tuple((b - a) % n for a, b in zip(vertex_set, vertex_set[1:] + vertex_set[:1]))
         l_star = r_star / np.array(n_s, dtype=float)[:, None]
         vertices = np.array(vertex_set)
@@ -251,9 +241,10 @@ class FormationTrace:
     edge errors of the last step reached), ``converged`` and
     ``first_step_within_tol``.  Run without a ``sink``, the trace is its
     own sink: ``add_snapshot`` keeps the snapshots with their steps, and
-    ``add_errors`` every step's edge errors, row i of ``errors`` at step
-    ``error_steps[i]``.  A step is within tolerance when its largest edge
-    error is below ``FORMATION_TOL``.
+    ``add_errors`` the blocks of every step's edge errors, which the run
+    joins once as it ends, row i of ``errors`` at step ``error_steps[i]``.
+    A step is within tolerance when its largest edge error is below
+    ``FORMATION_TOL``.
     """
 
     snapshot_steps: list[int] = field(default_factory=list)
@@ -264,14 +255,14 @@ class FormationTrace:
     final_errors: np.ndarray | None = None
     converged: bool = False
     first_step_within_tol: int | None = None
+    _blocks: list = field(default_factory=list, repr=False)
 
     def add_snapshot(self, state: SwarmState) -> None:
         self.snapshot_steps.append(state.step)
         self.snapshots.append(state)
 
     def add_errors(self, steps: np.ndarray, errors: np.ndarray) -> None:
-        self.error_steps = np.concatenate([self.error_steps, steps])
-        self.errors = np.concatenate([self.errors.reshape(-1, errors.shape[1]), errors])
+        self._blocks.append((steps, errors))
 
 
 def run_formation(
@@ -356,6 +347,9 @@ def run_formation(
         raise
     finally:
         trace.final_state = last
+        if trace._blocks:  # the trace is its own sink: one join, not one per block
+            trace.error_steps, trace.errors = map(np.concatenate, zip(*trace._blocks))
+            trace._blocks.clear()
     return trace
 
 

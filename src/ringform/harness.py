@@ -48,7 +48,8 @@ _MAX_STEPS = 60000
 def scaled_params(n_prime: int, dt: float = 0.01) -> EstimationParams:
     """Gains with alpha*dt at ``_SAFETY`` times the tighter sufficient bound."""
     target = _SAFETY * min(stability_bound(n_prime, strategy) for strategy in STRATEGIES)
-    return EstimationParams(alpha=target / dt, dt=dt)
+    # At dt = 0 no alpha is needed: EstimationParams refuses dt before it.
+    return EstimationParams(alpha=target / dt if dt else math.inf, dt=dt)
 
 
 def auto_stop_window(n_prime: int, params: EstimationParams, strategy: str) -> int:

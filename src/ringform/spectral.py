@@ -31,19 +31,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import quoted, require
+
 STRATEGIES = ("S1", "S2")
 # The chain kind each readout strategy steps: S2 reads the one-step-old velocities.
 ESTIMATOR_KIND = {"S1": "estimator", "S2": "lagged_estimator"}
 
 
 def _require_strategy(strategy: str) -> None:
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    require(strategy in STRATEGIES, "strategy",
+            f"must be one of {STRATEGIES}, got {quoted(strategy)}")
 
 
-def _require_beta(beta: float) -> None:
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+def _require_beta(beta: float, alpha: float | None = None, dt: float | None = None) -> None:
+    """beta in (0, 1); given the gains it comes from, a fault names alpha."""
+    gains = "" if alpha is None else f"alpha*dt/2 = {beta:.6g} (alpha {alpha}, dt {dt})"
+    require(0.0 < beta < 1.0, "alpha" if gains else "beta",
+            f"beta = {gains or beta} must lie in (0, 1)")
 
 
 def _require_readout(d: int, beta: float, strategy: str) -> None:
@@ -62,11 +66,10 @@ class EstimationParams:
     dt: float
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        _require_beta(self.alpha * self.dt / 2.0)
+        # dt first: a sweep derives its alpha from dt (``harness.scaled_params``).
+        for name, value in (("dt", self.dt), ("alpha", self.alpha)):
+            require(value > 0.0, name, f"must be positive, got {value}")
+        _require_beta(self.beta, self.alpha, self.dt)
 
     @property
     def beta(self) -> float:

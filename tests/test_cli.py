@@ -89,7 +89,9 @@ PROBES = [
     ("sweep.n_min", "x"),
     ("initial_box", float("inf")),
     ("alpha", 20),  # beta = 20 * 0.2 / 2 = 2
-    ("estimation.alpha", 5),  # estimation beta = 5 * 1.0 / 2 = 2.5
+    ("estimation.alpha", 5),  # estimation beta = 5 * 1.0 / 2 = 2.5, named after alpha
+    ("r_star", [[1.0, -2.0], [-1.0, 2.0]]),  # two rows for three vertices
+    ("topology.n_total", 2),  # too few robots for a ring
     ("estimation.stop_window", 1),
     ("estimation.max_steps", "x"),
     ("estimation.alpha", "x"),
@@ -130,6 +132,41 @@ GIVEN = {
     "sweep.scale_per_n": True,
 }
 UNREAD = [(mode, path) for mode in MODES for path in sorted(GIVEN) if path not in READS[mode]]
+# (mode, field path, bad value, the one config error line): each rule the library
+# states, in each mode that reads a field it constrains.  beta = alpha*dt/2 names alpha.
+BETA = "beta = alpha*dt/2 = {} (alpha {}, dt {}) must lie in (0, 1)"
+STRATEGY = "must be one of ('S1', 'S2'), got 'S3'"
+OPEN = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+CLOSE = "r_star: polygon does not close; sum of displacements is (1.000e+00, 1.000e+00)"
+RULES = [
+    ("estimate", "alpha", 300, "alpha: " + BETA.format(1.5, 300.0, 0.01)),
+    ("form", "alpha", 20, "alpha: " + BETA.format(2, 20.0, 0.2)),
+    ("pipeline", "estimation.dt", 25.0, "estimation.alpha: " + BETA.format(1.25, 0.1, 25.0)),
+    ("spectral", "alpha", 300, "alpha: " + BETA.format(1.5, 300.0, 0.01)),
+    ("sweep", "dt", 5e-324, "alpha: " + BETA.format("inf", "inf", 5e-324)),  # alpha = bound / dt
+    ("estimate", "alpha", 0, "alpha: must be positive, got 0.0"),
+    ("form", "dt", -0.5, "dt: must be positive, got -0.5"),
+    ("pipeline", "estimation.alpha", -1, "estimation.alpha: must be positive, got -1.0"),
+    ("pipeline", "estimation.dt", 0, "estimation.dt: must be positive, got 0.0"),
+    ("spectral", "alpha", -1, "alpha: must be positive, got -1.0"),
+    ("sweep", "dt", 0, "dt: must be positive, got 0.0"),
+    ("estimate", "strategy", "S3", f"strategy: {STRATEGY}"),
+    ("pipeline", "estimation.strategy", "S3", f"estimation.strategy: {STRATEGY}"),
+    ("estimate", "stop_window", 1, "stop_window: must be >= 2, got 1"),
+    ("pipeline", "estimation.stop_window", 1, "estimation.stop_window: must be >= 2, got 1"),
+    ("estimate", "stop_window", 3000,
+     "max_steps: must exceed the stop window of 3000 steps, got 3000"),
+    ("pipeline", "estimation.stop_window", 5000,
+     "estimation.max_steps: must exceed the stop window of 5000 steps, got 5000"),
+    ("form", "sigma", 3, "sigma: must be 1 or 2, got 3"),
+    ("pipeline", "sigma", 0, "sigma: must be 1 or 2, got 0"),
+    ("form", "topology.vertex_set", [-1, 2, 5],
+     "topology.vertex_set: vertex indices out of range [0, 7)"),
+    ("pipeline", "topology.vertex_set", [0, 2, 7],
+     "topology.vertex_set: vertex indices out of range [0, 7)"),
+    ("form", "r_star", OPEN, CLOSE),
+    ("pipeline", "r_star", OPEN, CLOSE),
+]
 # No ``tolerances`` section in any mode: the closure and formation tolerances
 # are the constants ``formation.CLOSURE_TOL`` and ``formation.FORMATION_TOL``,
 # and a null section is refused like a mapping, not read as defaults.  No
@@ -222,9 +259,7 @@ class TestConfigValidation:
         code = main(["pipeline", "--config", str(config)])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
-        # the cross-field gain rule for phase 1 names its section
-        expected = "estimation" if (path, value) == ("estimation.alpha", 5) else path
-        assert f"config error: {expected}:" in err
+        assert f"config error: {path}:" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("text,hint", [("1e-3", True), ("1E-3", True), ("1.0e3", True),
@@ -254,9 +289,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="^strategy: is not read in pipeline mode$"):
             parse_config(dict(TRIANGLE, strategy="S2"))
 
+    @pytest.mark.parametrize("mode,path,value,line", RULES,
+                             ids=[f"{m}-{p}={v!r}" for m, p, v, _ in RULES])
+    def test_each_library_rule_names_the_field_in_each_mode(self, tmp_path, capsys, mode, path,
+                                                            value, line):
+        # The library states each parameter's domain; the CLI only names the
+        # YAML path of the field that sets the parameter.
+        assert refused(tmp_path, capsys, with_value(BASES[mode], path, value)) == line
+
     @pytest.mark.parametrize("vertex_set,message", [
-        ([], "topology: polygon needs at least 3 vertex robots"),
-        ([0], "topology: polygon needs at least 3 vertex robots"),
+        ([], "topology.vertex_set: polygon needs at least 3 vertex robots"),
+        ([0], "topology.vertex_set: polygon needs at least 3 vertex robots"),
         ([0, 9], "topology.vertex_set: vertex indices out of range [0, 7)"),
         ([9, 2, 0], "topology.vertex_set: vertex indices out of range [0, 7)"),
     ])
@@ -391,6 +434,23 @@ class TestConfigValidation:
             path.write_text(f"mode: form\nseed: {value}\n")
             assert main(["form", "--config", str(path)]) == EXIT_CONFIG
             assert capsys.readouterr().err == f"ringform: config error: seed: {rule}, got {shown}\n"
+        # the library's rules and the size rule quote a value the same way
+        huge, too_long = "0x" + "f" * 5000, "<int too long to print>"
+        for text, line in (
+                (f"sigma: {huge}\ntopology: {{n_total: 7, vertex_set: [0, 2, 5]}}",
+                 f"sigma: must be 1 or 2, got {too_long}"),
+                (f"topology: {{n_total: 7, vertex_set: [0, 2, {huge}]}}",
+                 "topology.vertex_set: vertex indices out of range [0, 7)"),
+                (f"topology: {{n_total: {huge}, vertex_set: [0, 2, 5]}}",
+                 f"topology.n_total: must be at most {np.iinfo(np.intp).max // 72}, past which "
+                 f"numpy cannot index its arrays, got {too_long}")):
+            path.write_text(f"mode: form\nr_star: {TRIANGLE['r_star']}\n{text}\n")
+            assert main(["form", "--config", str(path)]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"ringform: config error: {line}\n"
+        path.write_text(f"mode: estimate\ntopology: {{n_total: 5}}\nstop_window: {huge}\n")
+        assert main(["estimate", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == ("ringform: config error: max_steps: must exceed the "
+                                           f"stop window of {too_long} steps, got 3000\n")
 
     @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--stride", "0")])
     def test_bad_override_is_config_error(self, tmp_path, capsys, flag, value):
@@ -758,6 +818,8 @@ class TestOtherModes:
                        f"{window} steps, got 3000\n")
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "estimate.csv").exists()
+        # a given window is checked with the config, an automatic one when the run sizes it
+        assert (tmp_path / "out").exists() == (not extra)
 
     @pytest.mark.parametrize("phase1,path,limit", [({}, "max_steps", 600),
                                                    ({"max_steps": 700}, "estimation.max_steps", 700)])
@@ -769,6 +831,7 @@ class TestOtherModes:
         assert main(["pipeline", "--config", str(config)]) == EXIT_CONFIG
         assert capsys.readouterr().err == (f"ringform: config error: {path}: must exceed the "
                                            f"stop window of 700 steps, got {limit}\n")
+        assert not (tmp_path / "out").exists()  # the given window is checked with the config
 
     def test_degenerate_s1_frame_does_not_converge(self, tmp_path, capsys):
         # At beta = 5e-303 the S1 readout frame degenerates (fb1 == fb2):
@@ -859,7 +922,12 @@ class TestOtherModes:
         monkeypatch.setattr(cli, "_physical_memory", lambda: 2 ** 80)
         sweep = {"mode": "sweep", "sweep": {"n_min": n_max - 1, "n_max": n_max, "reps": reps}}
         assert refused(tmp_path, capsys, sweep).startswith("sweep.reps: must be at most 2**32")
-        parse_config(with_value(sweep, "sweep.reps", 100 if reps == 101 else 2 ** 32))
+        fewer = with_value(sweep, "sweep.reps", 100 if reps == 101 else 2 ** 32)
+        if n_max < 2 ** 30:
+            parse_config(fewer)
+        else:  # the keys fit, but at order 2**30 - 1 the scaled gains round to 0
+            with pytest.raises(ConfigError, match=r"^alpha: must be positive, got 0\.0$"):
+                parse_config(fewer)
 
     def test_sweep_rule_refuses_only_past_physical_memory(self, monkeypatch):
         # 2 cells x 2 strategies x 3 reps, and orders 4 and 5 of the curves,

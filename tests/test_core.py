@@ -8,6 +8,7 @@ from ringform.core import (
     ABS_CHECK_MAX_SIZE,
     POSITION_LIMIT,
     DivergenceError,
+    ParameterError,
     SwarmState,
     check_finite,
     make_generator,
@@ -24,6 +25,31 @@ from ringform.harness import sweep_and_curves
 from ringform.spectral import EstimationParams
 
 NON_FINITE = "ring positions contains non-finite values at step 7"
+PARAMS = EstimationParams(alpha=0.5, dt=0.01)
+
+
+@pytest.mark.parametrize("build,name,message", [
+    (lambda: EstimationParams(alpha=-1.0, dt=0.0), "dt", "dt: must be positive, got 0.0"),
+    (lambda: EstimationParams(alpha=-1.0, dt=0.1), "alpha", "alpha: must be positive, got -1.0"),
+    (lambda: EstimationParams(alpha=20.0, dt=0.1), "alpha",
+     "alpha: beta = alpha*dt/2 = 1 (alpha 20.0, dt 0.1) must lie in (0, 1)"),
+    (lambda: EstimatorConfig(PARAMS, strategy="S3"), "strategy",
+     "strategy: must be one of ('S1', 'S2'), got 'S3'"),
+    (lambda: EstimatorConfig(PARAMS, stop_window=1), "stop_window",
+     "stop_window: must be >= 2, got 1"),
+    (lambda: EstimatorConfig(PARAMS, stop_window=50, max_steps=50), "max_steps",
+     "max_steps: must exceed the stop window of 50 steps, got 50"),
+    (lambda: FormationConfig(7, (0, 2, 5), [[1.0, 0], [0, 1], [-1, -1]], PARAMS, sigma=2 ** 20000),
+     "sigma", "sigma: must be 1 or 2, got <int too long to print>"),
+], ids=["dt", "alpha", "beta", "strategy", "stop-window", "max-steps", "sigma"])
+def test_parameter_error_is_a_value_error_naming_the_parameter(build, name, message):
+    # ``name`` is the RunConfig field that sets the parameter; a value too
+    # long to print is named by its type, as in the config errors.
+    with pytest.raises(ValueError) as err:
+        build()
+    assert isinstance(err.value, ParameterError)
+    assert (err.value.name, str(err.value)) == (name, message)
+    assert str(err.value) == f"{err.value.name}: {err.value.rule}"
 
 
 def magnitude(peak):

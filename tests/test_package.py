@@ -44,6 +44,23 @@ def test_readme_api_references_resolve():
             f"README cites ringform.{module}.{name}"
 
 
+# Text or code of each parameter rule the library states (each once), which the
+# CLI must not restate: it names the YAML path of a ParameterError's ``name``.
+LIBRARY_RULES = ["must lie in (0, 1)", "must be positive", "must be one of {STRATEGIES}",
+                 "must exceed the stop window", "must be 1 or 2", "vertex indices out of range",
+                 "polygon does not close", "must be strictly increasing"]
+CLI_COPIES = ["_POSITIVE", "_STRATEGY", "STRATEGIES", "polygon_closes", "CLOSURE_TOL",
+              "in (1, 2)", "out of range", "does not close", "topology: "]
+
+
+def test_each_parameter_rule_is_written_once_and_not_in_the_cli():
+    sources = {path.stem: path.read_text() for path in (ROOT / "src" / "ringform").glob("*.py")}
+    for rule in LIBRARY_RULES:
+        assert sum(text.count(rule) for text in sources.values()) == 1, rule
+    for text in LIBRARY_RULES + CLI_COPIES:
+        assert text not in sources["cli"], f"cli.py restates {text!r}"
+
+
 def test_readme_field_table_is_the_config_schema():
     readme = (ROOT / "README.md").read_text()
     schema = readme[readme.index("### Config schema"):readme.index("### Output files")]

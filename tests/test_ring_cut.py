@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringform.formation import FormationConfig, polygon_closes
+from ringform.core import ParameterError
+from ringform.formation import FormationConfig
 from ringform.spectral import EstimationParams
 
 HEX_R = np.array([[-4.0, -8], [-8, 0], [-4, 8], [4, 8], [8, 0], [4, -8]])
@@ -47,30 +48,38 @@ def test_segment_last_member_is_terminal():
 
 
 @pytest.mark.parametrize("n_total,vertex_set,r_star,sigma,message", [
-    (2, (0, 1, 2), R3, 1, "ring needs at least 3 robots, got 2"),
-    (7, (0, 2), R3[:2], 1, "polygon needs at least 3 vertex robots"),
-    (7, (0, 2, 2), R3, 1, "vertex_set must be strictly increasing"),
-    (7, (0, 5, 2), R3, 1, "vertex_set must be strictly increasing"),
-    (7, (-1, 2, 5), R3, 1, "vertex indices must be non-negative"),
-    (7, (0, 2, 5), R3[:2], 1, "r_star must have shape (3, 2), got (2, 2)"),
-    (7, (0, 2, 5), R3, 3, "sigma must be 1 or 2, got 3"),
+    (2, (0, 1, 2), R3, 1, "n_total: a ring needs at least 3 robots, got 2"),
+    (7, (0, 2), R3[:2], 1, "vertex_set: polygon needs at least 3 vertex robots"),
+    (7, (0, 2, 2), R3, 1, "vertex_set: must be strictly increasing"),
+    (7, (0, 5, 2), R3, 1, "vertex_set: must be strictly increasing"),
+    (7, (-1, 2, 5), R3, 1, "vertex_set: vertex indices out of range [0, 7)"),
+    (7, (0, 2, 5), R3[:2], 1, "r_star: must have shape (3, 2), got (2, 2)"),
+    (7, (0, 2, 5), R3, 3, "sigma: must be 1 or 2, got 3"),
     (7, (0, 2, 5), [[1.0, 0], [0, 1], [0, 0]], 1,
-     "polygon does not close: desired displacements must sum to 0"),
-    (7, (0, 2, 9), R3, 1, "vertex indices out of range [0, 7)"),
+     "r_star: polygon does not close; sum of displacements is (1.000e+00, 1.000e+00)"),
+    (7, (0, 2, 9), R3, 1, "vertex_set: vertex indices out of range [0, 7)"),
     (3, (0, 1, 2, 3), [[1.0, 0], [0, 1], [-1, 0], [0, -1]], 1,
-     "vertex indices out of range [0, 3)"),  # more vertices than robots
+     "vertex_set: vertex indices out of range [0, 3)"),  # more vertices than robots
+    (2, (0, 1, 5), R3, 3, "n_total: a ring needs at least 3 robots, got 2"),
+    (7, (9, 2), R3, 3, "vertex_set: vertex indices out of range [0, 7)"),
 ], ids=["ring", "few-vertices", "duplicate", "unsorted", "negative", "r-shape", "sigma",
-        "open", "range", "m-past-n"])
+        "open", "range", "m-past-n", "ring-first", "range-first"])
 def test_bad_rings_are_rejected(n_total, vertex_set, r_star, sigma, message):
-    with pytest.raises(ValueError) as err:
+    # A ParameterError names the parameter: the ring size, then every index,
+    # before the set's other faults, the polygon and sigma.
+    with pytest.raises(ParameterError) as err:
         ring(n_total, vertex_set, r_star, sigma)
+    assert isinstance(err.value, ValueError)
     assert str(err.value) == message
+    assert message.startswith(f"{err.value.name}: ")
 
 
 def test_closure_examples():
-    assert polygon_closes(HEX_R)
-    assert polygon_closes(TRI_R)
-    assert not polygon_closes([[1.0, 0], [0, 1], [0, 0]])
+    assert ring(120, (1, 21, 41, 61, 81, 101), HEX_R).n_s == (20,) * 6
+    assert ring(7, (0, 2, 5), TRI_R).n_s == (2, 3, 2)
+    for bad in ([[1.0, 0], [0, 1], [0, 0]], [[np.nan, 0], [0, 1], [0, -1]]):
+        with pytest.raises(ParameterError, match="^r_star: polygon does not close"):
+            ring(7, (0, 2, 5), bad)
 
 
 def test_closure_tol_absorbs_roundoff():
