@@ -31,9 +31,9 @@ from . import __version__
 from .core import DivergenceError, ParameterError, SwarmState, quoted
 from .estimation import EstimateTrace, EstimatorConfig, run_estimation
 from .formation import (FORMATION_TOL, FormationConfig, PipelineEstimationError, run_formation,
-                        run_pipeline, seeded_placement)
-from .harness import (auto_stop_window, scaled_params, sweep_and_curves, sweep_batch_bytes,
-                      sweep_keys_fit)
+                        run_pipeline, seeded_placement, summarize)
+from .harness import (auto_stop_window, check_sweep_range, scaled_params, sweep_and_curves,
+                      sweep_batch_bytes)
 from .spectral import (ESTIMATOR_KIND, EstimationParams, _require_strategy, spectral_report,
                        stability_limit)
 
@@ -160,9 +160,9 @@ class RunConfig:
     est_max_steps: int | None = _opt("estimation.max_steps", ("pipeline",), _int, None,
                                      *_at_least(1))
     est_stop_window: int | None = _opt("estimation.stop_window", ("pipeline",), _int, None)
-    sweep_n_min: int = _opt("sweep.n_min", ("sweep",), _int, 5, *_at_least(2))
-    sweep_n_max: int = _opt("sweep.n_max", ("sweep",), _int, 30, *_at_least(2))
-    sweep_reps: int = _opt("sweep.reps", ("sweep",), _int, 5, *_at_least(1))
+    sweep_n_min: int = _opt("sweep.n_min", ("sweep",), _int, 5)
+    sweep_n_max: int = _opt("sweep.n_max", ("sweep",), _int, 30)
+    sweep_reps: int = _opt("sweep.reps", ("sweep",), _int, 5)
     sweep_scale_per_n: bool = _opt("sweep.scale_per_n", ("sweep",), _bool, False)
 
     @contextmanager
@@ -303,9 +303,8 @@ def _check_rules(cfg: RunConfig) -> None:
     if cfg.mode == "spectral":
         cfg._gains()
     elif cfg.mode == "sweep":
-        _require(cfg.sweep_n_max >= cfg.sweep_n_min, "sweep.n_max", "must be >= sweep.n_min")
-        _require(sweep_keys_fit(cfg.sweep_n_max, cfg.sweep_reps), "sweep.reps", "must be at "
-                 "most 2**32, and at most 100 from sweep.n_max = 2**30 on: the stream keys' range")
+        with cfg._named():
+            check_sweep_range((cfg.sweep_n_min, cfg.sweep_n_max), cfg.sweep_reps)
         need = sweep_batch_bytes((cfg.sweep_n_min, cfg.sweep_n_max), cfg.sweep_reps)
         have = _physical_memory()
         _require(need <= have, "sweep", f"its lock-step batch needs {need / 2**30:.3g} GiB, "
@@ -474,9 +473,9 @@ def write_resolved_config(out_dir: Path, cfg: RunConfig) -> None:
 
 
 def write_manifest(out_dir: Path, cfg: RunConfig, wall_time: float,
-                   outputs: list[str]) -> None:
-    """``manifest.json``: versions, the mode's resolved fields and the files
-    written; ``seed`` is null in a mode that reads none."""
+                   outputs: list[str], figures: dict) -> None:
+    """``manifest.json``: versions, the mode's resolved fields, the files written
+    and a finished formation's ``figures``; ``seed`` is null in a mode that reads none."""
     config = _resolved_dict(cfg)
     manifest = {
         "package": "ringform",
@@ -488,6 +487,7 @@ def write_manifest(out_dir: Path, cfg: RunConfig, wall_time: float,
         "config": config,
         "outputs": outputs,
         "wall_time_s": wall_time,
+        **({"figures": figures} if figures else {}),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -500,7 +500,7 @@ def _write_estimates(out_dir: Path, outputs: list[str], traces) -> None:
 # --- mode runners ---------------------------------------------------------
 
 
-def _run_estimate(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
+def _run_estimate(cfg: RunConfig, out_dir: Path, outputs: list[str], figures: dict) -> int:
     n_prime = cfg.n_total - 1
     trace = run_estimation(
         n_prime, cfg.estimator_config(n_prime), seed=cfg.seed, initial_box=cfg.initial_box,
@@ -515,18 +515,18 @@ def _run_estimate(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
     return EXIT_OK
 
 
-def _run_form(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
+def _run_form(cfg: RunConfig, out_dir: Path, outputs: list[str], figures: dict) -> int:
     config = cfg.formation_config
     initial = seeded_placement(config.n_total, cfg.seed, cfg.initial_box)
     with closing(_FormationFiles(out_dir, outputs, cfg.dt)) as files:
         trace = run_formation(initial, config, cfg.max_steps, sink=files, stride=cfg.stride)
-    final_error = float(trace.final_errors.max())
-    print(f"formation: max edge error {final_error:.3e} after "
+    figures.update(summarize(trace, config))
+    print(f"formation: max edge error {figures['max_error_final']:.3e} after "
           f"{cfg.max_steps} steps (tolerance {FORMATION_TOL})")
     return EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
 
 
-def _run_pipeline(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
+def _run_pipeline(cfg: RunConfig, out_dir: Path, outputs: list[str], figures: dict) -> int:
     with ExitStack() as files:
         def open_sink(traces):
             # estimate.csv is complete before the formation starts.
@@ -534,13 +534,13 @@ def _run_pipeline(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
             return files.enter_context(closing(_FormationFiles(out_dir, outputs, cfg.dt)))
 
         result = run_pipeline(**cfg.pipeline_arguments(), open_sink=open_sink)
-    final_error = float(result.formation.final_errors.max())
+    figures.update(summarize(result.formation, cfg.formation_config))
     print(f"pipeline: estimates {result.estimates}, final max edge error "
-          f"{final_error:.3e}")
+          f"{figures['max_error_final']:.3e}")
     return EXIT_OK if result.formation.converged else EXIT_NOT_CONVERGED
 
 
-def _run_sweep(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
+def _run_sweep(cfg: RunConfig, out_dir: Path, outputs: list[str], figures: dict) -> int:
     sweep, curve = sweep_and_curves(
         (cfg.sweep_n_min, cfg.sweep_n_max), cfg.sweep_reps,
         dt=cfg.dt, scale_per_n=cfg.sweep_scale_per_n, seed=cfg.seed,
@@ -571,7 +571,7 @@ def _run_sweep(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
     return EXIT_OK
 
 
-def _run_spectral(cfg: RunConfig, out_dir: Path, outputs: list[str]) -> int:
+def _run_spectral(cfg: RunConfig, out_dir: Path, outputs: list[str], figures: dict) -> int:
     report = spectral_report(cfg.n_prime, cfg._gains())
     (out_dir / "spectral.json").write_text(json.dumps(report, indent=2) + "\n")
     outputs.append("spectral.json")
@@ -603,7 +603,7 @@ def execute(cfg: RunConfig) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # a file in the way, or a name the OS refuses
         return _output_error("create", cfg.output_dir, exc)
-    outputs = []
+    outputs, figures = [], {}
     started = time.perf_counter()
     # Each mode's runner and the field that sizes its arrays.
     runner, size_field = {
@@ -619,7 +619,7 @@ def execute(cfg: RunConfig) -> int:
             write_resolved_config(out_dir, cfg)
             outputs.append("resolved_config.yaml")
             try:
-                code = runner(cfg, out_dir, outputs)
+                code = runner(cfg, out_dir, outputs, figures)
             except (DivergenceError, PipelineEstimationError) as err:
                 print(f"ringform: {err}", file=sys.stderr)
                 code = EXIT_DIVERGED if isinstance(err, DivergenceError) else EXIT_NOT_CONVERGED
@@ -638,7 +638,7 @@ def execute(cfg: RunConfig) -> int:
     for entry in caught:
         print(f"ringform: warning: {entry.message}", file=sys.stderr)
     try:
-        write_manifest(out_dir, cfg, time.perf_counter() - started, outputs)
+        write_manifest(out_dir, cfg, time.perf_counter() - started, outputs, figures)
     except OSError as exc:
         code = _output_error("write", exc.filename or cfg.output_dir, exc)
     return code

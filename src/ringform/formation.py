@@ -29,7 +29,7 @@ from .core import (
     uniform_box,
 )
 from .estimation import ChainBatch, EstimatorConfig, run_estimation
-from .spectral import EstimationParams
+from .spectral import EstimationParams, chain_modes, decay_seconds, spectral_radius
 
 CLOSURE_TOL = 1e-9  # metres, absorbs decimal round-off in hand-written r*
 FORMATION_TOL = 1e-2  # metres, the largest edge error that counts as formed
@@ -207,6 +207,15 @@ def relative_distance_errors(state: SwarmState, config: FormationConfig) -> np.n
     return _edge_errors(state.positions[config.vertices], config.r_star)
 
 
+def _cascade(config: FormationConfig, anchor):
+    """Each chain's members and their cascade fixed point, the pinned vertex at ``anchor``."""
+    corner = np.asarray(anchor, dtype=float)
+    for i, (n, l_star) in enumerate(zip(config.n_s, config.l_star)):
+        chain = corner - np.arange(1, n + 1)[:, None] * l_star
+        yield config.members(i), chain
+        corner = chain[-1]
+
+
 def predicted_equilibrium(config: FormationConfig,
                           anchor: np.ndarray = (0.0, 0.0)) -> SwarmState:
     """Cascade fixed point: the j-th robot of chain i at q_vertex_i - j * l*_i.
@@ -217,11 +226,9 @@ def predicted_equilibrium(config: FormationConfig,
     the wrapping chain lands back on the pinned vertex (closure makes the
     cascade consistent with the ring).  All velocities are zero.
     """
-    positions = np.zeros((config.n_total, 2))
-    positions[config.vertex_set[0]] = anchor
-    for i, vertex in enumerate(config.vertex_set):
-        j = np.arange(1, config.n_s[i] + 1)[:, None]
-        positions[config.members(i)] = positions[vertex] - j * config.l_star[i]
+    positions = np.empty((config.n_total, 2))
+    for members, chain in _cascade(config, anchor):
+        positions[members] = chain
     return SwarmState.at_rest(positions)
 
 
@@ -238,13 +245,13 @@ class FormationTrace:
     """A formation run's verdict, and its whole record when it was kept.
 
     ``run_formation`` always fills ``final_state``, ``final_errors`` (the
-    edge errors of the last step reached), ``converged`` and
-    ``first_step_within_tol``.  Run without a ``sink``, the trace is its
-    own sink: ``add_snapshot`` keeps the snapshots with their steps, and
-    ``add_errors`` the blocks of every step's edge errors, which the run
-    joins once as it ends, row i of ``errors`` at step ``error_steps[i]``.
-    A step is within tolerance when its largest edge error is below
-    ``FORMATION_TOL``.
+    edge errors of the last step reached), ``converged`` (their largest below
+    ``FORMATION_TOL``), ``first_step_within_tol``, and ``peak_error``, the
+    largest edge error of any step, first at ``peak_step``.  Run without a
+    ``sink``, the trace is its own sink: ``add_snapshot`` keeps the
+    snapshots with their steps, and ``add_errors`` the blocks of every
+    step's edge errors, which the run joins once as it ends, row i of
+    ``errors`` at step ``error_steps[i]``.
     """
 
     snapshot_steps: list[int] = field(default_factory=list)
@@ -255,6 +262,8 @@ class FormationTrace:
     final_errors: np.ndarray | None = None
     converged: bool = False
     first_step_within_tol: int | None = None
+    peak_error: float | None = None
+    peak_step: int | None = None
     _blocks: list = field(default_factory=list, repr=False)
 
     def add_snapshot(self, state: SwarmState) -> None:
@@ -291,9 +300,7 @@ def run_formation(
     ``initial`` and the last step holds copies of its state's arrays,
     since later steps overwrite the rings; so no snapshot is mutated or
     shares memory with another.  ``final_state`` is the last state
-    reached, the last snapshot when that state was kept.  The trace is
-    flagged converged when the largest edge error at the final step is
-    below ``FORMATION_TOL``.
+    reached, the last snapshot when that state was kept.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least one step")
@@ -361,13 +368,47 @@ def _hand_over(trace: FormationTrace, sink, corners: np.ndarray, first: int,
         return
     errors = _edge_errors(corners, r_star)
     steps = np.arange(first, first + len(corners))
+    largest = errors.max(axis=1)
     if trace.first_step_within_tol is None:
-        within = np.flatnonzero(errors.max(axis=1) < FORMATION_TOL)
+        within = np.flatnonzero(largest < FORMATION_TOL)
         if within.size:
             trace.first_step_within_tol = int(steps[within[0]])
+    top = int(largest.argmax())
+    if trace.peak_error is None or largest[top] > trace.peak_error:
+        trace.peak_error, trace.peak_step = float(largest[top]), int(steps[top])
     trace.final_errors = errors[-1].copy()
     trace.converged = bool(trace.final_errors.max() < FORMATION_TOL)
     sink.add_errors(steps, errors)
+
+
+def summarize(trace: FormationTrace, config: FormationConfig) -> dict:
+    """A finished run's figures, JSON-ready, from its ``trace`` on the ring ``config``:
+    the largest edge error at the last step and at its peak, the first time it is
+    within ``FORMATION_TOL``, the last step's largest vertex speed, link error from
+    l* and distance from ``predicted_equilibrium``, and the ring's per-step radius
+    with its ``decay_seconds``; chain by chain, never through a whole-ring temporary."""
+    q = trace.final_state.positions
+    spacing = deviation = 0.0
+    for i, (members, predicted) in enumerate(_cascade(config, q[config.vertices[0]])):
+        chain = q[members]
+        links = np.diff(chain, axis=0, prepend=q[config.vertices[i:i + 1]]) + config.l_star[i]
+        spacing = max(spacing, float(np.linalg.norm(links, axis=1).max()))
+        deviation = max(deviation, float(np.linalg.norm(chain - predicted, axis=1).max()))
+    speeds = np.linalg.norm(trace.final_state.velocities[config.vertices], axis=1)
+    rho = max(spectral_radius(chain_modes(order, config.params, kind))
+              for order, kind in config.chains())
+    dt, first = config.params.dt, trace.first_step_within_tol
+    return {
+        "max_error_final": float(trace.final_errors.max()),
+        "max_error_peak": trace.peak_error,
+        "max_error_peak_step": trace.peak_step,
+        "first_time_within_tol": None if first is None else first * dt,
+        "max_vertex_speed_final": float(speeds.max()),
+        "interior_spacing_error": spacing,
+        "equilibrium_deviation": deviation,
+        "rho_chain": rho,
+        "decay_seconds": decay_seconds(rho, dt),
+    }
 
 
 def seeded_placement(n_total: int, seed: int, initial_box: float) -> SwarmState:

@@ -1,5 +1,6 @@
 """Experiment suite: convergence sweeps, sensitivity curves, and the
-scenario report of a pipeline config (the reference scenarios are the
+scenario report of a pipeline config, its run's ``formation.summarize``
+figures with what a CLI run does not write (the reference scenarios are the
 hexagon and triangle configs shipped in ``configs/``).
 
 Every run here is reproducible bit for bit from (config, seed): placements
@@ -13,19 +14,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SwarmState, make_generator, uniform_box
+from .core import SwarmState, make_generator, quoted, require, uniform_box
 from .estimation import (
     EstimatorConfig,
     batch_bytes,
     estimate_and_settle,
     run_estimation,
 )
-from .formation import (
-    FormationConfig,
-    PipelineResult,
-    predicted_equilibrium,
-    run_pipeline,
-)
+from .formation import PipelineResult, run_pipeline, summarize
 from .spectral import (
     ESTIMATOR_KIND,
     STRATEGIES,
@@ -78,20 +74,22 @@ class SweepResult:
     rows: list[SweepRow]
 
 
-def sweep_keys_fit(n_max: int, reps: int) -> bool:
-    """Whether every chain of a sweep up to ``n_max`` robots and ``reps``
-    reps gets a stream key of its own: ``n*1000 + strategy*100 + rep``
-    below rep 100, ``2**63 + ((2n + strategy) << 32) + rep`` from it on."""
-    return reps <= 100 or (reps <= 2 ** 32 and n_max < 2 ** 30)
+def check_sweep_range(n_range, reps) -> None:
+    """A sweep's range rules: chains of n >= 2 robots, and 1 to 2**32 reps, at most
+    100 from n = 2**30 on, so that every chain gets a stream key of its own."""
+    n_lo, n_hi = n_range
+    require(n_lo >= 2, "sweep_n_min", f"must be at least 2, got {quoted(n_lo)}")
+    require(n_hi >= n_lo, "sweep_n_max",
+            f"must be at least the smallest n, {quoted(n_lo)}, got {quoted(n_hi)}")
+    require(reps >= 1, "sweep_reps", f"must be at least 1, got {quoted(reps)}")
+    require(reps <= 100 or (reps <= 2 ** 32 and n_hi < 2 ** 30), "sweep_reps",
+            "must be at most 2**32, and at most 100 from n = 2**30 on: the stream keys' range")
 
 
 def _sweep_chains(n_range, reps, dt, scale_per_n, seed, initial_box, max_steps):
     """``sweep_convergence``'s chains and the function of their outcomes that is its result."""
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    check_sweep_range(n_range, reps)
     n_lo, n_hi = n_range
-    if n_lo < 2 or n_hi < n_lo:
-        raise ValueError(f"bad n_range {n_range}; chains need n >= 2")
 
     cells, starts, configs, names = [], [], [], []
     for n in range(n_lo, n_hi + 1):
@@ -104,7 +102,7 @@ def _sweep_chains(n_range, reps, dt, scale_per_n, seed, initial_box, max_steps):
                 max_steps=max(max_steps, window + 1),
             )
             cells.append((n, strategy, config))
-            for rep in range(reps):  # keys of their own where ``sweep_keys_fit``
+            for rep in range(reps):  # keys of their own (``check_sweep_range``)
                 rng = make_generator(seed, n * 1000 + strat_idx * 100 + rep if rep < 100
                                      else 2 ** 63 + ((2 * n + strat_idx) << 32) + rep)
                 starts.append(uniform_box(rng, n_prime, initial_box))
@@ -251,76 +249,37 @@ def sweep_batch_bytes(n_range, reps) -> int:
 # --- scenario report -----------------------------------------------------
 
 
-def _interior_spacing_error(state: SwarmState, config: FormationConfig) -> float:
-    """Worst deviation of consecutive in-chain displacements from l*."""
-    q = state.positions
-    worst = 0.0
-    for i, vertex in enumerate(config.vertex_set):
-        walk = [vertex, *config.members(i).tolist()]
-        for a, b in zip(walk, walk[1:]):
-            worst = max(worst, float(np.linalg.norm((q[a] - q[b]) - config.l_star[i])))
-    return worst
-
-
 @dataclass
 class ScenarioReport:
     pipeline: PipelineResult
     snapshots: dict[float, SwarmState]
-    max_error_final: float
-    max_vertex_speed_final: float
-    interior_spacing_error: float
-    equilibrium_deviation: float
-    first_time_within_tol: float | None
-    rho_chain: float
     extra_estimates: dict[str, list[int]]
+    figures: dict
 
 
 def scenario_report(cfg, snapshot_times: tuple[float, ...]) -> ScenarioReport:
-    """Pipeline run of a parsed pipeline ``RunConfig`` and its figures.
-
-    Snapshot states are kept at each of ``snapshot_times`` (seconds) that
-    falls on a recorded step.  ``extra_estimates`` maps the other readout
-    strategy to the estimates it gives from the same placement, its chains
-    run as one ``ChainBatch`` like the pipeline's phase 1.
-    ``rho_chain`` is the ring's spectral radius, the largest of its chains'
-    (``FormationConfig.chains``).
-    """
+    """A parsed pipeline ``RunConfig``'s run, with what a CLI run does not write:
+    the states at those of ``snapshot_times`` (seconds) that fall on a recorded
+    step, and in ``extra_estimates`` the other readout strategy's estimates from
+    the same placement, its chains run as one ``ChainBatch`` like phase 1.
+    ``figures`` is ``summarize`` of the run, as a CLI run's manifest holds it."""
     arguments = cfg.pipeline_arguments()
     config = arguments["config"]
     result = run_pipeline(**arguments)
-    initial = result.initial_state.positions
     trace = result.formation
-    dt = config.params.dt
     snapshots = {}
     for t in snapshot_times:
-        step = int(round(t / dt))
+        step = int(round(t / config.params.dt))
         if step in trace.snapshot_steps:
             snapshots[t] = trace.snapshots[trace.snapshot_steps.index(step)]
 
     (other,) = (s for s in STRATEGIES if s != arguments["est_config"].strategy)
     other_config = replace(cfg, est_strategy=other).estimator_config(max(config.n_s))
-    batch = config.chain_batch(initial, other_config)
+    batch = config.chain_batch(result.initial_state.positions, other_config)
     other_estimates = [
         run_estimation(n, other_config, batch=batch, column=b).estimate
         for b, n in enumerate(config.n_s)
     ]
-
-    final = trace.final_state
-    vertex_speeds = np.linalg.norm(final.velocities[config.vertices], axis=1)
-    predicted = predicted_equilibrium(config, initial[config.vertices[0]])
-    deviation = float(
-        np.max(np.linalg.norm(final.positions - predicted.positions, axis=1))
-    )
-    first = trace.first_step_within_tol
-    return ScenarioReport(
-        pipeline=result,
-        snapshots=snapshots,
-        max_error_final=float(trace.errors[-1].max()),
-        max_vertex_speed_final=float(vertex_speeds.max()),
-        interior_spacing_error=_interior_spacing_error(final, config),
-        equilibrium_deviation=deviation,
-        first_time_within_tol=None if first is None else first * dt,
-        rho_chain=max(spectral_radius(chain_modes(order, config.params, kind))
-                      for order, kind in config.chains()),
-        extra_estimates={other: other_estimates},
-    )
+    return ScenarioReport(pipeline=result, snapshots=snapshots,
+                          extra_estimates={other: other_estimates},
+                          figures=summarize(trace, config))

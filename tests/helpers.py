@@ -7,6 +7,9 @@ closed-form gains; ``reference_step_formation`` is the ring step written
 with rolled neighbour copies and a per-vertex loop;
 ``reference_run_formation`` records a formation trace state by state,
 ``reference_formation_csvs`` writes a collected trace out row by row,
+``reference_spacing_error`` walks a state's chains link by link and
+``reference_equilibrium_deviation`` builds the whole cascade fixed point
+to compare a state with,
 ``reference_stop_rule`` checks the estimator's stop rule window by window,
 ``reference_readout`` inverts one ratio with scalar arithmetic, and
 ``reference_estimation`` and ``reference_steady_ratio`` step one chain at a
@@ -95,8 +98,9 @@ def reference_step_formation(state, config):
 def reference_run_formation(initial, config, horizon, *, stride=1):
     """``run_formation``'s trace, recorded as each state is reached: its
     edge errors from rolled vertex indices and ``np.linalg.norm``, its
-    snapshot, and the first step within tolerance.  A divergence re-raises
-    with ``[trace]``, the trace so far, as ``partial``."""
+    snapshot, the first step within tolerance and the first step of the
+    largest error so far.  A divergence re-raises with ``[trace]``, the
+    trace so far, as ``partial``."""
     trace = FormationTrace()
     vertices = np.array(config.vertex_set)
     error_steps, errors = [], []
@@ -112,6 +116,8 @@ def reference_run_formation(initial, config, horizon, *, stride=1):
             trace.snapshots.append(current)
         if trace.first_step_within_tol is None and e.max() < FORMATION_TOL:
             trace.first_step_within_tol = current.step
+        if trace.peak_error is None or e.max() > trace.peak_error:
+            trace.peak_error, trace.peak_step = float(e.max()), current.step
 
     def finalize(last):
         trace.error_steps = np.array(error_steps, dtype=int)
@@ -148,6 +154,30 @@ def reference_formation_csvs(trace, dt):
         error_rows += [f"{step},{step * dt!r},{edge_id},{e!r}\n"
                        for edge_id, e in enumerate(errors)]
     return "".join(trace_rows), "".join(error_rows)
+
+
+def reference_spacing_error(state, config):
+    """Worst deviation of consecutive in-chain displacements from l*, one
+    link at a time from each chain's vertex through its members."""
+    q = state.positions
+    worst = 0.0
+    for i, vertex in enumerate(config.vertex_set):
+        walk = [vertex, *config.members(i).tolist()]
+        for a, b in zip(walk, walk[1:]):
+            worst = max(worst, float(np.linalg.norm((q[a] - q[b]) - config.l_star[i])))
+    return worst
+
+
+def reference_equilibrium_deviation(state, config, anchor):
+    """Largest distance of ``state``'s robots from the cascade fixed point
+    with the pinned vertex at ``anchor``, built in one whole-ring array a
+    chain at a time from the vertex the chain before it placed."""
+    predicted = np.zeros((config.n_total, 2))
+    predicted[config.vertex_set[0]] = anchor
+    for i, vertex in enumerate(config.vertex_set):
+        j = np.arange(1, config.n_s[i] + 1)[:, None]
+        predicted[config.members(i)] = predicted[vertex] - j * config.l_star[i]
+    return float(np.max(np.linalg.norm(state.positions - predicted, axis=1)))
 
 
 def reference_stop_rule(raws, window):

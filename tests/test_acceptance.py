@@ -247,21 +247,22 @@ def test_criterion_06_hexagon_scenario():
     report = scenario_report(shipped_config("hexagon", seed=7, max_steps=3000),
                              (0.0, 50.0, 100.0, 150.0))
     elapsed = time.perf_counter() - started
+    figures = report.figures
     ok = (
         report.pipeline.estimates == [20] * 6
-        and report.max_error_final < 0.01
-        and report.max_vertex_speed_final < 1e-4
-        and report.interior_spacing_error < 1e-3
+        and figures["max_error_final"] < 0.01
+        and figures["max_vertex_speed_final"] < 1e-4
+        and figures["interior_spacing_error"] < 1e-3
         and elapsed < 30.0
     )
     check(
         "criterion 6: hexagon errors < 0.01 m by t=150 s at reference gains",
         ok,
         f"estimates={report.pipeline.estimates[:1]}x6, "
-        f"max_error(150s)={report.max_error_final:.3e} m, "
-        f"max_vertex_speed={report.max_vertex_speed_final:.3e} m/s, "
-        f"spacing_err={report.interior_spacing_error:.3e} m, "
-        f"rho_chain={report.rho_chain:.6f}, elapsed={elapsed:.1f}s; "
+        f"max_error(150s)={figures['max_error_final']:.3e} m, "
+        f"max_vertex_speed={figures['max_vertex_speed_final']:.3e} m/s, "
+        f"spacing_err={figures['interior_spacing_error']:.3e} m, "
+        f"rho_chain={figures['rho_chain']:.6f}, elapsed={elapsed:.1f}s; "
         "rho_chain is per step, so 150 s at dt=0.05 (3000 steps) decay the "
         "slow mode by only ~1e-2 and the largest edge error first drops below "
         "1 cm at t=582.3 s; at "

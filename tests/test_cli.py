@@ -34,7 +34,7 @@ from ringform.cli import (
 )
 from ringform.core import DivergenceError, SwarmState, make_generator, uniform_box
 from ringform.estimation import EstimateTrace, batch_bytes
-from ringform.formation import run_formation, seeded_placement
+from ringform.formation import run_formation, run_pipeline, seeded_placement, summarize
 from ringform.harness import SensitivityCurve, SensitivityRow, SweepResult, SweepRow
 
 # The shipped triangle, its output directory left to each test.
@@ -166,6 +166,9 @@ RULES = [
      "topology.vertex_set: vertex indices out of range [0, 7)"),
     ("form", "r_star", OPEN, CLOSE),
     ("pipeline", "r_star", OPEN, CLOSE),
+    ("sweep", "sweep.n_min", 1, "sweep.n_min: must be at least 2, got 1"),
+    ("sweep", "sweep.n_max", 4, "sweep.n_max: must be at least the smallest n, 5, got 4"),
+    ("sweep", "sweep.reps", 0, "sweep.reps: must be at least 1, got 0"),
 ]
 # No ``tolerances`` section in any mode: the closure and formation tolerances
 # are the constants ``formation.CLOSURE_TOL`` and ``formation.FORMATION_TOL``,
@@ -578,6 +581,42 @@ class TestPipelineRun:
                   for key, value in resolved.items()
                   for sub in (value if isinstance(value, dict) else [None])}
         assert echoed == READS[cfg.mode]
+
+
+class TestManifestFigures:
+    """A formation that runs to its horizon leaves ``summarize``'s figures in
+    the manifest; no other run does."""
+
+    @pytest.mark.parametrize("mode,max_steps,code", [
+        ("form", 600, EXIT_OK), ("form", 20, EXIT_NOT_CONVERGED), ("pipeline", 600, EXIT_OK),
+        ("pipeline", 20, EXIT_NOT_CONVERGED)])
+    def test_figures_are_the_summary_of_the_same_library_run(self, tmp_path, mode, max_steps,
+                                                             code):
+        raw = TRIANGLE if mode == "pipeline" else form_of(TRIANGLE)
+        cfg = parse_config(dict(raw, output_dir=str(tmp_path), max_steps=max_steps))
+        assert execute(cfg) == code
+        config = cfg.formation_config
+        if mode == "pipeline":
+            trace = run_pipeline(**cfg.pipeline_arguments()).formation
+        else:
+            initial = seeded_placement(config.n_total, cfg.seed, cfg.initial_box)
+            trace = run_formation(initial, config, max_steps)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["figures"] == json.loads(json.dumps(summarize(trace, config)))
+
+    @pytest.mark.parametrize("mapping,code", [
+        (BASES["estimate"], EXIT_OK),
+        (BASES["sweep"], EXIT_OK),
+        (BASES["spectral"], EXIT_OK),
+        (FAR_RING, EXIT_DIVERGED),
+        (form_of(FAR_RING), EXIT_DIVERGED),
+        (dict(TRIANGLE, estimation=dict(TRIANGLE["estimation"], max_steps=52, stop_window=50)),
+         EXIT_NOT_CONVERGED),
+    ], ids=["estimate", "sweep", "spectral", "pipeline-diverges", "form-diverges",
+            "phase1-fails"])
+    def test_no_figures_without_a_finished_formation(self, tmp_path, mapping, code):
+        assert execute(parse_config(dict(mapping, output_dir=str(tmp_path)))) == code
+        assert "figures" not in json.loads((tmp_path / "manifest.json").read_text())
 
 
 class TestDeterminism:

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from helpers import (
     iterate_formation_chain,
+    reference_equilibrium_deviation,
     reference_run_formation,
+    reference_spacing_error,
     reference_step_formation,
     shipped_config,
     trace_bits,
@@ -21,6 +23,7 @@ from ringform.core import (
 )
 from ringform.estimation import EstimatorConfig, chain_traces
 from ringform.formation import (
+    FORMATION_TOL,
     FormationConfig,
     PipelineEstimationError,
     predicted_equilibrium,
@@ -29,10 +32,13 @@ from ringform.formation import (
     run_pipeline,
     seeded_placement,
     step_formation,
+    summarize,
 )
 from ringform.spectral import (
     EstimationParams,
+    build_estimator_matrix,
     build_formation_matrix,
+    build_lagged_estimator_matrix,
     build_lagged_formation_matrix,
     chain_modes,
     spectral_radius,
@@ -396,6 +402,7 @@ class TestTraceEquivalence:
         assert bits(got.errors) == bits(want.errors)
         assert bits(got.error_steps) == bits(want.error_steps)
         assert got.first_step_within_tol == want.first_step_within_tol
+        assert (got.peak_error, got.peak_step) == (want.peak_error, want.peak_step)
         assert got.converged is want.converged
         assert got.snapshot_steps == want.snapshot_steps
         assert [state_bits(s) for s in got.snapshots] == [state_bits(s) for s in want.snapshots]
@@ -415,6 +422,43 @@ class TestTraceEquivalence:
         assert "step 124" in message
         assert partial.error_steps[-1] == 123
         assert partial.errors.shape == (124, 3)
+
+
+DENSE = {"formation": build_formation_matrix, "lagged_formation": build_lagged_formation_matrix,
+         "estimator": build_estimator_matrix, "lagged_estimator": build_lagged_estimator_matrix}
+
+
+class TestSummarize:
+    """``summarize``, chain by chain, against the collected record, the
+    per-link and whole-ring references and the dense chain matrices."""
+
+    @pytest.mark.parametrize("name,sigma,horizon", [
+        ("triangle", 1, 600), ("triangle", 2, 600), ("hexagon", 1, 3000)])
+    def test_figures_equal_the_references(self, name, sigma, horizon):
+        cfg = shipped_config(name, sigma=sigma)
+        config = cfg.formation_config
+        initial = seeded_placement(config.n_total, cfg.seed, cfg.initial_box)
+        trace = run_formation(initial, config, horizon)
+        figures = summarize(trace, config)
+        final, dt = trace.final_state, config.params.dt
+        largest = trace.errors.max(axis=1)
+        within = trace.error_steps[largest < FORMATION_TOL]
+        assert figures["max_error_final"] == largest[-1]
+        assert figures["max_error_peak"] == largest.max()
+        assert figures["max_error_peak_step"] == trace.error_steps[largest.argmax()]
+        assert figures["first_time_within_tol"] == (within[0] * dt if within.size else None)
+        assert figures["max_vertex_speed_final"] == np.linalg.norm(
+            final.velocities[list(config.vertex_set)], axis=1).max()
+        assert figures["interior_spacing_error"] == pytest.approx(
+            reference_spacing_error(final, config), rel=1e-12)
+        anchor = initial.positions[config.vertex_set[0]]
+        assert figures["equilibrium_deviation"] == pytest.approx(
+            reference_equilibrium_deviation(final, config, anchor), rel=1e-12)
+        dense = max(spectral_radius(DENSE[kind](order, config.params).dense)
+                    for order, kind in config.chains())
+        assert figures["rho_chain"] == pytest.approx(dense, rel=1e-12)
+        assert figures["decay_seconds"] == pytest.approx(
+            np.log(100.0) * dt / -np.log(dense), rel=1e-9)
 
 
 class RecordingSink:
@@ -461,6 +505,8 @@ class TestSink:
         # the verdict is kept either way; the record only when collected
         assert verdict.snapshots == [] and verdict.errors.size == 0
         assert verdict.first_step_within_tol == collected.first_step_within_tol
+        assert (verdict.peak_error, verdict.peak_step) == (collected.peak_error,
+                                                           collected.peak_step)
         assert verdict.converged is collected.converged
         assert bits(verdict.final_errors) == bits(collected.errors[-1])
         assert bits(collected.final_errors) == bits(collected.errors[-1])

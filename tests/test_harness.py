@@ -7,7 +7,7 @@ import ringform.estimation
 from helpers import reference_sweep, shipped_config
 from ringform import cli
 from ringform.estimation import EstimatorConfig, batch_bytes, steady_velocity_ratio
-from ringform.core import make_generator, midpoint_law, uniform_box
+from ringform.core import ParameterError, make_generator, midpoint_law, uniform_box
 from ringform.harness import (
     _sweep_chains,
     auto_stop_window,
@@ -99,6 +99,16 @@ class TestSweep:
         for n, strategy, rep, key in ((6, 1, 99, 6199), (6, 1, 100, 2 ** 63 + (13 << 32) + 100)):
             start = starts[((n - 5) * 2 + strategy) * 101 + rep]
             assert np.array_equal(start, uniform_box(make_generator(0, key), n - 1, 5.0))
+
+    @pytest.mark.parametrize("n_range,reps,message", [
+        ((1, 6), 1, "sweep_n_min: must be at least 2, got 1"),
+        ((7, 6), 1, "sweep_n_max: must be at least the smallest n, 7, got 6"),
+        ((5, 6), 0, "sweep_reps: must be at least 1, got 0"),
+    ])
+    def test_range_rules_name_the_parameter(self, n_range, reps, message):
+        with pytest.raises(ParameterError) as err:
+            sweep_convergence(n_range, reps)
+        assert (err.value.name, str(err.value)) == (message.split(":")[0], message)
 
     def test_starved_cell_reports_miss(self):
         # a max_steps too small for the window guarantees a non-converged cell
@@ -249,11 +259,11 @@ class TestTriangleScenario:
         report = scenario_report(shipped_config("triangle", seed=13), TRIANGLE_TIMES)
         assert report.pipeline.estimates == [2, 3, 2]
         assert report.extra_estimates["S1"] == [2, 3, 2]
-        assert report.max_error_final < 1e-2
-        assert report.max_vertex_speed_final < 1e-4
-        assert report.interior_spacing_error < 1e-3
-        assert report.equilibrium_deviation < 1e-2
-        assert report.rho_chain < 1.0
+        assert report.figures["max_error_final"] < 1e-2
+        assert report.figures["max_vertex_speed_final"] < 1e-4
+        assert report.figures["interior_spacing_error"] < 1e-3
+        assert report.figures["equilibrium_deviation"] < 1e-2
+        assert report.figures["rho_chain"] < 1.0
 
     def test_rho_chain_follows_the_velocity_lag(self):
         # the triangle's largest chain has 3 robots
@@ -262,7 +272,7 @@ class TestTriangleScenario:
                                (2, build_lagged_formation_matrix)):
             report = scenario_report(shipped_config("triangle", seed=13, sigma=sigma), ())
             dense = spectral_radius(builder(3, params).dense)
-            assert report.rho_chain == pytest.approx(dense, rel=1e-12)
+            assert report.figures["rho_chain"] == pytest.approx(dense, rel=1e-12)
 
     def test_determinism(self):
         cfg = shipped_config("triangle", seed=4)
@@ -285,14 +295,14 @@ class TestHexagonScenario:
         # the shipped config's horizon is 900 s
         report = scenario_report(shipped_config("hexagon", seed=7), HEXAGON_TIMES)
         assert report.pipeline.estimates == [20] * 6
-        assert report.max_error_final < 1e-2
-        assert report.max_vertex_speed_final < 1e-4
-        assert report.interior_spacing_error < 1e-3
-        assert report.equilibrium_deviation < 1e-2
-        assert report.first_time_within_tol is not None
+        assert report.figures["max_error_final"] < 1e-2
+        assert report.figures["max_vertex_speed_final"] < 1e-4
+        assert report.figures["interior_spacing_error"] < 1e-3
+        assert report.figures["equilibrium_deviation"] < 1e-2
+        assert report.figures["first_time_within_tol"] is not None
         # at dt = 0.05, 150 s are only 3000 steps of the slow chain mode
-        assert report.rho_chain > 0.998
-        assert report.first_time_within_tol > 150.0
+        assert report.figures["rho_chain"] > 0.998
+        assert report.figures["first_time_within_tol"] > 150.0
         assert set(report.snapshots) == {0.0, 50.0, 100.0, 150.0}
 
     def test_finer_sampling_meets_the_deadline(self):
@@ -304,13 +314,13 @@ class TestHexagonScenario:
             shipped_config("hexagon", seed=7, dt=0.01, max_steps=15000), HEXAGON_TIMES)
         assert report.pipeline.estimates == [20] * 6
         assert report.pipeline.formation.first_step_within_tol == 10007  # t = 100.07 s
-        assert report.max_error_final < 1e-4
-        assert report.max_vertex_speed_final < 1e-4
-        assert report.interior_spacing_error < 1e-3
+        assert report.figures["max_error_final"] < 1e-4
+        assert report.figures["max_vertex_speed_final"] < 1e-4
+        assert report.figures["interior_spacing_error"] < 1e-3
         assert set(report.snapshots) == set(HEXAGON_TIMES)
         coarse = spectral_radius(
             build_formation_matrix(20, EstimationParams(alpha=0.5, dt=0.05)).dense)
-        assert abs(report.rho_chain - coarse) < 1e-4
+        assert abs(report.figures["rho_chain"] - coarse) < 1e-4
 
     def test_snapshots_present_at_reference_times(self):
         report = scenario_report(shipped_config("hexagon", seed=3, max_steps=3000),

@@ -10,7 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from ringform.cli import _FIELDS
+from ringform.core import SwarmState
+from ringform.formation import FormationConfig, run_formation, summarize
+from ringform.spectral import EstimationParams
 
 ROOT = Path(__file__).resolve().parents[1]
 # The package's modules, each above those it may import from.
@@ -48,9 +53,12 @@ def test_readme_api_references_resolve():
 # CLI must not restate: it names the YAML path of a ParameterError's ``name``.
 LIBRARY_RULES = ["must lie in (0, 1)", "must be positive", "must be one of {STRATEGIES}",
                  "must exceed the stop window", "must be 1 or 2", "vertex indices out of range",
-                 "polygon does not close", "must be strictly increasing"]
+                 "polygon does not close", "must be strictly increasing",
+                 "must be at least 2, got", "must be at least the smallest n",
+                 "must be at least 1, got", "the stream keys' range"]
 CLI_COPIES = ["_POSITIVE", "_STRATEGY", "STRATEGIES", "polygon_closes", "CLOSURE_TOL",
-              "in (1, 2)", "out of range", "does not close", "topology: "]
+              "in (1, 2)", "out of range", "does not close", "topology: ",
+              "sweep_n_max >= ", "sweep_keys_fit", "2 ** 32"]
 
 
 def test_each_parameter_rule_is_written_once_and_not_in_the_cli():
@@ -68,3 +76,12 @@ def test_readme_field_table_is_the_config_schema():
     assert len(rows) == len(_FIELDS)
     assert dict((path, tuple(modes.split(", "))) for path, modes in rows) == {
         f.metadata["path"]: f.metadata["modes"] for f in _FIELDS.values()}
+
+
+def test_readme_figure_table_is_the_summary():
+    readme = (ROOT / "README.md").read_text()
+    table = readme[readme.index("### Run figures"):readme.index("### Determinism")]
+    config = FormationConfig(3, (0, 1, 2), [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
+                             EstimationParams(alpha=0.5, dt=0.1))
+    trace = run_formation(SwarmState.at_rest(np.zeros((3, 2))), config, 1)
+    assert re.findall(r"^\| `(\w+)` \|", table, re.MULTILINE) == list(summarize(trace, config))

@@ -7,8 +7,10 @@ variants of the shipped configs refused, diverging or not converging, and
 runs whose automatic stop windows the shipped configs do not cover, are
 held to ``CASE_DIGESTS`` the same way.  ``manifest.json`` and
 ``resolved_config.yaml`` are left out: they hold the wall time and the
-output directory.  Floats may differ in the last bit from one numpy
-version to another, so the test skips under any numpy but ``NUMPY``.
+output directory; the manifest figures the README states are checked
+against ``MANIFEST_FIGURES`` instead.  Floats may differ in the last bit
+from one numpy version to another, so the test skips under any numpy but
+``NUMPY``.
 
 A change that alters the outputs on purpose records the table again and
 says so:
@@ -18,6 +20,7 @@ says so:
 
 import hashlib
 import io
+import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -82,6 +85,11 @@ DIGESTS = {
         },
     },
 }
+
+
+# Manifest figures that the README and the configs' comments state: the
+# hexagon's largest edge error first drops below 1 cm at step 11 648.
+MANIFEST_FIGURES = {"hexagon": {"first_time_within_tol": 582.4}}
 
 
 def _shipped(name: str, **changes) -> dict:
@@ -265,6 +273,9 @@ def case_digests(name: str, tmp: Path) -> dict:
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_shipped_config_outputs_are_unchanged(tmp_path, name):
     assert run_digests(CONFIGS / f"{name}.yaml", tmp_path / "out") == DIGESTS[name]
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    for key, value in MANIFEST_FIGURES.get(name, {}).items():
+        assert manifest["figures"][key] == pytest.approx(value, rel=1e-12)
 
 
 @pytest.mark.skipif(np.__version__ != NUMPY,
