@@ -34,8 +34,8 @@ from .formation import (FORMATION_TOL, FormationConfig, PipelineEstimationError,
                         run_pipeline, seeded_placement, summarize)
 from .harness import (auto_stop_window, check_sweep_range, scaled_params, sweep_and_curves,
                       sweep_batch_bytes)
-from .spectral import (ESTIMATOR_KIND, EstimationParams, _require_strategy, spectral_report,
-                       stability_limit)
+from .spectral import (ESTIMATOR_KIND, EstimationParams, _chain_layers, _require_strategy,
+                       spectral_report, stability_limit)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -153,7 +153,7 @@ class RunConfig:
     n_total: int = _opt("topology.n_total", _STEPPED, _int, MISSING, *_at_least(2))
     vertex_set: tuple[int, ...] = _opt("topology.vertex_set", _RING, _ints)
     r_star: list = _opt("r_star", _RING, _pairs)
-    n_prime: int = _opt("n_prime", ("spectral",), _int, MISSING, *_at_least(1))
+    n_prime: int = _opt("n_prime", ("spectral",), _int)
     est_alpha: float | None = _opt("estimation.alpha", ("pipeline",), _float, None)
     est_dt: float | None = _opt("estimation.dt", ("pipeline",), _float, None)
     est_strategy: str = _opt("estimation.strategy", ("pipeline",), _str, "S1")
@@ -173,8 +173,7 @@ class RunConfig:
             yield
         except ParameterError as exc:
             name = self._phase1_field(exc.name) if phase1 else exc.name
-            path = self.__dataclass_fields__[name].metadata["path"]
-            raise ConfigError(f"{path}: {exc.rule}") from exc
+            raise ConfigError(f"{_PATHS[name]}: {exc.rule}") from exc
 
     def _phase1_field(self, name: str) -> str:
         """The field phase 1 reads ``name`` from: ``est_<name>`` if not None, else ``name``."""
@@ -190,12 +189,17 @@ class RunConfig:
             get = self.phase1 if phase1 else partial(getattr, self)
             return EstimationParams(alpha=get("alpha"), dt=get("dt"))
 
-    def estimator_config(self, n_prime: int) -> EstimatorConfig:
-        """Phase-1 settings; an unset stop window is sized for order ``n_prime``."""
+    @property
+    def phase1_order(self) -> int:
+        """Order phase 1 is sized for: the estimated chain's, or a pipeline ring's largest."""
+        return self.n_total - 1 if self.mode == "estimate" else max(self.formation_config.n_s)
+
+    def estimator_config(self) -> EstimatorConfig:
+        """Phase-1 settings; an unset stop window is sized for ``phase1_order``."""
         strategy, window = self.phase1("strategy"), self.phase1("stop_window")
         params = self._gains(phase1=True)
         if window is None:
-            window = auto_stop_window(n_prime, params, strategy)
+            window = auto_stop_window(self.phase1_order, params, strategy)
         with self._named(phase1=True):
             return EstimatorConfig(params=params, strategy=strategy, stop_window=window,
                                    max_steps=self.phase1("max_steps"))
@@ -208,11 +212,9 @@ class RunConfig:
                                    self.sigma)
 
     def pipeline_arguments(self) -> dict:
-        """Keyword arguments of ``run_pipeline`` for this (pipeline) config;
-        the stop window is sized for the largest chain."""
-        config = self.formation_config
+        """Keyword arguments of ``run_pipeline`` for this (pipeline) config."""
         return dict(
-            config=config, est_config=self.estimator_config(max(config.n_s)),
+            config=self.formation_config, est_config=self.estimator_config(),
             seed=self.seed, horizon=self.max_steps, initial_box=self.initial_box,
             stride=self.stride,
         )
@@ -221,6 +223,10 @@ class RunConfig:
 # Field table keyed by YAML path, e.g. ("topology", "n_total").
 _FIELDS = {tuple(f.metadata["path"].split(".")): f for f in fields(RunConfig)}
 _SECTIONS = {path[0] for path in _FIELDS if len(path) == 2}
+_PATHS = {f.name: f.metadata["path"] for f in _FIELDS.values()}
+# The field that sizes each mode's arrays.
+_SIZE_FIELD = {"estimate": "n_total", "form": "n_total", "pipeline": "n_total",
+               "sweep": "sweep_n_max", "spectral": "n_prime"}
 
 
 def _require(condition, path, message):
@@ -295,12 +301,14 @@ def _require_stable(path: str, alpha: float, dt: float, chains) -> None:
 def _check_rules(cfg: RunConfig) -> None:
     """Rules that span fields, in the modes that read them: sizes, the library's parameter
     rules (met by building what the run builds), stability, the sweep's range and memory."""
-    for path, size in (("topology.n_total", cfg.n_total), ("n_prime", cfg.n_prime),
-                       ("sweep.n_max", cfg.sweep_n_max)):
-        _require(size is None or size <= _MAX_SIZE, path,
-                 f"must be at most {_MAX_SIZE}, past which numpy cannot index its "
-                 f"arrays, got {quoted(size)}")
+    size_field = _SIZE_FIELD[cfg.mode]
+    size = getattr(cfg, size_field)
+    _require(size <= _MAX_SIZE, _PATHS[size_field],
+             f"must be at most {_MAX_SIZE}, past which numpy cannot index its "
+             f"arrays, got {quoted(size)}")
     if cfg.mode == "spectral":
+        with cfg._named():  # the report's smallest chain, an estimator's
+            _chain_layers("estimator", cfg.n_prime)
         cfg._gains()
     elif cfg.mode == "sweep":
         with cfg._named():
@@ -314,14 +322,13 @@ def _check_rules(cfg: RunConfig) -> None:
     else:
         ring = None if cfg.mode == "estimate" else cfg.formation_config
         if cfg.mode != "form":  # phase 1, on the ring's chains in a pipeline
-            order = cfg.n_total - 1 if ring is None else max(ring.n_s)
             params, strategy = cfg._gains(phase1=True), cfg.phase1("strategy")
             with cfg._named(phase1=True):
                 _require_strategy(strategy)
             if cfg.phase1("stop_window") is not None:
-                cfg.estimator_config(order)
+                cfg.estimator_config()
             _require_stable("estimation" if cfg.est_alpha or cfg.est_dt else "alpha",
-                            params.alpha, params.dt, [(order, ESTIMATOR_KIND[strategy])])
+                            params.alpha, params.dt, [(cfg.phase1_order, ESTIMATOR_KIND[strategy])])
         if ring is not None:
             _require_stable("alpha", cfg.alpha, cfg.dt, ring.chains())
 
@@ -501,10 +508,9 @@ def _write_estimates(out_dir: Path, outputs: list[str], traces) -> None:
 
 
 def _run_estimate(cfg: RunConfig, out_dir: Path, outputs: list[str], figures: dict) -> int:
-    n_prime = cfg.n_total - 1
-    trace = run_estimation(
-        n_prime, cfg.estimator_config(n_prime), seed=cfg.seed, initial_box=cfg.initial_box,
-    )
+    n_prime = cfg.phase1_order
+    trace = run_estimation(n_prime, cfg.estimator_config(), seed=cfg.seed,
+                           initial_box=cfg.initial_box)
     _write_estimates(out_dir, outputs, [trace])
     if not trace.converged:
         print("ringform: estimation did not converge within max_steps",
@@ -605,14 +611,8 @@ def execute(cfg: RunConfig) -> int:
         return _output_error("create", cfg.output_dir, exc)
     outputs, figures = [], {}
     started = time.perf_counter()
-    # Each mode's runner and the field that sizes its arrays.
-    runner, size_field = {
-        "estimate": (_run_estimate, "topology.n_total"),
-        "form": (_run_form, "topology.n_total"),
-        "pipeline": (_run_pipeline, "topology.n_total"),
-        "sweep": (_run_sweep, "sweep.n_max"),
-        "spectral": (_run_spectral, "n_prime"),
-    }[cfg.mode]
+    runner = {"estimate": _run_estimate, "form": _run_form, "pipeline": _run_pipeline,
+              "sweep": _run_sweep, "spectral": _run_spectral}[cfg.mode]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -630,8 +630,8 @@ def execute(cfg: RunConfig) -> int:
             print(f"ringform: config error: {exc}", file=sys.stderr)
             code = EXIT_CONFIG
         except MemoryError as exc:
-            print(f"ringform: config error: {size_field}: too large to allocate: "
-                  f"{str(exc) or 'out of memory'}", file=sys.stderr)
+            print(f"ringform: config error: {_PATHS[_SIZE_FIELD[cfg.mode]]}: too large to "
+                  f"allocate: {str(exc) or 'out of memory'}", file=sys.stderr)
             code = EXIT_CONFIG
         except OSError as exc:  # a write to an open file names no file
             code = _output_error("write", exc.filename or cfg.output_dir, exc)

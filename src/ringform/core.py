@@ -17,10 +17,11 @@ class DivergenceError(RuntimeError):
     """A simulation left the sane-magnitude envelope (unstable parameters).
 
     ``partial`` lists the traces the run had made, in run order, so callers
-    can still flush truncated output files: empty from ``check_finite``,
-    the step functions and a sweep; ``[trace]`` from ``run_estimation``
-    and ``run_formation``; the chain traces, then the formation trace,
-    from ``run_pipeline``.
+    can still flush truncated output files: empty from ``check_finite``, the step
+    functions and a sweep; ``[trace]`` from ``run_formation`` and a seeded
+    ``run_estimation``; every chain's trace from ``chain_traces`` and from
+    ``run_estimation(batch=...)``; the chain traces, then the formation trace, from
+    ``run_pipeline``.
     """
 
     def __init__(self, message):

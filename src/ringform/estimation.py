@@ -25,7 +25,8 @@ from .core import (
     require,
     uniform_box,
 )
-from .spectral import EstimationParams, _require_strategy, s1_readout_frame
+from .spectral import (ESTIMATOR_KIND, EstimationParams, _chain_layers, _require_strategy,
+                       s1_readout_frame)
 
 # Steps per block of the lock-step loop: the stop rules are read once per
 # block, and positions are checked at block ends that are its multiples.
@@ -359,10 +360,10 @@ def run_estimation(
     integer is the estimate.  This implies that they are finite (a NaN
     rounding never equals anything) and span less than one.
     The chain starts at rest, its robots drawn uniformly in
-    [-initial_box, initial_box)^2 from stream ``(seed, 0)``.  It runs as a
-    one-column batch, so a divergence carries ``[trace]``, its trace up to
-    the step before it, as ``partial``.  A chain from given positions
-    ``start`` is ``chain_traces([start], [config])[0]``.
+    [-initial_box, initial_box)^2 from stream ``(seed, 0)``, its order checked by
+    ``spectral._chain_layers``.  It runs as a one-column batch, so a divergence
+    carries ``[trace]``, its trace up to the step before it, as ``partial``.
+    A chain from given positions ``start`` is ``chain_traces([start], [config])[0]``.
 
     With ``batch`` the chain is the batch's column ``column``, of
     ``n_prime_true`` robots run with ``config``, and starts where the
@@ -370,8 +371,7 @@ def run_estimation(
     ``partial`` list (see ``chain_traces``).
     """
     if batch is None:
-        if n_prime_true < 1:
-            raise ValueError("chain must contain at least one movable robot")
+        _chain_layers(ESTIMATOR_KIND[config.strategy], n_prime_true)
         batch = ChainBatch([uniform_box(make_generator(seed), n_prime_true, initial_box)],
                            [config])
     if (len(batch.starts[column]), batch.configs[column]) != (n_prime_true, config):

@@ -26,6 +26,7 @@ from .spectral import (
     ESTIMATOR_KIND,
     STRATEGIES,
     EstimationParams,
+    _chain_layers,
     chain_modes,
     decay_seconds,
     spectral_radius,
@@ -171,8 +172,9 @@ class SensitivityCurve:
 def _sensitivity_chains(n_range, beta, dt):
     """``sensitivity_curves``' chains and the function of their ratios that is its result."""
     lo, hi = n_range
-    if lo < 1 or hi < lo:
-        raise ValueError(f"bad n_prime range {n_range}")
+    _chain_layers("estimator", lo)  # the order rule of the curves' chains
+    require(hi >= lo, "n_range", f"upper bound must be at least the lower, {quoted(lo)}, "
+            f"got {quoted(hi)}")
     orders, params, configs = [], [], []
     for n_prime in range(lo, hi + 1):
         if beta is None:
@@ -198,12 +200,8 @@ def _sensitivity_chains(n_range, beta, dt):
         ]
         tv1 = float(sum(abs(b.ratio_s1_closed - a.ratio_s1_closed) for a, b in zip(rows, rows[1:])))
         tv2 = float(sum(abs(b.ratio_s2_closed - a.ratio_s2_closed) for a, b in zip(rows, rows[1:])))
-        return SensitivityCurve(
-            rows=rows,
-            total_variation_s1=tv1,
-            total_variation_s2=tv2,
-            more_sensitive="S1" if tv1 > tv2 else "S2",
-        )
+        return SensitivityCurve(rows=rows, total_variation_s1=tv1, total_variation_s2=tv2,
+                                more_sensitive="S1" if tv1 > tv2 else "S2")
 
     return orders, configs, result
 
@@ -226,15 +224,18 @@ def sensitivity_curves(
     return result(estimate_and_settle([], [], [], orders, configs)[1])
 
 
+def _curve_orders(n_range) -> tuple[int, int]:
+    """The chain orders of a sweep's curves: ``max(n_lo - 1, 1)`` to ``n_hi - 1``."""
+    return max(n_range[0] - 1, 1), n_range[1] - 1
+
+
 def sweep_and_curves(n_range, reps, *, dt, scale_per_n, seed, initial_box):
     """``sweep_convergence`` over ``n_range`` and the scaled
-    ``sensitivity_curves`` over the chain orders it spans, from
-    ``max(n_lo - 1, 1)`` to ``n_hi - 1``, with every chain of both in one
-    lock-step batch (``estimate_and_settle``); returns both results."""
+    ``sensitivity_curves`` over the chain orders it spans (``_curve_orders``), with
+    every chain of both in one lock-step batch (``estimate_and_settle``); returns both."""
     starts, configs, names, sweep = _sweep_chains(
         n_range, reps, dt, scale_per_n, seed, initial_box, _MAX_STEPS)
-    orders, settle_configs, curve = _sensitivity_chains(
-        (max(n_range[0] - 1, 1), n_range[1] - 1), None, dt)
+    orders, settle_configs, curve = _sensitivity_chains(_curve_orders(n_range), None, dt)
     outcomes, sims = estimate_and_settle(starts, configs, names, orders, settle_configs)
     return sweep(outcomes), curve(sims)
 
@@ -242,8 +243,8 @@ def sweep_and_curves(n_range, reps, *, dt, scale_per_n, seed, initial_box):
 def sweep_batch_bytes(n_range, reps) -> int:
     """``batch_bytes`` of ``sweep_and_curves``' batch: ``2 * reps`` chains
     per n, two per curve order, the longest of ``n_hi - 1`` robots."""
-    n_lo, n_hi = n_range
-    return batch_bytes(n_hi + 1, (n_hi - n_lo + 1) * 2 * reps + 2 * (n_hi - max(n_lo - 1, 1)))
+    (n_lo, n_hi), (lo, hi) = n_range, _curve_orders(n_range)
+    return batch_bytes(n_hi + 1, (n_hi - n_lo + 1) * 2 * reps + 2 * (hi - lo + 1))
 
 
 # --- scenario report -----------------------------------------------------
@@ -274,7 +275,7 @@ def scenario_report(cfg, snapshot_times: tuple[float, ...]) -> ScenarioReport:
             snapshots[t] = trace.snapshots[trace.snapshot_steps.index(step)]
 
     (other,) = (s for s in STRATEGIES if s != arguments["est_config"].strategy)
-    other_config = replace(cfg, est_strategy=other).estimator_config(max(config.n_s))
+    other_config = replace(cfg, est_strategy=other).estimator_config()
     batch = config.chain_batch(result.initial_state.positions, other_config)
     other_estimates = [
         run_estimation(n, other_config, batch=batch, column=b).estimate

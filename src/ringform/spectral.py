@@ -51,11 +51,10 @@ def _require_beta(beta: float, alpha: float | None = None, dt: float | None = No
 
 
 def _require_readout(d: int, beta: float, strategy: str) -> None:
-    """Domain of the readout algebra: a known strategy, beta in (0, 1), d >= 1."""
+    """Domain of the readout algebra: a known strategy, beta in (0, 1), an estimator's order."""
     _require_strategy(strategy)
     _require_beta(beta)
-    if d < 1:
-        raise ValueError(f"order must be >= 1, got {d}")
+    _chain_layers(ESTIMATOR_KIND[strategy], d)
 
 
 @dataclass(frozen=True)
@@ -102,23 +101,19 @@ def _sym_tridiagonal(n: int, diag: float, off: float) -> np.ndarray:
     return m
 
 
-# Chain kind -> (stacked layers, smallest order, message for a smaller one).
-_KINDS = {
-    "estimator": (2, 1, "chain order must be >= 1, got {}"),
-    "lagged_estimator": (3, 1, "chain order must be >= 1, got {}"),
-    "formation": (2, 2, "formation chain needs n >= 2 robots, got {}"),
-    "lagged_formation": (3, 2, "formation chain needs n >= 2 robots, got {}"),
-}
+# Chain kind -> (stacked layers, smallest order): an estimator chain has a
+# movable robot, a formation chain a robot before its vertex.
+_KINDS = {"estimator": (2, 1), "lagged_estimator": (3, 1), "formation": (2, 2),
+          "lagged_formation": (3, 2)}
 
 
 def _chain_layers(kind: str, order: int) -> int:
-    """Layers of a chain matrix of ``kind``; ValueError for an unknown kind
-    or an order below the kind's smallest."""
+    """Layers of a chain matrix of ``kind`` (ValueError for an unknown kind), and the
+    one rule on a chain's order, named ``n_prime``: at least the kind's smallest."""
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {tuple(_KINDS)}, got {kind!r}")
-    layers, smallest, message = _KINDS[kind]
-    if order < smallest:
-        raise ValueError(message.format(order))
+    layers, smallest = _KINDS[kind]
+    require(order >= smallest, "n_prime", f"must be >= {smallest}, got {quoted(order)}")
     return layers
 
 
@@ -348,8 +343,7 @@ def stability_bound(n_prime: int, strategy: str) -> float:
     parameters above the bound may still be stable.
     """
     _require_strategy(strategy)
-    if n_prime < 1:
-        raise ValueError(f"chain order must be >= 1, got {n_prime}")
+    _chain_layers(ESTIMATOR_KIND[strategy], n_prime)
     c2 = math.cos(math.pi / (n_prime + 1)) ** 2
     if strategy == "S1":
         return (1.0 - c2) / (3.0 - c2)
@@ -533,7 +527,7 @@ def spectral_report(n_prime: int, params: EstimationParams) -> dict:
     """
     alpha_dt = params.alpha * params.dt
     bound_s1, bound_s2 = stability_bound(n_prime, "S1"), stability_bound(n_prime, "S2")
-    kinds = [kind for kind, (_, smallest, _) in _KINDS.items() if n_prime >= smallest]
+    kinds = [kind for kind, (_, smallest) in _KINDS.items() if n_prime >= smallest]
     limit = {kind: stability_limit(n_prime, kind) for kind in kinds}
     rho = {kind: spectral_radius(chain_modes(n_prime, params, kind)) for kind in kinds}
     return {

@@ -169,6 +169,7 @@ RULES = [
     ("sweep", "sweep.n_min", 1, "sweep.n_min: must be at least 2, got 1"),
     ("sweep", "sweep.n_max", 4, "sweep.n_max: must be at least the smallest n, 5, got 4"),
     ("sweep", "sweep.reps", 0, "sweep.reps: must be at least 1, got 0"),
+    ("spectral", "n_prime", 0, "n_prime: must be >= 1, got 0"),
 ]
 # No ``tolerances`` section in any mode: the closure and formation tolerances
 # are the constants ``formation.CLOSURE_TOL`` and ``formation.FORMATION_TOL``,
@@ -299,6 +300,10 @@ class TestConfigValidation:
         # The library states each parameter's domain; the CLI only names the
         # YAML path of the field that sets the parameter.
         assert refused(tmp_path, capsys, with_value(BASES[mode], path, value)) == line
+
+    def test_order_is_named_before_the_gains(self, tmp_path, capsys):
+        bad = dict(BASES["spectral"], n_prime=0, alpha=-1)
+        assert refused(tmp_path, capsys, bad) == "n_prime: must be >= 1, got 0"
 
     @pytest.mark.parametrize("vertex_set,message", [
         ([], "topology.vertex_set: polygon needs at least 3 vertex robots"),

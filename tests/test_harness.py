@@ -49,7 +49,7 @@ class TestScaledParams:
         windows = {name: shipped_config(name).pipeline_arguments()["est_config"].stop_window
                    for name in ("hexagon", "triangle")}
         estimate20 = shipped_config("estimate20")
-        windows["estimate20"] = estimate20.estimator_config(estimate20.n_total - 1).stop_window
+        windows["estimate20"] = estimate20.estimator_config().stop_window
         assert windows == {"hexagon": 1643, "triangle": 57, "estimate20": 917}
 
     def test_windows_equal_those_of_the_dense_matrices(self):
@@ -109,6 +109,11 @@ class TestSweep:
         with pytest.raises(ParameterError) as err:
             sweep_convergence(n_range, reps)
         assert (err.value.name, str(err.value)) == (message.split(":")[0], message)
+
+    def test_curve_range_names_its_upper_bound(self):
+        with pytest.raises(ParameterError) as err:
+            sensitivity_curves((3, 2))
+        assert str(err.value) == "n_range: upper bound must be at least the lower, 3, got 2"
 
     def test_starved_cell_reports_miss(self):
         # a max_steps too small for the window guarantees a non-converged cell

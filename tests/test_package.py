@@ -55,10 +55,14 @@ LIBRARY_RULES = ["must lie in (0, 1)", "must be positive", "must be one of {STRA
                  "must exceed the stop window", "must be 1 or 2", "vertex indices out of range",
                  "polygon does not close", "must be strictly increasing",
                  "must be at least 2, got", "must be at least the smallest n",
-                 "must be at least 1, got", "the stream keys' range"]
+                 "must be at least 1, got", "the stream keys' range",
+                 "must be >= {smallest}, got"]
 CLI_COPIES = ["_POSITIVE", "_STRATEGY", "STRATEGIES", "polygon_closes", "CLOSURE_TOL",
               "in (1, 2)", "out of range", "does not close", "topology: ",
               "sweep_n_max >= ", "sweep_keys_fit", "2 ** 32"]
+# Wordings of rules now written once in the library, each gone from ``src/``.
+REMOVED = ["order must be >= 1", "chain order must be", "at least one movable robot",
+           "bad n_prime range", "needs n >= 2 robots"]
 
 
 def test_each_parameter_rule_is_written_once_and_not_in_the_cli():
@@ -67,6 +71,8 @@ def test_each_parameter_rule_is_written_once_and_not_in_the_cli():
         assert sum(text.count(rule) for text in sources.values()) == 1, rule
     for text in LIBRARY_RULES + CLI_COPIES:
         assert text not in sources["cli"], f"cli.py restates {text!r}"
+    for text in REMOVED:
+        assert not any(text in source for source in sources.values()), text
 
 
 def test_readme_field_table_is_the_config_schema():

@@ -14,6 +14,9 @@ from helpers import (
     lu_determinant,
     readout_matrix_dense,
 )
+from ringform.core import ParameterError
+from ringform.estimation import EstimatorConfig, run_estimation
+from ringform.harness import sensitivity_curves
 from ringform.spectral import (
     EstimationParams,
     build_cascade_matrix,
@@ -60,6 +63,7 @@ DENSE = {
     "formation": build_formation_matrix,
     "lagged_formation": build_lagged_formation_matrix,
 }
+KIND_SMALLEST = {"estimator": 1, "lagged_estimator": 1, "formation": 2, "lagged_formation": 2}
 
 
 A, H, T = 0.5, 0.25, 0.125  # alpha, alpha / 2 and dt, all exact in binary
@@ -405,8 +409,7 @@ class TestStabilityLimit:
     @pytest.mark.parametrize("kind", sorted(DENSE))
     def test_limit_is_where_the_modes_leave_the_unit_disc(self, kind):
         # Jury's closed form against the modal blocks, either side of the limit
-        smallest = 2 if kind.endswith("formation") else 1
-        for order in [*range(smallest, 41), 100, 1000, 2000]:
+        for order in [*range(KIND_SMALLEST[kind], 41), 100, 1000, 2000]:
             limit = stability_limit(order, kind)
             for fraction, schur in ((0.999, True), (1.001, False)):
                 params = EstimationParams(alpha=fraction * limit, dt=1.0)
@@ -425,6 +428,36 @@ class TestStabilityLimit:
             limit = stability_limit(10 ** 5, kind)
             assert limit > 0.0
             assert limit == pytest.approx(x * x / 2.0, rel=1e-9)
+
+
+# Every entry point that takes a chain order, as (call of the order, the
+# smallest order it takes): each meets the one order rule.
+ORDER_TAKERS = {
+    **{f"chain_modes-{kind}": (lambda n, kind=kind: chain_modes(n, P, kind), smallest)
+       for kind, smallest in KIND_SMALLEST.items()},
+    **{f"stability_limit-{kind}": (lambda n, kind=kind: stability_limit(n, kind), smallest)
+       for kind, smallest in KIND_SMALLEST.items()},
+    **{f"build-{kind}": (lambda n, kind=kind: DENSE[kind](n, P), smallest)
+       for kind, smallest in KIND_SMALLEST.items()},
+    **{f"stability_bound-{s}": (lambda n, s=s: stability_bound(n, s), 1) for s in ("S1", "S2")},
+    **{f"{f.__name__}-{s}": (lambda n, f=f, s=s: f(n, 0.1, s), 1)
+       for f in (readout_matrix, readout_determinant, steady_gain, steady_gain_recursive,
+                 steady_ratio_closed) for s in ("S1", "S2")},
+    "spectral_report": (lambda n: spectral_report(n, P), 1),
+    "run_estimation": (lambda n: run_estimation(n, EstimatorConfig(params=P), seed=1), 1),
+    "sensitivity_curves": (lambda n: sensitivity_curves((n, 2)), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_TAKERS))
+def test_each_order_taker_refuses_an_order_below_its_kinds_smallest(name):
+    call, smallest = ORDER_TAKERS[name]
+    for order in (smallest - 1, -(10 ** 30)):
+        with pytest.raises(ParameterError) as err:
+            call(order)
+        assert (err.value.name, err.value.rule) == ("n_prime",
+                                                    f"must be >= {smallest}, got {order}")
+    call(smallest)
 
 
 # Per-mode np.roots oracle of each kind: the polynomial and the mode cosines.
